@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import os
 import pickle
 import sys
@@ -26,6 +27,7 @@ from . import trmf as trmf_mod
 from .errors import HierfcstError, OutOfScopeError
 from .features import extract_feature_matrix
 from .models import ModelSpec, fit
+from .models.spec import _coerce
 from .preprocess import build_training_set, save_supervised
 
 STAGE_EXIT = {"ingest": 10, "synth": 11, "transform": 12, "train": 13,
@@ -79,21 +81,8 @@ def spec_from_mapping(name: str, mapping: dict) -> ModelSpec:
     family = mapping.get("family")
     if family is None:
         raise HierfcstError(f"spec {name!r} is missing the 'family' key")
-    hyper = {}
-    for key, raw in mapping.items():
-        if key in _SPEC_META_KEYS:
-            continue
-        low = str(raw).strip().lower()
-        if low in ("true", "false"):
-            hyper[key] = low == "true"
-            continue
-        try:
-            hyper[key] = int(raw)
-        except (TypeError, ValueError):
-            try:
-                hyper[key] = float(raw)
-            except (TypeError, ValueError):
-                hyper[key] = str(raw).strip()
+    hyper = {key: _coerce(str(raw)) for key, raw in mapping.items()
+             if key not in _SPEC_META_KEYS}
     clip = str(mapping.get("clip_negative", "true")).strip().lower() != "false"
     return ModelSpec(family=family, hyperparams=hyper,
                      transform=mapping.get("transform", "identity"),
@@ -290,7 +279,7 @@ def cmd_select(args):
                             values=tensor.values[indices],
                             observed_mask=tensor.observed_mask[indices])
     board = ev.backtest(sub, specs, split)
-    labels = [board.best_model[item] for item in sub.items]
+    labels = _best_labels(board, sub.items)
 
     series = [sub.gross_series(i)[:split.train_periods] for i in range(subset)]
     feats = extract_feature_matrix(series)
@@ -315,6 +304,14 @@ def cmd_select(args):
     for key, pct in shares.items():
         print(f"  {key}: {pct:.1f}%")
     return 0
+
+
+def _best_labels(board, items) -> list:
+    """Best spec of every item; an item that no spec scored stops the stage."""
+    missing = [item for item in items if item not in board.best_model]
+    if missing:
+        raise HierfcstError(f"no spec scored items {missing}")
+    return [board.best_model[item] for item in items]
 
 
 def load_selector(path):
@@ -392,7 +389,7 @@ def run_pipeline(config_path) -> int:
 
     sel = dict(parser.items("select")) if parser.has_section("select") else {}
     if str(sel.get("enabled", "true")).lower() != "false" and tensor.n_items >= 4:
-        labels = [board.best_model[item] for item in tensor.items]
+        labels = _best_labels(board, tensor.items)
         series = [tensor.gross_series(i)[:split.train_periods]
                   for i in range(tensor.n_items)]
         feats = extract_feature_matrix(series)
@@ -424,6 +421,8 @@ def run_pipeline(config_path) -> int:
         for k, v in spec.resolved_config().items():
             resolved[f"spec.{spec.name}.{k}"] = v
     write_run_config(os.path.join(out_dir, "run_config.ini"), "pipeline", resolved)
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(os.path.join(out_dir, "INCOMPLETE"))  # left by a failed run
     print(f"pipeline complete; artifacts in {out_dir}")
     return 0
 
@@ -477,16 +476,17 @@ def build_parser():
     p.add_argument("--test-periods", type=int, default=8)
     p.set_defaults(func=cmd_train)
 
+    cfg = trmf_mod.TrmfConfig()
     p = sub.add_parser("trmf", help="temporal-regularized matrix factorization")
     p.add_argument("--data", required=True)
-    p.add_argument("--rank", type=int, default=3)
-    p.add_argument("--ar-order", type=int, default=2)
-    p.add_argument("--lambda-f", type=float, default=0.5)
-    p.add_argument("--lambda-z", type=float, default=0.5)
-    p.add_argument("--lambda-ar", type=float, default=10.0)
-    p.add_argument("--sweeps", type=int, default=60)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--rank", type=int, default=cfg.rank)
+    p.add_argument("--ar-order", type=int, default=cfg.ar_order)
+    p.add_argument("--lambda-f", type=float, default=cfg.lam_f)
+    p.add_argument("--lambda-z", type=float, default=cfg.lam_z)
+    p.add_argument("--lambda-ar", type=float, default=cfg.lam_ar)
+    p.add_argument("--sweeps", type=int, default=cfg.max_sweeps)
+    p.add_argument("--tol", type=float, default=cfg.tol)
+    p.add_argument("--seed", type=int, default=cfg.seed)
     p.add_argument("--horizon", type=int, default=8)
     p.add_argument("--allow-low-density", action="store_true")
     p.add_argument("--out-dir", default="trmf_out")

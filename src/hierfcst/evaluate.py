@@ -17,7 +17,8 @@ from .dataset import DEFAULT_MAX_LEAD, PreorderTensor
 from .errors import HierfcstError
 from .features import extract_features
 from .models import ModelSpec, fit, fit_arx
-from .preprocess import TargetTransform, build_training_set, feature_frame, window_index
+from .preprocess import (TargetTransform, build_training_set, diagonal_feed,
+                         feature_frame, window_index)
 
 # Lag count for the small-feature (non-diagonal) regression baseline.
 NODF_LAGS = 3
@@ -73,16 +74,6 @@ class BacktestSplit:
 # Per-family walk-forward forecasting
 # ---------------------------------------------------------------------------
 
-def _df_anchor_for(test_period: int, T: int, W: int) -> int:
-    """Latest anchor with computable inputs that still covers the period.
-
-    One step ahead (anchor = period - 1) whenever the input cells fit in
-    the tensor; the last periods fall back to deeper diagonal positions of
-    the final feasible anchor.
-    """
-    return min(test_period - 1, T - W + 1)
-
-
 def _fit_item_transforms(tensor, kind, split):
     tfs = {}
     for i in range(tensor.n_items):
@@ -98,7 +89,6 @@ def _df_forecasts(tensor, spec, split, W, H):
     T = tensor.n_periods
     tfs = _fit_item_transforms(tensor, spec.transform, split)
     train_anchors = range(split.train_periods - W + 1)
-    y_index = window_index(W, H)[1]
 
     fitted = {}
     if spec.feeding == "df_all_items":
@@ -113,28 +103,32 @@ def _df_forecasts(tensor, spec, split, W, H):
                                       transforms=tfs)
             fitted[i] = fit(spec, sset.X, sset.Y)
 
-    n_test = split.test_periods
-    out = np.zeros((tensor.n_items, n_test))
+    # Test period tau is read off the lead-0 cell (tau - a, 0) of the frame
+    # anchored at a = tau - 1 (one step ahead) whenever that frame's input
+    # cells fit in the tensor; the last periods fall back to deeper
+    # diagonal positions of the final feasible anchor T - W + 1.
+    test = np.asarray(split.test_range)
+    anchors = np.minimum(test - 1, T - W + 1)
+    y_index = np.array(window_index(W, H)[1])
+    lead0 = np.flatnonzero(y_index[:, 1] == 0)  # (s, 0) sits at s - 1
+    picks = (np.arange(len(test)), lead0[test - anchors - 1])
+    # Multi-horizon diagonal targets: the frame anchored on the last
+    # training period has inputs known by the end of training and its
+    # whole y block inside the test zone.
+    diag_anchor = split.train_periods - 1
+    has_diag = diag_anchor + W - 1 < T
+    if has_diag:
+        anchors = np.append(anchors, diag_anchor)
+
+    out = np.zeros((tensor.n_items, len(test)))
     diag_smape = np.zeros(tensor.n_items)
     for i in range(tensor.n_items):
         tf = tfs[i]
-        model = fitted[i]
-        for c, tau in enumerate(split.test_range):
-            a = _df_anchor_for(tau, T, W)
-            x = tf.forward(feature_frame(tensor, i, a, W, H))
-            y_hat = model.predict_transformed(x[None, :])[0]
-            y_hat = np.maximum(tf.inverse(y_hat), 0.0)
-            pos = y_index.index((tau - a, 0))
-            out[i, c] = y_hat[pos]
-        # Multi-horizon diagonal targets: the frame anchored on the last
-        # training period has inputs known by the end of training and its
-        # whole y block inside the test zone.
-        a = split.train_periods - 1
-        if a + W - 1 < T:
-            x = tf.forward(feature_frame(tensor, i, a, W, H))
-            y_hat = np.maximum(tf.inverse(model.predict_transformed(x[None, :])[0]), 0.0)
-            actual = np.array([tensor.values[i, a + s, h] for (s, h) in y_index])
-            diag_smape[i] = smape(y_hat, actual)
+        x = tf.forward(feature_frame(tensor, i, anchors, W, H))
+        y_hat = np.maximum(tf.inverse(fitted[i].predict_transformed(x)), 0.0)
+        out[i] = y_hat[picks]
+        if has_diag:
+            diag_smape[i] = smape(y_hat[-1], diagonal_feed(tensor, i, diag_anchor, W, H).y)
     return out, diag_smape
 
 
@@ -347,7 +341,8 @@ def backtest(tensor: PreorderTensor, specs, split: BacktestSplit | None = None,
         rows.append(LeaderboardRow(spec_name=name, mean_smape=mean,
                                    median_smape=med, n_items=len(vals),
                                    best_count=count))
-    rows.sort(key=lambda r: (r.mean_smape, r.spec_name))
+    # A spec that failed for every item has a NaN mean and is listed last.
+    rows.sort(key=lambda r: (np.nan_to_num(r.mean_smape, nan=np.inf), r.spec_name))
 
     history = {tensor.items[i]: tensor.gross_series(i).copy()
                for i in range(tensor.n_items)}

@@ -11,6 +11,7 @@ pre-order data into a plain multi-output regression problem.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -106,34 +107,40 @@ class SupervisedFrame:
     y_index: list
 
 
+def _gather(tensor: PreorderTensor, items, anchors, index) -> np.ndarray:
+    """values[item, anchor + s, h] for every item, anchor and (s, h) of
+    ``index``, shape (len(items), len(anchors), len(index)).  The one place
+    a window layout meets the tensor, so it holds the lead and period checks.
+    """
+    s, h = np.array(index).T
+    anchors = np.asarray(anchors, dtype=int)
+    if h.max() >= tensor.n_leads:
+        raise WindowRangeError(f"H={h.max() + 1} exceeds tensor lead count {tensor.n_leads}")
+    if np.any(anchors < 0) or np.any(anchors + s.max() >= tensor.n_periods):
+        raise WindowRangeError(
+            f"windows of anchors [{anchors.min()}, {anchors.max()}] need periods up to "
+            f"{anchors.max() + s.max()}, tensor has [0, {tensor.n_periods})")
+    return tensor.values[np.asarray(items)[:, None, None], anchors[:, None] + s, h]
+
+
 def diagonal_feed(tensor: PreorderTensor, item: int, anchor: int,
                   W: int, H: int) -> SupervisedFrame:
     """Extract the diagonal-feeding frame anchored at ``anchor`` for one item."""
     x_index, y_index = window_index(W, H)
-    if H > tensor.n_leads:
-        raise WindowRangeError(f"H={H} exceeds tensor lead count {tensor.n_leads}")
-    if anchor < 0 or anchor + W - 1 >= tensor.n_periods:
-        raise WindowRangeError(
-            f"window [{anchor}, {anchor + W - 1}] exceeds periods [0, {tensor.n_periods})")
-    cells = tensor.values[item]
-    x = np.array([cells[anchor + s, h] for (s, h) in x_index])
-    y = np.array([cells[anchor + s, h] for (s, h) in y_index])
+    x = _gather(tensor, [item], [anchor], x_index)[0, 0]
+    y = _gather(tensor, [item], [anchor], y_index)[0, 0]
     return SupervisedFrame(item=item, anchor=anchor, x=x, y=y,
                            x_index=x_index, y_index=y_index)
 
 
-def feature_frame(tensor: PreorderTensor, item: int, anchor: int,
+def feature_frame(tensor: PreorderTensor, item: int, anchor,
                   W: int, H: int) -> np.ndarray:
     """Known cells x only, for prediction at anchors whose future cells may
     fall outside the tensor.  Needs periods up to anchor + W - 2 because the
-    last row of the window contributes no known cell."""
-    x_index, _ = window_index(W, H)
-    if anchor < 0 or anchor + W - 2 >= tensor.n_periods:
-        raise WindowRangeError(
-            f"inputs for anchor {anchor} need period {anchor + W - 2}, "
-            f"tensor has [0, {tensor.n_periods})")
-    cells = tensor.values[item]
-    return np.array([cells[anchor + s, h] for (s, h) in x_index])
+    last row of the window contributes no known cell.  An array of anchors
+    gives one row per anchor, a single anchor the 1-d row x."""
+    rows = _gather(tensor, [item], np.atleast_1d(anchor), window_index(W, H)[0])[0]
+    return rows if np.ndim(anchor) else rows[0]
 
 
 @dataclass
@@ -170,9 +177,11 @@ def build_training_set(tensor: PreorderTensor, scope, W: int, H: int,
                     keep test values out of the minmax range.
     transforms   -- pre-fitted per-item transforms; overrides fitting.
 
-    The transform is applied to both X and Y entries, so models operate
-    entirely in transformed space and predictions must be mapped back with
-    the recorded per-item transform.
+    The cells of every (item, anchor) frame are read by one gather; rows
+    run item-major, anchors within an item, as listed in ``samples``.  Each
+    item's transform is applied to both its X and Y blocks, so models
+    operate entirely in transformed space and predictions must be mapped
+    back with the recorded per-item transform.
     """
     if scope == "all":
         items = list(range(tensor.n_items))
@@ -194,22 +203,19 @@ def build_training_set(tensor: PreorderTensor, scope, W: int, H: int,
         raise HierfcstError("no valid anchors")
 
     if transforms is None:
-        transforms = {}
-        for i in items:
-            cells = tensor.values[i]
-            fitted = cells if fit_periods is None else cells[list(fit_periods)]
-            transforms[i] = TargetTransform.fit(transform, fitted)
+        periods = slice(None) if fit_periods is None else list(fit_periods)
+        transforms = {i: TargetTransform.fit(transform, tensor.values[i, periods])
+                      for i in items}
 
-    X_rows, Y_rows, samples = [], [], []
-    for i in items:
-        tf = transforms[i]
-        for a in anchors:
-            frame = diagonal_feed(tensor, i, a, W, H)
-            X_rows.append(tf.forward(frame.x))
-            Y_rows.append(tf.forward(frame.y))
-            samples.append((i, a))
-
-    return SupervisedSet(X=np.array(X_rows), Y=np.array(Y_rows), samples=samples,
+    x_index, y_index = window_index(W, H)
+    X = _gather(tensor, items, anchors, x_index)
+    Y = _gather(tensor, items, anchors, y_index)
+    for k, i in enumerate(items):
+        X[k] = transforms[i].forward(X[k])
+        Y[k] = transforms[i].forward(Y[k])
+    n_rows = len(items) * len(anchors)
+    return SupervisedSet(X=X.reshape(n_rows, -1), Y=Y.reshape(n_rows, -1),
+                         samples=list(product(items, anchors)),
                          transforms=transforms, W=W, H=H)
 
 

@@ -274,24 +274,10 @@ def forecast(model: FactorModel, horizon: int) -> np.ndarray:
     Returns the raw horizon x n matrix without clipping; quantity semantics
     (clipping at zero) belong to the reporting layer.
     """
-    if horizon < 1:
-        raise HierfcstError("horizon must be >= 1")
-    Z, phi = model.Z, model.phi
-    d, p = phi.shape
-    if not all(is_stationary(phi[j]) for j in range(d)):
+    if not all(is_stationary(phi_j) for phi_j in model.phi):
         warnings.warn("non-stationary AR coefficients; dynamic forecasts may "
                       "diverge", RuntimeWarning, stacklevel=2)
-    hist = [Z[t] for t in range(max(0, Z.shape[0] - p), Z.shape[0])]
-    if len(hist) < p:
-        raise HierfcstError("factor history shorter than AR order")
-    out = np.empty((horizon, d))
-    for step in range(horizon):
-        z_new = np.zeros(d)
-        for i in range(1, p + 1):
-            z_new += phi[:, i - 1] * hist[-i]
-        out[step] = z_new
-        hist.append(z_new)
-    return out @ model.F
+    return forecast_factors(model, horizon) @ model.F
 
 
 def one_step_forecast(model: FactorModel) -> np.ndarray:
@@ -337,10 +323,15 @@ def rolling_refit(Y_initial, stream, cfg: TrmfConfig | None = None,
 
 
 def forecast_factors(model: FactorModel, horizon: int) -> np.ndarray:
-    """Factor-space forecasts (horizon x d), same recursion as forecast."""
+    """Factor-space forecasts (horizon x d): each step is the AR(p)
+    combination of the previous p factor rows, forecasts included."""
+    if horizon < 1:
+        raise HierfcstError("horizon must be >= 1")
     Z, phi = model.Z, model.phi
     d, p = phi.shape
     hist = [Z[t] for t in range(max(0, Z.shape[0] - p), Z.shape[0])]
+    if len(hist) < p:
+        raise HierfcstError("factor history shorter than AR order")
     out = np.empty((horizon, d))
     for step in range(horizon):
         z_new = np.zeros(d)

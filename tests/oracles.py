@@ -97,3 +97,16 @@ def smape_ref(forecast, actual):
         if den > 0:
             total += abs(f - a) / den
     return 200.0 * total / len(F)
+
+
+def window_cells(values, item, anchor, index):
+    """One diagonal-feeding window read cell by cell: values[item, anchor + s, h]
+    for each (s, h) of index, in index order."""
+    return np.array([values[item, anchor + s, h] for (s, h) in index])
+
+
+def training_rows(values, items, anchors, index, transforms):
+    """Supervised rows stacked one (item, anchor) frame at a time, item-major,
+    each mapped through its item's transform."""
+    return np.array([transforms[i].forward(window_cells(values, i, a, index))
+                     for i in items for a in anchors])

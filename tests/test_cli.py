@@ -51,6 +51,28 @@ p = 2
 """
 
 
+FAILING_PIPELINE_INI = """
+[run]
+seed = 7
+out_dir = {out_dir}
+
+[data]
+source = synth
+items = 5
+periods = 14
+leads = 4
+
+[backtest]
+train_periods = 6
+test_periods = 4
+
+[spec:bad]
+family = arx
+p = 5
+exog = preorders
+"""
+
+
 @pytest.fixture
 def specs_file(tmp_path):
     p = tmp_path / "specs.ini"
@@ -214,6 +236,40 @@ class TestPipeline:
         assert code == STAGE_EXIT["pipeline"]
         marker = (out_dir / "INCOMPLETE").read_text()
         assert "stage=pipeline" in marker and "out of scope" in marker
+
+    def test_item_without_scored_spec_fails_stage(self, tmp_path):
+        # 6 train periods cannot support this AR(5)+exog spec, so no item
+        # has a best model to label the selector with.
+        cfg = tmp_path / "pipe.ini"
+        out_dir = tmp_path / "run"
+        cfg.write_text(FAILING_PIPELINE_INI.format(out_dir=out_dir))
+        assert main(["pipeline", "--config", str(cfg)]) == STAGE_EXIT["pipeline"]
+        marker = (out_dir / "INCOMPLETE").read_text()
+        assert "stage=pipeline" in marker and "no spec scored items" in marker
+        assert "item0000" in marker
+
+    def test_select_item_without_scored_spec_fails_stage(self, tmp_path):
+        tensor = tmp_path / "tensor.npz"
+        ds.save_cache(ds.synthesize(24, 5, 14, 4, "smooth"), tensor)
+        specs = tmp_path / "specs.ini"
+        specs.write_text("[bad]\nfamily = arx\np = 5\nexog = preorders\n")
+        code = main(["select", "--data", str(tensor), "--models", str(specs),
+                     "--train-periods", "6", "--test-periods", "4",
+                     "--out", str(tmp_path / "selector.bin"),
+                     "--graph", str(tmp_path / "graph.json")])
+        assert code == STAGE_EXIT["select"]
+        assert "no spec scored items" in (tmp_path / "INCOMPLETE").read_text()
+        assert not (tmp_path / "selector.bin").exists()
+
+    def test_success_removes_stale_incomplete_marker(self, tmp_path):
+        cfg = tmp_path / "pipe.ini"
+        out_dir = tmp_path / "run"
+        cfg.write_text(FAILING_PIPELINE_INI.format(out_dir=out_dir))
+        assert main(["pipeline", "--config", str(cfg)]) == STAGE_EXIT["pipeline"]
+        assert (out_dir / "INCOMPLETE").exists()
+        cfg.write_text(PIPELINE_INI.format(out_dir=out_dir))
+        assert main(["pipeline", "--config", str(cfg)]) == 0
+        assert not (out_dir / "INCOMPLETE").exists()
 
     def test_stage_seed_deterministic_and_distinct(self):
         assert stage_seed(0, "synth") == stage_seed(0, "synth")

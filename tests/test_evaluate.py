@@ -139,6 +139,14 @@ class TestBacktest:
         assert board.row("ok").n_items == tensor.n_items
         assert np.isnan(board.row("bad").mean_smape)
 
+    def test_failed_spec_sorts_after_scored_specs(self):
+        tensor = ds.synthesize(24, 3, 14, 4, "smooth")
+        bad = ModelSpec("arx", {"p": 5, "exog": "preorders"}, label="a_bad")
+        ok = ModelSpec("arx", {"p": 1}, label="ok")
+        board = backtest(tensor, [bad, ok], BacktestSplit(6, 4))
+        assert [r.spec_name for r in board.rows] == ["ok", "a_bad"]
+        assert board.to_csv().splitlines()[-1] == "a_bad,nan,nan,0,0"
+
     def test_duplicate_spec_names_rejected(self):
         tensor = constant_tensor()
         s = ModelSpec("arx", label="dup")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hierfcst import dataset as ds
 from hierfcst.errors import (DomainError, HierfcstError, NotFittedError,
@@ -8,6 +10,8 @@ from hierfcst.preprocess import (SupervisedSet, TargetTransform,
                                  build_training_set, diagonal_feed,
                                  feature_frame, load_supervised,
                                  save_supervised, window_index)
+
+from oracles import training_rows, window_cells
 
 
 def coded_tensor(T=12, H=4, n_items=2):
@@ -144,6 +148,87 @@ class TestBuildTrainingSet:
         np.testing.assert_array_equal(back.Y, sset.Y)
         assert back.samples == sset.samples
         assert back.transforms[1].vmax == sset.transforms[1].vmax
+
+
+@st.composite
+def feeding_cases(draw):
+    """A random tensor with a window geometry, an item subset, in-range
+    training anchors and a transform kind."""
+    H = draw(st.integers(1, 6))
+    W = H + 1
+    n_items = draw(st.integers(1, 4))
+    T = draw(st.integers(W, W + 8))
+    n_leads = draw(st.integers(H, H + 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.uniform(0, 50, size=(n_items, T, n_leads))
+    values[rng.random(values.shape) < 0.3] = 0.0
+    tensor = ds.PreorderTensor(items=[f"i{i}" for i in range(n_items)],
+                               values=values,
+                               observed_mask=np.ones_like(values, bool))
+    items = draw(st.lists(st.integers(0, n_items - 1), min_size=1, unique=True))
+    anchors = draw(st.lists(st.integers(0, T - W), min_size=1, unique=True))
+    kind = draw(st.sampled_from(["identity", "log1p", "minmax"]))
+    return tensor, W, H, items, anchors, kind
+
+
+class TestGatherMatchesPerCellReference:
+    @settings(max_examples=60, deadline=None)
+    @given(feeding_cases())
+    def test_build_training_set(self, case):
+        tensor, W, H, items, anchors, kind = case
+        sset = build_training_set(tensor, items, W, H, transform=kind,
+                                  anchors=anchors)
+        x_idx, y_idx = window_index(W, H)
+        np.testing.assert_array_equal(
+            sset.X, training_rows(tensor.values, items, anchors, x_idx, sset.transforms))
+        np.testing.assert_array_equal(
+            sset.Y, training_rows(tensor.values, items, anchors, y_idx, sset.transforms))
+        assert sset.samples == [(i, a) for i in items for a in anchors]
+
+    @settings(max_examples=60, deadline=None)
+    @given(feeding_cases())
+    def test_diagonal_feed_and_feature_frame(self, case):
+        tensor, W, H, items, anchors, _ = case
+        x_idx, y_idx = window_index(W, H)
+        for i in items:
+            for a in anchors:
+                frame = diagonal_feed(tensor, i, a, W, H)
+                np.testing.assert_array_equal(frame.x, window_cells(tensor.values, i, a, x_idx))
+                np.testing.assert_array_equal(frame.y, window_cells(tensor.values, i, a, y_idx))
+            # Inputs reach one anchor further than whole frames.
+            inputs = anchors + [tensor.n_periods - W + 1]
+            rows = feature_frame(tensor, i, np.array(inputs), W, H)
+            expect = [window_cells(tensor.values, i, a, x_idx) for a in inputs]
+            np.testing.assert_array_equal(rows, expect)
+            np.testing.assert_array_equal(feature_frame(tensor, i, inputs[-1], W, H),
+                                          expect[-1])
+
+    @pytest.mark.parametrize("H", [1, 3])
+    def test_out_of_range_anchors_raise(self, H):
+        W = H + 1
+        t = coded_tensor(T=10, H=H)
+        T = t.n_periods
+        for bad in (-1, T - W + 1, T):
+            with pytest.raises(WindowRangeError):
+                diagonal_feed(t, 0, bad, W, H)
+            with pytest.raises(WindowRangeError):
+                build_training_set(t, "all", W, H, anchors=[0, bad])
+        for bad in (-1, T - W + 2, T):
+            with pytest.raises(WindowRangeError):
+                feature_frame(t, 0, bad, W, H)
+            with pytest.raises(WindowRangeError):
+                feature_frame(t, 0, np.array([0, bad]), W, H)
+
+    def test_more_leads_than_tensor_raise(self):
+        t = coded_tensor(T=10, H=3)
+        with pytest.raises(WindowRangeError):
+            diagonal_feed(t, 0, 0, 5, 4)
+        with pytest.raises(WindowRangeError):
+            feature_frame(t, 0, 0, 5, 4)
+        with pytest.raises(WindowRangeError):
+            feature_frame(t, 0, np.array([0, 1]), 5, 4)
+        with pytest.raises(WindowRangeError):
+            build_training_set(t, "all", 5, 4)
 
 
 class TestTransforms:
