@@ -23,6 +23,10 @@ from .preprocess import (TargetTransform, build_training_set, diagonal_feed,
 # Lag count for the small-feature (non-diagonal) regression baseline.
 NODF_LAGS = 3
 
+# Errors that void one forecast: inside a per-item loop they void only that
+# item, around a spec-wide fit the whole spec.
+ITEM_ERRORS = (HierfcstError, np.linalg.LinAlgError)
+
 
 def smape(forecast, actual) -> float:
     """Symmetric mean absolute percentage error in [0, 200].
@@ -81,7 +85,26 @@ def _fit_item_transforms(tensor, kind, split):
     return tfs
 
 
-def _df_forecasts(tensor, spec, split, W, H):
+def _failure_message(exc) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _item_rows(n_items, width, forecast_item, failures):
+    """(n_items, width) array of the rows forecast_item(i) returns.
+
+    An item whose forecast raises one of ITEM_ERRORS keeps a NaN row and
+    gets failures[i] = "<ExceptionClass>: message"; the other items go on.
+    """
+    out = np.full((n_items, width), np.nan)
+    for i in range(n_items):
+        try:
+            out[i] = forecast_item(i)
+        except ITEM_ERRORS as exc:
+            failures[i] = _failure_message(exc)
+    return out
+
+
+def _df_forecasts(tensor, spec, split, W, H, failures):
     """DF-mode forecasts of q^0 over the test periods for every item.
 
     Returns (forecasts (n_items, n_test), diagonal_smape per item).
@@ -90,18 +113,11 @@ def _df_forecasts(tensor, spec, split, W, H):
     tfs = _fit_item_transforms(tensor, spec.transform, split)
     train_anchors = range(split.train_periods - W + 1)
 
-    fitted = {}
+    shared = None
     if spec.feeding == "df_all_items":
         sset = build_training_set(tensor, "all", W, H, anchors=train_anchors,
                                   transforms=tfs)
         shared = fit(spec, sset.X, sset.Y)
-        for i in range(tensor.n_items):
-            fitted[i] = shared
-    else:
-        for i in range(tensor.n_items):
-            sset = build_training_set(tensor, i, W, H, anchors=train_anchors,
-                                      transforms=tfs)
-            fitted[i] = fit(spec, sset.X, sset.Y)
 
     # Test period tau is read off the lead-0 cell (tau - a, 0) of the frame
     # anchored at a = tau - 1 (one step ahead) whenever that frame's input
@@ -120,16 +136,21 @@ def _df_forecasts(tensor, spec, split, W, H):
     if has_diag:
         anchors = np.append(anchors, diag_anchor)
 
-    out = np.zeros((tensor.n_items, len(test)))
-    diag_smape = np.zeros(tensor.n_items)
-    for i in range(tensor.n_items):
+    def forecast_item(i):
+        model = shared
+        if model is None:
+            sset = build_training_set(tensor, i, W, H, anchors=train_anchors,
+                                      transforms=tfs)
+            model = fit(spec, sset.X, sset.Y)
         tf = tfs[i]
         x = tf.forward(feature_frame(tensor, i, anchors, W, H))
-        y_hat = np.maximum(tf.inverse(fitted[i].predict_transformed(x)), 0.0)
-        out[i] = y_hat[picks]
-        if has_diag:
-            diag_smape[i] = smape(y_hat[-1], diagonal_feed(tensor, i, diag_anchor, W, H).y)
-    return out, diag_smape
+        y_hat = np.maximum(tf.inverse(model.predict_transformed(x)), 0.0)
+        diag = (smape(y_hat[-1], diagonal_feed(tensor, i, diag_anchor, W, H).y)
+                if has_diag else 0.0)
+        return np.append(y_hat[picks], diag)
+
+    rows = _item_rows(tensor.n_items, len(test) + 1, forecast_item, failures)
+    return rows[:, :-1], rows[:, -1]
 
 
 def _nodf_feature_row(series_tf, series_raw, tau):
@@ -138,11 +159,10 @@ def _nodf_feature_row(series_tf, series_raw, tau):
     return np.concatenate([lags, stats])
 
 
-def _nodf_forecasts(tensor, spec, split):
+def _nodf_forecasts(tensor, spec, split, failures):
     """Small-feature regression on the gross series, one model per item."""
-    T = tensor.n_periods
-    out = np.zeros((tensor.n_items, split.test_periods))
-    for i in range(tensor.n_items):
+
+    def forecast_item(i):
         raw = tensor.gross_series(i)
         tf = TargetTransform.fit(spec.transform, raw[list(split.train_range)])
         series_tf = tf.forward(raw)
@@ -151,10 +171,10 @@ def _nodf_forecasts(tensor, spec, split):
             rows.append(_nodf_feature_row(series_tf, raw, tau))
             targets.append(series_tf[tau])
         model = fit(spec, np.array(rows), np.array(targets)[:, None], transform=tf)
-        for c, tau in enumerate(split.test_range):
-            row = _nodf_feature_row(series_tf, raw, tau)
-            out[i, c] = model.predict(row[None, :])[0, 0]
-    return out
+        return [model.predict(_nodf_feature_row(series_tf, raw, tau)[None, :])[0, 0]
+                for tau in split.test_range]
+
+    return _item_rows(tensor.n_items, split.test_periods, forecast_item, failures)
 
 
 def _arx_exog(tensor, item, tf):
@@ -165,33 +185,28 @@ def _arx_exog(tensor, item, tf):
     return tf.forward(exog)
 
 
-def _arx_forecasts(tensor, spec, split):
+def _arx_forecasts(tensor, spec, split, failures):
     p = spec.hyperparams["p"]
     use_exog = spec.hyperparams["exog"] == "preorders"
-    out = np.zeros((tensor.n_items, split.test_periods))
-    for i in range(tensor.n_items):
+
+    def forecast_item(i):
         raw = tensor.gross_series(i)
         tf = TargetTransform.fit(spec.transform, raw[list(split.train_range)])
         series_tf = tf.forward(raw)
         exog = _arx_exog(tensor, i, tf) if use_exog else None
         train_exog = None if exog is None else exog[:split.train_periods]
         model = fit_arx(series_tf[:split.train_periods], train_exog, p, spec=spec)
-        for c, tau in enumerate(split.test_range):
-            row = None if exog is None else exog[tau]
-            value = model.payload.one_step(series_tf[:tau], row)
-            out[i, c] = max(float(tf.inverse(value)), 0.0)
-    return out
+        return [max(float(tf.inverse(model.payload.one_step(
+                    series_tf[:tau], None if exog is None else exog[tau]))), 0.0)
+                for tau in split.test_range]
+
+    return _item_rows(tensor.n_items, split.test_periods, forecast_item, failures)
 
 
 def _trmf_forecasts(tensor, spec, split):
     """Joint factorization of the gross-demand matrix with one-step
     re-estimated forecasts across the test periods (the recommended use)."""
-    hp = spec.hyperparams
-    cfg = trmf_mod.TrmfConfig(rank=hp["rank"], ar_order=hp["ar_order"],
-                              lam_f=hp["lam_f"], lam_z=hp["lam_z"],
-                              lam_ar=hp["lam_ar"], max_sweeps=hp["max_sweeps"],
-                              tol=hp["tol"], seed=hp["seed"],
-                              allow_low_density=True)
+    cfg = trmf_mod.TrmfConfig(**spec.hyperparams, allow_low_density=True)
     tfs = _fit_item_transforms(tensor, spec.transform, split)
     Y = np.empty((tensor.n_periods, tensor.n_items))
     for i in range(tensor.n_items):
@@ -214,23 +229,26 @@ def forecast_matrix(tensor, spec: ModelSpec, split: BacktestSplit,
                     W=None, H=None):
     """Test-period q^0 forecasts for every item under one spec.
 
-    Returns (forecasts (n_items, n_test), extras dict).
+    Returns (forecasts (n_items, n_test), extras dict).  The per-item
+    families fit each item on its own: an item whose fit or forecast fails
+    keeps a NaN row and extras["failures"] maps its index to the error.
     """
     split.validate(tensor.n_periods)
-    extras = {}
+    failures = {}
+    extras = {"failures": failures}
     if spec.family == "trmf":
         return _trmf_forecasts(tensor, spec, split), extras
     if spec.family == "arx":
-        return _arx_forecasts(tensor, spec, split), extras
+        return _arx_forecasts(tensor, spec, split, failures), extras
     if spec.feeding in ("df_one_by_one", "df_all_items"):
         if H is None:
             H = min(tensor.n_leads, DEFAULT_MAX_LEAD)
         if W is None:
             W = H + 1
-        fc, diag = _df_forecasts(tensor, spec, split, W, H)
+        fc, diag = _df_forecasts(tensor, spec, split, W, H, failures)
         extras["diagonal_smape"] = diag
         return fc, extras
-    return _nodf_forecasts(tensor, spec, split), extras
+    return _nodf_forecasts(tensor, spec, split, failures), extras
 
 
 # ---------------------------------------------------------------------------
@@ -283,9 +301,10 @@ def backtest(tensor: PreorderTensor, specs, split: BacktestSplit | None = None,
 
     Mean/median per spec are computed over the items every spec scored
     (identical item set across rows); a per-item fitting failure is
-    recorded and excludes that model from the item's argmin instead of
-    being silently scored.  Ties in the per-item best model break by
-    spec name.
+    recorded as (spec, item, "<ExceptionClass>: message") and excludes that
+    model from the item's argmin instead of being silently scored, while
+    the spec's other items are still scored.  Ties in the per-item best
+    model break by spec name.
     """
     split = split or BacktestSplit()
     split.validate(tensor.n_periods)
@@ -305,12 +324,14 @@ def backtest(tensor: PreorderTensor, specs, split: BacktestSplit | None = None,
     failures = []
     for spec, name in zip(specs, names):
         try:
-            fc, _extras = forecast_matrix(tensor, spec, split, W=W, H=H)
-        except (HierfcstError, np.linalg.LinAlgError) as exc:
-            for item in tensor.items:
-                failures.append((name, item, str(exc)))
-            continue
+            fc, extras = forecast_matrix(tensor, spec, split, W=W, H=H)
+            failed = extras["failures"]
+        except ITEM_ERRORS as exc:
+            failed = dict.fromkeys(range(tensor.n_items), _failure_message(exc))
         for i, item in enumerate(tensor.items):
+            if i in failed:
+                failures.append((name, item, failed[i]))
+                continue
             forecasts[(name, item)] = fc[i]
             scores[name][item] = smape(fc[i], actuals[item])
 

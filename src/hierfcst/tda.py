@@ -41,13 +41,16 @@ def canberra(u, v) -> float:
 
 
 def canberra_matrix(A, B=None) -> np.ndarray:
+    """Canberra distances between the rows of A and of B (default A),
+    summed one feature column at a time so temporaries stay (n, m)."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = A if B is None else np.atleast_2d(np.asarray(B, dtype=float))
-    num = np.abs(A[:, None, :] - B[None, :, :])
-    den = np.abs(A)[:, None, :] + np.abs(B)[None, :, :]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        terms = np.where(den > 0, num / den, 0.0)
-    return terms.sum(axis=2)
+    D = np.zeros((A.shape[0], B.shape[0]))
+    for a, b in zip(A.T, B.T):
+        num = np.abs(a[:, None] - b)
+        den = np.abs(a)[:, None] + np.abs(b)
+        D += np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+    return D
 
 
 def standardize_columns(X):
@@ -61,34 +64,32 @@ def standardize_columns(X):
     return (X[:, keep] - mu[keep]) / sd[keep], keep
 
 
-def first_principal_component(X, tol: float = 1e-10, max_iter: int = 100_000):
-    """Leading eigenvector of the covariance of X by power iteration.
+def _fix_sign(v) -> np.ndarray:
+    """Eigenvector sign rule: entries within 1e-9 max|v| of zero become 0,
+    and the lowest-index entry within 1e-9 max|v| of the largest magnitude
+    is made positive, so a tie between mirrored entries breaks by index
+    rather than by rounding."""
+    mag = np.abs(v)
+    scale = 1e-9 * mag.max()
+    v = np.where(mag <= scale, 0.0, v)
+    pivot = int(np.argmax(mag >= mag.max() - scale))
+    return -v if v[pivot] < 0 else v
 
-    Returns (component, explained_share).  The sign is fixed so the
-    largest-magnitude loading is positive.
+
+def first_principal_component(X):
+    """Leading eigenvector of the covariance of X (dense eigh).
+
+    Returns (component, explained_share), the sign fixed by _fix_sign.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    n, k = X.shape
+    n = X.shape[0]
     if n < 2:
         raise HierfcstError("need at least 2 rows for a principal component")
     C = X.T @ X / (n - 1)
     total = float(np.trace(C))
-    v = np.ones(k) / np.sqrt(k)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = C @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            break
-        v = w / norm
-        lam = float(v @ C @ v)
-        if np.linalg.norm(C @ v - lam * v) <= tol * max(1.0, lam):
-            break
-    pivot = int(np.argmax(np.abs(v)))
-    if v[pivot] < 0:
-        v = -v
-    share = lam / total if total > 0 else 0.0
-    return v, share
+    vals, vecs = np.linalg.eigh(C)
+    share = float(vals[-1]) / total if total > 0 else 0.0
+    return _fix_sign(vecs[:, -1]), share
 
 
 def pca_lens(features) -> np.ndarray:
@@ -275,40 +276,18 @@ def mapper(features, lens=None, n_intervals: int = DEFAULT_INTERVALS,
 # Spectral partitioning
 # ---------------------------------------------------------------------------
 
-def fiedler_vector(adjacency, tol: float = 1e-12, max_iter: int = 200_000) -> np.ndarray:
-    """Second-smallest eigenvector of the unnormalized Laplacian, computed
-    by power iteration on a spectral shift with the constant vector deflated.
+def fiedler_vector(adjacency) -> np.ndarray:
+    """Second-smallest eigenvector of the unnormalized Laplacian (dense eigh).
 
-    Assumes a connected graph with >= 2 nodes.  The sign is fixed so the
-    largest-magnitude entry is positive.
+    Assumes a connected graph with >= 2 nodes.  The sign is fixed by
+    _fix_sign; a node whose entry is zero lands on the non-negative side of
+    fiedler_partition.
     """
     A = np.asarray(adjacency, dtype=float)
-    k = A.shape[0]
-    if k < 2:
+    if A.shape[0] < 2:
         raise HierfcstError("need at least 2 nodes")
-    deg = A.sum(axis=1)
-    L = np.diag(deg) - A
-    shift = 2.0 * float(deg.max()) + 1.0
-    B = shift * np.eye(k) - L
-
-    v = np.arange(1, k + 1, dtype=float)
-    v -= v.mean()
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = B @ v
-        w -= w.mean()                      # deflate the constant eigenvector
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            break
-        v = w / norm
-        lam = float(v @ B @ v)
-        if np.linalg.norm(B @ v - lam * v) <= tol * shift:
-            break
-    pivot = int(np.argmax(np.abs(v)))
-    if v[pivot] < 0:
-        v = -v
-    return v
+    L = np.diag(A.sum(axis=1)) - A
+    return _fix_sign(np.linalg.eigh(L)[1][:, 1])
 
 
 def _components(adjacency):

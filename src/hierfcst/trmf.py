@@ -25,20 +25,28 @@ import numpy as np
 from scipy.linalg import solveh_banded
 
 from .errors import DensityError, DomainError, HierfcstError, IllConditionedError
+from .models.spec import default_hyperparams
 
 DEFAULT_DENSITY_FLOOR = 0.25
 
 
+def _ini(key):
+    """Default read from the [trmf] section of data/model_defaults.ini, so
+    backtest specs and `hierfcst trmf` fit the same model unless a value is
+    overridden."""
+    return field(default_factory=lambda: default_hyperparams("trmf")[key])
+
+
 @dataclass
 class TrmfConfig:
-    rank: int = 3
-    ar_order: int = 2
-    lam_f: float = 0.5
-    lam_z: float = 0.5
-    lam_ar: float = 10.0
-    max_sweeps: int = 60
-    tol: float = 1e-6
-    seed: int = 0
+    rank: int = _ini("rank")
+    ar_order: int = _ini("ar_order")
+    lam_f: float = _ini("lam_f")
+    lam_z: float = _ini("lam_z")
+    lam_ar: float = _ini("lam_ar")
+    max_sweeps: int = _ini("max_sweeps")
+    tol: float = _ini("tol")
+    seed: int = _ini("seed")
     density_floor: float = DEFAULT_DENSITY_FLOOR
     allow_low_density: bool = False
 
@@ -106,69 +114,59 @@ def objective(Y, mask, Z, F, phi, lam_f, lam_z, lam_ar) -> float:
 
 
 def _f_step(Y, mask, Z, lam_f, m):
-    d = Z.shape[1]
-    n = Y.shape[1]
-    F = np.zeros((d, n))
-    eye = np.eye(d)
-    for i in range(n):
-        rows = mask[:, i]
-        if not rows.any():
-            continue
-        Zi = Z[rows]
-        G = Zi.T @ Zi / m + lam_f * eye
-        b = Zi.T @ Y[rows, i] / m
-        try:
-            F[:, i] = np.linalg.solve(G, b)
-        except np.linalg.LinAlgError:
-            F[:, i] = np.linalg.lstsq(G, b, rcond=None)[0]
-    return F
+    """Ridge loadings for every item at once: one stacked d x d solve.
 
-
-def _ar_band(phi_j, T, p):
-    """Banded (p+1) x T representation of D'D for one factor's AR operator.
-
-    band[k, t] holds the (t, t+k) entry.  Row s of D (s = p..T-1) carries
-    coefficient 1 at column s and -phi_j[i-1] at column s-i.
+    An item with no observed rows has b = 0 and so F = 0.  When an item
+    system is singular (lam_f = 0 with fewer observed rows than the rank,
+    or none) the stack falls back to minimum-norm least squares.
     """
-    c = np.concatenate([[1.0], -phi_j])  # c[i] multiplies column s-i
-    band = np.zeros((p + 1, T))
-    for s in range(p, T):
-        for i in range(p + 1):
-            for l in range(i, p + 1):
-                band[l - i, s - l] += c[l] * c[i]
-    return band
+    d = Z.shape[1]
+    W = mask.astype(float)
+    G = np.einsum("ti,tjk->ijk", W, Z[:, :, None] * Z[:, None, :]) / m
+    G += lam_f * np.eye(d)
+    b = (W * Y).T @ Z / m
+    try:
+        F = np.linalg.solve(G, b[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        # lstsq's default cutoff, for the whole stack at once
+        pinv = np.linalg.pinv(G, rcond=d * np.finfo(float).eps)
+        F = (pinv @ b[:, :, None])[:, :, 0]
+    return F.T
 
 
 def _z_step(Y, mask, F, phi, lam_z, lam_ar, m):
+    """All of Z from one banded positive-definite solve.
+
+    The unknowns are stacked period-major (index t*d + j).  The data term is
+    block diagonal with blocks G_t = F diag(mask_t) F' / m; the AR term
+    lam_ar D_j'D_j of factor j couples (t, j) with (t + k, j) for k <= p, so
+    it sits on the band rows at offsets k*d.  ab holds the upper band in
+    solveh_banded layout: ab[u + r - c, c] = A[r, c] for r <= c.
+    """
     T = Y.shape[0]
     d = F.shape[0]
     p = phi.shape[1]
     u = p * d  # half bandwidth of the stacked (t, j) system
-    M = T * d
-    ab = np.zeros((u + 1, M))
-    rhs = np.zeros(M)
+    ab = np.zeros((u + 1, T * d))
 
-    for t in range(T):
-        cols = mask[t]
-        if cols.any():
-            Ft = F[:, cols]
-            G = Ft @ Ft.T / m
-            rhs[t * d:(t + 1) * d] = Ft @ Y[t, cols] / m
-        else:
-            G = np.zeros((d, d))
-        for j in range(d):
-            ab[u, t * d + j] += G[j, j] + lam_z
-            for j2 in range(j + 1, d):
-                ab[u - (j2 - j), t * d + j2] += G[j, j2]
+    W = mask.astype(float)
+    G = np.einsum("ti,jki->tjk", W, F[:, None, :] * F[None, :, :]) / m
+    rhs = ((W * Y) @ F.T / m).ravel()
+    rows, cols = np.triu_indices(d)
+    ab[(u + rows - cols)[:, None], cols[:, None] + d * np.arange(T)] = \
+        G[:, rows, cols].T
+    ab[u] += lam_z
 
     if lam_ar > 0:
-        for j in range(d):
-            band = _ar_band(phi[j], T, p)
-            for t in range(T):
-                ab[u, t * d + j] += lam_ar * band[0, t]
-                for k in range(1, p + 1):
-                    if t + k < T:
-                        ab[u - k * d, (t + k) * d + j] += lam_ar * band[k, t]
+        # Row s (s = p..T-1) of D_j carries c[l] at column s - l, so
+        # (D_j'D_j)[a, a + k] sums c[l] c[l - k] over the l with
+        # p <= a + l <= T - 1.
+        c = np.hstack([np.ones((d, 1)), -phi])
+        for k in range(p + 1):
+            band = np.zeros((T - k, d))
+            for l in range(k, p + 1):
+                band[max(0, p - l):T - l] += c[:, l] * c[:, l - k]
+            ab[u - k * d, k * d:] += lam_ar * band.ravel()
 
     try:
         z = solveh_banded(ab, rhs, lower=False)

@@ -2,8 +2,10 @@
 
 These deliberately use different algorithms from the code under test:
 generic gradient descent with backtracking instead of closed forms, dense
-eigendecompositions instead of power iteration, Newton steps instead of
-IRLS, and central finite differences for gradients.
+eigendecompositions with the plain largest-magnitude sign rule, Newton
+steps instead of IRLS, central finite differences for gradients, and
+per-cell, per-column or dense assemblies where the library gathers,
+stacks or bands.
 """
 
 import numpy as np
@@ -110,3 +112,45 @@ def training_rows(values, items, anchors, index, transforms):
     each mapped through its item's transform."""
     return np.array([transforms[i].forward(window_cells(values, i, a, index))
                      for i in items for a in anchors])
+
+
+def f_step_columns(Y, mask, Z, lam_f, m):
+    """TRMF loading update one item column at a time: the ridge normal
+    equations of the column's observed rows, least squares when they are
+    singular, and zero for a column with no observed row."""
+    d, n = Z.shape[1], Y.shape[1]
+    F = np.zeros((d, n))
+    for i in range(n):
+        rows = mask[:, i]
+        if not rows.any():
+            continue
+        Zi = Z[rows]
+        G = Zi.T @ Zi / m + lam_f * np.eye(d)
+        b = Zi.T @ Y[rows, i] / m
+        try:
+            F[:, i] = np.linalg.solve(G, b)
+        except np.linalg.LinAlgError:
+            F[:, i] = np.linalg.lstsq(G, b, rcond=None)[0]
+    return F
+
+
+def z_step_dense(Y, mask, F, phi, lam_z, lam_ar, m):
+    """TRMF factor update as one dense solve of the normal equations of the
+    objective in Z, unknowns stacked period-major (index t*d + j)."""
+    T, d = Y.shape[0], F.shape[0]
+    p = phi.shape[1]
+    A = lam_z * np.eye(T * d)
+    rhs = np.zeros(T * d)
+    for t in range(T):
+        Ft = F[:, mask[t]]
+        block = slice(t * d, (t + 1) * d)
+        A[block, block] += Ft @ Ft.T / m
+        rhs[block] = Ft @ Y[t, mask[t]] / m
+    for j in range(d):
+        D = np.zeros((T - p, T))  # AR(p) residual operator of factor j
+        for s in range(p, T):
+            D[s - p, s] = 1.0
+            D[s - p, s - p:s] = -phi[j, ::-1]
+        idx = np.arange(T) * d + j
+        A[np.ix_(idx, idx)] += lam_ar * D.T @ D
+    return np.linalg.solve(A, rhs).reshape(T, d)

@@ -1,3 +1,4 @@
+import configparser
 import json
 import os
 
@@ -7,6 +8,7 @@ import pytest
 from hierfcst import dataset as ds
 from hierfcst.cli import (STAGE_EXIT, load_selector, load_specs,
                           load_stored_model, main, run_pipeline, stage_seed)
+from hierfcst.models import default_hyperparams
 from hierfcst.preprocess import load_supervised
 
 
@@ -158,6 +160,20 @@ class TestStages:
         fc = np.loadtxt(out / "forecasts.csv", delimiter=",", skiprows=1)
         assert fc.shape == (4, 8)
         assert np.all(fc >= 0)
+
+    def test_trmf_flag_defaults_are_the_model_defaults(self, tmp_path, tensor_cache):
+        out = tmp_path / "mf"
+        assert main(["trmf", "--data", tensor_cache, "--horizon", "2",
+                     "--out-dir", str(out)]) == 0
+        parser = configparser.ConfigParser()
+        parser.read(out / "run_config.ini")
+        record = parser["trmf"]
+        ini = default_hyperparams("trmf")
+        for flag, key in (("rank", "rank"), ("ar_order", "ar_order"),
+                          ("lambda_f", "lam_f"), ("lambda_z", "lam_z"),
+                          ("lambda_ar", "lam_ar"), ("sweeps", "max_sweeps"),
+                          ("tol", "tol"), ("seed", "seed")):
+            assert float(record[flag]) == ini[key], flag
 
     def test_select_and_route(self, tmp_path, tensor_cache, specs_file):
         sel_path = tmp_path / "selector.bin"

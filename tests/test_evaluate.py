@@ -139,6 +139,21 @@ class TestBacktest:
         assert board.row("ok").n_items == tensor.n_items
         assert np.isnan(board.row("bad").mean_smape)
 
+    def test_degenerate_item_fails_alone(self):
+        # Unpenalized ridge on an all-zero item has singular normal
+        # equations; only that item's forecast is lost.
+        tensor = ds.synthesize(26, 20, 45, 4, "anticipatory")
+        tensor.values[3] = 0.0
+        spec = ModelSpec("ridge", {"lam": 0.0}, feeding="df_one_by_one", label="r0")
+        board = backtest(tensor, [spec])
+        assert len(board.failures) == 1
+        name, item, message = board.failures[0]
+        assert (name, item) == ("r0", tensor.items[3])
+        assert message.startswith("IllConditionedError: ")
+        assert board.row("r0").n_items == 19
+        assert np.isfinite(board.row("r0").mean_smape)
+        assert set(board.best_model) == set(tensor.items) - {item}
+
     def test_failed_spec_sorts_after_scored_specs(self):
         tensor = ds.synthesize(24, 3, 14, 4, "smooth")
         bad = ModelSpec("arx", {"p": 5, "exog": "preorders"}, label="a_bad")

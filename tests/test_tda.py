@@ -81,6 +81,21 @@ class TestCanberra:
                 assert D[i, j] == pytest.approx(canberra(A[i], A[j]), abs=1e-12)
 
 
+    def test_matrix_agrees_with_scalar_zeros_and_mixed_signs(self):
+        rng = np.random.default_rng(9)
+        A = rng.normal(scale=3.0, size=(7, 5))
+        A[rng.uniform(size=A.shape) < 0.3] = 0.0
+        A[2] = 0.0
+        B = rng.normal(size=(4, 5))
+        B[0] = -A[0]
+        B[1] = 0.0
+        B[2, :2] = 0.0
+        for X, Y in ((A, A), (A, B), (B, A)):
+            D = canberra_matrix(X, None if Y is A and X is A else Y)
+            ref = [[canberra(u, v) for v in Y] for u in X]
+            np.testing.assert_allclose(D, ref, rtol=1e-14, atol=0)
+
+
 class TestPcaLens:
     def test_rank_one_data_fully_explained(self):
         rng = np.random.default_rng(3)
@@ -231,6 +246,20 @@ class TestFiedler:
             lam_f = f @ L @ f
             lam_ref = ref @ L @ ref
             assert lam_f == pytest.approx(lam_ref, abs=1e-6)
+
+    def test_symmetric_path_sign_rule(self):
+        # A 7-node path is mirror-symmetric: |f[0]| == |f[6]| and the middle
+        # entry is zero up to rounding, which the sign rule makes exact.
+        adj = np.zeros((7, 7))
+        for a in range(6):
+            adj[a, a + 1] = adj[a + 1, a] = 1.0
+        f = fiedler_vector(adj)
+        assert f[3] == 0.0
+        assert f[0] > 0
+        L = np.diag(adj.sum(1)) - adj
+        lam = f @ L @ f
+        assert lam == pytest.approx(np.linalg.eigvalsh(L)[1], abs=1e-12)
+        np.testing.assert_allclose(L @ f, lam * f, atol=1e-12)
 
     def test_two_node_split(self):
         graph = MapperGraph(

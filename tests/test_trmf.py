@@ -1,13 +1,16 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from hierfcst.errors import DensityError, DomainError, HierfcstError
+from hierfcst.models import default_hyperparams
 from hierfcst.trmf import (FactorModel, TrmfConfig, ar_residuals, factorize,
                            forecast, is_stationary, objective, one_step_forecast,
                            rolling_refit)
 from hierfcst.trmf import _f_step, _phi_step, _z_step
 
-from oracles import gradient_descent, numeric_grad
+from oracles import f_step_columns, gradient_descent, numeric_grad, z_step_dense
 
 
 def random_instance(rng, T=14, n=6, density=0.6):
@@ -186,6 +189,57 @@ class TestBlockOracles:
         np.testing.assert_allclose(phi_new.ravel(), ref, atol=1e-6)
 
 
+class TestStackedBlocks:
+    """The stacked loading solve and the banded factor assembly against a
+    per-column loop and a dense solve, over random sizes and masks."""
+
+    def test_f_step_matches_per_column_solves(self):
+        rng = np.random.default_rng(20)
+        for _ in range(30):
+            T, n, d = (int(v) for v in rng.integers([3, 1, 1], [20, 12, 4]))
+            Y, mask = random_instance(rng, T=T, n=n, density=rng.uniform(0.2, 1))
+            Z = rng.normal(size=(T, d))
+            lam_f = float(rng.choice([1e-4, 0.5]))
+            m = int(mask.sum())
+            np.testing.assert_allclose(_f_step(Y, mask, Z, lam_f, m),
+                                       f_step_columns(Y, mask, Z, lam_f, m),
+                                       rtol=1e-10, atol=1e-12)
+
+    def test_f_step_lam_f_zero_unobserved_and_short_columns(self):
+        # Rank 3: column 0 is never observed and column 1 only in two
+        # periods, so its system is singular and least squares answers it.
+        rng = np.random.default_rng(21)
+        Y = rng.normal(size=(8, 4))
+        Z = rng.normal(size=(8, 3))
+        Z[:2] = [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]]
+        mask = np.ones((8, 4), bool)
+        mask[:, 0] = False
+        mask[2:, 1] = False
+        m = int(mask.sum())
+        F = _f_step(Y, mask, Z, 0.0, m)
+        np.testing.assert_array_equal(F[:, 0], 0.0)
+        np.testing.assert_allclose(F[:, 1], [Y[0, 1], Y[1, 1] / 2, 0.0],
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(F, f_step_columns(Y, mask, Z, 0.0, m),
+                                   rtol=1e-10, atol=1e-12)
+
+    def test_z_step_matches_dense_normal_equations(self):
+        rng = np.random.default_rng(22)
+        for _ in range(30):
+            d, p = (int(v) for v in rng.integers(1, 4, size=2))
+            T, n = int(rng.integers(p + 1, 16)), int(rng.integers(1, 8))
+            Y, mask = random_instance(rng, T=T, n=n, density=rng.uniform(0.2, 1))
+            mask[rng.integers(T)] = False  # a period with no observation
+            F = rng.normal(size=(d, n))
+            phi = rng.normal(scale=0.5, size=(d, p))
+            lam_z = float(rng.choice([1e-3, 0.5]))
+            lam_ar = float(rng.choice([0.0, 0.3]))
+            m = max(int(mask.sum()), 1)
+            np.testing.assert_allclose(_z_step(Y, mask, F, phi, lam_z, lam_ar, m),
+                                       z_step_dense(Y, mask, F, phi, lam_z, lam_ar, m),
+                                       rtol=1e-8, atol=1e-10)
+
+
 class TestStationarity:
     def test_finite_difference_gradient_small_at_convergence(self):
         rng = np.random.default_rng(8)
@@ -302,6 +356,14 @@ class TestRollingRefit:
         with pytest.raises(HierfcstError):
             rolling_refit(np.ones((6, 2)), [], TrmfConfig(rank=1, ar_order=2),
                           window_policy=("rolling", 2))
+
+
+def test_config_defaults_are_the_model_defaults():
+    cfg = TrmfConfig()
+    ini = default_hyperparams("trmf")
+    assert set(ini) <= {f.name for f in fields(cfg)}
+    for key, value in ini.items():
+        assert getattr(cfg, key) == value, key
 
 
 class TestObjectiveHelpers:
