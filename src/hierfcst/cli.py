@@ -36,7 +36,7 @@ STAGE_EXIT = {"ingest": 10, "synth": 11, "transform": 12, "train": 13,
 
 _STAGE_IDS = {name: i for i, name in enumerate(sorted(STAGE_EXIT))}
 
-MODEL_STORE_VERSION = 1
+MODEL_STORE_VERSION = 2
 SELECTOR_VERSION = 1
 
 
@@ -47,9 +47,13 @@ def stage_seed(master_seed: int, stage: str) -> int:
 
 
 def _atomic_write(path, text: str):
+    _atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def _atomic_write_bytes(path, data: bytes):
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    with open(tmp, "wb") as fh:
+        fh.write(data)
     os.replace(tmp, path)
 
 
@@ -137,11 +141,16 @@ _KIND_ALIASES = {"none": "identity", "log": "log1p", "minmax": "minmax",
                  "identity": "identity", "log1p": "log1p"}
 
 
+def _transform_kind(name: str) -> str:
+    kind = _KIND_ALIASES.get(name)
+    if kind is None:
+        raise HierfcstError(f"unknown transform kind {name!r}")
+    return kind
+
+
 def cmd_transform(args):
     tensor = ds.load_cache(args.data)
-    kind = _KIND_ALIASES.get(args.kind)
-    if kind is None:
-        raise HierfcstError(f"unknown transform kind {args.kind!r}")
+    kind = _transform_kind(args.kind)
     sset = build_training_set(tensor, "all", args.window, args.leads, transform=kind)
     save_supervised(sset, args.output)
     write_run_config(f"{args.output}.run.ini", "transform", {
@@ -197,13 +206,17 @@ def _store_model(out_dir, spec, item, fitted):
     path = os.path.join(out_dir, f"{_safe_name(spec.name)}__{_safe_name(str(item))}.pkl")
     payload = {"format_version": MODEL_STORE_VERSION, "item": item,
                "spec": spec.resolved_config(), "model": fitted}
-    with open(path, "wb") as fh:
-        pickle.dump(payload, fh)
+    _atomic_write_bytes(path, pickle.dumps(payload))
 
 
 def load_stored_model(path):
     with open(path, "rb") as fh:
-        payload = pickle.load(fh)
+        try:
+            payload = pickle.load(fh)
+        except (AttributeError, ModuleNotFoundError) as exc:
+            # Classes the store names no longer exist: a store written by
+            # an older model format.
+            raise HierfcstError(f"cannot load model store {path}: {exc}") from exc
     if payload.get("format_version") != MODEL_STORE_VERSION:
         raise HierfcstError(f"unsupported model store version in {path}")
     return payload
@@ -242,7 +255,7 @@ def cmd_trmf(args):
         "lambda_ar": args.lambda_ar, "sweeps": args.sweeps, "tol": args.tol,
         "seed": args.seed, "horizon": args.horizon,
         "final_objective": f"{model.objective_history[-1]:.12g}",
-        "n_sweeps": len(model.objective_history) - 1})
+        "n_sweeps": len(model.objective_history) - 1, "converged": model.converged})
     print(f"factorized rank={args.rank} p={args.ar_order}; final objective "
           f"{model.objective_history[-1]:.6g}; forecasts -> {args.out_dir}")
     return 0
@@ -288,9 +301,9 @@ def cmd_select(args):
     tda.fiedler_partition(graph, min_size)
     selector = tda.label_and_route(graph, feats, labels, k=args.k)
 
-    with open(args.out, "wb") as fh:
-        pickle.dump({"format_version": SELECTOR_VERSION, "selector": selector,
-                     "train_periods": split.train_periods}, fh)
+    _atomic_write_bytes(args.out, pickle.dumps({
+        "format_version": SELECTOR_VERSION, "selector": selector,
+        "train_periods": split.train_periods}))
     _atomic_write(args.graph, graph.to_json())
     dot_path = os.path.splitext(args.graph)[0] + ".dot"
     _atomic_write(dot_path, graph.to_dot())
@@ -371,7 +384,7 @@ def run_pipeline(config_path) -> int:
     pp = dict(parser.items("preprocess")) if parser.has_section("preprocess") else {}
     H = int(pp.get("leads", min(tensor.n_leads, ds.DEFAULT_MAX_LEAD)))
     W = int(pp.get("window", H + 1))
-    kind = _KIND_ALIASES.get(pp.get("transform", "none"), "identity")
+    kind = _transform_kind(pp.get("transform", "none"))
     sset = build_training_set(tensor, "all", W, H, transform=kind)
     save_supervised(sset, os.path.join(out_dir, "supervised.npz"))
 
@@ -400,9 +413,9 @@ def run_pipeline(config_path) -> int:
         tda.fiedler_partition(graph, min_size)
         selector = tda.label_and_route(graph, feats, labels,
                                        k=int(sel.get("k", tda.DEFAULT_KNN)))
-        with open(os.path.join(out_dir, "selector.bin"), "wb") as fh:
-            pickle.dump({"format_version": SELECTOR_VERSION, "selector": selector,
-                         "train_periods": split.train_periods}, fh)
+        _atomic_write_bytes(os.path.join(out_dir, "selector.bin"), pickle.dumps({
+            "format_version": SELECTOR_VERSION, "selector": selector,
+            "train_periods": split.train_periods}))
         _atomic_write(os.path.join(out_dir, "graph.json"), graph.to_json())
         _atomic_write(os.path.join(out_dir, "graph.dot"), graph.to_dot())
 

@@ -39,7 +39,8 @@ def _check_xy(X, Y):
 def fit(spec: ModelSpec, X, Y, transform: TargetTransform | None = None) -> FittedModel:
     """Fit one matrix-interface family on supervised rows.
 
-    Multi-column Y is handled per target column (independent regressors).
+    Multi-column Y is handled per target column (independent regressors);
+    a tree family fits every column in one batch.
     ``transform`` is the fitted per-series transform that produced the
     (already transformed) X/Y entries; it is stored so predictions can be
     mapped back to original quantity units.
@@ -57,21 +58,19 @@ def fit(spec: ModelSpec, X, Y, transform: TargetTransform | None = None) -> Fitt
     elif family == "kernel":
         payload = fit_kernel_ridge(X, Y, hp["lam"], hp["bandwidth"])
     elif family == "rforest":
-        models = [RandomForest(hp["n_trees"], hp["max_depth"], hp["min_leaf"],
-                               hp["max_features"], hp["bootstrap"],
-                               seed=hp["seed"] + c).fit(X, Y[:, c])
-                  for c in range(Y.shape[1])]
-        payload = PerTargetPayload(models)
+        payload = PerTargetPayload(RandomForest.fit_batch(
+            [RandomForest(hp["n_trees"], hp["max_depth"], hp["min_leaf"],
+                          hp["max_features"], hp["bootstrap"], seed=hp["seed"] + c)
+             for c in range(Y.shape[1])], X, Y))
     elif family == "adaboost":
-        models = [AdaBoostR2(hp["rounds"], hp["base_depth"], hp["seed"]).fit(X, Y[:, c])
-                  for c in range(Y.shape[1])]
-        payload = PerTargetPayload(models)
+        payload = PerTargetPayload(AdaBoostR2.fit_batch(
+            [AdaBoostR2(hp["rounds"], hp["base_depth"], hp["seed"])
+             for _ in range(Y.shape[1])], X, Y))
     elif family == "ensemble":
-        models = [BaggedGradientBoost(hp["n_bags"], hp["boost_rounds"],
-                                      hp["learning_rate"], hp["max_depth"],
-                                      seed=hp["seed"] + c).fit(X, Y[:, c])
-                  for c in range(Y.shape[1])]
-        payload = PerTargetPayload(models)
+        payload = PerTargetPayload(BaggedGradientBoost.fit_batch(
+            [BaggedGradientBoost(hp["n_bags"], hp["boost_rounds"], hp["learning_rate"],
+                                 hp["max_depth"], seed=hp["seed"] + c)
+             for c in range(Y.shape[1])], X, Y))
     elif family == "arx":
         raise HierfcstError("arx is fitted from a series; use fit_arx")
     elif family == "trmf":

@@ -74,6 +74,7 @@ class FactorModel:
     lam_ar: float
     mask: np.ndarray         # (T, n) observed-entry pattern
     objective_history: list = field(default_factory=list)
+    converged: bool = False  # stopped on tol before max_sweeps
 
     @property
     def rank(self):
@@ -244,6 +245,7 @@ def factorize(Y, mask=None, cfg: TrmfConfig | None = None, init=None) -> FactorM
         phi = np.zeros((d, p))
 
     history = [objective(Y, mask, Z, F, phi, cfg.lam_f, cfg.lam_z, cfg.lam_ar)]
+    converged = False
     for _ in range(cfg.max_sweeps):
         F = _f_step(Y, mask, Z, cfg.lam_f, m)
         Z = _z_step(Y, mask, F, phi, cfg.lam_z, cfg.lam_ar, m)
@@ -252,10 +254,12 @@ def factorize(Y, mask=None, cfg: TrmfConfig | None = None, init=None) -> FactorM
         history.append(value)
         prev = history[-2]
         if prev - value < cfg.tol * (abs(prev) + 1e-12):
+            converged = True
             break
 
     return FactorModel(Z=Z, F=F, phi=phi, lam_f=cfg.lam_f, lam_z=cfg.lam_z,
-                       lam_ar=cfg.lam_ar, mask=mask, objective_history=history)
+                       lam_ar=cfg.lam_ar, mask=mask, objective_history=history,
+                       converged=converged)
 
 
 def is_stationary(phi_j, tol: float = 1e-9) -> bool:

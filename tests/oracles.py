@@ -3,9 +3,11 @@
 These deliberately use different algorithms from the code under test:
 generic gradient descent with backtracking instead of closed forms, dense
 eigendecompositions with the plain largest-magnitude sign rule, Newton
-steps instead of IRLS, central finite differences for gradients, and
+steps instead of IRLS, central finite differences for gradients,
 per-cell, per-column or dense assemblies where the library gathers,
-stacks or bands.
+stacks or bands, and regression trees grown node by node, depth first,
+with a per-candidate split loop where the library grows every tree of a
+fit level by level.
 """
 
 import numpy as np
@@ -154,3 +156,156 @@ def z_step_dense(Y, mask, F, phi, lam_z, lam_ar, m):
         idx = np.arange(T) * d + j
         A[np.ix_(idx, idx)] += lam_ar * D.T @ D
     return np.linalg.solve(A, rhs).reshape(T, d)
+
+
+class RecursiveTree:
+    """Regression tree grown recursively, one node at a time: for each
+    feature in order, sort the node's rows stably, accumulate weights and
+    weighted targets, and keep a candidate when its variance reduction beats
+    the best so far by more than 1e-12.  Nodes are plain attribute records
+    (``feature`` None at a leaf)."""
+
+    def __init__(self, max_depth=6, min_leaf=2, max_features=None, rng=None):
+        self.max_depth, self.min_leaf = max_depth, min_leaf
+        self.max_features, self.rng = max_features, rng
+
+    def fit(self, X, y, sample_weight=None):
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        y = np.asarray(y, dtype=float).ravel()
+        w = np.ones_like(y) if sample_weight is None else np.asarray(sample_weight, float)
+        self.root = self._grow(X, y, w, 0)
+        return self
+
+    def _leaf(self, y, w):
+        return _RefNode(value=float(np.average(y, weights=w)))
+
+    def _features(self, k):
+        if self.max_features is None or self.max_features >= 1.0:
+            return range(k)
+        m = max(1, int(round(self.max_features * k)))
+        return sorted(self.rng.choice(k, size=m, replace=False).tolist())
+
+    def _grow(self, X, y, w, depth):
+        n = y.shape[0]
+        if depth >= self.max_depth or n < 2 * self.min_leaf or np.ptp(y) == 0.0:
+            return self._leaf(y, w)
+        best_gain, best = 0.0, None
+        w_total = w.sum()
+        mean_total = np.average(y, weights=w)
+        sse_total = float(np.sum(w * (y - mean_total) ** 2))
+        for j in self._features(X.shape[1]):
+            order = np.argsort(X[:, j], kind="stable")
+            xs, ys, ws = X[order, j], y[order], w[order]
+            cw, cwy, cwy2 = np.cumsum(ws), np.cumsum(ws * ys), np.cumsum(ws * ys ** 2)
+            for i in range(self.min_leaf - 1, n - self.min_leaf):
+                if xs[i] == xs[i + 1]:
+                    continue
+                wl, wr = cw[i], w_total - cw[i]
+                if wl <= 0 or wr <= 0:
+                    continue
+                sl = cwy2[i] - cwy[i] ** 2 / wl
+                sr = (cwy2[-1] - cwy2[i]) - (cwy[-1] - cwy[i]) ** 2 / wr
+                gain = sse_total - sl - sr
+                if gain > best_gain + 1e-12:
+                    best_gain, best = gain, (j, 0.5 * (xs[i] + xs[i + 1]))
+        if best is None:
+            return self._leaf(y, w)
+        node = _RefNode()
+        node.feature, node.threshold = best
+        go_left = X[:, node.feature] <= node.threshold
+        node.left = self._grow(X[go_left], y[go_left], w[go_left], depth + 1)
+        node.right = self._grow(X[~go_left], y[~go_left], w[~go_left], depth + 1)
+        return node
+
+    def predict(self, X):
+        out = []
+        for row in np.atleast_2d(np.asarray(X, dtype=float)):
+            node = self.root
+            while node.feature is not None:
+                node = node.left if row[node.feature] <= node.threshold else node.right
+            out.append(node.value)
+        return np.array(out)
+
+
+class _RefNode:
+    def __init__(self, value=None):
+        self.feature = self.threshold = self.left = self.right = None
+        self.value = value
+
+
+def forest_reference(X, y, n_trees, max_depth, min_leaf, bootstrap, seed):
+    """Predict function of a bootstrap forest fitted tree by tree."""
+    rng = np.random.default_rng(seed)
+    n = X.shape[0]
+    trees = []
+    for _ in range(n_trees):
+        tree_rng = np.random.default_rng(rng.integers(0, 2 ** 63))
+        idx = tree_rng.integers(0, n, size=n) if bootstrap else np.arange(n)
+        trees.append(RecursiveTree(max_depth, min_leaf).fit(X[idx], y[idx]))
+    return lambda Xq: np.mean([t.predict(Xq) for t in trees], axis=0)
+
+
+def adaboost_reference(X, y, rounds, base_depth):
+    """AdaBoost.R2 (linear loss) fitted round by round: the trees and their
+    log weights."""
+    n = X.shape[0]
+    w = np.ones(n)
+    trees, log_weights = [], []
+    for _ in range(rounds):
+        tree = RecursiveTree(max_depth=base_depth).fit(X, y, sample_weight=w)
+        err = np.abs(tree.predict(X) - y)
+        if err.max() <= 0.0:
+            return trees + [tree], log_weights + [np.log(1e12)]
+        loss = err / err.max()
+        avg_loss = float(w @ loss) / float(w.sum())
+        if avg_loss >= 0.5:
+            return (trees, log_weights) if trees else ([tree], [1.0])
+        beta = avg_loss / (1.0 - avg_loss)
+        trees.append(tree)
+        log_weights.append(np.log(1.0 / beta))
+        w = w * beta ** (1.0 - loss)
+        w = w * (n / w.sum())
+    return trees, log_weights
+
+
+def weighted_median_reference(values, weights):
+    """Per column of ``values`` (models, rows): the smallest value whose
+    cumulative weight reaches half the total, by a loop over columns."""
+    out = []
+    for col in np.asarray(values).T:
+        order = np.argsort(col, kind="stable")
+        cum = np.cumsum(np.asarray(weights)[order])
+        out.append(col[order][np.argmax(cum >= 0.5 * np.sum(weights))])
+    return np.array(out)
+
+
+def bagged_boost_reference(X, y, n_bags, rounds, learning_rate, max_depth, seed):
+    """Predict function of bagged squared-loss gradient boosting, each bag
+    boosted on its own."""
+    rng = np.random.default_rng(seed)
+    n = X.shape[0]
+    members = []
+    for _ in range(n_bags):
+        idx = rng.integers(0, n, size=n)
+        Xb, yb = X[idx], y[idx]
+        init = float(np.mean(yb))
+        pred = np.full_like(yb, init)
+        trees = []
+        for _ in range(rounds):
+            resid = yb - pred
+            if np.max(np.abs(resid)) < 1e-15:
+                break
+            tree = RecursiveTree(max_depth=max_depth).fit(Xb, resid)
+            pred = pred + learning_rate * tree.predict(Xb)
+            trees.append(tree)
+        members.append((init, trees))
+
+    def predict(Xq):
+        outs = []
+        for init, trees in members:
+            out = np.full(np.atleast_2d(Xq).shape[0], init)
+            for tree in trees:
+                out = out + learning_rate * tree.predict(Xq)
+            outs.append(out)
+        return np.mean(outs, axis=0)
+    return predict

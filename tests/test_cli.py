@@ -1,11 +1,13 @@
 import configparser
 import json
 import os
+import pickle
 
 import numpy as np
 import pytest
 
 from hierfcst import dataset as ds
+from hierfcst.errors import HierfcstError
 from hierfcst.cli import (STAGE_EXIT, load_selector, load_specs,
                           load_stored_model, main, run_pipeline, stage_seed)
 from hierfcst.models import default_hyperparams
@@ -291,3 +293,41 @@ class TestPipeline:
         assert stage_seed(0, "synth") == stage_seed(0, "synth")
         assert stage_seed(0, "synth") != stage_seed(0, "select")
         assert stage_seed(0, "synth") != stage_seed(1, "synth")
+
+
+class TestArtifactsAndRecords:
+    def test_trmf_records_converged_flag(self, tmp_path, tensor_cache):
+        out = tmp_path / "mf"
+        assert main(["trmf", "--data", tensor_cache, "--sweeps", "2", "--tol", "0",
+                     "--horizon", "2", "--out-dir", str(out)]) == 0
+        parser = configparser.ConfigParser()
+        parser.read(out / "run_config.ini")
+        assert parser["trmf"]["n_sweeps"] == "2"
+        assert parser["trmf"]["converged"] == "False"
+
+    def test_stale_model_store_raises(self, tmp_path, monkeypatch):
+        import hierfcst.models.trees as trees
+
+        class _Node:  # stands in for a tree class the package no longer has
+            pass
+        _Node.__module__, _Node.__qualname__ = trees.__name__, "_Node"
+        monkeypatch.setattr(trees, "_Node", _Node, raising=False)
+        stale = tmp_path / "old_tree.pkl"
+        stale.write_bytes(pickle.dumps({"format_version": 1, "model": _Node()}))
+        monkeypatch.delattr(trees, "_Node")
+        with pytest.raises(HierfcstError, match="old_tree.pkl"):
+            load_stored_model(stale)
+        v1 = tmp_path / "v1.pkl"
+        v1.write_bytes(pickle.dumps({"format_version": 1, "model": None}))
+        with pytest.raises(HierfcstError, match="version"):
+            load_stored_model(v1)
+
+    def test_unknown_pipeline_transform_fails_stage(self, tmp_path):
+        cfg = tmp_path / "pipe.ini"
+        out_dir = tmp_path / "run"
+        cfg.write_text(PIPELINE_INI.format(out_dir=out_dir)
+                       + "\n[preprocess]\ntransform = bogus\n")
+        assert main(["pipeline", "--config", str(cfg)]) == STAGE_EXIT["pipeline"]
+        marker = (out_dir / "INCOMPLETE").read_text()
+        assert "unknown transform kind 'bogus'" in marker
+        assert not (out_dir / "supervised.npz").exists()

@@ -384,3 +384,21 @@ class TestObjectiveHelpers:
         base = objective(Y, mask, Z, F, phi, 0.0, 0.0, 0.0)
         ridged = objective(Y, mask, Z, F, phi, 1.0, 0.0, 0.0)
         assert ridged == pytest.approx(base + 0.5 * np.sum(F ** 2))
+
+
+class TestConvergedFlag:
+    def test_capped_fit_is_not_converged(self):
+        rng = np.random.default_rng(5)
+        Y, mask = random_instance(rng)
+        cfg = TrmfConfig(rank=2, ar_order=1, max_sweeps=3, tol=0.0)
+        m = factorize(Y, mask, cfg)
+        assert len(m.objective_history) - 1 == 3
+        assert m.converged is False
+
+    def test_fit_stopped_by_tol_is_converged(self):
+        rng = np.random.default_rng(6)
+        Y = rng.normal(size=(20, 1)) @ rng.normal(size=(1, 8))
+        cfg = TrmfConfig(rank=1, ar_order=1, max_sweeps=500, tol=1e-6)
+        m = factorize(Y, np.ones_like(Y, bool), cfg)
+        assert len(m.objective_history) - 1 < 500
+        assert m.converged is True
