@@ -398,7 +398,6 @@ def run_pipeline(config_path) -> int:
     split = ev.BacktestSplit(int(bt.get("train_periods", 37)),
                              int(bt.get("test_periods", 8)))
     board = ev.backtest(tensor, specs, split)
-    _atomic_write(os.path.join(out_dir, "leaderboard.csv"), board.to_csv())
 
     sel = dict(parser.items("select")) if parser.has_section("select") else {}
     if str(sel.get("enabled", "true")).lower() != "false" and tensor.n_items >= 4:
@@ -425,6 +424,8 @@ def run_pipeline(config_path) -> int:
         report = ev.best_forecast_report(board, item)
         _atomic_write(os.path.join(out_dir, f"report_{_safe_name(item)}.csv"),
                       report.to_csv())
+    # Written once every stage has passed: a failed run leaves no leaderboard.
+    _atomic_write(os.path.join(out_dir, "leaderboard.csv"), board.to_csv())
 
     resolved = {"config": str(config_path), "out_dir": out_dir,
                 "seed": master_seed, "n_specs": len(specs),

@@ -18,10 +18,6 @@ def _with_bias(X):
     return np.hstack([np.ones((X.shape[0], 1)), X])
 
 
-def _soft_threshold(rho, lam):
-    return np.sign(rho) * max(abs(rho) - lam, 0.0)
-
-
 class RidgePayload:
     """coef has shape (1 + n_features, n_targets), bias first."""
 
@@ -51,67 +47,126 @@ def fit_ridge(X, Y, lam: float) -> RidgePayload:
 
 
 class LassoPayload:
-    def __init__(self, intercepts, coefs, objective_histories):
+    def __init__(self, intercepts, coefs, objective_histories, converged):
         self.intercepts = np.asarray(intercepts)
         self.coefs = np.asarray(coefs)  # (n_features, n_targets)
         self.objective_histories = objective_histories
+        self.converged = converged      # per target: KKT met before the step cap
 
     def predict_raw(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return X @ self.coefs + self.intercepts
 
 
-def _lasso_objective(X, y, w, b, lam):
-    resid = y - b - X @ w
-    return 0.5 * np.mean(resid ** 2) + lam * np.sum(np.abs(w))
+_EPS = np.finfo(float).eps
 
 
-def _lasso_single(X, y, lam, max_sweeps, tol):
-    n, k = X.shape
-    col_sq = np.sum(X ** 2, axis=0) / n
+def _active_set(Xc, yc, G, lam, max_steps, tol):
+    """Exact lasso on centred data: minimise 0.5*mean((yc - Xc w)^2) +
+    lam*||w||_1, i.e. 0.5 w'Gw - c'w + lam*||w||_1 with G = Xc'Xc/n and
+    c = Xc'yc/n, by the active-set method of Osborne, Presnell & Turlach
+    (2000), from w = 0.
+
+    Each step moves w once.  From an optimum on the active set it adds the
+    free coordinate that breaks the KKT conditions most, with the sign of
+    its gradient, and moves to the optimum on the enlarged set; when a sign
+    would flip on the way it stops at the first zero crossing and drops
+    that coordinate, and the next step re-solves without adding.  On a
+    singular active block it follows a null vector h with s'h < 0, along
+    which the objective falls, to a crossing.  Returns w, the objective
+    after every step, and whether the KKT conditions held within tol*lam
+    (plus a rounding floor) before max_steps steps.
+    """
+    n, k = Xc.shape
+    c = Xc.T @ yc / n
     w = np.zeros(k)
-    b = float(np.mean(y))
-    resid = y - b - X @ w
-    history = [_lasso_objective(X, y, w, b, lam)]
-    for _ in range(max_sweeps):
-        max_delta = 0.0
-        for j in range(k):
-            if col_sq[j] == 0.0:
-                continue
-            old = w[j]
-            if old != 0.0:
-                resid += old * X[:, j]
-            rho = (X[:, j] @ resid) / n
-            w[j] = _soft_threshold(rho, lam) / col_sq[j]
-            if w[j] != 0.0:
-                resid -= w[j] * X[:, j]
-            max_delta = max(max_delta, abs(w[j] - old))
-        b_old = b
-        b = b_old + float(np.mean(resid))
-        resid -= b - b_old
-        history.append(_lasso_objective(X, y, w, b, lam))
-        if max_delta < tol and abs(b - b_old) < tol:
-            break
-    return w, b, history
+    signs = np.zeros(k)
+    free = np.diag(G) > 0             # zero-variance columns never enter
+    active = []
+
+    def objective():
+        return 0.5 * np.mean((yc - Xc @ w) ** 2) + lam * np.sum(np.abs(w))
+
+    history = [objective()]
+    if k == 0:
+        return w, history, True
+    settled = True                    # w is optimal on the active set
+    while True:
+        if settled:
+            g = c - G @ w
+            # g is known only to about eps times the terms it sums; without
+            # this floor a fit at lam = 0 chases rounding until the cap.
+            floor = 16 * k * _EPS * max(np.abs(c).max(), (np.abs(G) @ np.abs(w)).max())
+            thr = tol * lam + floor
+            breach = np.where(free, np.abs(g) - lam, -np.inf)
+            j = int(np.argmax(breach))
+            if breach[j] <= thr:
+                return w, history, True
+        if len(history) > max_steps:
+            return w, history, False
+        if settled:
+            active.append(j)
+            free[j] = False
+            signs[j] = np.sign(g[j])
+        A = np.array(active)
+        sA, wA, GA = signs[A], w[A], G[np.ix_(A, A)]
+        vals, V = np.linalg.eigh(GA)
+        null = vals <= 100 * len(A) * _EPS * vals[-1]   # rounding-level eigenvalues
+        # lam*h is the part of the gradient no move on the block can cancel;
+        # when it is below the KKT tolerance the block is solved in its range.
+        h = -V[:, null] @ (V[:, null].T @ sA)
+        if lam * np.abs(h).max(initial=0.0) > thr:
+            d, reach = h, np.inf
+        else:
+            Vr = V[:, ~null]
+            d, reach = Vr @ (Vr.T @ (c[A] - lam * sA - GA @ wA) / vals[~null]), 1.0
+        shrink = sA * d < 0
+        cross = np.full(len(A), np.inf)
+        cross[shrink] = -wA[shrink] / d[shrink]
+        i = int(np.argmin(cross))
+        if cross[i] < reach:
+            w[A] = wA + cross[i] * d
+            w[A[i]] = 0.0
+            free[A[i]] = True
+            del active[i]
+            settled = not active
+        else:
+            w[A] = wA + d
+            settled = True
+        history.append(objective())
 
 
 def fit_lasso(X, Y, lam: float, max_sweeps: int = 500, tol: float = 1e-8) -> LassoPayload:
-    """Coordinate-descent lasso, objective 0.5*mean(r^2) + lam*||w||_1."""
+    """Exact lasso, objective 0.5*mean(r^2) + lam*||w||_1, unpenalized bias.
+
+    An active-set (homotopy) solver on the centred Gram matrix, one per
+    target column; the intercept is mean(y) - mean(X) @ w.  ``max_sweeps``
+    caps the active-set steps (each step adds or drops a coordinate, or
+    re-solves after a drop) and ``tol`` is the KKT tolerance relative to
+    ``lam``.  ``objective_histories`` holds the objective after every step
+    (non-increasing); ``converged[c]`` is False when target c hit the step
+    cap before meeting the KKT conditions.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    coefs, intercepts, histories = [], [], []
-    for c in range(Y.shape[1]):
-        w, b, hist = _lasso_single(X, Y[:, c], lam, max_sweeps, tol)
+    x_mean = X.mean(axis=0)
+    Xc = X - x_mean
+    G = Xc.T @ Xc / X.shape[0]
+    coefs, intercepts, histories, converged = [], [], [], []
+    for y in Y.T:
+        w, hist, ok = _active_set(Xc, y - y.mean(), G, lam, max_sweeps, tol)
         coefs.append(w)
-        intercepts.append(b)
+        intercepts.append(y.mean() - x_mean @ w)
         histories.append(hist)
-    return LassoPayload(np.array(intercepts), np.array(coefs).T, histories)
+        converged.append(ok)
+    return LassoPayload(np.array(intercepts), np.array(coefs).T, histories, converged)
 
 
 class PoissonPayload:
-    def __init__(self, coef, ll_histories):
+    def __init__(self, coef, ll_histories, converged):
         self.coef = np.asarray(coef)  # (1 + n_features, n_targets)
         self.ll_histories = ll_histories
+        self.converged = converged    # per target: stopped on tol before max_iter
 
     def predict_raw(self, X):
         eta = _with_bias(X) @ self.coef
@@ -132,6 +187,7 @@ def _poisson_single(Xb, y, lam, max_iter, tol):
     penalty[0, 0] = 0.0
     ll = _poisson_ll(Xb, y, beta) - 0.5 * lam * beta[1:] @ beta[1:]
     history = [ll]
+    converged = False
     for _ in range(max_iter):
         eta = np.clip(Xb @ beta, -500, 500)
         mu = np.exp(eta)
@@ -156,25 +212,30 @@ def _poisson_single(Xb, y, lam, max_iter, tol):
         new_ll = _poisson_ll(Xb, y, beta) - 0.5 * lam * beta[1:] @ beta[1:]
         history.append(new_ll)
         if abs(new_ll - ll) < tol * (1 + abs(ll)):
-            ll = new_ll
+            converged = True
             break
         ll = new_ll
-    return beta, history
+    return beta, history, converged
 
 
 def fit_poisson(X, Y, lam: float = 0.0, max_iter: int = 200,
                 tol: float = 1e-10) -> PoissonPayload:
-    """Log-link Poisson regression by iteratively reweighted least squares."""
+    """Log-link Poisson regression by iteratively reweighted least squares.
+
+    ``converged[c]`` is False when target c ran all ``max_iter`` iterations
+    without the log-likelihood settling within ``tol``.
+    """
     Xb = _with_bias(X)
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if np.any(Y < 0):
         raise DomainError("Poisson regression requires non-negative targets")
-    coefs, histories = [], []
+    coefs, histories, converged = [], [], []
     for c in range(Y.shape[1]):
-        beta, hist = _poisson_single(Xb, Y[:, c], lam, max_iter, tol)
+        beta, hist, ok = _poisson_single(Xb, Y[:, c], lam, max_iter, tol)
         coefs.append(beta)
         histories.append(hist)
-    return PoissonPayload(np.array(coefs).T, histories)
+        converged.append(ok)
+    return PoissonPayload(np.array(coefs).T, histories, converged)
 
 
 class KernelRidgePayload:

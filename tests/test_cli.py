@@ -266,6 +266,14 @@ class TestPipeline:
         assert "stage=pipeline" in marker and "no spec scored items" in marker
         assert "item0000" in marker
 
+    def test_failed_pipeline_leaves_no_leaderboard(self, tmp_path):
+        cfg = tmp_path / "pipe.ini"
+        out_dir = tmp_path / "run"
+        cfg.write_text(FAILING_PIPELINE_INI.format(out_dir=out_dir))
+        assert main(["pipeline", "--config", str(cfg)]) == STAGE_EXIT["pipeline"]
+        assert (out_dir / "INCOMPLETE").exists()
+        assert not (out_dir / "leaderboard.csv").exists()
+
     def test_select_item_without_scored_spec_fails_stage(self, tmp_path):
         tensor = tmp_path / "tensor.npz"
         ds.save_cache(ds.synthesize(24, 5, 14, 4, "smooth"), tensor)

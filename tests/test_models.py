@@ -373,3 +373,24 @@ class TestFitPredictSurface:
         Y = np.abs(rng.normal(size=(30, 1)))
         model = fit(ModelSpec("ensemble", {"n_bags": 2, "boost_rounds": 5}), X, Y)
         assert model.predict(X).shape == (30, 1)
+
+
+class TestPoissonConverged:
+    def _problem(self):
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(60, 3))
+        Y = rng.poisson(np.exp(0.3 + X @ np.array([0.5, -0.2, 0.1])))
+        return X, np.column_stack([Y, Y + 1]).astype(float)
+
+    def test_capped_fit_is_not_converged(self):
+        X, Y = self._problem()
+        payload = fit_poisson(X, Y, lam=0.0, max_iter=1)
+        assert [len(h) - 1 for h in payload.ll_histories] == [1, 1]
+        assert payload.converged == [False, False]
+
+    def test_fit_stopped_by_tol_is_converged(self):
+        X, Y = self._problem()
+        hp = default_hyperparams("poisson")
+        payload = fit(ModelSpec("poisson"), X, Y).payload
+        assert all(len(h) - 1 < hp["max_iter"] for h in payload.ll_histories)
+        assert payload.converged == [True, True]
