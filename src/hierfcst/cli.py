@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import contextlib
+import glob
 import os
 import pickle
 import sys
@@ -38,6 +39,11 @@ _STAGE_IDS = {name: i for i, name in enumerate(sorted(STAGE_EXIT))}
 
 MODEL_STORE_VERSION = 2
 SELECTOR_VERSION = 1
+
+# What `hierfcst pipeline` writes to its out_dir besides the tensor and
+# supervised caches, the report_<item>.csv files and the INCOMPLETE marker.
+PIPELINE_ARTIFACTS = ("leaderboard.csv", "graph.json", "graph.dot", "selector.bin",
+                      "run_config.ini")
 
 
 def stage_seed(master_seed: int, stage: str) -> int:
@@ -368,6 +374,11 @@ def run_pipeline(config_path) -> int:
     out_dir = run.get("out_dir", "runs/latest")
     master_seed = int(run.get("seed", 0))
     os.makedirs(out_dir, exist_ok=True)
+    # An earlier run's artifacts go before this run writes anything, so a
+    # failed run leaves only its own files next to its INCOMPLETE marker.
+    for name in PIPELINE_ARTIFACTS + tuple(glob.glob("report_*.csv", root_dir=out_dir)):
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(out_dir, name))
 
     data = dict(parser.items("data")) if parser.has_section("data") else {}
     tensor_path = os.path.join(out_dir, "tensor.npz")

@@ -8,7 +8,10 @@ records for an item is the raw input of every downstream stage.
 from __future__ import annotations
 
 import csv
+import io
+import operator
 from dataclasses import dataclass, field
+from itertools import chain, compress
 
 import numpy as np
 
@@ -109,6 +112,65 @@ def is_known_at(tensor: PreorderTensor, item: int, t: int, h: int, now: int) -> 
     return t - h <= now
 
 
+def _records(text):
+    """Split CSV text as csv.reader does: the header's fields, then the line
+    number, field count and fields (one flat list) of every later record.
+
+    Text without quotes or NULs holds one record per physical line (ended
+    by \n, \r or \r\n): its fields come from one str.split, and each
+    line's field count from the commas between its line ends.  Other text
+    goes through csv.reader.  A reader error is returned, not raised, so
+    that errors in the records before it are reported first.
+    """
+    if not text:
+        raise ParseError("empty file", line_number=1)
+    if '"' not in text and "\0" not in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+        # ',' and '\n' are single bytes in UTF-8, so bytes count them.
+        raw = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+        ends = np.flatnonzero(raw == ord("\n"))
+        commas = np.flatnonzero(raw == ord(","))
+        del raw
+        counts = np.diff(np.searchsorted(commas, ends), prepend=0, append=commas.size) + 1
+        flat = text.replace("\n", ",").split(",")
+        if text.endswith("\n"):
+            counts = counts[:-1]        # the terminator of the last line
+            flat.pop()
+        header = flat[:counts[0]]
+        del flat[:counts[0]]
+        return header, np.arange(2, counts.size + 1), counts[1:], flat, None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    rows, line_no, error = [], [], None
+    try:
+        for row in reader:
+            rows.append(row)
+            line_no.append(reader.line_num)
+    except csv.Error as exc:
+        error = exc
+    if not rows:
+        raise error
+    counts = np.array([len(row) for row in rows[1:]], dtype=int)
+    return (rows[0], np.array(line_no[1:], dtype=int), counts,
+            list(chain.from_iterable(rows[1:])), error)
+
+
+def _column(col, dtype, convert):
+    """col as a dtype array, and {position: message} of the entries that
+    convert rejects or that overflow dtype (those are 0 in the array)."""
+    try:
+        return np.array(col, dtype=dtype), {}
+    except (ValueError, OverflowError):
+        pass
+    out = np.zeros(len(col), dtype=dtype)
+    bad = {}
+    for k, text in enumerate(col):
+        try:
+            out[k] = convert(text)
+        except (ValueError, OverflowError) as exc:
+            bad[k] = str(exc)
+    return out, bad
+
+
 def load_csv(path, missing_as_zero: bool = True, max_lead: int = DEFAULT_MAX_LEAD,
              periods: int | None = None, leads: int | None = None) -> PreorderTensor:
     """Load a pre-order CSV into a dense tensor.
@@ -123,56 +185,96 @@ def load_csv(path, missing_as_zero: bool = True, max_lead: int = DEFAULT_MAX_LEA
     load as quantity 0 with observed_mask False.  With it off, any absent
     combination inside the grid is an error, which is useful as a
     completeness check on export pipelines.
-    """
-    records = {}
-    dropped = 0
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file", line_number=1) from None
-        if [c.strip() for c in header] != list(CSV_HEADER):
-            raise ParseError(
-                f"expected header {','.join(CSV_HEADER)!r}, got {','.join(header)!r}",
-                line_number=1)
-        for row in reader:
-            line = reader.line_num
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 4:
-                raise ParseError(f"expected 4 fields, got {len(row)}", line_number=line)
-            item = row[0].strip()
-            if not item:
-                raise ParseError("empty item_id", line_number=line)
-            try:
-                t = int(row[1])
-                h = int(row[2])
-                q = float(row[3])
-            except ValueError as exc:
-                raise ParseError(str(exc), line_number=line) from None
-            if t < 0:
-                raise ParseError(f"delivery_period must be >= 0, got {t}", line_number=line)
-            if h < 0:
-                raise ParseError(f"lead_time must be >= 0, got {h}", line_number=line)
-            if not np.isfinite(q) or q < 0:
-                raise DomainError(f"line {line}: quantity must be finite and >= 0, got {q}")
-            if h >= max_lead and leads is None:
-                dropped += 1
-                continue
-            key = (item, t, h)
-            if key in records:
-                raise DuplicateKeyError(
-                    f"line {line}: duplicate record for item={item!r}, "
-                    f"delivery_period={t}, lead_time={h}")
-            records[key] = q
 
-    if not records:
+    The records are parsed column by column (one split, numpy conversions,
+    one sort of encoded keys for duplicates).  The first malformed record
+    in file order raises its ParseError, DomainError or DuplicateKeyError
+    with its line number; a period or lead beyond int64 is a ParseError.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, line_no, counts, flat, reader_error = _records(fh.read())
+    if [c.strip() for c in header] != list(CSV_HEADER):
+        raise ParseError(
+            f"expected header {','.join(CSV_HEADER)!r}, got {','.join(header)!r}",
+            line_number=1)
+
+    starts = np.cumsum(counts) - counts
+    blank = counts == 0
+    single = np.flatnonzero(counts == 1)
+    blank[single] = [not flat[k].strip() for k in starts[single].tolist()]
+    good = counts == 4
+    if good.all():
+        cols = [flat[c::4] for c in range(4)]
+    else:
+        fields = np.array(flat, dtype=object)
+        cols = [fields[starts[good] + c].tolist() for c in range(4)]
+    lines = line_no[good]
+    item = list(map(str.strip, cols[0]))
+    t, t_bad = _column(cols[1], np.int64, int)
+    h, h_bad = _column(cols[2], np.int64, int)
+    q, q_bad = _column(cols[3], float, float)
+
+    def flagged(bad):
+        mask = np.zeros(len(lines), dtype=bool)
+        mask[list(bad)] = True
+        return mask
+
+    def at(k):
+        return int(lines[k])
+
+    # Every check a record goes through, in order: (failing records, error).
+    checks = [
+        (np.fromiter(map(operator.not_, item), bool, len(item)),
+         lambda k: ParseError("empty item_id", line_number=at(k))),
+        (flagged(t_bad), lambda k: ParseError(t_bad[k], line_number=at(k))),
+        (flagged(h_bad), lambda k: ParseError(h_bad[k], line_number=at(k))),
+        (flagged(q_bad), lambda k: ParseError(q_bad[k], line_number=at(k))),
+        (t < 0, lambda k: ParseError(f"delivery_period must be >= 0, got {t[k]}",
+                                     line_number=at(k))),
+        (h < 0, lambda k: ParseError(f"lead_time must be >= 0, got {h[k]}",
+                                     line_number=at(k))),
+        (~np.isfinite(q) | (q < 0), lambda k: DomainError(
+            f"line {at(k)}: quantity must be finite and >= 0, got {q[k]}")),
+    ]
+    kept = ~np.logical_or.reduce([mask for mask, _ in checks])
+    kept &= (h < max_lead) | (leads is not None)
+    # Copies: every parsed field dies with this call, and one kept alive
+    # would hold its whole allocator arena in memory.
+    names = [name.encode().decode() for name in sorted(set(compress(item, kept)))]
+    codes = np.fromiter(map(dict(zip(names, range(len(names)))).__getitem__,
+                            compress(item, kept)), int, int(kept.sum()))
+    T = 1 + int(t[kept].max(initial=-1))
+    H = 1 + int(h[kept].max(initial=-1))
+    fits = len(names) * T * H < 2 ** 63     # else no tensor could hold the cells
+    if fits:
+        # A repeated (item, period, lead) key fails on its second record.
+        _, firsts = np.unique((codes * T + t[kept]) * H + h[kept], return_index=True)
+        repeated = np.ones(codes.size, dtype=bool)
+        repeated[firsts] = False
+        repeats = np.zeros(len(lines), dtype=bool)
+        repeats[np.flatnonzero(kept)[repeated]] = True
+        checks.append((repeats, lambda k: DuplicateKeyError(
+            f"line {at(k)}: duplicate record for item={item[k]!r}, "
+            f"delivery_period={t[k]}, lead_time={h[k]}")))
+
+    errors = [(at(int(np.argmax(mask))), make(int(np.argmax(mask))))
+              for mask, make in checks if mask.any()]
+    wrong = np.flatnonzero(~good & ~blank)
+    if wrong.size:
+        line = int(line_no[wrong[0]])
+        errors.insert(0, (line, ParseError(f"expected 4 fields, got {counts[wrong[0]]}",
+                                           line_number=line)))
+    if errors:
+        # The first failing record; on one record, its first failed check.
+        raise min(errors, key=lambda e: e[0])[1]
+    if reader_error is not None:
+        raise reader_error
+    if not fits:
+        raise HierfcstError(f"{len(names)} items x {T} periods x {H} leads "
+                            "do not fit in one tensor")
+    if not kept.any():
         raise ParseError("no data rows", line_number=1)
 
-    items = sorted({key[0] for key in records})
-    T = 1 + max(key[1] for key in records)
-    H = 1 + max(key[2] for key in records)
     if periods is not None:
         if periods < T:
             raise HierfcstError(f"periods={periods} below observed maximum {T}")
@@ -182,20 +284,17 @@ def load_csv(path, missing_as_zero: bool = True, max_lead: int = DEFAULT_MAX_LEA
             raise HierfcstError(f"leads={leads} below observed maximum {H}")
         H = leads
 
-    values = np.zeros((len(items), T, H))
-    mask = np.zeros((len(items), T, H), dtype=bool)
-    index = {item: i for i, item in enumerate(items)}
-    for (item, t, h), q in records.items():
-        i = index[item]
-        values[i, t, h] = q
-        mask[i, t, h] = True
+    values = np.zeros((len(names), T, H))
+    mask = np.zeros((len(names), T, H), dtype=bool)
+    values[codes, t[kept], h[kept]] = q[kept]
+    mask[codes, t[kept], h[kept]] = True
 
     if not missing_as_zero and not mask.all():
         n_missing = int(mask.size - mask.sum())
         raise HierfcstError(
             f"{n_missing} grid cells have no record and missing_as_zero is off")
 
-    return PreorderTensor(items=items, values=values, observed_mask=mask)
+    return PreorderTensor(items=names, values=values, observed_mask=mask)
 
 
 def save_csv(tensor: PreorderTensor, path) -> None:

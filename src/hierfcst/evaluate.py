@@ -16,9 +16,9 @@ from . import trmf as trmf_mod
 from .dataset import DEFAULT_MAX_LEAD, PreorderTensor
 from .errors import HierfcstError
 from .features import extract_features
-from .models import ModelSpec, fit, fit_arx
-from .preprocess import (TargetTransform, build_training_set, diagonal_feed,
-                         feature_frame, window_index)
+from .models import STACKED_FAMILIES, ModelSpec, fit, fit_arx, lag_matrix
+from .preprocess import (TargetTransform, build_training_set, feature_frame,
+                         gather_cells, window_index)
 
 # Lag count for the small-feature (non-diagonal) regression baseline.
 NODF_LAGS = 3
@@ -27,13 +27,30 @@ NODF_LAGS = 3
 # item, around a spec-wide fit the whole spec.
 ITEM_ERRORS = (HierfcstError, np.linalg.LinAlgError)
 
+# Items per stacked fit: bounds the (items, rows, rows) kernel temporaries.
+ITEM_BLOCK = 256
 
-def smape(forecast, actual) -> float:
-    """Symmetric mean absolute percentage error in [0, 200].
+_NONFINITE = "smape requires finite inputs"
+
+
+def smape_rows(forecast, actual):
+    """SMAPE of each row (last axis) of forecast against actual, in [0, 200].
 
     (200/n) * sum |F_t - A_t| / (|A_t| + |F_t|), with a 0/0 term counting
-    as 0: a zero forecast of a zero actual is a correct prediction.
+    as 0: a zero forecast of a zero actual is a correct prediction.  No
+    checks: callers keep non-finite entries out (smape raises on them).
     """
+    F = np.asarray(forecast, dtype=float)
+    A = np.asarray(actual, dtype=float)
+    den = np.abs(A) + np.abs(F)
+    num = np.abs(F - A)
+    terms = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+    return 200.0 * np.mean(terms, axis=-1)
+
+
+def smape(forecast, actual) -> float:
+    """Symmetric mean absolute percentage error in [0, 200] of one series
+    (the formula of smape_rows)."""
     F = np.asarray(forecast, dtype=float).ravel()
     A = np.asarray(actual, dtype=float).ravel()
     if F.shape[0] != A.shape[0]:
@@ -41,11 +58,8 @@ def smape(forecast, actual) -> float:
     if F.shape[0] == 0:
         raise HierfcstError("smape needs at least one point")
     if not (np.all(np.isfinite(F)) and np.all(np.isfinite(A))):
-        raise HierfcstError("smape requires finite inputs")
-    den = np.abs(A) + np.abs(F)
-    num = np.abs(F - A)
-    terms = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-    return float(200.0 * np.mean(terms))
+        raise HierfcstError(_NONFINITE)
+    return float(smape_rows(F, A))
 
 
 @dataclass(frozen=True)
@@ -78,13 +92,6 @@ class BacktestSplit:
 # Per-family walk-forward forecasting
 # ---------------------------------------------------------------------------
 
-def _fit_item_transforms(tensor, kind, split):
-    tfs = {}
-    for i in range(tensor.n_items):
-        tfs[i] = TargetTransform.fit(kind, tensor.values[i, list(split.train_range)])
-    return tfs
-
-
 def _failure_message(exc) -> str:
     return f"{type(exc).__name__}: {exc}"
 
@@ -104,20 +111,43 @@ def _item_rows(n_items, width, forecast_item, failures):
     return out
 
 
+def _item_transforms(tensor, kind, split):
+    """Every item's transform, fitted on its training periods (all leads)."""
+    return TargetTransform.fit_items(kind, tensor.values[:, :split.train_periods])
+
+
+def _own_models(spec, X, Y, x, failures):
+    """Item i's model fitted on X[i], Y[i] predicts x[i] in transformed
+    space: (items, frames, targets), NaN for the items that fail.  A
+    STACKED_FAMILIES family fits blocks of items at once; the others fit
+    one item at a time."""
+    raw = np.full(x.shape[:2] + Y.shape[-1:], np.nan)
+    if spec.family in STACKED_FAMILIES:
+        for start in range(0, len(X), ITEM_BLOCK):
+            block = slice(start, start + ITEM_BLOCK)
+            model = fit(spec, X[block], Y[block])
+            raw[block] = model.predict_transformed(x[block])
+            for k, exc in model.payload.failures.items():
+                failures[start + k] = _failure_message(exc)
+        return raw
+    for i in range(len(X)):
+        try:
+            raw[i] = fit(spec, X[i], Y[i]).predict_transformed(x[i])
+        except ITEM_ERRORS as exc:
+            failures[i] = _failure_message(exc)
+    return raw
+
+
 def _df_forecasts(tensor, spec, split, W, H, failures):
     """DF-mode forecasts of q^0 over the test periods for every item.
 
     Returns (forecasts (n_items, n_test), diagonal_smape per item).
     """
-    T = tensor.n_periods
-    tfs = _fit_item_transforms(tensor, spec.transform, split)
+    T, n = tensor.n_periods, tensor.n_items
+    tf = _item_transforms(tensor, spec.transform, split)
     train_anchors = range(split.train_periods - W + 1)
-
-    shared = None
-    if spec.feeding == "df_all_items":
-        sset = build_training_set(tensor, "all", W, H, anchors=train_anchors,
-                                  transforms=tfs)
-        shared = fit(spec, sset.X, sset.Y)
+    sset = build_training_set(tensor, "all", W, H, anchors=train_anchors,
+                              transforms=tf)
 
     # Test period tau is read off the lead-0 cell (tau - a, 0) of the frame
     # anchored at a = tau - 1 (one step ahead) whenever that frame's input
@@ -125,8 +155,8 @@ def _df_forecasts(tensor, spec, split, W, H, failures):
     # diagonal positions of the final feasible anchor T - W + 1.
     test = np.asarray(split.test_range)
     anchors = np.minimum(test - 1, T - W + 1)
-    y_index = np.array(window_index(W, H)[1])
-    lead0 = np.flatnonzero(y_index[:, 1] == 0)  # (s, 0) sits at s - 1
+    y_index = window_index(W, H)[1]
+    lead0 = np.flatnonzero(np.array(y_index)[:, 1] == 0)  # (s, 0) sits at s - 1
     picks = (np.arange(len(test)), lead0[test - anchors - 1])
     # Multi-horizon diagonal targets: the frame anchored on the last
     # training period has inputs known by the end of training and its
@@ -136,21 +166,23 @@ def _df_forecasts(tensor, spec, split, W, H, failures):
     if has_diag:
         anchors = np.append(anchors, diag_anchor)
 
-    def forecast_item(i):
-        model = shared
-        if model is None:
-            sset = build_training_set(tensor, i, W, H, anchors=train_anchors,
-                                      transforms=tfs)
-            model = fit(spec, sset.X, sset.Y)
-        tf = tfs[i]
-        x = tf.forward(feature_frame(tensor, i, anchors, W, H))
-        y_hat = np.maximum(tf.inverse(model.predict_transformed(x)), 0.0)
-        diag = (smape(y_hat[-1], diagonal_feed(tensor, i, diag_anchor, W, H).y)
-                if has_diag else 0.0)
-        return np.append(y_hat[picks], diag)
-
-    rows = _item_rows(tensor.n_items, len(test) + 1, forecast_item, failures)
-    return rows[:, :-1], rows[:, -1]
+    x = tf.forward(feature_frame(tensor, np.arange(n), anchors, W, H))
+    if spec.feeding == "df_all_items":
+        raw = fit(spec, sset.X, sset.Y).predict_transformed(x)
+    else:
+        rows = (n, len(train_anchors), -1)
+        raw = _own_models(spec, sset.X.reshape(rows), sset.Y.reshape(rows), x, failures)
+    y_hat = np.maximum(tf.inverse(raw), 0.0)
+    diag = np.zeros(n)
+    if has_diag:
+        diag = smape_rows(y_hat[:, -1],
+                          gather_cells(tensor, np.arange(n), [diag_anchor], y_index)[:, 0])
+        # As smape raises on it, a non-finite diagonal forecast fails its item.
+        for i in np.flatnonzero(~np.isfinite(y_hat[:, -1]).all(axis=1)).tolist():
+            failures.setdefault(i, _failure_message(HierfcstError(_NONFINITE)))
+    out = np.column_stack([y_hat[:, picks[0], picks[1]], diag])
+    out[list(failures)] = np.nan
+    return out[:, :-1], out[:, -1]
 
 
 def _nodf_feature_row(series_tf, series_raw, tau):
@@ -177,52 +209,42 @@ def _nodf_forecasts(tensor, spec, split, failures):
     return _item_rows(tensor.n_items, split.test_periods, forecast_item, failures)
 
 
-def _arx_exog(tensor, item, tf):
-    """Pre-order columns known before the delivery period (leads >= 1)."""
-    if tensor.n_leads < 2:
-        return None
-    exog = tensor.values[item, :, 1:]
-    return tf.forward(exog)
-
-
 def _arx_forecasts(tensor, spec, split, failures):
+    """One AR(p) per item, fitted on the training periods of its gross
+    series (and pre-order columns, with exog = preorders) by one stacked
+    least squares; each test period is predicted one step ahead from the
+    actuals before it."""
     p = spec.hyperparams["p"]
-    use_exog = spec.hyperparams["exog"] == "preorders"
-
-    def forecast_item(i):
-        raw = tensor.gross_series(i)
-        tf = TargetTransform.fit(spec.transform, raw[list(split.train_range)])
-        series_tf = tf.forward(raw)
-        exog = _arx_exog(tensor, i, tf) if use_exog else None
-        train_exog = None if exog is None else exog[:split.train_periods]
-        model = fit_arx(series_tf[:split.train_periods], train_exog, p, spec=spec)
-        return [max(float(tf.inverse(model.payload.one_step(
-                    series_tf[:tau], None if exog is None else exog[tau]))), 0.0)
-                for tau in split.test_range]
-
-    return _item_rows(tensor.n_items, split.test_periods, forecast_item, failures)
+    train = split.train_periods
+    gross = tensor.values[:, :, 0]
+    tf = TargetTransform.fit_items(spec.transform, gross[:, :train])
+    series = tf.forward(gross)
+    exog = None
+    if spec.hyperparams["exog"] == "preorders" and tensor.n_leads >= 2:
+        # Pre-order columns known before the delivery period (leads >= 1).
+        exog = tf.forward(tensor.values[:, :, 1:])
+    model = fit_arx(series[:, :train], None if exog is None else exog[:, :train],
+                    p, spec=spec)
+    for i, exc in model.payload.failures.items():
+        failures[i] = _failure_message(exc)
+    rows, _ = lag_matrix(series, p, exog)          # the design row of every t >= p
+    raw = model.predict_transformed(rows[:, np.asarray(split.test_range) - p])
+    return np.maximum(tf.inverse(raw[..., 0]), 0.0)
 
 
 def _trmf_forecasts(tensor, spec, split):
     """Joint factorization of the gross-demand matrix with one-step
     re-estimated forecasts across the test periods (the recommended use)."""
     cfg = trmf_mod.TrmfConfig(**spec.hyperparams, allow_low_density=True)
-    tfs = _fit_item_transforms(tensor, spec.transform, split)
-    Y = np.empty((tensor.n_periods, tensor.n_items))
-    for i in range(tensor.n_items):
-        Y[:, i] = tfs[i].forward(tensor.gross_series(i))
+    tf = _item_transforms(tensor, spec.transform, split)
+    Y = tf.forward(tensor.values[:, :, 0]).T
     observed = tensor.observed_mask[:, :, 0].T.copy()
     Y = np.where(observed, Y, np.nan)
 
     Y0 = Y[:split.train_periods]
     stream = [Y[tau] for tau in split.test_range]
     rows = trmf_mod.rolling_refit(Y0, stream, cfg)
-
-    out = np.zeros((tensor.n_items, split.test_periods))
-    for c, row in enumerate(rows):
-        for i in range(tensor.n_items):
-            out[i, c] = max(float(tfs[i].inverse(row[i])), 0.0)
-    return out
+    return np.maximum(tf.inverse(np.array(rows).T), 0.0)
 
 
 def forecast_matrix(tensor, spec: ModelSpec, split: BacktestSplit,
@@ -315,60 +337,61 @@ def backtest(tensor: PreorderTensor, specs, split: BacktestSplit | None = None,
     if len(set(names)) != len(names):
         raise HierfcstError(f"duplicate spec names: {sorted(names)}")
 
-    test_idx = list(split.test_range)
-    actuals = {tensor.items[i]: tensor.gross_series(i)[test_idx]
-               for i in range(tensor.n_items)}
+    n = tensor.n_items
+    gross = tensor.values[:, :, 0]
+    actual = gross[:, split.train_periods:split.train_periods + split.test_periods]
 
-    scores = {name: {} for name in names}
+    # scores[s, i]: SMAPE of spec s on item i, NaN where it failed.
+    scores = np.full((len(specs), n), np.nan)
     forecasts = {}
     failures = []
-    for spec, name in zip(specs, names):
+    for s, (spec, name) in enumerate(zip(specs, names)):
         try:
             fc, extras = forecast_matrix(tensor, spec, split, W=W, H=H)
             failed = extras["failures"]
         except ITEM_ERRORS as exc:
-            failed = dict.fromkeys(range(tensor.n_items), _failure_message(exc))
-        for i, item in enumerate(tensor.items):
-            if i in failed:
-                failures.append((name, item, failed[i]))
-                continue
-            forecasts[(name, item)] = fc[i]
-            scores[name][item] = smape(fc[i], actuals[item])
+            fc = np.full(actual.shape, np.nan)
+            failed = dict.fromkeys(range(n), _failure_message(exc))
+        for i in sorted(failed):
+            failures.append((name, tensor.items[i], failed[i]))
+        ok = np.ones(n, dtype=bool)
+        ok[list(failed)] = False
+        if not np.all(np.isfinite(fc[ok])):
+            raise HierfcstError(_NONFINITE)
+        scores[s, ok] = smape_rows(fc[ok], actual[ok])
+        forecasts.update(((name, tensor.items[i]), fc[i]) for i in np.flatnonzero(ok))
 
     # Mean/median rows stay comparable: aggregate over the items scored by
     # every spec that scored anything at all (wholesale failures drop out).
-    common = None
-    for name in names:
-        scored = set(scores[name])
-        if not scored:
-            continue
-        common = scored if common is None else common & scored
-    common = common or set()
-    scored_items = sorted(common, key=lambda it: tensor.items.index(it))
+    scored = ~np.isnan(scores)
+    active = scored.any(axis=1)
+    common = scored[active].all(axis=0) if active.any() else np.zeros(n, dtype=bool)
+    scored_items = [tensor.items[i] for i in np.flatnonzero(common)]
 
-    best_model = {}
-    for item in tensor.items:
-        candidates = [(scores[name][item], name) for name in names
-                      if item in scores[name]]
-        if candidates:
-            best_model[item] = min(candidates)[1]
+    # The per-item argmin over specs in name order breaks ties by name.
+    by_name = np.argsort(names, kind="stable")
+    best = by_name[np.argmin(np.where(scored, scores, np.inf)[by_name], axis=0)]
+    has_best = scored.any(axis=0)
+    best_model = {tensor.items[i]: names[best[i]] for i in np.flatnonzero(has_best)}
+    best_count = np.bincount(best[has_best], minlength=len(specs))
 
     rows = []
-    for name in names:
-        vals = [scores[name][it] for it in scored_items if it in scores[name]]
-        mean = float(np.mean(vals)) if vals else float("nan")
-        med = float(np.median(vals)) if vals else float("nan")
-        count = sum(1 for v in best_model.values() if v == name)
+    for s, name in enumerate(names):
+        vals = scores[s, common & scored[s]]
+        mean = float(np.mean(vals)) if vals.size else float("nan")
+        med = float(np.median(vals)) if vals.size else float("nan")
         rows.append(LeaderboardRow(spec_name=name, mean_smape=mean,
-                                   median_smape=med, n_items=len(vals),
-                                   best_count=count))
+                                   median_smape=med, n_items=int(vals.size),
+                                   best_count=int(best_count[s])))
     # A spec that failed for every item has a NaN mean and is listed last.
     rows.sort(key=lambda r: (np.nan_to_num(r.mean_smape, nan=np.inf), r.spec_name))
 
-    history = {tensor.items[i]: tensor.gross_series(i).copy()
-               for i in range(tensor.n_items)}
-    return Leaderboard(rows=rows, scores=scores, best_model=best_model,
-                       failures=failures, forecasts=forecasts, history=history,
+    score_maps = {name: dict(zip((tensor.items[i] for i in np.flatnonzero(scored[s])),
+                                 scores[s, scored[s]].tolist()))
+                  for s, name in enumerate(names)}
+    return Leaderboard(rows=rows, scores=score_maps, best_model=best_model,
+                       failures=failures, forecasts=forecasts,
+                       history=dict(zip(tensor.items, gross.copy())),
                        split=split, scored_items=scored_items)
 
 

@@ -19,17 +19,24 @@ __all__ = [
     "IMPLEMENTED_FAMILIES", "OUT_OF_SCOPE_FAMILIES", "FEEDING_MODES",
     "default_hyperparams", "RegressionTree", "RandomForest", "AdaBoostR2",
     "GradientBoost", "BaggedGradientBoost", "median_bandwidth", "lag_matrix",
+    "STACKED_FAMILIES",
 ]
+
+
+# Families whose fit takes a stack of items, X (items, n, k) and
+# Y (items, n, m), and fits one model per item in one call.
+STACKED_FAMILIES = ("ridge", "kernel")
 
 
 def _check_xy(X, Y):
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.asarray(Y, dtype=float)
-    if Y.ndim == 1:
-        Y = Y[:, None]
-    if X.shape[0] != Y.shape[0]:
-        raise HierfcstError(f"X has {X.shape[0]} rows, Y has {Y.shape[0]}")
-    if X.shape[0] == 0:
+    if Y.ndim == X.ndim - 1:
+        Y = Y[..., None]
+    if X.shape[:-1] != Y.shape[:-1]:
+        raise HierfcstError(f"X has {X.shape[-2]} rows, Y has {Y.shape[-2]}"
+                            f" (shapes {X.shape} and {Y.shape})")
+    if X.shape[-2] == 0:
         raise HierfcstError("cannot fit on zero samples")
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Y))):
         raise DomainError("X and Y must be finite")
@@ -40,7 +47,10 @@ def fit(spec: ModelSpec, X, Y, transform: TargetTransform | None = None) -> Fitt
     """Fit one matrix-interface family on supervised rows.
 
     Multi-column Y is handled per target column (independent regressors);
-    a tree family fits every column in one batch.
+    a tree family fits every column in one batch.  A STACKED_FAMILIES
+    family also takes a stack of items, X (items, n, k) and Y (items, n, m),
+    and fits one model per item at once; an item whose fit fails is listed
+    in the payload's ``failures`` (item position -> error).
     ``transform`` is the fitted per-series transform that produced the
     (already transformed) X/Y entries; it is stored so predictions can be
     mapped back to original quantity units.
@@ -48,6 +58,9 @@ def fit(spec: ModelSpec, X, Y, transform: TargetTransform | None = None) -> Fitt
     X, Y = _check_xy(X, Y)
     hp = spec.hyperparams
     family = spec.family
+    if X.ndim == 3 and family not in STACKED_FAMILIES:
+        raise HierfcstError(f"{family} fits one item at a time; "
+                            f"stacks of items are for {STACKED_FAMILIES}")
 
     if family == "ridge":
         payload = fit_ridge(X, Y, hp["lam"])
@@ -78,9 +91,9 @@ def fit(spec: ModelSpec, X, Y, transform: TargetTransform | None = None) -> Fitt
     else:  # pragma: no cover - ModelSpec already validates
         raise HierfcstError(f"unhandled family {family!r}")
 
-    return FittedModel(spec=spec, payload=payload, n_features=X.shape[1],
-                       n_targets=Y.shape[1], transform=transform,
-                       meta={"n_samples": X.shape[0]})
+    return FittedModel(spec=spec, payload=payload, n_features=X.shape[-1],
+                       n_targets=Y.shape[-1], transform=transform,
+                       meta={"n_samples": X.shape[-2]})
 
 
 def predict(model: FittedModel, X) -> np.ndarray:
@@ -93,15 +106,17 @@ def fit_arx(series, exog=None, p: int = 1, spec: ModelSpec | None = None,
     """Least-squares AR(p) with optional exogenous regressors.
 
     ``series`` (and ``exog`` rows, if any) are taken as already transformed
-    when ``transform`` is given; predictions invert it.
+    when ``transform`` is given; predictions invert it.  A stack of series
+    (items, T), with exog (items, T, k), fits one model per item at once;
+    an item whose fit fails is listed in the payload's ``failures``.
     """
     payload = fit_arx_payload(series, exog, p)
     if spec is None:
         spec = ModelSpec(family="arx", hyperparams={"p": p})
-    k = payload.beta.shape[0]
+    k = payload.beta.shape[-1]
     return FittedModel(spec=spec, payload=payload, n_features=p + k, n_targets=1,
                        transform=transform,
-                       meta={"n_samples": len(series) - p})
+                       meta={"n_samples": np.shape(series)[-1] - p})
 
 
 def fit_adaboost_r2(X, Y, rounds: int = 20, base_depth: int = 3,

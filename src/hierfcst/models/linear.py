@@ -15,35 +15,87 @@ from ..errors import DomainError, HierfcstError, IllConditionedError
 
 def _with_bias(X):
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    return np.hstack([np.ones((X.shape[0], 1)), X])
+    return np.concatenate([np.ones(X.shape[:-1] + (1,)), X], axis=-1)
 
 
 class RidgePayload:
-    """coef has shape (1 + n_features, n_targets), bias first."""
+    """coef has shape (1 + n_features, n_targets), bias first; a stack of
+    item fits has a leading item axis, with NaN coefficients for the items
+    listed in ``failures`` (item position -> error)."""
 
-    def __init__(self, coef):
+    def __init__(self, coef, failures=None):
         self.coef = coef
+        self.failures = failures or {}
 
     def predict_raw(self, X):
         return _with_bias(X) @ self.coef
 
 
+def solve_items(solve, out, *stacks):
+    """out[k] = solve(*(s[k] for s in stacks)) for every item k of a stack,
+    by one stacked call.  Only when that call raises LinAlgError is each
+    item solved alone, so the error lands on its own item; a failed item
+    keeps its entries of ``out``.  Returns {item position: LinAlgError}.
+    """
+    try:
+        out[...] = solve(*stacks)
+        return {}
+    except np.linalg.LinAlgError:
+        pass
+    failures = {}
+    for k in range(len(out)):
+        try:
+            out[k] = solve(*(s[k] for s in stacks))
+        except np.linalg.LinAlgError as exc:
+            failures[k] = exc
+    return failures
+
+
+def _cho_solve(A, B):
+    # scipy's batched cho_factor/cho_solve make the same LAPACK calls per
+    # item as a single fit, so a stacked fit is bit-identical to fitting
+    # each item alone.
+    return cho_solve(cho_factor(A, check_finite=False), B, check_finite=False)
+
+
 def fit_ridge(X, Y, lam: float) -> RidgePayload:
-    """Exact ridge solution of (X'X + lam*D) b = X'Y with unpenalized bias."""
+    """Exact ridge solution of (X'X + lam*D) b = X'Y with unpenalized bias.
+
+    X (n, k) and Y (n, m) fit one model, which raises the DomainError or
+    IllConditionedError of non-finite (overflowing) or singular normal
+    equations.  A stack X (items, n, k), Y (items, n, m) fits one model per
+    item by one stacked Cholesky solve; an item that fails is recorded in
+    the payload's ``failures`` and the other items are fitted.
+    """
     Xb = _with_bias(X)
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    A = Xb.T @ Xb
-    penalty = np.eye(Xb.shape[1]) * lam
+    stacked = Xb.ndim == 3
+    if not stacked:
+        Xb, Y = Xb[None], Y[None]
+    Xt = np.swapaxes(Xb, -1, -2)
+    penalty = np.eye(Xb.shape[-1]) * lam
     penalty[0, 0] = 0.0
-    A = A + penalty
-    B = Xb.T @ Y
-    try:
-        factor = cho_factor(A)
-    except np.linalg.LinAlgError:
-        raise IllConditionedError(
-            "singular normal equations; increase the ridge penalty lam above 0"
-        ) from None
-    return RidgePayload(cho_solve(factor, B))
+    A = Xt @ Xb + penalty
+    B = Xt @ Y
+    finite = np.isfinite(A).all(axis=(1, 2)) & np.isfinite(B).all(axis=(1, 2))
+    # Each item's coefficients in Fortran order, as cho_solve returns them
+    # for one fit: predictions then take the same BLAS path, bit for bit.
+    coef = np.empty((B.shape[0], B.shape[2], B.shape[1])).transpose(0, 2, 1)
+    # An item with non-finite equations is factored as the identity instead.
+    failures = {k: IllConditionedError(
+                    "singular normal equations; increase the ridge penalty lam above 0")
+                for k in solve_items(_cho_solve, coef,
+                                     np.where(finite[:, None, None], A, np.eye(A.shape[-1])),
+                                     B)}
+    for k in np.flatnonzero(~finite).tolist():
+        failures[k] = DomainError("non-finite normal equations: the item's X'X "
+                                  "overflows; rescale it or use the log1p transform")
+    coef[list(failures)] = np.nan
+    if stacked:
+        return RidgePayload(coef, failures)
+    if failures:
+        raise failures[0]
+    return RidgePayload(coef[0])
 
 
 class LassoPayload:
@@ -239,10 +291,15 @@ def fit_poisson(X, Y, lam: float = 0.0, max_iter: int = 200,
 
 
 class KernelRidgePayload:
+    """alpha (n_train, n_targets) and a float bandwidth; a stack of item
+    fits has a leading item axis on X_train and alpha and one bandwidth
+    per item."""
+
     def __init__(self, X_train, alpha, bandwidth):
         self.X_train = X_train
         self.alpha = alpha          # (n_train, n_targets)
         self.bandwidth = bandwidth
+        self.failures = {}          # a singular K falls back to least squares
 
     def predict_raw(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -251,37 +308,55 @@ class KernelRidgePayload:
 
 
 def pairwise_sq_dists(A, B):
-    aa = np.sum(A ** 2, axis=1)[:, None]
-    bb = np.sum(B ** 2, axis=1)[None, :]
-    return np.maximum(aa + bb - 2.0 * A @ B.T, 0.0)
+    aa = np.sum(A ** 2, axis=-1)[..., :, None]
+    bb = np.sum(B ** 2, axis=-1)[..., None, :]
+    return np.maximum(aa + bb - 2.0 * A @ np.swapaxes(B, -1, -2), 0.0)
 
 
 def rbf_kernel(A, B, bandwidth):
-    return np.exp(-pairwise_sq_dists(A, B) / (2.0 * bandwidth ** 2))
+    bandwidth = np.asarray(bandwidth, dtype=float)[..., None, None]
+    # float_power squares by C pow, as a Python float's ** 2 does, where
+    # numpy's ** 2 multiplies; the two differ in the last bit now and then.
+    return np.exp(-pairwise_sq_dists(A, B) / (2.0 * np.float_power(bandwidth, 2)))
 
 
-def median_bandwidth(X) -> float:
-    """Median nonzero pairwise distance; 1.0 for degenerate point clouds."""
-    d2 = pairwise_sq_dists(X, X)
-    dists = np.sqrt(d2[np.triu_indices_from(d2, k=1)])
-    dists = dists[dists > 0]
-    if dists.size == 0:
-        return 1.0
-    return float(np.median(dists))
+def median_bandwidth(X):
+    """Median nonzero pairwise distance; 1.0 for degenerate point clouds.
+    A stack X (items, n, k) gives one bandwidth per item."""
+    X = np.asarray(X, dtype=float)
+    upper = np.triu_indices(X.shape[-2], k=1)
+    dists = np.sqrt(pairwise_sq_dists(X, X)[..., upper[0], upper[1]])
+    count = np.count_nonzero(dists > 0, axis=-1)
+    # Zero distances sort last; the median is taken over the first count.
+    ranked = np.sort(np.where(dists > 0, dists, np.inf), axis=-1)
+    lo = np.take_along_axis(ranked, np.maximum(count - 1, 0)[..., None] // 2, -1)[..., 0]
+    hi = np.take_along_axis(ranked, (count // 2)[..., None], -1)[..., 0]
+    median = np.where(count % 2 == 1, lo, (lo + hi) / 2)
+    median = np.where(count > 0, median, 1.0)
+    return float(median) if X.ndim == 2 else median
+
+
+def _refined_solve(K, Y):
+    alpha = np.linalg.solve(K, Y)
+    # One round of iterative refinement; K is near-singular when lam -> 0.
+    return alpha + np.linalg.solve(K, Y - K @ alpha)
 
 
 def fit_kernel_ridge(X, Y, lam: float, bandwidth="median") -> KernelRidgePayload:
-    """RBF kernel ridge: alpha = (K + lam*I)^-1 Y."""
+    """RBF kernel ridge: alpha = (K + lam*I)^-1 Y, by least squares when K
+    is singular.  A stack X (items, n, k), Y (items, n, m) fits one model
+    per item by stacked solves, with a median bandwidth per item."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    bw = median_bandwidth(X) if bandwidth == "median" else float(bandwidth)
-    if bw <= 0:
-        raise HierfcstError(f"kernel bandwidth must be > 0, got {bw}")
-    K = rbf_kernel(X, X, bw) + lam * np.eye(X.shape[0])
-    try:
-        alpha = np.linalg.solve(K, Y)
-        # One round of iterative refinement; K is near-singular when lam -> 0.
-        alpha += np.linalg.solve(K, Y - K @ alpha)
-    except np.linalg.LinAlgError:
-        alpha = np.linalg.lstsq(K, Y, rcond=None)[0]
+    if bandwidth == "median":
+        bw = median_bandwidth(X)
+    else:
+        bw = float(bandwidth)
+        if bw <= 0:
+            raise HierfcstError(f"kernel bandwidth must be > 0, got {bw}")
+    K = rbf_kernel(X, X, bw) + lam * np.eye(X.shape[-2])
+    alpha = np.empty(Y.shape)
+    Ks, Ys, out = (K, Y, alpha) if K.ndim == 3 else (K[None], Y[None], alpha[None])
+    for k in solve_items(_refined_solve, out, Ks, Ys):
+        out[k] = np.linalg.lstsq(Ks[k], Ys[k], rcond=None)[0]
     return KernelRidgePayload(X, alpha, bw)

@@ -182,9 +182,9 @@ class FittedModel:
         (demand is non-negative) unless the ModelSpec turns clipping off.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.shape[1] != self.n_features:
+        if X.shape[-1] != self.n_features:
             raise HierfcstError(
-                f"expected {self.n_features} features, got {X.shape[1]}")
+                f"expected {self.n_features} features, got {X.shape[-1]}")
         raw = self.payload.predict_raw(X)
         if self.transform is not None:
             raw = self.transform.inverse(raw)
@@ -194,9 +194,14 @@ class FittedModel:
         return raw
 
     def predict_transformed(self, X: np.ndarray) -> np.ndarray:
-        """Raw model output in transformed space (no inverse, no clipping)."""
+        """Raw model output in transformed space (no inverse, no clipping).
+
+        X (rows, k) gives (rows, targets); a stack (items, rows, k) gives
+        (items, rows, targets), from item k's model when the model is a
+        stack of item fits.
+        """
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.shape[1] != self.n_features:
+        if X.shape[-1] != self.n_features:
             raise HierfcstError(
-                f"expected {self.n_features} features, got {X.shape[1]}")
+                f"expected {self.n_features} features, got {X.shape[-1]}")
         return self.payload.predict_raw(X)

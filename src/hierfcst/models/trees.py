@@ -611,5 +611,8 @@ class PerTargetPayload:
         self.models = models
 
     def predict_raw(self, X):
+        X = np.atleast_2d(np.asarray(X, dtype=float))
         trees = [tree for m in self.models for tree in m.all_trees()]
-        return np.column_stack(_combine_each(self.models, _predict_trees(trees, X)))
+        rows = _predict_trees(trees, X.reshape(-1, X.shape[-1]))
+        return np.column_stack(_combine_each(self.models, rows)).reshape(
+            X.shape[:-1] + (-1,))

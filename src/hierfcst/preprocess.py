@@ -25,11 +25,17 @@ TRANSFORM_KINDS = ("identity", "log1p", "minmax")
 
 @dataclass
 class TargetTransform:
-    """Invertible per-series value transform (identity, log1p or minmax)."""
+    """Invertible value transform (identity, log1p or minmax) of one series,
+    or of a stack of items.
+
+    A stack's ``vmin``/``vmax`` are arrays with a leading item axis; they
+    meet the leading axis of the values, so ``forward``/``inverse`` map item
+    k's block with item k's range.  A single series holds float bounds.
+    """
 
     kind: str = "identity"
-    vmin: float | None = None
-    vmax: float | None = None
+    vmin: float | np.ndarray | None = None
+    vmax: float | np.ndarray | None = None
 
     def __post_init__(self):
         if self.kind not in TRANSFORM_KINDS:
@@ -39,16 +45,38 @@ class TargetTransform:
     @classmethod
     def fit(cls, kind: str, values) -> "TargetTransform":
         """Fit transform parameters on the given values (min/max for minmax)."""
+        return cls.fit_items(kind, np.asarray(values, dtype=float)[None])[0]
+
+    @classmethod
+    def fit_items(cls, kind: str, values) -> "TargetTransform":
+        """Fit one transform per item, reducing over every axis of ``values``
+        but the leading (item) one; returns the stack."""
         if kind == "minmax":
             values = np.asarray(values, dtype=float)
             if values.size == 0:
                 raise HierfcstError("cannot fit minmax on empty values")
-            return cls(kind=kind, vmin=float(values.min()), vmax=float(values.max()))
+            axes = tuple(range(1, values.ndim))
+            return cls(kind=kind, vmin=values.min(axis=axes), vmax=values.max(axis=axes))
         return cls(kind=kind)
+
+    def __getitem__(self, k) -> "TargetTransform":
+        """Item k of a stack, as a single-series transform."""
+        if self.vmin is None:
+            return TargetTransform(kind=self.kind)
+        return TargetTransform(kind=self.kind, vmin=float(self.vmin[k]),
+                               vmax=float(self.vmax[k]))
 
     @property
     def fitted(self) -> bool:
         return self.kind != "minmax" or self.vmin is not None
+
+    def _range(self, v):
+        """vmin and vmax - vmin, shaped to broadcast over the values v."""
+        if not self.fitted:
+            raise NotFittedError("minmax transform used before fit")
+        vmin = np.asarray(self.vmin, dtype=float)
+        shape = vmin.shape + (1,) * (v.ndim - vmin.ndim)
+        return vmin.reshape(shape), (self.vmax - vmin).reshape(shape)
 
     def forward(self, v):
         v = np.asarray(v, dtype=float)
@@ -58,13 +86,10 @@ class TargetTransform:
             if np.any(v <= -1.0 + 1e-12):
                 raise DomainError("log1p transform requires values > -1")
             return np.log1p(v)
-        if not self.fitted:
-            raise NotFittedError("minmax transform used before fit")
-        span = self.vmax - self.vmin
-        if span == 0.0:
-            # Degenerate series: every value maps to 0.
-            return np.zeros_like(v)
-        return (v - self.vmin) / span
+        vmin, span = self._range(v)
+        # Degenerate series (span 0): every value maps to 0.
+        diff = v - vmin
+        return np.divide(diff, span, out=np.zeros_like(diff), where=span != 0.0)
 
     def inverse(self, v):
         v = np.asarray(v, dtype=float)
@@ -72,12 +97,8 @@ class TargetTransform:
             return v.copy()
         if self.kind == "log1p":
             return np.expm1(v)
-        if not self.fitted:
-            raise NotFittedError("minmax transform used before fit")
-        span = self.vmax - self.vmin
-        if span == 0.0:
-            return np.full_like(v, self.vmin)
-        return v * span + self.vmin
+        vmin, span = self._range(v)
+        return np.where(span == 0.0, vmin, v * span + vmin)
 
 
 def window_index(W: int, H: int):
@@ -107,7 +128,7 @@ class SupervisedFrame:
     y_index: list
 
 
-def _gather(tensor: PreorderTensor, items, anchors, index) -> np.ndarray:
+def gather_cells(tensor: PreorderTensor, items, anchors, index) -> np.ndarray:
     """values[item, anchor + s, h] for every item, anchor and (s, h) of
     ``index``, shape (len(items), len(anchors), len(index)).  The one place
     a window layout meets the tensor, so it holds the lead and period checks.
@@ -127,20 +148,23 @@ def diagonal_feed(tensor: PreorderTensor, item: int, anchor: int,
                   W: int, H: int) -> SupervisedFrame:
     """Extract the diagonal-feeding frame anchored at ``anchor`` for one item."""
     x_index, y_index = window_index(W, H)
-    x = _gather(tensor, [item], [anchor], x_index)[0, 0]
-    y = _gather(tensor, [item], [anchor], y_index)[0, 0]
+    x = gather_cells(tensor, [item], [anchor], x_index)[0, 0]
+    y = gather_cells(tensor, [item], [anchor], y_index)[0, 0]
     return SupervisedFrame(item=item, anchor=anchor, x=x, y=y,
                            x_index=x_index, y_index=y_index)
 
 
-def feature_frame(tensor: PreorderTensor, item: int, anchor,
+def feature_frame(tensor: PreorderTensor, item, anchor,
                   W: int, H: int) -> np.ndarray:
     """Known cells x only, for prediction at anchors whose future cells may
     fall outside the tensor.  Needs periods up to anchor + W - 2 because the
     last row of the window contributes no known cell.  An array of anchors
-    gives one row per anchor, a single anchor the 1-d row x."""
-    rows = _gather(tensor, [item], np.atleast_1d(anchor), window_index(W, H)[0])[0]
-    return rows if np.ndim(anchor) else rows[0]
+    gives one row per anchor, a single anchor the 1-d row x; an array of
+    items adds a leading item axis."""
+    rows = gather_cells(tensor, np.atleast_1d(item), np.atleast_1d(anchor),
+                        window_index(W, H)[0])
+    rows = rows if np.ndim(anchor) else rows[:, 0]
+    return rows if np.ndim(item) else rows[0]
 
 
 @dataclass
@@ -175,7 +199,8 @@ def build_training_set(tensor: PreorderTensor, scope, W: int, H: int,
     fit_periods  -- periods used to fit per-item transform parameters;
                     defaults to all periods.  Pass the training periods to
                     keep test values out of the minmax range.
-    transforms   -- pre-fitted per-item transforms; overrides fitting.
+    transforms   -- pre-fitted transform stack, one entry per item of the
+                    scope in scope order; overrides fitting.
 
     The cells of every (item, anchor) frame are read by one gather; rows
     run item-major, anchors within an item, as listed in ``samples``.  Each
@@ -183,13 +208,11 @@ def build_training_set(tensor: PreorderTensor, scope, W: int, H: int,
     operate entirely in transformed space and predictions must be mapped
     back with the recorded per-item transform.
     """
-    if scope == "all":
-        items = list(range(tensor.n_items))
-    elif np.isscalar(scope):
-        items = [int(scope)]
+    if isinstance(scope, str) and scope == "all":
+        items = np.arange(tensor.n_items)
     else:
-        items = [int(i) for i in scope]
-    if not items:
+        items = np.atleast_1d(np.asarray(scope, dtype=int))
+    if items.size == 0:
         raise HierfcstError("empty item scope")
 
     if anchors is None:
@@ -204,19 +227,17 @@ def build_training_set(tensor: PreorderTensor, scope, W: int, H: int,
 
     if transforms is None:
         periods = slice(None) if fit_periods is None else list(fit_periods)
-        transforms = {i: TargetTransform.fit(transform, tensor.values[i, periods])
-                      for i in items}
+        transforms = TargetTransform.fit_items(transform, tensor.values[items][:, periods])
 
     x_index, y_index = window_index(W, H)
-    X = _gather(tensor, items, anchors, x_index)
-    Y = _gather(tensor, items, anchors, y_index)
-    for k, i in enumerate(items):
-        X[k] = transforms[i].forward(X[k])
-        Y[k] = transforms[i].forward(Y[k])
+    X = transforms.forward(gather_cells(tensor, items, anchors, x_index))
+    Y = transforms.forward(gather_cells(tensor, items, anchors, y_index))
     n_rows = len(items) * len(anchors)
+    items = items.tolist()
     return SupervisedSet(X=X.reshape(n_rows, -1), Y=Y.reshape(n_rows, -1),
                          samples=list(product(items, anchors)),
-                         transforms=transforms, W=W, H=H)
+                         transforms={i: transforms[k] for k, i in enumerate(items)},
+                         W=W, H=H)
 
 
 def save_supervised(sset: SupervisedSet, path) -> None:

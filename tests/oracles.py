@@ -6,12 +6,26 @@ eigendecompositions with the plain largest-magnitude sign rule, Newton
 steps instead of IRLS, lasso by cyclic coordinate descent on the raw
 columns instead of active-set steps on the centred Gram matrix, central
 finite differences for gradients, per-cell, per-column or dense
-assemblies where the library gathers, stacks or bands, and regression
+assemblies where the library gathers, stacks or bands, regression
 trees grown node by node, depth first, with a per-candidate split loop
-where the library grows every tree of a fit level by level.
+where the library grows every tree of a fit level by level, a backtest
+run item by item (own transform, fit, lstsq and SMAPE per item) where the
+library stacks items, and a CSV read row by row where the library parses
+by column.
 """
 
+import csv
+
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
+
+from hierfcst import trmf
+from hierfcst.dataset import CSV_HEADER, DEFAULT_MAX_LEAD, PreorderTensor
+from hierfcst.errors import (DomainError, DuplicateKeyError, HierfcstError,
+                             IllConditionedError, ParseError)
+from hierfcst.evaluate import ITEM_ERRORS, forecast_matrix
+from hierfcst.models import fit
+from hierfcst.preprocess import window_index
 
 
 def gradient_descent(f, grad, x0, max_iter=20000, tol=1e-12):
@@ -360,3 +374,310 @@ def bagged_boost_reference(X, y, n_bags, rounds, learning_rate, max_depth, seed)
             outs.append(out)
         return np.mean(outs, axis=0)
     return predict
+
+
+# ---------------------------------------------------------------------------
+# The per-item backtest that the stacked DF, ARX and TRMF paths replaced
+# ---------------------------------------------------------------------------
+
+class ItemTransform:
+    """Identity, log1p or min-max map of one item with float bounds, fitted
+    on the given values."""
+
+    def __init__(self, kind, values):
+        values = np.asarray(values, dtype=float)
+        self.kind = kind
+        self.vmin, self.vmax = float(values.min()), float(values.max())
+
+    def forward(self, v):
+        v = np.asarray(v, dtype=float)
+        if self.kind == "log1p":
+            return np.log1p(v)
+        if self.kind == "minmax":
+            span = self.vmax - self.vmin
+            return np.zeros_like(v) if span == 0.0 else (v - self.vmin) / span
+        return v.copy()
+
+    def inverse(self, v):
+        v = np.asarray(v, dtype=float)
+        if self.kind == "log1p":
+            return np.expm1(v)
+        if self.kind == "minmax":
+            span = self.vmax - self.vmin
+            return np.full_like(v, self.vmin) if span == 0.0 else v * span + self.vmin
+        return v.copy()
+
+
+def smape_item(forecast, actual):
+    """SMAPE of one series, raising like the library on non-finite input."""
+    F = np.asarray(forecast, dtype=float).ravel()
+    A = np.asarray(actual, dtype=float).ravel()
+    if not (np.all(np.isfinite(F)) and np.all(np.isfinite(A))):
+        raise HierfcstError("smape requires finite inputs")
+    den = np.abs(A) + np.abs(F)
+    num = np.abs(F - A)
+    terms = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+    return float(200.0 * np.mean(terms))
+
+
+def ridge_item(X, Y, lam):
+    """Predict function of one ridge fit: its own Cholesky normal equations."""
+    Xb = np.hstack([np.ones((X.shape[0], 1)), X])
+    penalty = np.eye(Xb.shape[1]) * lam
+    penalty[0, 0] = 0.0
+    try:
+        factor = cho_factor(Xb.T @ Xb + penalty)
+    except np.linalg.LinAlgError:
+        raise IllConditionedError(
+            "singular normal equations; increase the ridge penalty lam above 0") from None
+    coef = cho_solve(factor, Xb.T @ Y)
+    return lambda x: np.hstack([np.ones((x.shape[0], 1)), x]) @ coef
+
+
+def kernel_item(X, Y, lam):
+    """Predict function of one RBF kernel ridge fit with the median
+    bandwidth, least squares when K is singular."""
+    def sq_dists(A, B):
+        aa = np.sum(A ** 2, axis=1)[:, None]
+        bb = np.sum(B ** 2, axis=1)[None, :]
+        return np.maximum(aa + bb - 2.0 * A @ B.T, 0.0)
+
+    d2 = sq_dists(X, X)
+    dists = np.sqrt(d2[np.triu_indices_from(d2, k=1)])
+    dists = dists[dists > 0]
+    bw = float(np.median(dists)) if dists.size else 1.0
+    K = np.exp(-d2 / (2.0 * bw ** 2)) + lam * np.eye(X.shape[0])
+    try:
+        alpha = np.linalg.solve(K, Y)
+        alpha += np.linalg.solve(K, Y - K @ alpha)
+    except np.linalg.LinAlgError:
+        alpha = np.linalg.lstsq(K, Y, rcond=None)[0]
+    return lambda x: np.exp(-sq_dists(x, X) / (2.0 * bw ** 2)) @ alpha
+
+
+def _item_model(spec, X, Y):
+    if spec.family == "ridge":
+        return ridge_item(X, Y, spec.hyperparams["lam"])
+    if spec.family == "kernel" and spec.hyperparams["bandwidth"] == "median":
+        return kernel_item(X, Y, spec.hyperparams["lam"])
+    return fit(spec, X, Y).predict_transformed
+
+
+def df_forecasts_reference(tensor, spec, split, W, H):
+    """Diagonal-feeding forecasts item by item: per-cell training rows, one
+    model per item (or one pooled model), one frame set per item.  Returns
+    (forecasts, diagonal SMAPE, failures)."""
+    values, n, T = tensor.values, tensor.n_items, tensor.n_periods
+    tfs = {i: ItemTransform(spec.transform, values[i, :split.train_periods])
+           for i in range(n)}
+    x_index, y_index = window_index(W, H)
+    train_anchors = range(split.train_periods - W + 1)
+    shared = None
+    if spec.feeding == "df_all_items":
+        shared = _item_model(spec, training_rows(values, range(n), train_anchors, x_index, tfs),
+                             training_rows(values, range(n), train_anchors, y_index, tfs))
+    test = np.asarray(split.test_range)
+    anchors = list(np.minimum(test - 1, T - W + 1))
+    lead0 = [k for k, (s, h) in enumerate(y_index) if h == 0]
+    picks = [lead0[tau - a - 1] for tau, a in zip(test, anchors)]
+    diag_anchor = split.train_periods - 1
+    has_diag = diag_anchor + W - 1 < T
+    if has_diag:
+        anchors.append(diag_anchor)
+    out = np.full((n, len(test) + 1), np.nan)
+    failures = {}
+    for i in range(n):
+        try:
+            model = shared or _item_model(
+                spec, training_rows(values, [i], train_anchors, x_index, tfs),
+                training_rows(values, [i], train_anchors, y_index, tfs))
+            x = tfs[i].forward(np.array([window_cells(values, i, a, x_index)
+                                         for a in anchors]))
+            y_hat = np.maximum(tfs[i].inverse(model(x)), 0.0)
+            diag = (smape_item(y_hat[-1], window_cells(values, i, diag_anchor, y_index))
+                    if has_diag else 0.0)
+            out[i] = [y_hat[c, k] for c, k in enumerate(picks)] + [diag]
+        except ITEM_ERRORS as exc:
+            failures[i] = f"{type(exc).__name__}: {exc}"
+    return out[:, :-1], out[:, -1], failures
+
+
+def arx_item(series, exog, p):
+    """(intercept, phi, beta) of one AR(p) least-squares fit, design rows
+    built one period at a time."""
+    k = 0 if exog is None else exog.shape[1]
+    if series.shape[0] <= p + k + 1:
+        raise HierfcstError(f"series of length {series.shape[0]} too short for p={p} "
+                            f"with {k} exogenous columns")
+    rows = []
+    for t in range(p, series.shape[0]):
+        row = [series[t - lag] for lag in range(1, p + 1)]
+        if exog is not None:
+            row.extend(exog[t])
+        rows.append([1.0] + row)
+    coef = np.linalg.lstsq(np.array(rows), series[p:], rcond=None)[0]
+    return coef[0], coef[1:1 + p], coef[1 + p:]
+
+
+def arx_forecasts_reference(tensor, spec, split):
+    """ARX forecasts item by item, one one-step prediction per test period.
+    Returns (forecasts, failures)."""
+    p = spec.hyperparams["p"]
+    out = np.full((tensor.n_items, split.test_periods), np.nan)
+    failures = {}
+    for i in range(tensor.n_items):
+        raw = tensor.values[i, :, 0]
+        tf = ItemTransform(spec.transform, raw[:split.train_periods])
+        series = tf.forward(raw)
+        exog = None
+        if spec.hyperparams["exog"] == "preorders" and tensor.n_leads >= 2:
+            exog = tf.forward(tensor.values[i, :, 1:])
+        try:
+            c, phi, beta = arx_item(series[:split.train_periods],
+                                    None if exog is None else exog[:split.train_periods], p)
+        except ITEM_ERRORS as exc:
+            failures[i] = f"{type(exc).__name__}: {exc}"
+            continue
+        for col, tau in enumerate(split.test_range):
+            value = c + phi @ series[tau - p:tau][::-1]
+            if exog is not None:
+                value += beta @ exog[tau]
+            out[i, col] = max(float(tf.inverse(value)), 0.0)
+    return out, failures
+
+
+def trmf_forecasts_reference(tensor, spec, split):
+    """TRMF rolling forecasts with the gross matrix transformed item by item."""
+    tfs = [ItemTransform(spec.transform, tensor.values[i, :split.train_periods])
+           for i in range(tensor.n_items)]
+    Y = np.column_stack([tf.forward(tensor.values[i, :, 0]) for i, tf in enumerate(tfs)])
+    Y = np.where(tensor.observed_mask[:, :, 0].T, Y, np.nan)
+    cfg = trmf.TrmfConfig(**spec.hyperparams, allow_low_density=True)
+    rows = trmf.rolling_refit(Y[:split.train_periods],
+                              [Y[tau] for tau in split.test_range], cfg)
+    return np.array([[max(float(tfs[i].inverse(row[i])), 0.0) for row in rows]
+                     for i in range(tensor.n_items)])
+
+
+def backtest_reference(tensor, specs, split):
+    """The backtest item by item: per-item forecasts (the library's own for
+    specs without feeding), one SMAPE per (spec, item), a dict argmin and
+    per-spec aggregates.  Returns (leaderboard CSV, failures, forecasts)."""
+    H = min(tensor.n_leads, DEFAULT_MAX_LEAD)
+    actual = {item: tensor.values[i, list(split.test_range), 0]
+              for i, item in enumerate(tensor.items)}
+    scores, forecasts, failures = {}, {}, []
+    for spec in specs:
+        try:
+            if spec.family == "trmf":
+                fc, failed = trmf_forecasts_reference(tensor, spec, split), {}
+            elif spec.family == "arx":
+                fc, failed = arx_forecasts_reference(tensor, spec, split)
+            elif spec.feeding == "none":
+                fc, extras = forecast_matrix(tensor, spec, split)
+                failed = extras["failures"]
+            else:
+                fc, _diag, failed = df_forecasts_reference(tensor, spec, split, H + 1, H)
+        except ITEM_ERRORS as exc:
+            failed = dict.fromkeys(range(tensor.n_items), f"{type(exc).__name__}: {exc}")
+        scores[spec.name] = {}
+        for i, item in enumerate(tensor.items):
+            if i in failed:
+                failures.append((spec.name, item, failed[i]))
+                continue
+            forecasts[(spec.name, item)] = fc[i]
+            scores[spec.name][item] = smape_item(fc[i], actual[item])
+    names = [spec.name for spec in specs]
+    common = None
+    for name in names:
+        if scores[name]:
+            common = set(scores[name]) if common is None else common & set(scores[name])
+    common = [item for item in tensor.items if item in (common or set())]
+    best = {}
+    for item in tensor.items:
+        candidates = [(scores[name][item], name) for name in names if item in scores[name]]
+        if candidates:
+            best[item] = min(candidates)[1]
+    rows = []
+    for name in names:
+        vals = [scores[name][item] for item in common if item in scores[name]]
+        mean = float(np.mean(vals)) if vals else float("nan")
+        median = float(np.median(vals)) if vals else float("nan")
+        count = sum(1 for v in best.values() if v == name)
+        rows.append((np.nan_to_num(mean, nan=np.inf), name,
+                     f"{name},{mean:.12g},{median:.12g},{len(vals)},{count}"))
+    lines = ["spec,mean_smape,median_smape,n_items,best_count"]
+    lines += [line for _key, _name, line in sorted(rows, key=lambda r: r[:2])]
+    return "\n".join(lines) + "\n", failures, forecasts
+
+
+# ---------------------------------------------------------------------------
+# Pre-order CSV read row by row
+# ---------------------------------------------------------------------------
+
+def load_csv_rows(path, missing_as_zero=True, max_lead=4, periods=None, leads=None):
+    """The pre-order CSV loader that validates and stores one csv.reader row
+    at a time, raising at the first bad row."""
+    records = {}
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ParseError("empty file", line_number=1) from None
+        if [c.strip() for c in header] != list(CSV_HEADER):
+            raise ParseError(
+                f"expected header {','.join(CSV_HEADER)!r}, got {','.join(header)!r}",
+                line_number=1)
+        for row in reader:
+            line = reader.line_num
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != 4:
+                raise ParseError(f"expected 4 fields, got {len(row)}", line_number=line)
+            item = row[0].strip()
+            if not item:
+                raise ParseError("empty item_id", line_number=line)
+            try:
+                t = int(row[1])
+                h = int(row[2])
+                q = float(row[3])
+            except ValueError as exc:
+                raise ParseError(str(exc), line_number=line) from None
+            if t < 0:
+                raise ParseError(f"delivery_period must be >= 0, got {t}", line_number=line)
+            if h < 0:
+                raise ParseError(f"lead_time must be >= 0, got {h}", line_number=line)
+            if not np.isfinite(q) or q < 0:
+                raise DomainError(f"line {line}: quantity must be finite and >= 0, got {q}")
+            if h >= max_lead and leads is None:
+                continue
+            key = (item, t, h)
+            if key in records:
+                raise DuplicateKeyError(
+                    f"line {line}: duplicate record for item={item!r}, "
+                    f"delivery_period={t}, lead_time={h}")
+            records[key] = q
+    if not records:
+        raise ParseError("no data rows", line_number=1)
+    items = sorted({key[0] for key in records})
+    T = 1 + max(key[1] for key in records)
+    H = 1 + max(key[2] for key in records)
+    if periods is not None:
+        if periods < T:
+            raise HierfcstError(f"periods={periods} below observed maximum {T}")
+        T = periods
+    if leads is not None:
+        if leads < H:
+            raise HierfcstError(f"leads={leads} below observed maximum {H}")
+        H = leads
+    values = np.zeros((len(items), T, H))
+    mask = np.zeros((len(items), T, H), dtype=bool)
+    index = {item: i for i, item in enumerate(items)}
+    for (item, t, h), q in records.items():
+        values[index[item], t, h] = q
+        mask[index[item], t, h] = True
+    if not missing_as_zero and not mask.all():
+        raise HierfcstError(f"{int(mask.size - mask.sum())} grid cells have no record "
+                            "and missing_as_zero is off")
+    return PreorderTensor(items=items, values=values, observed_mask=mask)

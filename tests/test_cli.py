@@ -287,6 +287,20 @@ class TestPipeline:
         assert "no spec scored items" in (tmp_path / "INCOMPLETE").read_text()
         assert not (tmp_path / "selector.bin").exists()
 
+    def test_failed_pipeline_removes_earlier_run_artifacts(self, tmp_path):
+        cfg = tmp_path / "pipe.ini"
+        out_dir = tmp_path / "run"
+        cfg.write_text(PIPELINE_INI.format(out_dir=out_dir))
+        assert main(["pipeline", "--config", str(cfg)]) == 0
+        earlier = {p.name for p in out_dir.iterdir()}
+        assert {"leaderboard.csv", "graph.json", "graph.dot", "selector.bin",
+                "run_config.ini", "report_item0000.csv"} <= earlier
+        cfg.write_text(FAILING_PIPELINE_INI.format(out_dir=out_dir))
+        assert main(["pipeline", "--config", str(cfg)]) == STAGE_EXIT["pipeline"]
+        assert {p.name for p in out_dir.iterdir()} == {"tensor.npz", "supervised.npz",
+                                                        "INCOMPLETE"}
+        assert ds.load_cache(out_dir / "tensor.npz").n_items == 5
+
     def test_success_removes_stale_incomplete_marker(self, tmp_path):
         cfg = tmp_path / "pipe.ini"
         out_dir = tmp_path / "run"

@@ -1,9 +1,16 @@
+import csv
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hierfcst import dataset as ds
 from hierfcst.errors import (DomainError, DuplicateKeyError, HierfcstError,
                              ParseError)
+
+from oracles import load_csv_rows
 
 
 def write_csv(path, rows, header="item_id,delivery_period,lead_time,quantity"):
@@ -171,3 +178,96 @@ class TestSynthesize:
         for regime in ds.REGIMES:
             t = ds.synthesize(9, 3, 30, 4, regime)
             assert np.all(t.values >= 0)
+
+
+# One bad record per kind, as (item, period, lead, quantity) fields.
+BAD_RECORDS = {
+    "field_count": ["a", "1", "0"],
+    "too_many_fields": ["a", "1", "0", "2", "9"],
+    "empty_item": ["  ", "1", "0", "2"],
+    "period_not_int": ["a", "1.5", "0", "2"],
+    "lead_not_int": ["a", "1", "x", "2"],
+    "quantity_not_float": ["a", "1", "0", "many"],
+    "negative_period": ["a", "-1", "0", "2"],
+    "negative_lead": ["a", "1", "-2", "2"],
+    "negative_quantity": ["a", "1", "0", "-3.5"],
+    "nan_quantity": ["a", "1", "0", "nan"],
+    "inf_quantity": ["a", "1", "0", "inf"],
+}
+
+ITEMS = ["a", "b", "item 7", "c,d", 'e"f', "g\nh", " pad "]
+
+
+def _row_text(fields, quote):
+    if not quote and not any(c in f for f in fields for c in ',"\n'):
+        return ",".join(fields)
+    out = io.StringIO()
+    csv.writer(out, lineterminator="", quoting=quote or csv.QUOTE_MINIMAL).writerow(fields)
+    return out.getvalue()
+
+
+@st.composite
+def csv_files(draw):
+    """CSV text of random records, with blank lines, padded fields, quoted
+    fields, CRLF or LF line ends and, maybe, one bad record or a repeated
+    key in the second half of the file; plus load_csv keyword arguments."""
+    n = draw(st.integers(1, 25))
+    rows = []
+    for _ in range(n):
+        item = draw(st.sampled_from(ITEMS))
+        t, h = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+        q = draw(st.floats(0, 1e6, allow_nan=False))
+        fields = [item, str(t), str(h), repr(q)]
+        if draw(st.booleans()):
+            fields = [f" {f} " if "\n" not in f else f for f in fields]
+        rows.append(fields)
+    bad = draw(st.sampled_from([None, "duplicate"] + sorted(BAD_RECORDS)))
+    if bad is not None:
+        at = draw(st.integers(n // 2, n))
+        rows.insert(at, list(rows[draw(st.integers(0, n - 1))]) if bad == "duplicate"
+                    else BAD_RECORDS[bad])
+    quote = draw(st.sampled_from([None, None, csv.QUOTE_ALL, csv.QUOTE_MINIMAL]))
+    lines = ["item_id, delivery_period ,lead_time,quantity"]
+    for fields in rows:
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", "   ", "\t"])))
+        lines.append(_row_text(fields, quote if draw(st.booleans()) else None))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(lines) + (end if draw(st.booleans()) else "")
+    kwargs = draw(st.sampled_from([{}, {"max_lead": 2}, {"max_lead": 10},
+                                   {"leads": 7}, {"leads": 3}, {"periods": 9}]))
+    return text, kwargs
+
+
+def _outcome(load, path, kwargs):
+    try:
+        t = load(path, **kwargs)
+    except HierfcstError as exc:
+        return type(exc), str(exc), getattr(exc, "line_number", None)
+    return t.items, t.values.tolist(), t.observed_mask.tolist()
+
+
+class TestLoadCsvMatchesRowReader:
+    @settings(max_examples=150, deadline=None)
+    @given(csv_files())
+    def test_same_tensor_or_same_error(self, tmp_path_factory, case):
+        text, kwargs = case
+        path = tmp_path_factory.mktemp("csv") / "orders.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert _outcome(ds.load_csv, str(path), kwargs) == \
+            _outcome(load_csv_rows, str(path), kwargs)
+
+    @pytest.mark.parametrize("kind", sorted(BAD_RECORDS) + ["duplicate"])
+    def test_late_bad_record(self, tmp_path, kind):
+        rows = [f"i{k % 7},{k // 7},{k % 3},{k}.5" for k in range(400)]
+        rows.insert(380, "i1,0,1,2" if kind == "duplicate" else ",".join(BAD_RECORDS[kind]))
+        path = write_csv(tmp_path / "late.csv", rows)
+        got = _outcome(ds.load_csv, path, {})
+        assert got == _outcome(load_csv_rows, path, {})
+        assert got[2] == 382 or "line 382" in got[1]    # the header is line 1
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        assert _outcome(ds.load_csv, str(path), {}) == \
+            _outcome(load_csv_rows, str(path), {})

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hierfcst import dataset as ds
 from hierfcst.errors import HierfcstError
 from hierfcst.evaluate import (BacktestSplit, backtest, best_forecast_report,
-                               forecast_matrix, lag1_mimicry, smape)
-from hierfcst.models import ModelSpec
+                               forecast_matrix, lag1_mimicry, smape, smape_rows)
+from hierfcst.models import FEEDING_MODES, ModelSpec
+from hierfcst.preprocess import TRANSFORM_KINDS
 
-from oracles import smape_ref
+from oracles import backtest_reference, smape_item, smape_ref
 
 
 class TestSmape:
@@ -251,3 +254,107 @@ class TestReport:
         board = backtest(tensor, [ModelSpec("arx", label="arx")])
         with pytest.raises(HierfcstError):
             best_forecast_report(board, "ghost")
+
+
+class TestSmapeRows:
+    def test_rows_match_single_series(self):
+        rng = np.random.default_rng(8)
+        F = rng.uniform(0, 10, size=(300, 8))
+        A = rng.uniform(0, 10, size=(300, 8))
+        F[:5] = 0.0
+        A[:3] = 0.0
+        rows = smape_rows(F, A)
+        assert all(rows[i] == smape_item(F[i], A[i]) == smape(F[i], A[i])
+                   for i in range(300))
+
+
+def assert_matches_reference(tensor, specs, split):
+    """Same failures, same leaderboard bytes and the same forecasts, bit
+    for bit: the stacked solves make the LAPACK calls of per-item fits."""
+    board = backtest(tensor, specs, split)
+    csv, failures, forecasts = backtest_reference(tensor, specs, split)
+    assert board.failures == failures
+    assert board.forecasts.keys() == forecasts.keys()
+    for key, expect in forecasts.items():
+        np.testing.assert_array_equal(board.forecasts[key], expect, err_msg=str(key))
+    assert board.to_csv() == csv
+
+
+@st.composite
+def backtest_cases(draw):
+    """A small catalog with all-zero and constant items, a split, and specs
+    in one transform covering every feeding mode, ARX and TRMF."""
+    n_items = draw(st.integers(1, 5))
+    n_leads = draw(st.integers(1, 4))
+    T = draw(st.integers(12, 18))
+    n_test = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.uniform(0, 50, size=(n_items, T, n_leads))
+    values[rng.random(values.shape) < 0.2] = 0.0
+    for i in range(n_items):
+        shape = draw(st.sampled_from(["random", "random", "zero", "constant"]))
+        if shape != "random":
+            values[i] = 0.0 if shape == "zero" else 7.5
+    tensor = ds.PreorderTensor(items=[f"i{i}" for i in range(n_items)], values=values,
+                               observed_mask=values > 0)
+    kind = draw(st.sampled_from(TRANSFORM_KINDS))
+    lam = draw(st.sampled_from([0.0, 1e-3, 1.0]))
+    specs = [ModelSpec("ridge", {"lam": lam}, transform=kind, feeding=feeding,
+                       label=f"ridge_{feeding}") for feeding in FEEDING_MODES]
+    specs += [ModelSpec("kernel", transform=kind, feeding=feeding, label=f"kernel_{feeding}")
+              for feeding in ("df_one_by_one", "df_all_items")]
+    specs += [ModelSpec("lasso", transform=kind, feeding="df_one_by_one", label="lasso"),
+              ModelSpec("arx", {"p": draw(st.integers(1, 2))}, transform=kind, label="arx"),
+              ModelSpec("arx", {"exog": "preorders"}, transform=kind, label="arx_exog"),
+              ModelSpec("trmf", {"rank": 1, "ar_order": 1, "max_sweeps": 5},
+                        transform=kind, label="trmf")]
+    return tensor, specs, BacktestSplit(T - n_test, n_test)
+
+
+class TestStackedBacktestMatchesPerItem:
+    @settings(max_examples=30, deadline=None)
+    @given(backtest_cases())
+    def test_random_catalogs(self, case):
+        assert_matches_reference(*case)
+
+    @pytest.mark.parametrize("kind", TRANSFORM_KINDS)
+    def test_zeroed_item_and_unpenalized_ridge(self, kind):
+        tensor = ds.synthesize(26, 20, 45, 4, "anticipatory")
+        tensor.values[3] = 0.0
+        tensor.values[5] = 4.0
+        specs = [ModelSpec("ridge", {"lam": 0.0}, transform=kind, feeding="df_one_by_one",
+                           label="r0"),
+                 ModelSpec("ridge", transform=kind, feeding="df_all_items", label="r_all"),
+                 ModelSpec("kernel", transform=kind, feeding="df_one_by_one", label="k"),
+                 ModelSpec("arx", transform=kind, label="arx"),
+                 ModelSpec("arx", {"exog": "preorders"}, transform=kind, label="arx_exog")]
+        assert_matches_reference(tensor, specs, BacktestSplit(37, 8))
+
+    @staticmethod
+    def overflowing_catalog():
+        tensor = ds.synthesize(3, 4, 45, 4)
+        rng = np.random.default_rng(0)
+        tensor.values[2] = 10.0 ** rng.uniform(290, 308, size=tensor.values[2].shape)
+        return tensor
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_item_fails_alone(self):
+        tensor = self.overflowing_catalog()
+        spec = ModelSpec("ridge", feeding="df_one_by_one", label="r")
+        board = backtest(tensor, [spec])
+        assert len(board.failures) == 1
+        name, item, message = board.failures[0]
+        assert item == tensor.items[2]
+        assert message.startswith("DomainError: non-finite normal equations")
+        assert board.row("r").n_items == 3
+        assert np.isfinite(board.row("r").mean_smape)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_overflowing_item_non_finite_forecasts(self):
+        # Kernel ridge turns the item's overflow into NaN forecasts, which
+        # fail the item at its diagonal SMAPE, as they did per item.
+        specs = [ModelSpec("kernel", feeding="df_one_by_one", label="k"),
+                 ModelSpec("ridge", transform="log1p", feeding="df_one_by_one", label="r"),
+                 ModelSpec("arx", {"exog": "preorders"}, label="a")]
+        assert_matches_reference(self.overflowing_catalog(), specs, BacktestSplit(37, 8))
