@@ -96,46 +96,45 @@ def _failure_message(exc) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _item_rows(n_items, width, forecast_item, failures):
-    """(n_items, width) array of the rows forecast_item(i) returns.
-
-    An item whose forecast raises one of ITEM_ERRORS keeps a NaN row and
-    gets failures[i] = "<ExceptionClass>: message"; the other items go on.
-    """
-    out = np.full((n_items, width), np.nan)
-    for i in range(n_items):
-        try:
-            out[i] = forecast_item(i)
-        except ITEM_ERRORS as exc:
-            failures[i] = _failure_message(exc)
-    return out
-
-
 def _item_transforms(tensor, kind, split):
     """Every item's transform, fitted on its training periods (all leads)."""
     return TargetTransform.fit_items(kind, tensor.values[:, :split.train_periods])
 
 
-def _own_models(spec, X, Y, x, failures):
-    """Item i's model fitted on X[i], Y[i] predicts x[i] in transformed
-    space: (items, frames, targets), NaN for the items that fail.  A
-    STACKED_FAMILIES family fits blocks of items at once; the others fit
-    one item at a time."""
-    raw = np.full(x.shape[:2] + Y.shape[-1:], np.nan)
+def _own_models(spec, X, Y, xs, failures):
+    """Item i's model fitted on X[i], Y[i] predicts xs[c][i] in transformed
+    space, for every (items, rows, k) array of xs by one predict call each:
+    one (items, rows, targets) array per entry of xs, NaN for the items that
+    fail.  A STACKED_FAMILIES family fits blocks of items at once; the
+    others, and a block whose stacked fit raises (such as on one item's
+    non-finite rows), fit one item at a time, so an error lands on its own
+    item."""
+    raws = [np.full(x.shape[:2] + Y.shape[-1:], np.nan) for x in xs]
+
+    def predict(model, at):
+        for raw, x in zip(raws, xs):
+            raw[at] = model.predict_transformed(x[at])
+
+    singles = []
     if spec.family in STACKED_FAMILIES:
         for start in range(0, len(X), ITEM_BLOCK):
             block = slice(start, start + ITEM_BLOCK)
-            model = fit(spec, X[block], Y[block])
-            raw[block] = model.predict_transformed(x[block])
+            try:
+                model = fit(spec, X[block], Y[block])
+            except ITEM_ERRORS:
+                singles.extend(range(len(X))[block])
+                continue
+            predict(model, block)
             for k, exc in model.payload.failures.items():
                 failures[start + k] = _failure_message(exc)
-        return raw
-    for i in range(len(X)):
+    else:
+        singles = range(len(X))
+    for i in singles:
         try:
-            raw[i] = fit(spec, X[i], Y[i]).predict_transformed(x[i])
+            predict(fit(spec, X[i], Y[i]), i)
         except ITEM_ERRORS as exc:
             failures[i] = _failure_message(exc)
-    return raw
+    return raws
 
 
 def _df_forecasts(tensor, spec, split, W, H, failures):
@@ -171,7 +170,7 @@ def _df_forecasts(tensor, spec, split, W, H, failures):
         raw = fit(spec, sset.X, sset.Y).predict_transformed(x)
     else:
         rows = (n, len(train_anchors), -1)
-        raw = _own_models(spec, sset.X.reshape(rows), sset.Y.reshape(rows), x, failures)
+        raw, = _own_models(spec, sset.X.reshape(rows), sset.Y.reshape(rows), [x], failures)
     y_hat = np.maximum(tf.inverse(raw), 0.0)
     diag = np.zeros(n)
     if has_diag:
@@ -185,28 +184,36 @@ def _df_forecasts(tensor, spec, split, W, H, failures):
     return out[:, :-1], out[:, -1]
 
 
-def _nodf_feature_row(series_tf, series_raw, tau):
-    lags = [series_tf[tau - l] for l in range(1, NODF_LAGS + 1)]
-    stats = extract_features(series_raw[:tau])
-    return np.concatenate([lags, stats])
+def _nodf_rows(raw, series, taus):
+    """(items, periods, NODF_LAGS + 7) no-feeding rows of every item: for
+    each period tau, the NODF_LAGS transformed values before it (latest
+    first), then the features of the raw series before it."""
+    return np.stack([np.column_stack([series[:, tau - NODF_LAGS:tau][:, ::-1],
+                                      extract_features(raw[:, :tau])])
+                     for tau in taus], axis=1)
 
 
 def _nodf_forecasts(tensor, spec, split, failures):
-    """Small-feature regression on the gross series, one model per item."""
-
-    def forecast_item(i):
-        raw = tensor.gross_series(i)
-        tf = TargetTransform.fit(spec.transform, raw[list(split.train_range)])
-        series_tf = tf.forward(raw)
-        rows, targets = [], []
-        for tau in range(NODF_LAGS, split.train_periods):
-            rows.append(_nodf_feature_row(series_tf, raw, tau))
-            targets.append(series_tf[tau])
-        model = fit(spec, np.array(rows), np.array(targets)[:, None], transform=tf)
-        return [model.predict(_nodf_feature_row(series_tf, raw, tau)[None, :])[0, 0]
-                for tau in split.test_range]
-
-    return _item_rows(tensor.n_items, split.test_periods, forecast_item, failures)
+    """Small-feature regression on the gross series, one model per item,
+    each test period predicted from its own row."""
+    train = split.train_periods
+    if train <= NODF_LAGS:
+        raise HierfcstError(f"the no-feeding regression needs more than {NODF_LAGS} "
+                            f"training periods, got {train}")
+    raw = tensor.values[:, :, 0]
+    tf = TargetTransform.fit_items(spec.transform, raw[:, :train])
+    series = tf.forward(raw)
+    X = _nodf_rows(raw, series, range(NODF_LAGS, train))
+    x = _nodf_rows(raw, series, split.test_range)
+    # One predict call per test row: a single-row product takes the BLAS
+    # path a multi-row one does not, and the last bit of a forecast with it.
+    raws = _own_models(spec, X, series[:, NODF_LAGS:train, None],
+                       [x[:, [c]] for c in range(x.shape[1])], failures)
+    out = tf.inverse(np.concatenate(raws, axis=1)[..., 0])
+    if spec.clip_negative:
+        out = np.maximum(out, 0.0)
+    out[list(failures)] = np.nan
+    return out
 
 
 def _arx_forecasts(tensor, spec, split, failures):

@@ -16,34 +16,53 @@ FEATURE_NAMES = ("mean", "variance", "skewness", "kurtosis",
 
 
 def extract_features(series) -> np.ndarray:
-    """Seven-value descriptor of one series (length >= 2).
+    """Seven-value descriptor of one series (T,), length >= 2, or of each
+    row of an equal-length stack (n, T): returns (7,) or (n, 7).
 
     Degenerate rules keep everything finite: a constant series reports
     variance, skewness, excess kurtosis and lag-1 autocorrelation of 0 and
-    a max/mean ratio of 1 (0 when the mean itself is 0).
+    a max/mean ratio of 1 (0 when the mean itself is 0).  A series whose
+    variance is so small that its square underflows to 0 reports its
+    variance but skewness, kurtosis and autocorrelation of 0.
     """
-    x = np.asarray(series, dtype=float).ravel()
-    if x.shape[0] < 2:
-        raise HierfcstError(f"need a series of length >= 2, got {x.shape[0]}")
+    try:
+        x = np.array(series, dtype=float, order="C", ndmin=1)
+    except ValueError as exc:
+        raise HierfcstError(f"series must be numbers of equal length: {exc}") from None
+    single = x.ndim == 1
+    if single:
+        x = x[None]
+    if x.ndim != 2:
+        raise HierfcstError(f"need a series (T,) or a stack (n, T), got shape {x.shape}")
+    if x.shape[1] < 2:
+        raise HierfcstError(f"need a series of length >= 2, got {x.shape[1]}")
     if not np.all(np.isfinite(x)):
         raise HierfcstError("series must be finite")
 
-    mean = float(np.mean(x))
-    dev = x - mean
-    m2 = float(np.mean(dev ** 2))
-    zero_fraction = float(np.mean(x == 0.0))
-
-    if m2 == 0.0:
-        ratio = 1.0 if mean != 0.0 else 0.0
-        return np.array([mean, 0.0, 0.0, 0.0, 0.0, zero_fraction, ratio])
-
-    skew = float(np.mean(dev ** 3)) / m2 ** 1.5
-    kurt = float(np.mean(dev ** 4)) / m2 ** 2 - 3.0
-    autocorr = float(dev[:-1] @ dev[1:]) / float(dev @ dev)
-    ratio = float(np.max(x)) / mean if mean != 0.0 else 0.0
-    return np.array([mean, m2, skew, kurt, autocorr, zero_fraction, ratio])
+    # Row reductions along the contiguous last axis sum each row as a lone
+    # series is summed, and float_power is C pow, as a Python float's **:
+    # every row comes out bit for bit as extracted alone.
+    mean = np.mean(x, axis=1)
+    dev = x - mean[:, None]
+    m2 = np.mean(dev ** 2, axis=1)
+    zero_fraction = np.mean(x == 0.0, axis=1)
+    flat = np.float_power(m2, 2) == 0.0
+    # One ddot per row, as the 1-d products make (einsum and sum add in
+    # another order).
+    lag1 = (dev[:, None, :-1] @ dev[:, 1:, None])[:, 0, 0]
+    power = (dev[:, None, :] @ dev[:, :, None])[:, 0, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        skew = np.mean(dev ** 3, axis=1) / np.float_power(m2, 1.5)
+        kurt = np.mean(dev ** 4, axis=1) / np.float_power(m2, 2) - 3.0
+        autocorr = lag1 / power
+        ratio = np.max(x, axis=1) / mean
+    shape = np.where(flat[:, None], 0.0, np.column_stack([skew, kurt, autocorr]))
+    ratio = np.where(m2 == 0.0, 1.0, ratio)
+    ratio = np.where(mean != 0.0, ratio, 0.0)
+    out = np.column_stack([mean, m2, shape, zero_fraction, ratio])
+    return out[0] if single else out
 
 
 def extract_feature_matrix(series_list) -> np.ndarray:
-    """Stack extract_features over a list of series."""
-    return np.array([extract_features(s) for s in series_list])
+    """Features of every series of an equal-length list: (n, 7)."""
+    return extract_features(series_list)

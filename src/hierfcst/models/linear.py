@@ -324,6 +324,8 @@ def median_bandwidth(X):
     """Median nonzero pairwise distance; 1.0 for degenerate point clouds.
     A stack X (items, n, k) gives one bandwidth per item."""
     X = np.asarray(X, dtype=float)
+    if X.shape[-2] < 2:                 # no pair to take the median of
+        return 1.0 if X.ndim == 2 else np.ones(X.shape[0])
     upper = np.triu_indices(X.shape[-2], k=1)
     dists = np.sqrt(pairwise_sq_dists(X, X)[..., upper[0], upper[1]])
     count = np.count_nonzero(dists > 0, axis=-1)

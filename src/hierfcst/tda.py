@@ -41,16 +41,17 @@ def canberra(u, v) -> float:
 
 
 def canberra_matrix(A, B=None) -> np.ndarray:
-    """Canberra distances between the rows of A and of B (default A),
-    summed one feature column at a time so temporaries stay (n, m)."""
+    """Canberra distances between the rows of A and of B (default A), with
+    0/0 terms contributing 0, as in canberra."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = A if B is None else np.atleast_2d(np.asarray(B, dtype=float))
-    D = np.zeros((A.shape[0], B.shape[0]))
-    for a, b in zip(A.T, B.T):
-        num = np.abs(a[:, None] - b)
-        den = np.abs(a)[:, None] + np.abs(b)
-        D += np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-    return D
+    if A.shape[1] != B.shape[1]:
+        raise HierfcstError(f"width mismatch: rows of {A.shape[1]} vs "
+                            f"{B.shape[1]} features")
+    # Imported here: scipy.spatial takes about 50 ms to import, which every
+    # import of hierfcst would otherwise pay.
+    from scipy.spatial.distance import cdist
+    return cdist(A, B, "canberra")
 
 
 def standardize_columns(X):
@@ -251,14 +252,14 @@ def mapper(features, lens=None, n_intervals: int = DEFAULT_INTERVALS,
         intervals = [(lo + k * step - eps, lo + k * step + length + eps)
                      for k in range(n_intervals)]
 
-    D_full = canberra_matrix(X)
     nodes = []
     for k, (a, b) in enumerate(intervals):
         members = np.nonzero((lens >= a) & (lens <= b))[0]
         if members.size == 0:
             continue
-        D = D_full[np.ix_(members, members)]
-        for cluster in _cluster_preimage(D, histogram_bins):
+        # Mapper clusters each preimage on its own, so only the distances
+        # within it are computed.
+        for cluster in _cluster_preimage(canberra_matrix(X[members]), histogram_bins):
             idx = tuple(sorted(int(members[c]) for c in cluster))
             nodes.append(MapperNode(node_id=len(nodes), interval=k, members=idx))
 

@@ -169,6 +169,10 @@ def _z_step(Y, mask, F, phi, lam_z, lam_ar, m):
                 band[max(0, p - l):T - l] += c[:, l] * c[:, l - k]
             ab[u - k * d, k * d:] += lam_ar * band.ravel()
 
+    if not (np.all(np.isfinite(ab)) and np.all(np.isfinite(rhs))):
+        raise IllConditionedError(
+            "factor update system is not finite: the data or the loadings "
+            "overflow; rescale Y or use the log1p transform")
     try:
         z = solveh_banded(ab, rhs, lower=False)
     except np.linalg.LinAlgError:
@@ -203,7 +207,8 @@ def factorize(Y, mask=None, cfg: TrmfConfig | None = None, init=None) -> FactorM
     Raises DensityError when fewer than cfg.density_floor of the entries
     are observed, unless cfg.allow_low_density (then it warns), since the
     missing dynamics are not reliably recoverable below roughly a quarter
-    coverage.
+    coverage.  Raises IllConditionedError when a sweep goes non-finite (the
+    data or the loadings overflow).
     """
     cfg = cfg or TrmfConfig()
     Y = np.asarray(Y, dtype=float)

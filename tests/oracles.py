@@ -9,9 +9,11 @@ finite differences for gradients, per-cell, per-column or dense
 assemblies where the library gathers, stacks or bands, regression
 trees grown node by node, depth first, with a per-candidate split loop
 where the library grows every tree of a fit level by level, a backtest
-run item by item (own transform, fit, lstsq and SMAPE per item) where the
-library stacks items, and a CSV read row by row where the library parses
-by column.
+run item by item (own transform, features, fit, lstsq and SMAPE per item)
+where the library stacks items, a CSV read row by row where the library
+parses by column, series features one series at a time where the library
+takes a stack, and a Mapper over the dense Canberra matrix summed column
+by column where the library computes each preimage's block on its own.
 """
 
 import csv
@@ -23,9 +25,10 @@ from hierfcst import trmf
 from hierfcst.dataset import CSV_HEADER, DEFAULT_MAX_LEAD, PreorderTensor
 from hierfcst.errors import (DomainError, DuplicateKeyError, HierfcstError,
                              IllConditionedError, ParseError)
-from hierfcst.evaluate import ITEM_ERRORS, forecast_matrix
+from hierfcst.evaluate import ITEM_ERRORS, NODF_LAGS
 from hierfcst.models import fit
 from hierfcst.preprocess import window_index
+from hierfcst.tda import MapperGraph, MapperNode, _cluster_preimage, pca_lens
 
 
 def gradient_descent(f, grad, x0, max_iter=20000, tol=1e-12):
@@ -502,6 +505,55 @@ def df_forecasts_reference(tensor, spec, split, W, H):
     return out[:, :-1], out[:, -1], failures
 
 
+def features_item(series):
+    """Seven features of one series, one scalar at a time (the rules of
+    hierfcst.features.extract_features)."""
+    x = np.asarray(series, dtype=float).ravel()
+    if x.shape[0] < 2:
+        raise HierfcstError(f"need a series of length >= 2, got {x.shape[0]}")
+    if not np.all(np.isfinite(x)):
+        raise HierfcstError("series must be finite")
+    mean = float(np.mean(x))
+    dev = x - mean
+    m2 = float(np.mean(dev ** 2))
+    zero_fraction = float(np.mean(x == 0.0))
+    if m2 == 0.0:
+        ratio = 1.0 if mean != 0.0 else 0.0
+        return np.array([mean, 0.0, 0.0, 0.0, 0.0, zero_fraction, ratio])
+    skew = float(np.mean(dev ** 3)) / m2 ** 1.5
+    kurt = float(np.mean(dev ** 4)) / m2 ** 2 - 3.0
+    autocorr = float(dev[:-1] @ dev[1:]) / float(dev @ dev)
+    ratio = float(np.max(x)) / mean if mean != 0.0 else 0.0
+    return np.array([mean, m2, skew, kurt, autocorr, zero_fraction, ratio])
+
+
+def nodf_forecasts_reference(tensor, spec, split):
+    """No-feeding forecasts item by item: each item's rows built one period
+    at a time, its own fit, one predict per test period.  Returns
+    (forecasts, failures)."""
+
+    def row(series_tf, raw, tau):
+        lags = [series_tf[tau - lag] for lag in range(1, NODF_LAGS + 1)]
+        return np.concatenate([lags, features_item(raw[:tau])])
+
+    out = np.full((tensor.n_items, split.test_periods), np.nan)
+    failures = {}
+    for i in range(tensor.n_items):
+        raw = tensor.values[i, :, 0]
+        tf = ItemTransform(spec.transform, raw[:split.train_periods])
+        series_tf = tf.forward(raw)
+        taus = range(NODF_LAGS, split.train_periods)
+        try:
+            model = fit(spec, np.array([row(series_tf, raw, tau) for tau in taus]),
+                        series_tf[list(taus)][:, None])
+            for col, tau in enumerate(split.test_range):
+                value = tf.inverse(model.predict_transformed(row(series_tf, raw, tau)[None, :]))
+                out[i, col] = max(value[0, 0], 0.0) if spec.clip_negative else value[0, 0]
+        except ITEM_ERRORS as exc:
+            failures[i] = f"{type(exc).__name__}: {exc}"
+    return out, failures
+
+
 def arx_item(series, exog, p):
     """(intercept, phi, beta) of one AR(p) least-squares fit, design rows
     built one period at a time."""
@@ -560,9 +612,9 @@ def trmf_forecasts_reference(tensor, spec, split):
 
 
 def backtest_reference(tensor, specs, split):
-    """The backtest item by item: per-item forecasts (the library's own for
-    specs without feeding), one SMAPE per (spec, item), a dict argmin and
-    per-spec aggregates.  Returns (leaderboard CSV, failures, forecasts)."""
+    """The backtest item by item: per-item forecasts, one SMAPE per (spec,
+    item), a dict argmin and per-spec aggregates.  Returns (leaderboard CSV,
+    failures, forecasts)."""
     H = min(tensor.n_leads, DEFAULT_MAX_LEAD)
     actual = {item: tensor.values[i, list(split.test_range), 0]
               for i, item in enumerate(tensor.items)}
@@ -574,8 +626,7 @@ def backtest_reference(tensor, specs, split):
             elif spec.family == "arx":
                 fc, failed = arx_forecasts_reference(tensor, spec, split)
             elif spec.feeding == "none":
-                fc, extras = forecast_matrix(tensor, spec, split)
-                failed = extras["failures"]
+                fc, failed = nodf_forecasts_reference(tensor, spec, split)
             else:
                 fc, _diag, failed = df_forecasts_reference(tensor, spec, split, H + 1, H)
         except ITEM_ERRORS as exc:
@@ -609,6 +660,53 @@ def backtest_reference(tensor, specs, split):
     lines = ["spec,mean_smape,median_smape,n_items,best_count"]
     lines += [line for _key, _name, line in sorted(rows, key=lambda r: r[:2])]
     return "\n".join(lines) + "\n", failures, forecasts
+
+
+# ---------------------------------------------------------------------------
+# Mapper over the dense Canberra matrix
+# ---------------------------------------------------------------------------
+
+def canberra_columns(A, B=None):
+    """Canberra distances between the rows of A and of B (default A), summed
+    one feature column at a time, 0/0 terms contributing 0."""
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    B = A if B is None else np.atleast_2d(np.asarray(B, dtype=float))
+    D = np.zeros((A.shape[0], B.shape[0]))
+    for a, b in zip(A.T, B.T):
+        num = np.abs(a[:, None] - b)
+        den = np.abs(a)[:, None] + np.abs(b)
+        D += np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+    return D
+
+
+def mapper_dense(features, lens=None, n_intervals=10, overlap=0.3, histogram_bins=10):
+    """Mapper that builds the whole n x n Canberra matrix first and clusters
+    each preimage on its block of it; nodes and edges as hierfcst.tda.mapper."""
+    X = np.atleast_2d(np.asarray(features, dtype=float))
+    n = X.shape[0]
+    lens = pca_lens(X) if lens is None else np.asarray(lens, dtype=float).ravel()
+    lo, hi = float(lens.min()), float(lens.max())
+    span = hi - lo
+    eps = 1e-9 * max(1.0, abs(lo), abs(hi))
+    if span == 0.0 or n_intervals == 1:
+        intervals = [(lo - eps, hi + eps)]
+    else:
+        length = span / ((n_intervals - 1) * (1.0 - overlap) + 1.0)
+        step = length * (1.0 - overlap)
+        intervals = [(lo + k * step - eps, lo + k * step + length + eps)
+                     for k in range(n_intervals)]
+    D_full = canberra_columns(X)
+    nodes = []
+    for k, (a, b) in enumerate(intervals):
+        members = [i for i in range(n) if a <= lens[i] <= b]
+        if not members:
+            continue
+        for cluster in _cluster_preimage(D_full[np.ix_(members, members)], histogram_bins):
+            nodes.append(MapperNode(node_id=len(nodes), interval=k,
+                                    members=tuple(sorted(members[c] for c in cluster))))
+    edges = [(a, b) for a in range(len(nodes)) for b in range(a + 1, len(nodes))
+             if set(nodes[a].members) & set(nodes[b].members)]
+    return MapperGraph(nodes=nodes, edges=edges, n_series=n)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from hierfcst.evaluate import (BacktestSplit, backtest, best_forecast_report,
 from hierfcst.models import FEEDING_MODES, ModelSpec
 from hierfcst.preprocess import TRANSFORM_KINDS
 
-from oracles import backtest_reference, smape_item, smape_ref
+from oracles import backtest_reference, nodf_forecasts_reference, smape_item, smape_ref
 
 
 class TestSmape:
@@ -358,3 +358,91 @@ class TestStackedBacktestMatchesPerItem:
                  ModelSpec("ridge", transform="log1p", feeding="df_one_by_one", label="r"),
                  ModelSpec("arx", {"exog": "preorders"}, label="a")]
         assert_matches_reference(self.overflowing_catalog(), specs, BacktestSplit(37, 8))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_overflowing_item_fails_alone_without_feeding(self):
+        # The item's features overflow, which fails the stacked fit of its
+        # block; the block is then fitted item by item.
+        tensor = self.overflowing_catalog()
+        specs = [ModelSpec("ridge", label="r"), ModelSpec("kernel", label="k")]
+        assert_matches_reference(tensor, specs, BacktestSplit(37, 8))
+        board = backtest(tensor, specs)
+        assert [(name, item) for name, item, _ in board.failures] == \
+            [("r", tensor.items[2]), ("k", tensor.items[2])]
+        assert all(message.startswith("DomainError: ") for *_, message in board.failures)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning",
+                                "ignore:observed density:RuntimeWarning")
+    def test_overflowing_item_fails_the_trmf_spec_and_ridge_is_scored(self):
+        tensor = self.overflowing_catalog()
+        specs = [ModelSpec("ridge", feeding="df_one_by_one", label="r"),
+                 ModelSpec("trmf", label="t")]
+        board = backtest(tensor, specs)
+        failed = [(item, message) for name, item, message in board.failures if name == "t"]
+        assert [item for item, _ in failed] == tensor.items
+        assert all(message.startswith("IllConditionedError: ") for _, message in failed)
+        assert board.row("r").n_items == 3
+        assert np.isfinite(board.row("r").mean_smape)
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=float).tobytes()
+
+
+@st.composite
+def nodf_cases(draw):
+    """A small catalog with all-zero and constant items, a split, and
+    no-feeding specs in one transform: the stacked families (ridge from
+    lam = 0, kernel), ridge without the clip, and lasso, fitted item by
+    item."""
+    n_items = draw(st.integers(1, 6))
+    T = draw(st.integers(8, 20))
+    n_test = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.uniform(0, 50, size=(n_items, T, 2))
+    values[rng.random(values.shape) < 0.3] = 0.0
+    for i in range(n_items):
+        shape = draw(st.sampled_from(["random", "random", "zero", "constant"]))
+        if shape != "random":
+            values[i] = 0.0 if shape == "zero" else 7.5
+    tensor = ds.PreorderTensor(items=[f"i{i}" for i in range(n_items)], values=values,
+                               observed_mask=values > 0)
+    kind = draw(st.sampled_from(TRANSFORM_KINDS))
+    specs = [ModelSpec("ridge", {"lam": lam}, transform=kind) for lam in (0.0, 1e-3, 1.0)]
+    specs += [ModelSpec("ridge", transform=kind, clip_negative=False),
+              ModelSpec("kernel", transform=kind), ModelSpec("lasso", transform=kind)]
+    return tensor, specs, BacktestSplit(T - n_test, n_test)
+
+
+class TestNoFeedingMatchesPerItem:
+    @settings(max_examples=60, deadline=None)
+    @given(nodf_cases())
+    def test_forecasts_and_failures_bit_for_bit(self, case):
+        tensor, specs, split = case
+        for spec in specs:
+            fc, extras = forecast_matrix(tensor, spec, split)
+            ref, failures = nodf_forecasts_reference(tensor, spec, split)
+            assert extras["failures"] == failures, spec
+            assert bits(fc) == bits(ref), spec
+
+    @pytest.mark.parametrize("train", [2, 3])
+    def test_too_few_training_periods_fail_the_spec(self, train):
+        tensor = ds.synthesize(1, 3, 6, 2)
+        board = backtest(tensor, [ModelSpec("ridge", label="r")], BacktestSplit(train, 2))
+        assert [item for _, item, _ in board.failures] == tensor.items
+        assert all(message == "HierfcstError: the no-feeding regression needs more "
+                   f"than 3 training periods, got {train}" for *_, message in board.failures)
+
+    def test_paper_style_catalog(self):
+        tensor = ds.synthesize(26, 40, 45, 4, "anticipatory")
+        tensor.values[3] = 0.0
+        tensor.values[5] = 4.0
+        for kind in TRANSFORM_KINDS:
+            for spec in (ModelSpec("ridge", transform=kind), ModelSpec("kernel", transform=kind),
+                         ModelSpec("poisson", transform=kind)):
+                fc, extras = forecast_matrix(tensor, spec, BacktestSplit(37, 8))
+                ref, failures = nodf_forecasts_reference(tensor, spec, BacktestSplit(37, 8))
+                assert extras["failures"] == failures
+                assert bits(fc) == bits(ref)

@@ -163,6 +163,13 @@ class TestKernelRidge:
                               clip_negative=False), X, np.array([[1.0], [2.0], [3.0]]))
         assert model.payload.bandwidth == 0.7
 
+    def test_one_row_takes_the_unit_bandwidth(self):
+        # One row has no pairwise distance to take the median of.
+        spec = ModelSpec("kernel", clip_negative=False)
+        assert fit(spec, [[2.0, 3.0]], [[5.0]]).payload.bandwidth == 1.0
+        stacked = fit(spec, np.ones((3, 1, 2)), np.ones((3, 1, 1)))
+        np.testing.assert_array_equal(stacked.payload.bandwidth, [1.0, 1.0, 1.0])
+
 
 class TestTrees:
     def test_stump_predicts_mean(self):

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hierfcst.errors import HierfcstError
 from hierfcst.features import FEATURE_NAMES, extract_features, extract_feature_matrix
@@ -10,7 +12,33 @@ from hierfcst.tda import (DEFAULT_KNN, MapperGraph, canberra, canberra_matrix,
                           first_principal_component, label_and_route, mapper,
                           pca_lens, standardize_columns)
 
-from oracles import fiedler_dense, pc1_dense
+from oracles import features_item, fiedler_dense, mapper_dense, pc1_dense
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=float).tobytes()
+
+
+@st.composite
+def series_stacks(draw):
+    """Equal-length series, lengths from 2, each random, constant (0.1
+    repeated does not average to 0.1 exactly), all-zero or spiky."""
+    n = draw(st.integers(1, 8))
+    T = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["random", "constant", "zero", "spiky"]))
+        if kind == "random":
+            row = np.round(rng.lognormal(0, 2, T), draw(st.integers(0, 3)))
+        elif kind == "constant":
+            row = np.full(T, draw(st.sampled_from([0.1, 1.0, 7.5, 1e6])))
+        elif kind == "zero":
+            row = np.zeros(T)
+        else:
+            row = np.where(rng.random(T) < 0.15, rng.uniform(50, 5000, T), 0.0)
+        rows.append(row)
+    return np.array(rows)
 
 
 class TestFeatures:
@@ -38,6 +66,34 @@ class TestFeatures:
             extract_features([1.0])
         assert len(FEATURE_NAMES) == 7
         assert extract_feature_matrix([np.ones(5), np.zeros(5)]).shape == (2, 7)
+
+    @settings(max_examples=200, deadline=None)
+    @given(series_stacks())
+    def test_stack_matches_per_series_loop_bit_for_bit(self, X):
+        ref = np.array([features_item(row) for row in X])
+        assert bits(extract_features(X)) == bits(ref)
+        assert bits(extract_feature_matrix(list(X))) == bits(ref)
+        assert bits(extract_features(X[0])) == bits(ref[0])
+
+    def test_stack_guards(self):
+        with pytest.raises(HierfcstError, match="equal length"):
+            extract_feature_matrix([np.ones(5), np.ones(4)])
+        with pytest.raises(HierfcstError, match="finite"):
+            extract_features(np.array([[1.0, 2.0], [np.inf, 1.0]]))
+        with pytest.raises(HierfcstError, match="finite"):
+            extract_features(np.array([[1.0, 2.0], [np.nan, 1.0]]))
+        with pytest.raises(HierfcstError, match="length >= 2"):
+            extract_features(np.ones((3, 1)))
+        with pytest.raises(HierfcstError, match="shape"):
+            extract_features(np.ones((2, 3, 4)))
+
+    def test_variance_whose_square_underflows_counts_as_flat(self):
+        # m2 is about 1e-340 here, and m2 ** 2 underflows to 0.
+        f = extract_features([0.0, 1e-160, 0.0, 1e-160])
+        assert np.all(np.isfinite(f))
+        assert f[1] > 0.0
+        assert f[2] == f[3] == f[4] == 0.0
+        assert f[6] == 2.0
 
 
 class TestCanberra:
@@ -94,6 +150,11 @@ class TestCanberra:
             D = canberra_matrix(X, None if Y is A and X is A else Y)
             ref = [[canberra(u, v) for v in Y] for u in X]
             np.testing.assert_allclose(D, ref, rtol=1e-14, atol=0)
+
+
+    def test_matrix_width_mismatch_names_both_widths(self):
+        with pytest.raises(HierfcstError, match="7 vs 5"):
+            canberra_matrix(np.ones((3, 7)), np.ones((2, 5)))
 
 
 class TestPcaLens:
@@ -217,6 +278,45 @@ class TestMapper:
         assert payload["n_series"] == 50
 
 
+@st.composite
+def mapper_cases(draw):
+    """Feature rows with duplicates and all-zero rows, from one row up, a
+    cover of 1-12 intervals with overlap in (0, 0.5], and the PCA lens or a
+    drawn one with ties."""
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = np.abs(rng.lognormal(0, 1.5, size=(n, 7))) * (rng.random((n, 7)) > 0.2)
+    X[rng.random(n) < 0.15] = 0.0
+    dup = rng.random(n) < 0.3
+    X[dup] = X[rng.integers(0, n, size=int(dup.sum()))]
+    lens = draw(st.sampled_from([None, "drawn", "ties"]))
+    if lens == "drawn":
+        lens = rng.normal(size=n)
+    elif lens == "ties":
+        lens = rng.integers(0, 3, size=n).astype(float)
+    return (X, lens, draw(st.integers(1, 12)),
+            draw(st.floats(0.0, 0.5, exclude_min=True)))
+
+
+class TestMapperMatchesDense:
+    @settings(max_examples=150, deadline=None)
+    @given(mapper_cases())
+    def test_same_nodes_and_edges(self, case):
+        X, lens, n_intervals, overlap = case
+        try:
+            ref = mapper_dense(X, lens, n_intervals, overlap)
+        except HierfcstError:
+            # the PCA lens of one row or of constant columns
+            with pytest.raises(HierfcstError):
+                mapper(X, lens, n_intervals, overlap)
+            return
+        g = mapper(X, lens, n_intervals, overlap)
+        assert [(nd.node_id, nd.interval, nd.members) for nd in g.nodes] == \
+            [(nd.node_id, nd.interval, nd.members) for nd in ref.nodes]
+        assert g.edges == ref.edges
+        assert g.n_series == ref.n_series
+
+
 class TestFiedler:
     def test_path_graph_split(self):
         adj = np.zeros((4, 4))
@@ -337,3 +437,8 @@ class TestLabelAndRoute:
 
     def test_default_k(self):
         assert DEFAULT_KNN == 5
+
+    def test_wrong_length_features_rejected(self):
+        X, g, sel = self._fitted(["A"] * 50, seed=14)
+        with pytest.raises(HierfcstError, match="5 vs 7"):
+            sel.route_features(X[0][:5])

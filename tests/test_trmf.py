@@ -3,7 +3,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from hierfcst.errors import DensityError, DomainError, HierfcstError
+from hierfcst.errors import DensityError, DomainError, HierfcstError, IllConditionedError
 from hierfcst.models import default_hyperparams
 from hierfcst.trmf import (FactorModel, TrmfConfig, ar_residuals, factorize,
                            forecast, is_stationary, objective, one_step_forecast,
@@ -402,3 +402,13 @@ class TestConvergedFlag:
         m = factorize(Y, np.ones_like(Y, bool), cfg)
         assert len(m.objective_history) - 1 < 500
         assert m.converged is True
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_sweep_that_goes_non_finite_raises_ill_conditioned():
+    rng = np.random.default_rng(0)
+    Y = rng.uniform(0, 10, size=(45, 4))
+    Y[:, 2] = 10.0 ** rng.uniform(290, 308, size=45)
+    with pytest.raises(IllConditionedError, match="not finite"):
+        factorize(Y)
