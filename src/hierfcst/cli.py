@@ -57,10 +57,8 @@ def _atomic_write(path, text: str):
 
 
 def _atomic_write_bytes(path, data: bytes):
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
+    with ds._atomic_file(path) as fh:
         fh.write(data)
-    os.replace(tmp, path)
 
 
 def _mark_incomplete(out_dir, stage, message):

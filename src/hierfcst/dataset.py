@@ -7,9 +7,13 @@ records for an item is the raw input of every downstream stage.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import operator
+import os
+import zipfile
+import zlib
 from dataclasses import dataclass, field
 from itertools import chain, compress
 
@@ -313,9 +317,59 @@ def save_csv(tensor: PreorderTensor, path) -> None:
                 writer.writerow([item, t, h, repr(float(tensor.values[i, t, h]))])
 
 
+@contextlib.contextmanager
+def _atomic_file(path):
+    """A binary file handle whose content lands at exactly ``path`` when the
+    block exits normally: it writes ``<path>.tmp`` and renames it over
+    ``path``.  On an error the earlier file at ``path`` stays as it was and
+    the ``.tmp`` file is removed."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+
+
+def _write_npz(path, **arrays) -> None:
+    """Write arrays as an npz file of stored (not deflated) members, atomically
+    at exactly ``path`` (no ``.npz`` is appended)."""
+    with _atomic_file(path) as fh:
+        np.savez(fh, **arrays)
+
+
+def _read_npz(path, kind: str, version: int, members) -> dict:
+    """Every array of the npz cache at ``path``, checked to hold ``members``
+    and to be a ``kind`` cache of ``version``.  Stored and deflated members
+    load alike.  A file that cannot be read as such a cache raises
+    HierfcstError naming the path."""
+    # The except clause lists what reading raises on a missing file, a
+    # damaged archive or a member np.load refuses.
+    try:
+        with open(path, "rb") as fh:
+            if not zipfile.is_zipfile(fh):
+                raise ValueError("not an npz archive")
+            fh.seek(0)
+            with np.load(fh, allow_pickle=False) as data:
+                arrays = {name: data[name] for name in data.files}
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
+        raise HierfcstError(f"cannot read cache {path}: {exc}") from exc
+    found = arrays.get("cache_version")
+    if found is None or found.shape != () or found.item() != version:
+        raise HierfcstError(f"unsupported or missing cache version in {path}")
+    if str(arrays.get("kind")) != kind:
+        raise HierfcstError(f"{path} is not a {kind} cache")
+    missing = sorted(set(members) - set(arrays))
+    if missing:
+        raise HierfcstError(f"{kind} cache {path} lacks {missing}")
+    return arrays
+
+
 def save_cache(tensor: PreorderTensor, path) -> None:
-    """Binary tensor cache (versioned npz container)."""
-    np.savez_compressed(
+    """Binary tensor cache (versioned npz container) at exactly ``path``."""
+    _write_npz(
         path,
         cache_version=np.array(CACHE_VERSION),
         kind=np.array("preorder_tensor"),
@@ -326,16 +380,13 @@ def save_cache(tensor: PreorderTensor, path) -> None:
 
 
 def load_cache(path) -> PreorderTensor:
-    with np.load(path, allow_pickle=False) as data:
-        if "cache_version" not in data or int(data["cache_version"]) != CACHE_VERSION:
-            raise HierfcstError(f"unsupported or missing cache version in {path}")
-        if str(data["kind"]) != "preorder_tensor":
-            raise HierfcstError(f"{path} is not a tensor cache")
-        return PreorderTensor(
-            items=[str(s) for s in data["items"]],
-            values=data["values"],
-            observed_mask=data["observed_mask"],
-        )
+    data = _read_npz(path, "preorder_tensor", CACHE_VERSION,
+                     ("items", "values", "observed_mask"))
+    return PreorderTensor(
+        items=[str(s) for s in data["items"]],
+        values=data["values"],
+        observed_mask=data["observed_mask"],
+    )
 
 
 REGIMES = ("smooth", "sparse-spiky", "anticipatory")

@@ -212,6 +212,9 @@ def _nodf_forecasts(tensor, spec, split, failures):
     out = tf.inverse(np.concatenate(raws, axis=1)[..., 0])
     if spec.clip_negative:
         out = np.maximum(out, 0.0)
+    # As smape raises on it, a non-finite forecast fails its item.
+    for i in np.flatnonzero(~np.isfinite(out).all(axis=1)).tolist():
+        failures.setdefault(i, _failure_message(HierfcstError(_NONFINITE)))
     out[list(failures)] = np.nan
     return out
 

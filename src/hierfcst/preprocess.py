@@ -15,7 +15,7 @@ from itertools import product
 
 import numpy as np
 
-from .dataset import PreorderTensor
+from .dataset import PreorderTensor, _read_npz, _write_npz
 from .errors import DomainError, HierfcstError, NotFittedError, WindowRangeError
 
 SUPERVISED_CACHE_VERSION = 1
@@ -241,7 +241,7 @@ def build_training_set(tensor: PreorderTensor, scope, W: int, H: int,
 
 
 def save_supervised(sset: SupervisedSet, path) -> None:
-    """Versioned binary cache of a supervised dataset."""
+    """Versioned binary cache of a supervised dataset at exactly ``path``."""
     items = np.array([s[0] for s in sset.samples])
     anchors = np.array([s[1] for s in sset.samples])
     keys = sorted(sset.transforms)
@@ -250,7 +250,7 @@ def save_supervised(sset: SupervisedSet, path) -> None:
                       else np.nan for k in keys])
     vmaxs = np.array([sset.transforms[k].vmax if sset.transforms[k].vmax is not None
                       else np.nan for k in keys])
-    np.savez_compressed(
+    _write_npz(
         path,
         cache_version=np.array(SUPERVISED_CACHE_VERSION),
         kind=np.array("supervised_set"),
@@ -261,19 +261,17 @@ def save_supervised(sset: SupervisedSet, path) -> None:
 
 
 def load_supervised(path) -> SupervisedSet:
-    with np.load(path, allow_pickle=False) as data:
-        if "cache_version" not in data or int(data["cache_version"]) != SUPERVISED_CACHE_VERSION:
-            raise HierfcstError(f"unsupported or missing cache version in {path}")
-        if str(data["kind"]) != "supervised_set":
-            raise HierfcstError(f"{path} is not a supervised cache")
-        transforms = {}
-        for key, kind, vmin, vmax in zip(data["tf_items"], data["tf_kinds"],
-                                         data["tf_vmins"], data["tf_vmaxs"]):
-            transforms[int(key)] = TargetTransform(
-                kind=str(kind),
-                vmin=None if np.isnan(vmin) else float(vmin),
-                vmax=None if np.isnan(vmax) else float(vmax))
-        samples = list(zip(data["sample_items"].tolist(),
-                           data["sample_anchors"].tolist()))
-        return SupervisedSet(X=data["X"], Y=data["Y"], samples=samples,
-                             transforms=transforms, W=int(data["W"]), H=int(data["H"]))
+    data = _read_npz(path, "supervised_set", SUPERVISED_CACHE_VERSION,
+                     ("X", "Y", "sample_items", "sample_anchors", "W", "H",
+                      "tf_items", "tf_kinds", "tf_vmins", "tf_vmaxs"))
+    transforms = {}
+    for key, kind, vmin, vmax in zip(data["tf_items"], data["tf_kinds"],
+                                     data["tf_vmins"], data["tf_vmaxs"]):
+        transforms[int(key)] = TargetTransform(
+            kind=str(kind),
+            vmin=None if np.isnan(vmin) else float(vmin),
+            vmax=None if np.isnan(vmax) else float(vmax))
+    samples = list(zip(data["sample_items"].tolist(),
+                       data["sample_anchors"].tolist()))
+    return SupervisedSet(X=data["X"], Y=data["Y"], samples=samples,
+                         transforms=transforms, W=int(data["W"]), H=int(data["H"]))

@@ -549,7 +549,10 @@ def nodf_forecasts_reference(tensor, spec, split):
             for col, tau in enumerate(split.test_range):
                 value = tf.inverse(model.predict_transformed(row(series_tf, raw, tau)[None, :]))
                 out[i, col] = max(value[0, 0], 0.0) if spec.clip_negative else value[0, 0]
+            if not np.all(np.isfinite(out[i])):
+                raise HierfcstError("smape requires finite inputs")
         except ITEM_ERRORS as exc:
+            out[i] = np.nan
             failures[i] = f"{type(exc).__name__}: {exc}"
     return out, failures
 

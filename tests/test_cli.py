@@ -132,6 +132,38 @@ class TestStages:
         assert sset.W == 4 and sset.H == 3
         assert sset.X.shape[1] == 6
 
+    def test_outputs_land_at_exact_paths(self, tmp_path, specs_file):
+        tensor, sup, board = (tmp_path / name for name in ("t.cache", "s.cache", "lb.out"))
+        assert main(["synth", "--seed", "3", "--regime", "anticipatory", "--items", "5",
+                     "--output", str(tensor)]) == 0
+        assert main(["transform", "--data", str(tensor), "--window", "5", "--leads", "4",
+                     "--output", str(sup)]) == 0
+        assert main(["backtest", "--specs", specs_file, "--data", str(tensor),
+                     "--out", str(board)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "lb.out", "lb.out.run.ini", "s.cache", "s.cache.run.ini", "specs.ini",
+            "t.cache", "t.cache.run.ini"]
+        assert load_supervised(sup).X.shape == (5 * 41, 10)
+        parser = configparser.ConfigParser()
+        parser.read(tmp_path / "s.cache.run.ini")
+        assert parser["transform"]["data"] == str(tensor)
+        assert parser["transform"]["output"] == str(sup)
+
+    @pytest.mark.parametrize("damage", ["truncated", "not a zip file"])
+    def test_unreadable_cache_fails_the_stage(self, tmp_path, tensor_cache, specs_file,
+                                              capsys, damage):
+        bad = tmp_path / "bad.npz"
+        whole = open(tensor_cache, "rb").read()
+        bad.write_bytes(whole[:len(whole) // 2] if damage == "truncated"
+                        else b"item_id,delivery_period,lead_time,quantity\n")
+        code = main(["backtest", "--specs", specs_file, "--data", str(bad),
+                     "--out", str(tmp_path / "lb.csv")])
+        assert code == STAGE_EXIT["backtest"]
+        assert f"cannot read cache {bad}" in capsys.readouterr().err
+        marker = (tmp_path / "INCOMPLETE").read_text()
+        assert "stage=backtest" in marker and str(bad) in marker
+        assert not (tmp_path / "lb.csv").exists()
+
     def test_train_stores_versioned_models(self, tmp_path, tensor_cache, specs_file):
         out = tmp_path / "store"
         assert main(["train", "--spec", specs_file, "--data", tensor_cache,

@@ -1,5 +1,8 @@
 import csv
 import io
+import os
+import zipfile
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -97,6 +100,77 @@ class TestRoundTrip:
                  items=np.array(["a"]), values=np.zeros((1, 2, 1)),
                  observed_mask=np.ones((1, 2, 1), bool))
         with pytest.raises(HierfcstError):
+            ds.load_cache(path)
+
+
+class FailingArray:
+    """Converts to an array by raising, after checking that the cache
+    write it belongs to had begun: a write that fails partway."""
+
+    def __init__(self, tmp):
+        self.tmp = tmp
+
+    def __array__(self, dtype=None, copy=None):
+        assert os.path.getsize(self.tmp) > 0
+        raise OSError("No space left on device")
+
+
+class TestCacheFiles:
+    def test_stored_at_exact_path(self, tmp_path):
+        t = ds.synthesize(2, 3, 8, 2, "sparse-spiky")
+        path = tmp_path / "t.cache"
+        ds.save_cache(t, path)
+        assert os.listdir(tmp_path) == ["t.cache"]
+        with zipfile.ZipFile(path) as zf:
+            assert {info.compress_type for info in zf.infolist()} == {zipfile.ZIP_STORED}
+        back = ds.load_cache(path)
+        assert back.items == t.items
+        np.testing.assert_array_equal(back.values, t.values)
+        np.testing.assert_array_equal(back.observed_mask, t.observed_mask)
+
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "t.cache"
+        ds.save_cache(ds.synthesize(1, 3, 8, 2), path)
+        before = path.read_bytes()
+        broken = SimpleNamespace(items=["a"], values=np.zeros((1, 2, 1)),
+                                 observed_mask=FailingArray(f"{path}.tmp"))
+        with pytest.raises(OSError, match="No space left"):
+            ds.save_cache(broken, path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["t.cache"]
+
+    def test_compressed_cache_of_earlier_layout_loads(self, tmp_path):
+        t = ds.synthesize(4, 3, 8, 2, "sparse-spiky")
+        path = tmp_path / "old.npz"
+        np.savez_compressed(path, cache_version=np.array(1),
+                            kind=np.array("preorder_tensor"),
+                            items=np.array(t.items, dtype=str), values=t.values,
+                            observed_mask=t.observed_mask)
+        back = ds.load_cache(path)
+        assert back.items == t.items
+        np.testing.assert_array_equal(back.values, t.values)
+        np.testing.assert_array_equal(back.observed_mask, t.observed_mask)
+
+    @pytest.mark.parametrize("content", [b"", b"item_id,delivery_period\n", "npy",
+                                         "truncated", "wrong kind", "missing member"])
+    def test_unreadable_cache_raises_naming_the_file(self, tmp_path, content):
+        good = tmp_path / "good.npz"
+        t = ds.synthesize(1, 2, 6, 2)
+        ds.save_cache(t, good)
+        path = tmp_path / "bad.npz"
+        if content == "npy":
+            with open(path, "wb") as fh:
+                np.save(fh, t.values)
+        elif content == "truncated":
+            path.write_bytes(good.read_bytes()[:-40])
+        elif content == "wrong kind":
+            np.savez(path, cache_version=np.array(1), kind=np.array("supervised_set"))
+        elif content == "missing member":
+            np.savez(path, cache_version=np.array(1), kind=np.array("preorder_tensor"),
+                     items=np.array(t.items), values=t.values)
+        else:
+            path.write_bytes(content)
+        with pytest.raises(HierfcstError, match="bad.npz"):
             ds.load_cache(path)
 
 

@@ -373,6 +373,21 @@ class TestStackedBacktestMatchesPerItem:
         assert all(message.startswith("DomainError: ") for *_, message in board.failures)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_test_row_fails_its_item_without_feeding(self):
+        # The training rows are finite; the test rows' features overflow,
+        # so the item's forecasts are NaN and it fails alone at scoring.
+        tensor = ds.synthesize(3, 4, 45, 4)
+        tensor.values[2, 38:] = 1e300
+        spec = ModelSpec("ridge", label="r")
+        assert_matches_reference(tensor, [spec], BacktestSplit(37, 8))
+        board = backtest(tensor, [spec], BacktestSplit(37, 8))
+        assert board.failures == [("r", tensor.items[2],
+                                   "HierfcstError: smape requires finite inputs")]
+        assert sorted(board.scores["r"]) == [tensor.items[i] for i in (0, 1, 3)]
+        assert np.isfinite(board.row("r").mean_smape)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                                 "ignore:invalid value encountered:RuntimeWarning",
                                 "ignore:observed density:RuntimeWarning")
     def test_overflowing_item_fails_the_trmf_spec_and_ridge_is_scored(self):

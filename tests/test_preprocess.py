@@ -1,3 +1,6 @@
+import os
+import zipfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -148,6 +151,40 @@ class TestBuildTrainingSet:
         np.testing.assert_array_equal(back.Y, sset.Y)
         assert back.samples == sset.samples
         assert back.transforms[1].vmax == sset.transforms[1].vmax
+
+    def test_cache_stored_at_exact_path(self, tmp_path):
+        sset = build_training_set(coded_tensor(), "all", 4, 3, transform="log1p")
+        path = tmp_path / "sup.cache"
+        save_supervised(sset, path)
+        assert os.listdir(tmp_path) == ["sup.cache"]
+        with zipfile.ZipFile(path) as zf:
+            assert {info.compress_type for info in zf.infolist()} == {zipfile.ZIP_STORED}
+        np.testing.assert_array_equal(load_supervised(path).X, sset.X)
+
+    def test_compressed_cache_of_earlier_layout_loads(self, tmp_path):
+        sset = build_training_set(coded_tensor(), "all", 4, 3, transform="minmax")
+        keys = sorted(sset.transforms)
+        path = tmp_path / "old.npz"
+        np.savez_compressed(
+            path, cache_version=np.array(1), kind=np.array("supervised_set"),
+            X=sset.X, Y=sset.Y, sample_items=np.array([s[0] for s in sset.samples]),
+            sample_anchors=np.array([s[1] for s in sset.samples]),
+            W=np.array(sset.W), H=np.array(sset.H), tf_items=np.array(keys),
+            tf_kinds=np.array([sset.transforms[k].kind for k in keys], dtype=str),
+            tf_vmins=np.array([sset.transforms[k].vmin for k in keys]),
+            tf_vmaxs=np.array([sset.transforms[k].vmax for k in keys]))
+        back = load_supervised(path)
+        np.testing.assert_array_equal(back.X, sset.X)
+        np.testing.assert_array_equal(back.Y, sset.Y)
+        assert back.samples == sset.samples
+        assert (back.W, back.H) == (sset.W, sset.H)
+        assert back.transforms == sset.transforms
+
+    def test_tensor_cache_is_not_a_supervised_cache(self, tmp_path):
+        path = tmp_path / "t.npz"
+        ds.save_cache(coded_tensor(), path)
+        with pytest.raises(HierfcstError, match="t.npz"):
+            load_supervised(path)
 
 
 @st.composite
