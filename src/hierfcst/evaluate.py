@@ -212,10 +212,6 @@ def _nodf_forecasts(tensor, spec, split, failures):
     out = tf.inverse(np.concatenate(raws, axis=1)[..., 0])
     if spec.clip_negative:
         out = np.maximum(out, 0.0)
-    # As smape raises on it, a non-finite forecast fails its item.
-    for i in np.flatnonzero(~np.isfinite(out).all(axis=1)).tolist():
-        failures.setdefault(i, _failure_message(HierfcstError(_NONFINITE)))
-    out[list(failures)] = np.nan
     return out
 
 
@@ -261,26 +257,31 @@ def forecast_matrix(tensor, spec: ModelSpec, split: BacktestSplit,
                     W=None, H=None):
     """Test-period q^0 forecasts for every item under one spec.
 
-    Returns (forecasts (n_items, n_test), extras dict).  The per-item
-    families fit each item on its own: an item whose fit or forecast fails
-    keeps a NaN row and extras["failures"] maps its index to the error.
+    Returns (forecasts (n_items, n_test), extras dict).  An item whose fit
+    fails, or whose forecasts are not all finite, keeps a NaN row and
+    extras["failures"] maps its index to the error; the other items are
+    still forecast.
     """
     split.validate(tensor.n_periods)
     failures = {}
     extras = {"failures": failures}
     if spec.family == "trmf":
-        return _trmf_forecasts(tensor, spec, split), extras
-    if spec.family == "arx":
-        return _arx_forecasts(tensor, spec, split, failures), extras
-    if spec.feeding in ("df_one_by_one", "df_all_items"):
+        fc = _trmf_forecasts(tensor, spec, split)
+    elif spec.family == "arx":
+        fc = _arx_forecasts(tensor, spec, split, failures)
+    elif spec.feeding in ("df_one_by_one", "df_all_items"):
         if H is None:
             H = min(tensor.n_leads, DEFAULT_MAX_LEAD)
         if W is None:
             W = H + 1
-        fc, diag = _df_forecasts(tensor, spec, split, W, H, failures)
-        extras["diagonal_smape"] = diag
-        return fc, extras
-    return _nodf_forecasts(tensor, spec, split, failures), extras
+        fc, extras["diagonal_smape"] = _df_forecasts(tensor, spec, split, W, H, failures)
+    else:
+        fc = _nodf_forecasts(tensor, spec, split, failures)
+    # As smape raises on it, a non-finite forecast fails its item.
+    for i in np.flatnonzero(~np.isfinite(fc).all(axis=1)).tolist():
+        failures.setdefault(i, _failure_message(HierfcstError(_NONFINITE)))
+    fc[list(failures)] = np.nan
+    return fc, extras
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +367,6 @@ def backtest(tensor: PreorderTensor, specs, split: BacktestSplit | None = None,
             failures.append((name, tensor.items[i], failed[i]))
         ok = np.ones(n, dtype=bool)
         ok[list(failed)] = False
-        if not np.all(np.isfinite(fc[ok])):
-            raise HierfcstError(_NONFINITE)
         scores[s, ok] = smape_rows(fc[ok], actual[ok])
         forecasts.update(((name, tensor.items[i]), fc[i]) for i in np.flatnonzero(ok))
 

@@ -22,12 +22,16 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solveh_banded
+from scipy.linalg import get_lapack_funcs
 
 from .errors import DensityError, DomainError, HierfcstError, IllConditionedError
 from .models.spec import default_hyperparams
 
 DEFAULT_DENSITY_FLOOR = 0.25
+
+# LAPACK's banded Cholesky solve, called directly: the system is built here
+# and checked for finite entries before every solve.
+_pbsv, = get_lapack_funcs(("pbsv",), dtype=np.float64)
 
 
 def _ini(key):
@@ -102,101 +106,151 @@ def ar_residuals(Z, phi) -> np.ndarray:
     return Z[p:] - acc
 
 
-def objective(Y, mask, Z, F, phi, lam_f, lam_z, lam_ar) -> float:
-    """Full regularized objective; the quantity factorize drives down."""
-    m = int(mask.sum())
-    resid = (Y - Z @ F)[mask]
-    value = 0.5 * float(resid @ resid) / m
-    value += 0.5 * lam_f * float(np.sum(F ** 2))
-    value += 0.5 * lam_z * float(np.sum(Z ** 2))
+@dataclass
+class _Data:
+    """What every sweep shares of the data term, fixed by (Y, mask, m)."""
+
+    m: int
+    Wm: np.ndarray     # (T, n) mask / m
+    WYm: np.ndarray    # (T, n) mask * Y / m
+    obs: np.ndarray    # flat indices of the observed entries
+    Y_obs: np.ndarray  # Y at obs
+
+
+def _data_terms(Y, mask, m) -> _Data:
+    obs = np.flatnonzero(mask)
+    return _Data(m, mask / m, np.where(mask, Y, 0.0) / m, obs, Y.ravel()[obs])
+
+
+@dataclass
+class _Band:
+    """Where each term of the factor system goes in its upper band, stored
+    in LAPACK layout ab[u + r - c, c] = A[r, c] for r <= c, with u = p*d.
+    Fixed by (T, d, p)."""
+
+    shape: tuple
+    rows: np.ndarray     # upper triangle of a d x d period block ...
+    cols: np.ndarray
+    data_at: np.ndarray  # ... and its flat band positions, (T, d(d+1)/2)
+    ar_at: np.ndarray    # flat band positions of the AR products c[l] c[l - k] ...
+    ar_l: np.ndarray     # ... and where c[l] and c[l - k] sit in the flat
+    ar_lk: np.ndarray    # (d, p + 1) coefficient array c = [1, -phi]
+
+
+def _band_map(T, d, p) -> _Band:
+    """The AR term lam_ar D_j'D_j of factor j couples (t, j) with (t + k, j):
+    row s (s = p..T-1) of D_j carries c[l] at column s - l, so
+    (D_j'D_j)[a, a + k] sums c[l] c[l - k] over the l with p <= a + l <= T - 1.
+    The products are listed pair by pair, l ascending within each k, so a
+    bincount adds every band entry's products in the order of that sum."""
+    u, N = p * d, T * d
+    rows, cols = np.triu_indices(d)
+    data_at = (u + rows - cols) * N + cols + d * np.arange(T)[:, None]
+    k, l = np.triu_indices(p + 1)
+    t = np.arange(T)
+    pair, a = np.nonzero((t >= p - l[:, None]) & (t <= T - 1 - l[:, None]))
+    k, l, j = k[pair, None], l[pair, None], np.arange(d)
+    ar_at = (u - k * d) * N + (a[:, None] + k) * d + j
+    ar_l = j * (p + 1) + l
+    return _Band((u + 1, N), rows, cols, data_at,
+                 ar_at.ravel(), ar_l.ravel(), (ar_l - k).ravel())
+
+
+def _solve_min_norm(A, b):
+    """Solve the stack A x = b of square systems; when one is singular, the
+    whole stack takes the minimum-norm answer with lstsq's default cutoff."""
+    try:
+        return np.linalg.solve(A, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        rcond = A.shape[-1] * np.finfo(float).eps
+        return (np.linalg.pinv(A, rcond=rcond) @ b[..., None])[..., 0]
+
+
+def _objective(data, Z, F, phi, lam_f, lam_z, lam_ar) -> float:
+    resid = data.Y_obs - np.take(Z @ F, data.obs)
+    value = 0.5 * float(resid @ resid) / data.m
+    value += 0.5 * lam_f * float((F ** 2).sum())
+    value += 0.5 * lam_z * float((Z ** 2).sum())
     if lam_ar > 0:
-        value += 0.5 * lam_ar * float(np.sum(ar_residuals(Z, phi) ** 2))
+        value += 0.5 * lam_ar * float((ar_residuals(Z, phi) ** 2).sum())
     return value
 
 
-def _f_step(Y, mask, Z, lam_f, m):
-    """Ridge loadings for every item at once: one stacked d x d solve.
+def objective(Y, mask, Z, F, phi, lam_f, lam_z, lam_ar) -> float:
+    """Full regularized objective; the quantity factorize drives down."""
+    data = _data_terms(np.asarray(Y, dtype=float), mask, int(mask.sum()))
+    return _objective(data, Z, F, phi, lam_f, lam_z, lam_ar)
+
+
+def _f_block(data, Z, lam_f):
+    """Ridge loadings for every item at once: one product for the stack of
+    item Gram matrices, one stacked d x d solve.
 
     An item with no observed rows has b = 0 and so F = 0.  When an item
     system is singular (lam_f = 0 with fewer observed rows than the rank,
     or none) the stack falls back to minimum-norm least squares.
     """
-    d = Z.shape[1]
-    W = mask.astype(float)
-    G = np.einsum("ti,tjk->ijk", W, Z[:, :, None] * Z[:, None, :]) / m
+    T, d = Z.shape
+    G = (data.Wm.T @ (Z[:, :, None] * Z[:, None, :]).reshape(T, d * d)).reshape(-1, d, d)
     G += lam_f * np.eye(d)
-    b = (W * Y).T @ Z / m
-    try:
-        F = np.linalg.solve(G, b[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        # lstsq's default cutoff, for the whole stack at once
-        pinv = np.linalg.pinv(G, rcond=d * np.finfo(float).eps)
-        F = (pinv @ b[:, :, None])[:, :, 0]
-    return F.T
+    return _solve_min_norm(G, data.WYm.T @ Z).T
 
 
-def _z_step(Y, mask, F, phi, lam_z, lam_ar, m):
+def _f_step(Y, mask, Z, lam_f, m):
+    """The loading update on its own, with this call's data terms."""
+    return _f_block(_data_terms(Y, mask, m), Z, lam_f)
+
+
+def _z_block(data, band, F, phi, lam_z, lam_ar):
     """All of Z from one banded positive-definite solve.
 
     The unknowns are stacked period-major (index t*d + j).  The data term is
-    block diagonal with blocks G_t = F diag(mask_t) F' / m; the AR term
-    lam_ar D_j'D_j of factor j couples (t, j) with (t + k, j) for k <= p, so
-    it sits on the band rows at offsets k*d.  ab holds the upper band in
-    solveh_banded layout: ab[u + r - c, c] = A[r, c] for r <= c.
+    block diagonal with blocks G_t = F diag(mask_t) F' / m, and the AR term
+    sits on the band rows at offsets k*d (see _band_map).
     """
-    T = Y.shape[0]
-    d = F.shape[0]
-    p = phi.shape[1]
-    u = p * d  # half bandwidth of the stacked (t, j) system
-    ab = np.zeros((u + 1, T * d))
-
-    W = mask.astype(float)
-    G = np.einsum("ti,jki->tjk", W, F[:, None, :] * F[None, :, :]) / m
-    rhs = ((W * Y) @ F.T / m).ravel()
-    rows, cols = np.triu_indices(d)
-    ab[(u + rows - cols)[:, None], cols[:, None] + d * np.arange(T)] = \
-        G[:, rows, cols].T
+    u = band.shape[0] - 1
+    ab = np.zeros(band.shape)
+    ab.ravel()[band.data_at] = data.Wm @ (F.take(band.rows, 0) * F.take(band.cols, 0)).T
     ab[u] += lam_z
-
     if lam_ar > 0:
-        # Row s (s = p..T-1) of D_j carries c[l] at column s - l, so
-        # (D_j'D_j)[a, a + k] sums c[l] c[l - k] over the l with
-        # p <= a + l <= T - 1.
-        c = np.hstack([np.ones((d, 1)), -phi])
-        for k in range(p + 1):
-            band = np.zeros((T - k, d))
-            for l in range(k, p + 1):
-                band[max(0, p - l):T - l] += c[:, l] * c[:, l - k]
-            ab[u - k * d, k * d:] += lam_ar * band.ravel()
+        c = np.concatenate((np.ones((len(phi), 1)), -phi), axis=1).ravel()
+        ab += lam_ar * np.bincount(band.ar_at, c[band.ar_l] * c[band.ar_lk],
+                                   minlength=ab.size).reshape(band.shape)
+    rhs = (data.WYm @ F.T).ravel()
 
-    if not (np.all(np.isfinite(ab)) and np.all(np.isfinite(rhs))):
+    if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
         raise IllConditionedError(
             "factor update system is not finite: the data or the loadings "
             "overflow; rescale Y or use the log1p transform")
-    try:
-        z = solveh_banded(ab, rhs, lower=False)
-    except np.linalg.LinAlgError:
+    _, z, info = _pbsv(ab, rhs)
+    if info > 0:
         jitter = 1e-10 * (1.0 + np.abs(ab[u]).max())
         warnings.warn("factor system near-singular; adding jitter "
                       "(consider lam_z > 0)", RuntimeWarning, stacklevel=2)
-        ab_j = ab.copy()
-        ab_j[u] += jitter
-        try:
-            z = solveh_banded(ab_j, rhs, lower=False)
-        except np.linalg.LinAlgError:
+        ab[u] += jitter
+        _, z, info = _pbsv(ab, rhs)
+        if info > 0:
             raise IllConditionedError(
-                "factor update system singular; set lam_z > 0") from None
-    return z.reshape(T, d)
+                "factor update system singular; set lam_z > 0")
+    return z.reshape(-1, F.shape[0])
+
+
+def _z_step(Y, mask, F, phi, lam_z, lam_ar, m):
+    """The factor update on its own, with this call's data terms and band."""
+    return _z_block(_data_terms(Y, mask, m), _band_map(Y.shape[0], *phi.shape),
+                    F, phi, lam_z, lam_ar)
 
 
 def _phi_step(Z, p):
+    """AR(p) least squares of every factor at once.  Row s of the lag matrix
+    holds Z_s .. Z_{s+p}; one product of it gives every factor's Gram matrix
+    of its windows [Z_{t-p} .. Z_{t-1}, Z_t], and one stacked p x p solve
+    answers their normal equations.  A singular factor system (a factor
+    that is zero) gives the stack lstsq's minimum-norm answer."""
     T, d = Z.shape
-    phi = np.zeros((d, p))
-    for j in range(d):
-        design = np.column_stack([Z[p - i:T - i, j] for i in range(1, p + 1)])
-        target = Z[p:, j]
-        phi[j], *_ = np.linalg.lstsq(design, target, rcond=None)
-    return phi
+    lags = Z.ravel()[d * np.arange(T - p)[:, None] + np.arange((p + 1) * d)]
+    G = (lags.T @ lags).reshape(p + 1, d, p + 1, d).diagonal(axis1=1, axis2=3)
+    return _solve_min_norm(G[:p, :p].transpose(2, 0, 1), G[:p, p].T)[:, ::-1]
 
 
 def factorize(Y, mask=None, cfg: TrmfConfig | None = None, init=None) -> FactorModel:
@@ -249,13 +303,16 @@ def factorize(Y, mask=None, cfg: TrmfConfig | None = None, init=None) -> FactorM
         F = rng.uniform(-scale, scale, size=(d, n))
         phi = np.zeros((d, p))
 
-    history = [objective(Y, mask, Z, F, phi, cfg.lam_f, cfg.lam_z, cfg.lam_ar)]
+    data = _data_terms(Y, mask, m)
+    band = _band_map(T, d, p)
+    lams = (cfg.lam_f, cfg.lam_z, cfg.lam_ar)
+    history = [_objective(data, Z, F, phi, *lams)]
     converged = False
     for _ in range(cfg.max_sweeps):
-        F = _f_step(Y, mask, Z, cfg.lam_f, m)
-        Z = _z_step(Y, mask, F, phi, cfg.lam_z, cfg.lam_ar, m)
+        F = _f_block(data, Z, cfg.lam_f)
+        Z = _z_block(data, band, F, phi, cfg.lam_z, cfg.lam_ar)
         phi = _phi_step(Z, p)
-        value = objective(Y, mask, Z, F, phi, cfg.lam_f, cfg.lam_z, cfg.lam_ar)
+        value = _objective(data, Z, F, phi, *lams)
         history.append(value)
         prev = history[-2]
         if prev - value < cfg.tol * (abs(prev) + 1e-12):
@@ -281,10 +338,14 @@ def forecast(model: FactorModel, horizon: int) -> np.ndarray:
     Returns the raw horizon x n matrix without clipping; quantity semantics
     (clipping at zero) belong to the reporting layer.
     """
-    if not all(is_stationary(phi_j) for phi_j in model.phi):
-        warnings.warn("non-stationary AR coefficients; dynamic forecasts may "
-                      "diverge", RuntimeWarning, stacklevel=2)
+    _warn_if_non_stationary(model.phi)
     return forecast_factors(model, horizon) @ model.F
+
+
+def _warn_if_non_stationary(phi):
+    if not all(is_stationary(phi_j) for phi_j in phi):
+        warnings.warn("non-stationary AR coefficients; dynamic forecasts may "
+                      "diverge", RuntimeWarning, stacklevel=3)
 
 
 def one_step_forecast(model: FactorModel) -> np.ndarray:
@@ -318,8 +379,10 @@ def rolling_refit(Y_initial, stream, cfg: TrmfConfig | None = None,
         row = np.asarray(row, dtype=float).reshape(-1)
         if row.shape[0] != Y.shape[1]:
             raise HierfcstError("streamed row width does not match Y")
-        forecasts.append(one_step_forecast(model))
+        # The one-step forecast and the new row's warm start share one roll.
+        _warn_if_non_stationary(model.phi)
         z_next = forecast_factors(model, 1)
+        forecasts.append((z_next @ model.F)[0])
         Y = np.vstack([Y, row[None, :]])
         Z0 = np.vstack([model.Z, z_next])
         if window is not None and Y.shape[0] > window:

@@ -6,7 +6,9 @@ eigendecompositions with the plain largest-magnitude sign rule, Newton
 steps instead of IRLS, lasso by cyclic coordinate descent on the raw
 columns instead of active-set steps on the centred Gram matrix, central
 finite differences for gradients, per-cell, per-column or dense
-assemblies where the library gathers, stacks or bands, regression
+assemblies where the library gathers, stacks or bands, TRMF sweeps with
+an einsum, scipy's solveh_banded and per-factor lstsq where the library
+scatters into a band it hands to LAPACK and solves stacks, regression
 trees grown node by node, depth first, with a per-candidate split loop
 where the library grows every tree of a fit level by level, a backtest
 run item by item (own transform, features, fit, lstsq and SMAPE per item)
@@ -19,7 +21,7 @@ by column where the library computes each preimage's block on its own.
 import csv
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, solveh_banded
 
 from hierfcst import trmf
 from hierfcst.dataset import CSV_HEADER, DEFAULT_MAX_LEAD, PreorderTensor
@@ -224,6 +226,93 @@ def z_step_dense(Y, mask, F, phi, lam_z, lam_ar, m):
         idx = np.arange(T) * d + j
         A[np.ix_(idx, idx)] += lam_ar * D.T @ D
     return np.linalg.solve(A, rhs).reshape(T, d)
+
+
+def _trmf_objective_reference(Y, mask, Z, F, phi, lam_f, lam_z, lam_ar):
+    m = int(mask.sum())
+    resid = (Y - Z @ F)[mask]
+    value = 0.5 * float(resid @ resid) / m
+    value += 0.5 * lam_f * float(np.sum(F ** 2))
+    value += 0.5 * lam_z * float(np.sum(Z ** 2))
+    if lam_ar > 0:
+        value += 0.5 * lam_ar * float(np.sum(trmf.ar_residuals(Z, phi) ** 2))
+    return value
+
+
+def _f_step_einsum(Y, mask, Z, lam_f, m):
+    d = Z.shape[1]
+    W = mask.astype(float)
+    G = np.einsum("ti,tjk->ijk", W, Z[:, :, None] * Z[:, None, :]) / m
+    G += lam_f * np.eye(d)
+    b = (W * Y).T @ Z / m
+    try:
+        F = np.linalg.solve(G, b[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        pinv = np.linalg.pinv(G, rcond=d * np.finfo(float).eps)
+        F = (pinv @ b[:, :, None])[:, :, 0]
+    return F.T
+
+
+def _z_step_banded(Y, mask, F, phi, lam_z, lam_ar, m):
+    T, d, p = Y.shape[0], F.shape[0], phi.shape[1]
+    u = p * d
+    ab = np.zeros((u + 1, T * d))
+    W = mask.astype(float)
+    G = np.einsum("ti,jki->tjk", W, F[:, None, :] * F[None, :, :]) / m
+    rhs = ((W * Y) @ F.T / m).ravel()
+    rows, cols = np.triu_indices(d)
+    ab[(u + rows - cols)[:, None], cols[:, None] + d * np.arange(T)] = G[:, rows, cols].T
+    ab[u] += lam_z
+    if lam_ar > 0:
+        c = np.hstack([np.ones((d, 1)), -phi])
+        for k in range(p + 1):
+            band = np.zeros((T - k, d))
+            for l in range(k, p + 1):
+                band[max(0, p - l):T - l] += c[:, l] * c[:, l - k]
+            ab[u - k * d, k * d:] += lam_ar * band.ravel()
+    return solveh_banded(ab, rhs, lower=False).reshape(T, d)
+
+
+def _phi_step_lstsq(Z, p):
+    T, d = Z.shape
+    phi = np.zeros((d, p))
+    for j in range(d):
+        design = np.column_stack([Z[p - i:T - i, j] for i in range(1, p + 1)])
+        phi[j] = np.linalg.lstsq(design, Z[p:, j], rcond=None)[0]
+    return phi
+
+
+def factorize_reference(Y, mask, cfg, init=None):
+    """TRMF alternating minimization block by block: the loadings by an
+    einsum over the mask and one stacked solve, the factors by scipy's
+    solveh_banded on a band filled lag by lag, the AR coefficients by one
+    lstsq per factor, and the full objective after every sweep.  Y holds
+    no NaN; the stopping rule and the random start are factorize's."""
+    T, n = Y.shape
+    d, p = cfg.rank, cfg.ar_order
+    m = int(mask.sum())
+    if init is not None:
+        Z, F, phi = (np.array(a, dtype=float) for a in init)
+    else:
+        rng = np.random.default_rng(cfg.seed)
+        scale = 0.5 / np.sqrt(d)
+        Z = rng.uniform(-scale, scale, size=(T, d))
+        F = rng.uniform(-scale, scale, size=(d, n))
+        phi = np.zeros((d, p))
+    lams = (cfg.lam_f, cfg.lam_z, cfg.lam_ar)
+    history = [_trmf_objective_reference(Y, mask, Z, F, phi, *lams)]
+    converged = False
+    for _ in range(cfg.max_sweeps):
+        F = _f_step_einsum(Y, mask, Z, cfg.lam_f, m)
+        Z = _z_step_banded(Y, mask, F, phi, cfg.lam_z, cfg.lam_ar, m)
+        phi = _phi_step_lstsq(Z, p)
+        history.append(_trmf_objective_reference(Y, mask, Z, F, phi, *lams))
+        if history[-2] - history[-1] < cfg.tol * (abs(history[-2]) + 1e-12):
+            converged = True
+            break
+    return trmf.FactorModel(Z=Z, F=F, phi=phi, lam_f=cfg.lam_f, lam_z=cfg.lam_z,
+                            lam_ar=cfg.lam_ar, mask=mask, objective_history=history,
+                            converged=converged)
 
 
 class RecursiveTree:
@@ -616,8 +705,9 @@ def trmf_forecasts_reference(tensor, spec, split):
 
 def backtest_reference(tensor, specs, split):
     """The backtest item by item: per-item forecasts, one SMAPE per (spec,
-    item), a dict argmin and per-spec aggregates.  Returns (leaderboard CSV,
-    failures, forecasts)."""
+    item), a dict argmin and per-spec aggregates; an item whose forecasts
+    are not all finite fails.  Returns (leaderboard CSV, failures,
+    forecasts)."""
     H = min(tensor.n_leads, DEFAULT_MAX_LEAD)
     actual = {item: tensor.values[i, list(split.test_range), 0]
               for i, item in enumerate(tensor.items)}
@@ -636,6 +726,8 @@ def backtest_reference(tensor, specs, split):
             failed = dict.fromkeys(range(tensor.n_items), f"{type(exc).__name__}: {exc}")
         scores[spec.name] = {}
         for i, item in enumerate(tensor.items):
+            if i not in failed and not np.all(np.isfinite(fc[i])):
+                failed[i] = "HierfcstError: smape requires finite inputs"
             if i in failed:
                 failures.append((spec.name, item, failed[i]))
                 continue

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hierfcst import dataset as ds
+from hierfcst import trmf
 from hierfcst.errors import HierfcstError
 from hierfcst.evaluate import (BacktestSplit, backtest, best_forecast_report,
                                forecast_matrix, lag1_mimicry, smape, smape_rows)
@@ -461,3 +462,44 @@ class TestNoFeedingMatchesPerItem:
                 ref, failures = nodf_forecasts_reference(tensor, spec, BacktestSplit(37, 8))
                 assert extras["failures"] == failures
                 assert bits(fc) == bits(ref)
+
+
+class TestNonFiniteForecastsFailTheirItem:
+    """A forecast row that is not all finite fails its item alone, with
+    smape's message, in every family; the spec's other items are scored."""
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("start, value, specs", [
+        (41, 1e308, [ModelSpec("kernel", feeding="df_one_by_one", label="k")]),
+        (42, 1.7e308, [ModelSpec("ridge", feeding="df_one_by_one", label="r1"),
+                       ModelSpec("ridge", feeding="df_all_items", label="ra"),
+                       ModelSpec("arx", label="a"),
+                       ModelSpec("arx", {"exog": "preorders"}, label="ax")]),
+    ])
+    def test_overflowing_test_periods(self, start, value, specs):
+        tensor = ds.synthesize(3, 4, 45, 4)
+        tensor.values[2, start:] = value
+        assert_matches_reference(tensor, specs, BacktestSplit(37, 8))
+        board = backtest(tensor, specs, BacktestSplit(37, 8))
+        assert board.failures == [(spec.name, tensor.items[2],
+                                   "HierfcstError: smape requires finite inputs")
+                                  for spec in specs]
+        for spec in specs:
+            assert sorted(board.scores[spec.name]) == [tensor.items[i] for i in (0, 1, 3)]
+
+    def test_non_finite_trmf_row(self, monkeypatch):
+        rolling_refit = trmf.rolling_refit
+
+        def overflowing(*args, **kwargs):
+            rows = rolling_refit(*args, **kwargs)
+            rows[3][2] = np.inf
+            return rows
+
+        monkeypatch.setattr(trmf, "rolling_refit", overflowing)
+        tensor = ds.synthesize(3, 4, 45, 4)
+        spec = ModelSpec("trmf", {"max_sweeps": 5}, label="t")
+        board = backtest(tensor, [spec], BacktestSplit(37, 8))
+        assert board.failures == [("t", tensor.items[2],
+                                   "HierfcstError: smape requires finite inputs")]
+        assert sorted(board.scores["t"]) == [tensor.items[i] for i in (0, 1, 3)]

@@ -2,15 +2,18 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hierfcst.errors import DensityError, DomainError, HierfcstError, IllConditionedError
 from hierfcst.models import default_hyperparams
 from hierfcst.trmf import (FactorModel, TrmfConfig, ar_residuals, factorize,
-                           forecast, is_stationary, objective, one_step_forecast,
-                           rolling_refit)
+                           forecast, forecast_factors, is_stationary, objective,
+                           one_step_forecast, rolling_refit)
 from hierfcst.trmf import _f_step, _phi_step, _z_step
 
-from oracles import f_step_columns, gradient_descent, numeric_grad, z_step_dense
+from oracles import (f_step_columns, factorize_reference, gradient_descent, numeric_grad,
+                     z_step_dense)
 
 
 def random_instance(rng, T=14, n=6, density=0.6):
@@ -412,3 +415,137 @@ def test_sweep_that_goes_non_finite_raises_ill_conditioned():
     Y[:, 2] = 10.0 ** rng.uniform(290, 308, size=45)
     with pytest.raises(IllConditionedError, match="not finite"):
         factorize(Y)
+
+
+@st.composite
+def sweep_cases(draw):
+    """Y, mask, config and warm start for comparing factorize with the
+    reference sweep: ranks 1-4 and AR orders 1-3, with cases for no AR
+    term, lam_f = 0 with a column never observed, masks near the density
+    floor, warm starts and an all-zero Y (whose zero factors make every
+    phi system singular, so phi is lstsq's minimum-norm 0).
+
+    Every factor has at least 2p + 4 AR windows, as normal equations lose
+    twice the digits lstsq loses to a lag matrix's condition.  At lam_f = 0
+    more periods and columns than the rank are observed, and a sparse mask
+    observes every period once: with fewer, the problem is degenerate (at
+    lam_f = 0 the loadings grow as the factors shrink; factor rows that are
+    exactly zero are a fixed point that rounding decides to leave or not),
+    and two correct sweeps part by more than rounding."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    case = draw(st.sampled_from(["plain", "no_ar", "lam_f_zero", "sparse", "warm", "zero"]))
+    d, p = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    lam_f_zero = case == "lam_f_zero"
+    T = draw(st.integers(max(3 * p + 4, d + 3 if lam_f_zero else 0), 24))
+    n = draw(st.integers(d + 2 if lam_f_zero else 2, 10))
+    Y = rng.normal(scale=3.0, size=(T, n))
+    mask = rng.uniform(size=(T, n)) < rng.uniform(0.5, 1.0)
+    lam_f, lam_z, lam_ar = 10.0 ** rng.uniform(-3, 0, size=3)
+    init = None
+    if case == "no_ar":
+        lam_ar = 0.0
+    elif lam_f_zero:
+        lam_f = 0.0
+        mask[:] = True
+        mask[:, 0] = False
+    elif case == "sparse":
+        mask = rng.uniform(size=(T, n)) < rng.uniform(0.2, 0.3)
+        mask[np.arange(T), rng.integers(n, size=T)] = True
+    elif case == "warm":
+        init = (rng.normal(size=(T, d)), rng.normal(size=(d, n)),
+                rng.normal(scale=0.3, size=(d, p)))
+    elif case == "zero":
+        Y[:] = 0.0
+    # tol = -1 never stops early, so both runs take every sweep.
+    cfg = TrmfConfig(rank=d, ar_order=p, lam_f=lam_f, lam_z=lam_z, lam_ar=lam_ar,
+                     max_sweeps=draw(st.integers(1, 12)), tol=-1.0,
+                     seed=draw(st.integers(0, 1000)), allow_low_density=True)
+    return Y, mask, cfg, init
+
+
+def assert_close(actual, expected, scale, what):
+    """Within 1e-8 of scale everywhere."""
+    assert np.max(np.abs(actual - expected), initial=0.0) <= 1e-8 * scale, what
+
+
+class TestSweepMatchesReference:
+    @settings(max_examples=60, deadline=None)
+    @given(sweep_cases())
+    @pytest.mark.filterwarnings("ignore:observed density:RuntimeWarning",
+                                "ignore:non-stationary:RuntimeWarning")
+    def test_factorize_matches_reference_sweep(self, case):
+        Y, mask, cfg, init = case
+        model = factorize(Y, mask, cfg, init=init)
+        ref = factorize_reference(Y, mask, cfg, init=init)
+        np.testing.assert_allclose(model.objective_history, ref.objective_history,
+                                   rtol=1e-9, atol=0.0)
+        for name in ("Z", "F"):
+            expected = getattr(ref, name)
+            assert_close(getattr(model, name), expected, np.abs(expected).max(), name)
+        # AR coefficients are ratios, so their scale is at least 1, and a
+        # forecast's is at least the fit's: a phi or a forecast made from
+        # factor entries that are rounding noise is itself noise.
+        assert_close(model.phi, ref.phi, max(1.0, np.abs(ref.phi).max()), "phi")
+        expected = forecast(ref, 3)
+        assert_close(forecast(model, 3), expected,
+                     max(np.abs(expected).max(), np.abs(ref.reconstruction()).max()),
+                     "forecast")
+
+    def test_all_zero_data_gives_zero_phi(self):
+        Y = np.zeros((10, 3))
+        cfg = TrmfConfig(rank=2, ar_order=2, lam_f=0.1, lam_z=0.1, lam_ar=0.1,
+                         max_sweeps=3, tol=-1.0)
+        m = factorize(Y, np.ones_like(Y, bool), cfg)
+        np.testing.assert_array_equal(m.phi, 0.0)
+        np.testing.assert_array_equal(m.Z, 0.0)
+
+
+class TestJitter:
+    def setup_method(self):
+        rng = np.random.default_rng(30)
+        self.Y = rng.normal(size=(8, 5))
+        self.mask = np.ones((8, 5), bool)
+        self.mask[3] = False  # no observation in period 3: its block is 0
+        self.m = int(self.mask.sum())
+        self.F = rng.normal(size=(2, 5))
+        self.phi = np.zeros((2, 1))
+
+    def test_singular_system_is_solved_with_jitter(self):
+        with pytest.warns(RuntimeWarning, match="factor system near-singular"):
+            Z = _z_step(self.Y, self.mask, self.F, self.phi, 0.0, 0.0, self.m)
+        np.testing.assert_array_equal(Z[3], 0.0)
+        # Without lam_z and lam_ar each other period is its own least squares.
+        for t in (0, 1, 2, 4, 5, 6, 7):
+            z_t = np.linalg.solve(self.F @ self.F.T, self.F @ self.Y[t])
+            np.testing.assert_allclose(Z[t], z_t, rtol=1e-6)
+
+    def test_system_jitter_cannot_fix_raises(self):
+        # lam_z < 0 (which TrmfConfig rejects) makes the system indefinite.
+        with pytest.warns(RuntimeWarning, match="factor system near-singular"), \
+                pytest.raises(IllConditionedError, match="set lam_z > 0"):
+            _z_step(self.Y, self.mask, self.F, self.phi, -1.0, 0.0, self.m)
+
+
+class TestRollingRefitForecasts:
+    def test_forecasts_are_one_step_forecasts_of_each_refit(self):
+        rng = np.random.default_rng(31)
+        Y = rng.normal(size=(16, 5))
+        cfg = TrmfConfig(rank=2, ar_order=2, max_sweeps=20)
+        got = rolling_refit(Y[:12], list(Y[12:]), cfg)
+        model = factorize(Y[:12], cfg=cfg)
+        for k, t in enumerate(range(12, 16)):
+            assert bits(got[k]) == bits(one_step_forecast(model))
+            Z0 = np.vstack([model.Z, forecast_factors(model, 1)])
+            model = factorize(Y[:t + 1], cfg=cfg, init=(Z0, model.F, model.phi))
+
+    def test_non_stationary_fit_warns_once_per_row(self):
+        Y = 1.2 ** np.arange(14.0)[:, None] * np.array([1.0, 2.0, 3.0])
+        cfg = TrmfConfig(rank=1, ar_order=1, lam_f=1e-6, lam_z=1e-6, lam_ar=1e-3,
+                         max_sweeps=50)
+        with pytest.warns(RuntimeWarning, match="non-stationary") as caught:
+            rolling_refit(Y[:11], list(Y[11:]), cfg)
+        assert sum("non-stationary" in str(w.message) for w in caught) == 3
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=float).tobytes()
