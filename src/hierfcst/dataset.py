@@ -14,8 +14,8 @@ import operator
 import os
 import zipfile
 import zlib
-from dataclasses import dataclass, field
-from itertools import chain, compress
+from dataclasses import dataclass
+from itertools import chain, compress, islice
 
 import numpy as np
 
@@ -28,6 +28,10 @@ CSV_HEADER = ("item_id", "delivery_period", "lead_time", "quantity")
 DEFAULT_MAX_LEAD = 4
 
 CACHE_VERSION = 1
+
+# Records that load_csv splits, converts and checks at a time: a block's
+# field strings are the parse's only per-record Python objects.
+_BLOCK_LINES = 32768
 
 
 @dataclass(frozen=True)
@@ -62,7 +66,6 @@ class PreorderTensor:
     items: list[str]
     values: np.ndarray        # (n_items, T, H)
     observed_mask: np.ndarray  # same shape, bool
-    _index: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -73,7 +76,6 @@ class PreorderTensor:
             raise HierfcstError(f"expected (n_items, T, H) cube, got {self.values.shape}")
         if np.any(self.values < 0) or not np.all(np.isfinite(self.values)):
             raise DomainError("quantities must be finite and >= 0")
-        self._index = {item: i for i, item in enumerate(self.items)}
 
     @property
     def n_items(self) -> int:
@@ -86,12 +88,6 @@ class PreorderTensor:
     @property
     def n_leads(self) -> int:
         return self.values.shape[2]
-
-    def item_index(self, item_id: str) -> int:
-        try:
-            return self._index[item_id]
-        except KeyError:
-            raise KeyError(f"unknown item_id {item_id!r}") from None
 
     def gross_series(self, item: int) -> np.ndarray:
         """Total demand series q^0 for one item (the primary target)."""
@@ -116,46 +112,86 @@ def is_known_at(tensor: PreorderTensor, item: int, t: int, h: int, now: int) -> 
     return t - h <= now
 
 
-def _records(text):
-    """Split CSV text as csv.reader does: the header's fields, then the line
-    number, field count and fields (one flat list) of every later record.
+def _block_ends(raw, start):
+    """Offsets in raw just past its _BLOCK_LINES-th, (2 * _BLOCK_LINES)-th,
+    ... b"\\n" from start on.  raw is scanned _BLOCK_LINES bytes at a time,
+    so the search holds no array of the whole file, and a window holds at
+    most one block end (every line takes at least one byte)."""
+    step = need = _BLOCK_LINES      # need: line ends left to the next block end
+    for a in range(start, raw.size, step):
+        ends = np.flatnonzero(raw[a:a + step] == ord("\n"))
+        if ends.size >= need:
+            yield a + 1 + int(ends[need - 1])
+        need = (need - ends.size - 1) % step + 1
 
-    Text without quotes or NULs holds one record per physical line (ended
-    by \n, \r or \r\n): its fields come from one str.split, and each
-    line's field count from the commas between its line ends.  Other text
-    goes through csv.reader.  A reader error is returned, not raised, so
-    that errors in the records before it are reported first.
-    """
-    if not text:
-        raise ParseError("empty file", line_number=1)
-    if '"' not in text and "\0" not in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
+
+def _line_blocks(data, start):
+    """The records of data[start:], text with one record per line ended by
+    b"\\n", in blocks of _BLOCK_LINES lines: (line numbers, field counts,
+    fields as one flat list) per block.  data[start:] starts at line 2."""
+    raw = np.frombuffer(data, dtype=np.uint8)
+    line = 2
+    for stop in chain(_block_ends(raw, start), [len(data)]):
+        if stop == start:               # the file ends with the last block
+            break
+        piece = raw[start:stop]
         # ',' and '\n' are single bytes in UTF-8, so bytes count them.
-        raw = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
-        ends = np.flatnonzero(raw == ord("\n"))
-        commas = np.flatnonzero(raw == ord(","))
-        del raw
+        ends = np.flatnonzero(piece == ord("\n"))
+        commas = np.flatnonzero(piece == ord(","))
         counts = np.diff(np.searchsorted(commas, ends), prepend=0, append=commas.size) + 1
+        text = data[start:stop].decode("utf-8")
         flat = text.replace("\n", ",").split(",")
         if text.endswith("\n"):
             counts = counts[:-1]        # the terminator of the last line
             flat.pop()
-        header = flat[:counts[0]]
-        del flat[:counts[0]]
-        return header, np.arange(2, counts.size + 1), counts[1:], flat, None
-    reader = csv.reader(io.StringIO(text, newline=""))
-    rows, line_no, error = [], [], None
-    try:
-        for row in reader:
-            rows.append(row)
-            line_no.append(reader.line_num)
-    except csv.Error as exc:
-        error = exc
-    if not rows:
-        raise error
-    counts = np.array([len(row) for row in rows[1:]], dtype=int)
-    return (rows[0], np.array(line_no[1:], dtype=int), counts,
-            list(chain.from_iterable(rows[1:])), error)
+        yield np.arange(line, line + counts.size), counts, flat
+        line += counts.size
+        start = stop
+
+
+def _reader_blocks(reader):
+    """The records csv.reader yields, in blocks of _BLOCK_LINES as
+    _line_blocks gives them.  A reader error is raised after the block of
+    the records before it."""
+    while True:
+        rows, line_no, error = [], [], None
+        try:
+            for row in islice(reader, _BLOCK_LINES):
+                rows.append(row)
+                line_no.append(reader.line_num)
+        except csv.Error as exc:
+            error = exc
+        if rows:
+            yield (np.array(line_no), np.array([len(row) for row in rows], dtype=int),
+                   list(chain.from_iterable(rows)))
+        if error is not None:
+            raise error
+        if len(rows) < _BLOCK_LINES:
+            return
+
+
+def _records(path):
+    """The header's fields of the CSV file at path and an iterator over its
+    later records in blocks, split as csv.reader splits them.
+
+    Text without quotes or NULs holds one record per physical line (ended
+    by \\n, \\r or \\r\\n), split by _line_blocks; other text goes through
+    csv.reader.  The file is read as bytes, and invalid UTF-8 fails here,
+    as reading it as text would."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data:
+        raise ParseError("empty file", line_number=1)
+    if not data.isascii():
+        data.decode("utf-8")        # raises on invalid UTF-8
+    if b'"' in data or b"\0" in data:
+        reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
+        return next(reader, []), _reader_blocks(reader)
+    data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    cut = data.find(b"\n")
+    if cut < 0:
+        return data.decode("utf-8").split(","), iter(())
+    return data[:cut].decode("utf-8").split(","), _line_blocks(data, cut + 1)
 
 
 def _column(col, dtype, convert):
@@ -175,6 +211,65 @@ def _column(col, dtype, convert):
     return out, bad
 
 
+def _check_block(line_no, counts, flat, index, max_lead):
+    """One block of records (as _records gives them), checked: the kept
+    records as arrays (item codes, t, h, q, line numbers), and (line, error)
+    of the first record that fails each check.  Names of kept items that
+    index lacks get the next codes in it.  max_lead None keeps every lead."""
+    blank = counts == 0
+    single = np.flatnonzero(counts == 1)
+    starts = np.cumsum(counts) - counts
+    blank[single] = [not flat[k].strip() for k in starts[single].tolist()]
+    good = counts == 4
+    errors = []
+    wrong = np.flatnonzero(~good & ~blank)
+    if wrong.size:
+        line = int(line_no[wrong[0]])
+        errors.append((line, ParseError(f"expected 4 fields, got {counts[wrong[0]]}",
+                                        line_number=line)))
+    if not good.all():
+        flat = list(compress(flat, np.repeat(good, counts).tolist()))
+    lines = line_no[good]
+    item = list(map(str.strip, flat[0::4]))
+    t, t_bad = _column(flat[1::4], np.int64, int)
+    h, h_bad = _column(flat[2::4], np.int64, int)
+    q, q_bad = _column(flat[3::4], float, float)
+
+    def flagged(bad):
+        mask = np.zeros(len(lines), dtype=bool)
+        mask[list(bad)] = True
+        return mask
+
+    # Every check a record goes through, in order: (failing records, error).
+    checks = [
+        (np.fromiter(map(operator.not_, item), bool, len(item)),
+         lambda k, line: ParseError("empty item_id", line_number=line)),
+        (flagged(t_bad), lambda k, line: ParseError(t_bad[k], line_number=line)),
+        (flagged(h_bad), lambda k, line: ParseError(h_bad[k], line_number=line)),
+        (flagged(q_bad), lambda k, line: ParseError(q_bad[k], line_number=line)),
+        (t < 0, lambda k, line: ParseError(f"delivery_period must be >= 0, got {t[k]}",
+                                           line_number=line)),
+        (h < 0, lambda k, line: ParseError(f"lead_time must be >= 0, got {h[k]}",
+                                           line_number=line)),
+        (~np.isfinite(q) | (q < 0), lambda k, line: DomainError(
+            f"line {line}: quantity must be finite and >= 0, got {q[k]}")),
+    ]
+    for mask, make in checks:
+        if mask.any():
+            k = int(np.argmax(mask))
+            errors.append((int(lines[k]), make(k, int(lines[k]))))
+    kept = ~np.logical_or.reduce([mask for mask, _ in checks])
+    if max_lead is not None:
+        kept &= h < max_lead
+    names = list(compress(item, kept.tolist()))
+    for name in set(names).difference(index):
+        # A copy: a parsed field kept alive would hold its block's
+        # allocator arena in memory.
+        index[name.encode().decode()] = len(index)
+    codes = np.fromiter(map(index.__getitem__, names), int, len(names))
+    return (codes, t[kept], h[kept], q[kept], lines[kept]), errors
+
+
 def load_csv(path, missing_as_zero: bool = True, max_lead: int = DEFAULT_MAX_LEAD,
              periods: int | None = None, leads: int | None = None) -> PreorderTensor:
     """Load a pre-order CSV into a dense tensor.
@@ -190,84 +285,56 @@ def load_csv(path, missing_as_zero: bool = True, max_lead: int = DEFAULT_MAX_LEA
     combination inside the grid is an error, which is useful as a
     completeness check on export pipelines.
 
-    The records are parsed column by column (one split, numpy conversions,
-    one sort of encoded keys for duplicates).  The first malformed record
-    in file order raises its ParseError, DomainError or DuplicateKeyError
-    with its line number; a period or lead beyond int64 is a ParseError.
+    The records are parsed block by block, _BLOCK_LINES at a time: each
+    block is split, converted column by column and checked, and only its
+    kept records' item codes, periods, leads, quantities and line numbers
+    outlive it.  So beyond the file's bytes, memory holds one block's
+    fields plus about 40 bytes per record.  Repeated keys are found by one
+    sort of encoded keys at the end.  The first malformed record in file
+    order raises its ParseError, DomainError or DuplicateKeyError with its
+    line number; a period or lead beyond int64 is a ParseError.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        header, line_no, counts, flat, reader_error = _records(fh.read())
+    header, blocks = _records(path)
     if [c.strip() for c in header] != list(CSV_HEADER):
         raise ParseError(
             f"expected header {','.join(CSV_HEADER)!r}, got {','.join(header)!r}",
             line_number=1)
 
-    starts = np.cumsum(counts) - counts
-    blank = counts == 0
-    single = np.flatnonzero(counts == 1)
-    blank[single] = [not flat[k].strip() for k in starts[single].tolist()]
-    good = counts == 4
-    if good.all():
-        cols = [flat[c::4] for c in range(4)]
-    else:
-        fields = np.array(flat, dtype=object)
-        cols = [fields[starts[good] + c].tolist() for c in range(4)]
-    lines = line_no[good]
-    item = list(map(str.strip, cols[0]))
-    t, t_bad = _column(cols[1], np.int64, int)
-    h, h_bad = _column(cols[2], np.int64, int)
-    q, q_bad = _column(cols[3], float, float)
+    index = {}      # item name -> code, in order of first appearance
+    cap = max_lead if leads is None else None
+    # Item codes, t, h, q and line numbers of the kept records, by block.
+    columns = [[np.zeros(0, dtype)] for dtype in (int, np.int64, np.int64, float, int)]
+    errors, reader_error = [], None
+    try:
+        for block in blocks:
+            arrays, errors = _check_block(*block, index, cap)
+            for column, array in zip(columns, arrays):
+                column.append(array)
+            if errors:
+                break       # a later record cannot fail first
+    except csv.Error as exc:
+        reader_error = exc
+    del blocks      # and with it the file's bytes
+    for k, column in enumerate(columns):
+        columns[k] = np.concatenate(column)
+    codes, t, h, q, lines = columns
+    names = sorted(index)
+    rank = dict(zip(names, range(len(names))))
+    codes = np.array([rank[name] for name in index], dtype=int)[codes]
 
-    def flagged(bad):
-        mask = np.zeros(len(lines), dtype=bool)
-        mask[list(bad)] = True
-        return mask
-
-    def at(k):
-        return int(lines[k])
-
-    # Every check a record goes through, in order: (failing records, error).
-    checks = [
-        (np.fromiter(map(operator.not_, item), bool, len(item)),
-         lambda k: ParseError("empty item_id", line_number=at(k))),
-        (flagged(t_bad), lambda k: ParseError(t_bad[k], line_number=at(k))),
-        (flagged(h_bad), lambda k: ParseError(h_bad[k], line_number=at(k))),
-        (flagged(q_bad), lambda k: ParseError(q_bad[k], line_number=at(k))),
-        (t < 0, lambda k: ParseError(f"delivery_period must be >= 0, got {t[k]}",
-                                     line_number=at(k))),
-        (h < 0, lambda k: ParseError(f"lead_time must be >= 0, got {h[k]}",
-                                     line_number=at(k))),
-        (~np.isfinite(q) | (q < 0), lambda k: DomainError(
-            f"line {at(k)}: quantity must be finite and >= 0, got {q[k]}")),
-    ]
-    kept = ~np.logical_or.reduce([mask for mask, _ in checks])
-    kept &= (h < max_lead) | (leads is not None)
-    # Copies: every parsed field dies with this call, and one kept alive
-    # would hold its whole allocator arena in memory.
-    names = [name.encode().decode() for name in sorted(set(compress(item, kept)))]
-    codes = np.fromiter(map(dict(zip(names, range(len(names)))).__getitem__,
-                            compress(item, kept)), int, int(kept.sum()))
-    T = 1 + int(t[kept].max(initial=-1))
-    H = 1 + int(h[kept].max(initial=-1))
+    T = 1 + int(t.max(initial=-1))
+    H = 1 + int(h.max(initial=-1))
     fits = len(names) * T * H < 2 ** 63     # else no tensor could hold the cells
     if fits:
         # A repeated (item, period, lead) key fails on its second record.
-        _, firsts = np.unique((codes * T + t[kept]) * H + h[kept], return_index=True)
+        _, firsts = np.unique((codes * T + t) * H + h, return_index=True)
         repeated = np.ones(codes.size, dtype=bool)
         repeated[firsts] = False
-        repeats = np.zeros(len(lines), dtype=bool)
-        repeats[np.flatnonzero(kept)[repeated]] = True
-        checks.append((repeats, lambda k: DuplicateKeyError(
-            f"line {at(k)}: duplicate record for item={item[k]!r}, "
-            f"delivery_period={t[k]}, lead_time={h[k]}")))
-
-    errors = [(at(int(np.argmax(mask))), make(int(np.argmax(mask))))
-              for mask, make in checks if mask.any()]
-    wrong = np.flatnonzero(~good & ~blank)
-    if wrong.size:
-        line = int(line_no[wrong[0]])
-        errors.insert(0, (line, ParseError(f"expected 4 fields, got {counts[wrong[0]]}",
-                                           line_number=line)))
+        if repeated.any():
+            k = int(np.argmax(repeated))
+            errors.append((int(lines[k]), DuplicateKeyError(
+                f"line {lines[k]}: duplicate record for item={names[codes[k]]!r}, "
+                f"delivery_period={t[k]}, lead_time={h[k]}")))
     if errors:
         # The first failing record; on one record, its first failed check.
         raise min(errors, key=lambda e: e[0])[1]
@@ -276,7 +343,7 @@ def load_csv(path, missing_as_zero: bool = True, max_lead: int = DEFAULT_MAX_LEA
     if not fits:
         raise HierfcstError(f"{len(names)} items x {T} periods x {H} leads "
                             "do not fit in one tensor")
-    if not kept.any():
+    if not codes.size:
         raise ParseError("no data rows", line_number=1)
 
     if periods is not None:
@@ -290,8 +357,8 @@ def load_csv(path, missing_as_zero: bool = True, max_lead: int = DEFAULT_MAX_LEA
 
     values = np.zeros((len(names), T, H))
     mask = np.zeros((len(names), T, H), dtype=bool)
-    values[codes, t[kept], h[kept]] = q[kept]
-    mask[codes, t[kept], h[kept]] = True
+    values[codes, t, h] = q
+    mask[codes, t, h] = True
 
     if not missing_as_zero and not mask.all():
         n_missing = int(mask.size - mask.sum())

@@ -261,8 +261,10 @@ def factorize(Y, mask=None, cfg: TrmfConfig | None = None, init=None) -> FactorM
     Raises DensityError when fewer than cfg.density_floor of the entries
     are observed, unless cfg.allow_low_density (then it warns), since the
     missing dynamics are not reliably recoverable below roughly a quarter
-    coverage.  Raises IllConditionedError when a sweep goes non-finite (the
-    data or the loadings overflow).
+    coverage.  Raises HierfcstError when lam_f is 0 and fewer items than
+    cfg.rank are observed, as the problem then has no unique answer.  Raises
+    IllConditionedError when a sweep goes non-finite (the data or the
+    loadings overflow).
     """
     cfg = cfg or TrmfConfig()
     Y = np.asarray(Y, dtype=float)
@@ -291,6 +293,12 @@ def factorize(Y, mask=None, cfg: TrmfConfig | None = None, init=None) -> FactorM
         if not cfg.allow_low_density:
             raise DensityError(message + "; set allow_low_density to override")
         warnings.warn(message + "; proceeding anyway", RuntimeWarning, stacklevel=2)
+    observed = int(np.count_nonzero(mask.any(axis=0)))
+    if cfg.lam_f == 0 and observed < d:
+        # Then the problem has no unique answer: sweeps that differ only in
+        # rounding end far apart.
+        raise HierfcstError(f"lam_f = 0 needs at least rank = {d} observed items, "
+                            f"got {observed}")
 
     if init is not None:
         Z, F, phi = (np.array(a, dtype=float, copy=True) for a in init)

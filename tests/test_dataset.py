@@ -1,8 +1,10 @@
 import csv
 import io
 import os
+import tracemalloc
 import zipfile
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -340,8 +342,54 @@ class TestLoadCsvMatchesRowReader:
         assert got == _outcome(load_csv_rows, path, {})
         assert got[2] == 382 or "line 382" in got[1]    # the header is line 1
 
+    @pytest.mark.parametrize("bad", [None, "quantity_not_float"])
+    def test_reader_error_after_earlier_records(self, tmp_path, bad):
+        # csv.reader fails on a field over its size limit, 30 records in; a
+        # bad record before it (line 12) is reported first.
+        rows = [f'"i{k % 7}",{k // 7},{k % 3},{k}.5' for k in range(40)]
+        rows.insert(30, '"' + "x" * (csv.field_size_limit() + 1) + '",1,0,2')
+        if bad is not None:
+            rows.insert(10, ",".join(BAD_RECORDS[bad]))
+        path = write_csv(tmp_path / "long.csv", rows)
+
+        def outcome(load):
+            try:
+                return _outcome(load, path, {})
+            except csv.Error as exc:
+                return type(exc), str(exc)
+
+        assert outcome(ds.load_csv) == outcome(load_csv_rows)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
         assert _outcome(ds.load_csv, str(path), {}) == \
             _outcome(load_csv_rows, str(path), {})
+
+
+class TestLoadCsvInSmallBlocks(TestLoadCsvMatchesRowReader):
+    """The same comparisons with load_csv's blocks (and its line-end search
+    windows) of 1, 2 and 7 lines, so that blank lines, CRLF ends, quoted
+    fields with newlines, bad records and repeated keys straddle block
+    ends."""
+
+    @pytest.fixture(autouse=True, scope="class", params=[1, 2, 7])
+    def block_lines(self, request):
+        with mock.patch.object(ds, "_BLOCK_LINES", request.param):
+            yield request.param
+
+
+def test_load_csv_memory_is_bounded_by_blocks(tmp_path):
+    """With small blocks the parse holds no per-record strings: its traced
+    peak stays within a few times the file's bytes (splitting the whole
+    file's fields at once takes about 11 times)."""
+    path = str(tmp_path / "catalog.csv")
+    ds.save_csv(ds.synthesize(0, 280, 45, 4, "anticipatory"), path)  # 50400 records
+    with mock.patch.object(ds, "_BLOCK_LINES", 1024):
+        tracemalloc.start()
+        try:
+            ds.load_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 6 * os.path.getsize(path)

@@ -90,6 +90,19 @@ class TestFactorize:
         with pytest.raises(HierfcstError):
             factorize(np.ones((2, 3)), cfg=TrmfConfig(rank=1, ar_order=2))
 
+    def test_lam_f_zero_with_fewer_observed_items_than_rank_rejected(self):
+        # Without the check, two correct sweeps of this problem that differ
+        # only in rounding end with loadings a factor 2e4 apart.
+        rng = np.random.default_rng(0)
+        Y = rng.normal(size=(14, 2))
+        mask = np.ones_like(Y, bool)
+        mask[:, 1] = False
+        cfg = TrmfConfig(rank=4, ar_order=3, lam_f=0.0, max_sweeps=9)
+        with pytest.raises(HierfcstError, match="rank = 4 observed items, got 1"):
+            factorize(Y, mask, cfg)
+        m = factorize(Y, mask, TrmfConfig(rank=1, ar_order=3, lam_f=0.0, max_sweeps=3))
+        assert np.all(np.isfinite(m.F))
+
     def test_parameter_count(self):
         rng = np.random.default_rng(5)
         Y, mask = random_instance(rng, T=16, n=7)
