@@ -10,12 +10,11 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
-import operator
 import os
 import zipfile
 import zlib
 from dataclasses import dataclass
-from itertools import chain, compress, islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -30,7 +29,7 @@ DEFAULT_MAX_LEAD = 4
 CACHE_VERSION = 1
 
 # Records that load_csv splits, converts and checks at a time: a block's
-# field strings are the parse's only per-record Python objects.
+# arrays are the parse's only per-record temporaries.
 _BLOCK_LINES = 32768
 
 
@@ -128,31 +127,32 @@ def _block_ends(raw, start):
 def _line_blocks(data, start):
     """The records of data[start:], text with one record per line ended by
     b"\\n", in blocks of _BLOCK_LINES lines: (line numbers, field counts,
-    fields as one flat list) per block.  data[start:] starts at line 2."""
+    the block's bytes, and the start and end offsets of its fields in
+    them) per block.  data[start:] starts at line 2."""
     raw = np.frombuffer(data, dtype=np.uint8)
     line = 2
     for stop in chain(_block_ends(raw, start), [len(data)]):
         if stop == start:               # the file ends with the last block
             break
-        piece = raw[start:stop]
-        # ',' and '\n' are single bytes in UTF-8, so bytes count them.
-        ends = np.flatnonzero(piece == ord("\n"))
-        commas = np.flatnonzero(piece == ord(","))
-        counts = np.diff(np.searchsorted(commas, ends), prepend=0, append=commas.size) + 1
-        text = data[start:stop].decode("utf-8")
-        flat = text.replace("\n", ",").split(",")
-        if text.endswith("\n"):
-            counts = counts[:-1]        # the terminator of the last line
-            flat.pop()
-        yield np.arange(line, line + counts.size), counts, flat
+        buf = raw[start:stop]
+        # ',' and '\n' are single bytes in UTF-8, so bytes find them.
+        ends = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
+        line_ends = np.flatnonzero(buf[ends] == ord("\n"))
+        counts = np.diff(line_ends, prepend=-1)
+        if buf[-1] != ord("\n"):       # the last line has no terminator
+            counts = np.append(counts, ends.size - (line_ends[-1] if line_ends.size else -1))
+            ends = np.append(ends, buf.size)
+        starts = np.concatenate(([0], ends[:-1] + 1))
+        yield np.arange(line, line + counts.size), counts, buf, starts, ends
         line += counts.size
         start = stop
 
 
 def _reader_blocks(reader):
     """The records csv.reader yields, in blocks of _BLOCK_LINES as
-    _line_blocks gives them.  A reader error is raised after the block of
-    the records before it."""
+    _line_blocks gives them, with the fields UTF-8 encoded one after the
+    other.  A reader error is raised after the block of the records
+    before it."""
     while True:
         rows, line_no, error = [], [], None
         try:
@@ -162,8 +162,11 @@ def _reader_blocks(reader):
         except csv.Error as exc:
             error = exc
         if rows:
+            fields = [field.encode() for field in chain.from_iterable(rows)]
+            lengths = np.fromiter(map(len, fields), int, len(fields))
+            ends = np.cumsum(lengths)
             yield (np.array(line_no), np.array([len(row) for row in rows], dtype=int),
-                   list(chain.from_iterable(rows)))
+                   np.frombuffer(b"".join(fields), dtype=np.uint8), ends - lengths, ends)
         if error is not None:
             raise error
         if len(rows) < _BLOCK_LINES:
@@ -194,32 +197,140 @@ def _records(path):
     return data[:cut].decode("utf-8").split(","), _line_blocks(data, cut + 1)
 
 
-def _column(col, dtype, convert):
-    """col as a dtype array, and {position: message} of the entries that
-    convert rejects or that overflow dtype (those are 0 in the array)."""
-    try:
-        return np.array(col, dtype=dtype), {}
-    except (ValueError, OverflowError):
-        pass
-    out = np.zeros(len(col), dtype=dtype)
+# A field is read from the _WIDTH bytes up to its end, as three
+# little-endian words: a block's bytes are padded with _WIDTH zeros in front
+# (and one behind, so that even an empty last field has a first byte).
+_WIDTH = 24
+_BYTES = 0x0101010101010101         # a byte value times this is in every byte
+# _MASKS[n] keeps the last n bytes of a window.
+_MASKS = ((np.arange(_WIDTH) >= _WIDTH - np.arange(_WIDTH + 1)[:, None])
+          .astype(np.uint8) * np.uint8(255)).view(f"V{_WIDTH}").ravel()
+_TENS = np.uint64(10) ** np.arange(20, dtype=np.uint64)
+# long double division is correctly rounded to a significand of at least 64
+# bits: x87 extended (63 stored bits) or IEEE quad (112).  A double-double
+# long double (105) is not, nor is one that is float64.
+_LONG_QUOTIENT = np.finfo(np.longdouble).nmant in (63, 112)
+_POWERS = _TENS[:19].astype(np.longdouble)
+
+
+def _padded(buf):
+    out = np.zeros(_WIDTH + buf.size + 1, dtype=np.uint8)
+    out[_WIDTH:-1] = buf
+    return out
+
+
+def _text(buf, start, end):
+    return buf[start:end].tobytes().decode("utf-8")
+
+
+def _field_words(buf, starts, ends):
+    """The _WIDTH bytes of buf up to each end as (n, 3) little-endian words,
+    with the bytes before the field zeroed; and the mask that zeroed them."""
+    windows = np.ndarray((buf.size - _WIDTH + 1,), f"V{_WIDTH}", buf, strides=(1,))
+    words = windows[ends - _WIDTH].view("<u8").reshape(-1, 3)
+    mask = _MASKS[np.minimum(ends - starts, _WIDTH)].view("<u8").reshape(-1, 3)
+    words &= mask
+    return words, mask
+
+
+def _digits(buf, starts, ends):
+    """The number each field buf[start:end] spells if it is at most _WIDTH
+    ASCII digits (uint64; exact up to 19 digits), and which fields are."""
+    lengths = ends - starts
+    words, mask = _field_words(buf, starts, ends)
+    words ^= mask & 0x30 * _BYTES
+    # A byte is now a digit iff it is at most 9: adding 0x76 to its low
+    # seven bits sets the high bit of the others.
+    high = (((words & 0x7F * _BYTES) + 0x76 * _BYTES) | words) & 0x80 * _BYTES
+    digits = (lengths <= _WIDTH) & ((high[:, 0] | high[:, 1] | high[:, 2]) == 0)
+    # Eight digits a word: pairs, then fours, then the eight (Lemire 2021).
+    words = (words * 2561) >> 8
+    words = ((words & 0x00FF00FF00FF00FF) * 6553601) >> 16
+    words = ((words & 0x0000FFFF0000FFFF) * 42949672960001) >> 32
+    return (words[:, 0] * 10 ** 8 + words[:, 1]) * 10 ** 8 + words[:, 2], digits
+
+
+def _integers(buf, starts, ends):
+    """Fields of 1-18 ASCII digits as int64, and which fields those are."""
+    value, digits = _digits(buf, starts, ends)
+    lengths = ends - starts
+    return value.astype(np.int64), digits & (lengths >= 1) & (lengths <= 18)
+
+
+def _quantities(buf, starts, ends):
+    """Fields digits[.digits] of at most 19 bytes as float64, and which
+    fields those are.
+
+    Such a field is m / 10**k with m < 10**19 < 2**64, so the long double
+    quotient is m / 10**k correctly rounded to a 64-bit significand.  Its
+    float64 cast then equals float(field), the correctly rounded value,
+    unless the quotient is a float64 midpoint, where the second rounding
+    may go the wrong way; those fields are left out."""
+    if not _LONG_QUOTIENT:
+        return np.zeros(ends.size), np.zeros(ends.size, dtype=bool)
+    dots = np.append(np.flatnonzero(buf == ord(".")), [buf.size, buf.size])
+    first = np.searchsorted(dots, starts)       # each field's first '.', if any
+    point = np.minimum(dots[first], ends)
+    count = (point < ends).astype(int) + (dots[first + 1] < ends)      # 2: two or more
+    after = np.minimum(point + 1, ends)
+    whole, whole_digits = _digits(buf, starts, point)
+    part, part_digits = _digits(buf, after, ends)
+    scale = np.minimum(ends - after, 18)
+    lengths = ends - starts
+    exact = (whole_digits & part_digits & (count <= 1) & (lengths > count)
+             & (lengths <= 19))
+    quotient = (whole * _TENS[scale] + part).astype(np.longdouble) / _POWERS[scale]
+    values = quotient.astype(float)
+    # Only the float64 neighbour on the quotient's side can bound a
+    # midpoint equal to it.
+    toward = np.where(quotient > values, np.inf, -np.inf)
+    exact &= quotient != (values + np.nextafter(values, toward).astype(np.longdouble)) / 2
+    return values, exact
+
+
+def _column(buf, starts, ends, convert):
+    """The fields buf[starts[k]:ends[k]] converted by convert (int or float)
+    to an int64 or float64 array, and {position: message} of the fields
+    that convert rejects or that overflow int64 (those are 0 in the
+    array).  buf is padded as _padded pads it.  The fields of plain digits
+    are converted as arrays; the others go through convert one by one."""
+    values, exact = (_integers if convert is int else _quantities)(buf, starts, ends)
+    values[~exact] = 0
     bad = {}
-    for k, text in enumerate(col):
+    for k in np.flatnonzero(~exact).tolist():
         try:
-            out[k] = convert(text)
+            values[k] = convert(_text(buf, starts[k], ends[k]))
         except (ValueError, OverflowError) as exc:
             bad[k] = str(exc)
-    return out, bad
+    return values, bad
 
 
-def _check_block(line_no, counts, flat, index, max_lead):
+def _visible(byte):
+    return (byte > ord(" ")) & (byte < 127)
+
+
+def _same_as_previous(buf, starts, ends):
+    """For each field after the first: whether its bytes equal those of the
+    field before it.  Fields over _WIDTH bytes never do."""
+    lengths = ends - starts
+    words, _ = _field_words(buf, starts, ends)
+    differ = words[1:] ^ words[:-1]
+    return (((differ[:, 0] | differ[:, 1] | differ[:, 2]) == 0)
+            & (lengths[1:] == lengths[:-1]) & (lengths[1:] <= _WIDTH))
+
+
+def _check_block(line_no, counts, buf, starts, ends, index, max_lead):
     """One block of records (as _records gives them), checked: the kept
     records as arrays (item codes, t, h, q, line numbers), and (line, error)
     of the first record that fails each check.  Names of kept items that
     index lacks get the next codes in it.  max_lead None keeps every lead."""
+    buf = _padded(buf)
+    starts, ends = starts + _WIDTH, ends + _WIDTH
     blank = counts == 0
     single = np.flatnonzero(counts == 1)
-    starts = np.cumsum(counts) - counts
-    blank[single] = [not flat[k].strip() for k in starts[single].tolist()]
+    first = np.cumsum(counts) - counts
+    blank[single] = [not _text(buf, starts[k], ends[k]).strip()
+                     for k in first[single].tolist()]
     good = counts == 4
     errors = []
     wrong = np.flatnonzero(~good & ~blank)
@@ -227,13 +338,17 @@ def _check_block(line_no, counts, flat, index, max_lead):
         line = int(line_no[wrong[0]])
         errors.append((line, ParseError(f"expected 4 fields, got {counts[wrong[0]]}",
                                         line_number=line)))
-    if not good.all():
-        flat = list(compress(flat, np.repeat(good, counts).tolist()))
     lines = line_no[good]
-    item = list(map(str.strip, flat[0::4]))
-    t, t_bad = _column(flat[1::4], np.int64, int)
-    h, h_bad = _column(flat[2::4], np.int64, int)
-    q, q_bad = _column(flat[3::4], float, float)
+    first = first[good]
+    fields = [(starts[first + c], ends[first + c]) for c in range(4)]
+    # An item whose first and last bytes are visible ASCII is its own
+    # stripped name; others are stripped here.
+    s, e = fields[0]
+    plain = (e > s) & _visible(buf[s]) & _visible(buf[e - 1])
+    stripped = {k: _text(buf, s[k], e[k]).strip() for k in np.flatnonzero(~plain).tolist()}
+    t, t_bad = _column(buf, *fields[1], int)
+    h, h_bad = _column(buf, *fields[2], int)
+    q, q_bad = _column(buf, *fields[3], float)
 
     def flagged(bad):
         mask = np.zeros(len(lines), dtype=bool)
@@ -242,7 +357,7 @@ def _check_block(line_no, counts, flat, index, max_lead):
 
     # Every check a record goes through, in order: (failing records, error).
     checks = [
-        (np.fromiter(map(operator.not_, item), bool, len(item)),
+        (flagged(k for k, name in stripped.items() if not name),
          lambda k, line: ParseError("empty item_id", line_number=line)),
         (flagged(t_bad), lambda k, line: ParseError(t_bad[k], line_number=line)),
         (flagged(h_bad), lambda k, line: ParseError(h_bad[k], line_number=line)),
@@ -261,13 +376,17 @@ def _check_block(line_no, counts, flat, index, max_lead):
     kept = ~np.logical_or.reduce([mask for mask, _ in checks])
     if max_lead is not None:
         kept &= h < max_lead
-    names = list(compress(item, kept.tolist()))
-    for name in set(names).difference(index):
-        # A copy: a parsed field kept alive would hold its block's
-        # allocator arena in memory.
-        index[name.encode().decode()] = len(index)
-    codes = np.fromiter(map(index.__getitem__, names), int, len(names))
-    return (codes, t[kept], h[kept], q[kept], lines[kept]), errors
+    # A kept record whose plain item repeats the one before it takes its
+    # code; the others are named and coded through index.
+    kept = np.flatnonzero(kept)
+    named = np.ones(kept.size, dtype=bool)
+    named[1:] = ~(_same_as_previous(buf, s[kept], e[kept])
+                  & plain[kept[1:]] & plain[kept[:-1]])
+    names = [stripped[k] if k in stripped else _text(buf, s[k], e[k])
+             for k in kept[named].tolist()]
+    codes = np.fromiter((index.setdefault(name, len(index)) for name in names),
+                        int, len(names))
+    return (codes[np.cumsum(named) - 1], t[kept], h[kept], q[kept], lines[kept]), errors
 
 
 def load_csv(path, missing_as_zero: bool = True, max_lead: int = DEFAULT_MAX_LEAD,
@@ -286,10 +405,14 @@ def load_csv(path, missing_as_zero: bool = True, max_lead: int = DEFAULT_MAX_LEA
     completeness check on export pipelines.
 
     The records are parsed block by block, _BLOCK_LINES at a time: each
-    block is split, converted column by column and checked, and only its
-    kept records' item codes, periods, leads, quantities and line numbers
-    outlive it.  So beyond the file's bytes, memory holds one block's
-    fields plus about 40 bytes per record.  Repeated keys are found by one
+    block's fields are bounds in its bytes, converted column by column as
+    arrays (only fields that are not plain digits, or items that need a
+    strip, go through int(), float() or str.strip() one by one) and
+    checked, and only its kept records' item codes, periods, leads,
+    quantities and line numbers outlive it.  So beyond the file's bytes,
+    memory holds one block's arrays plus about 40 bytes per record.
+    Values and messages are those of int() and float() field by field.
+    Repeated keys are found by one
     sort of encoded keys at the end.  The first malformed record in file
     order raises its ParseError, DomainError or DuplicateKeyError with its
     line number; a period or lead beyond int64 is a ParseError.
@@ -314,7 +437,7 @@ def load_csv(path, missing_as_zero: bool = True, max_lead: int = DEFAULT_MAX_LEA
                 break       # a later record cannot fail first
     except csv.Error as exc:
         reader_error = exc
-    del blocks      # and with it the file's bytes
+    blocks = block = None       # and with them the file's bytes
     for k, column in enumerate(columns):
         columns[k] = np.concatenate(column)
     codes, t, h, q, lines = columns

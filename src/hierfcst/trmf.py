@@ -196,11 +196,6 @@ def _f_block(data, Z, lam_f):
     return _solve_min_norm(G, data.WYm.T @ Z).T
 
 
-def _f_step(Y, mask, Z, lam_f, m):
-    """The loading update on its own, with this call's data terms."""
-    return _f_block(_data_terms(Y, mask, m), Z, lam_f)
-
-
 def _z_block(data, band, F, phi, lam_z, lam_ar):
     """All of Z from one banded positive-definite solve.
 
@@ -233,12 +228,6 @@ def _z_block(data, band, F, phi, lam_z, lam_ar):
             raise IllConditionedError(
                 "factor update system singular; set lam_z > 0")
     return z.reshape(-1, F.shape[0])
-
-
-def _z_step(Y, mask, F, phi, lam_z, lam_ar, m):
-    """The factor update on its own, with this call's data terms and band."""
-    return _z_block(_data_terms(Y, mask, m), _band_map(Y.shape[0], *phi.shape),
-                    F, phi, lam_z, lam_ar)
 
 
 def _phi_step(Z, p):

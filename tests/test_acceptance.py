@@ -185,7 +185,7 @@ def test_trmf_objective_monotone_rank1_density_blocks_stationarity():
         phib = rng.normal(scale=0.3, size=(2, 1))
         lam_f, lam_z, lam_ar = 0.1, 0.1, 0.4
 
-        from hierfcst.trmf import _f_step, _phi_step, _z_step
+        from hierfcst.trmf import _band_map, _data_terms, _f_block, _phi_step, _z_block
 
         def f_obj(Fv):
             return objective(Yb, maskb, Zb, Fv.reshape(2, 4), phib,
@@ -193,7 +193,7 @@ def test_trmf_objective_monotone_rank1_density_blocks_stationarity():
 
         ref_F = gradient_descent(f_obj, lambda v: numeric_grad(f_obj, v.copy()),
                                  Fb.ravel().copy(), max_iter=4000)
-        np.testing.assert_allclose(_f_step(Yb, maskb, Zb, lam_f, mb).ravel(),
+        np.testing.assert_allclose(_f_block(_data_terms(Yb, maskb, mb), Zb, lam_f).ravel(),
                                    ref_F, atol=1e-6)
 
         def z_obj(Zv):
@@ -203,7 +203,8 @@ def test_trmf_objective_monotone_rank1_density_blocks_stationarity():
         ref_Z = gradient_descent(z_obj, lambda v: numeric_grad(z_obj, v.copy()),
                                  Zb.ravel().copy(), max_iter=4000)
         np.testing.assert_allclose(
-            _z_step(Yb, maskb, Fb, phib, lam_z, lam_ar, mb).ravel(),
+            _z_block(_data_terms(Yb, maskb, mb), _band_map(9, 2, 1), Fb, phib,
+                     lam_z, lam_ar).ravel(),
             ref_Z, atol=1e-6)
 
         def p_obj(pv):

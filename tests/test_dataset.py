@@ -271,7 +271,14 @@ BAD_RECORDS = {
     "inf_quantity": ["a", "1", "0", "inf"],
 }
 
-ITEMS = ["a", "b", "item 7", "c,d", 'e"f', "g\nh", " pad "]
+ITEMS = ["a", "b", "item 7", "c,d", 'e"f', "g\nh", " pad ",
+         "\tx", "x\x1f", "\u00a0y", "\u00e9"]
+
+# Quantity fields that repr(float) does not write, for the loader's
+# per-field route and the edges of its array route.
+ODD_QUANTITIES = ["1e-05", "5e-324", "1.7976931348623157e+308", "+2", "2_0",
+                  "\u0663", "123456789012345678901", "5.", ".5", "007.250",
+                  "9999999999999999999", "0.000000000000000001"]
 
 
 def _row_text(fields, quote):
@@ -285,8 +292,9 @@ def _row_text(fields, quote):
 @st.composite
 def csv_files(draw):
     """CSV text of random records, with blank lines, padded fields, quoted
-    fields, CRLF or LF line ends and, maybe, one bad record or a repeated
-    key in the second half of the file; plus load_csv keyword arguments."""
+    fields, odd quantities, CRLF, LF or CR line ends and, maybe, one bad
+    record or a repeated key in the second half of the file; plus load_csv
+    keyword arguments."""
     n = draw(st.integers(1, 25))
     rows = []
     for _ in range(n):
@@ -294,6 +302,8 @@ def csv_files(draw):
         t, h = draw(st.integers(0, 6)), draw(st.integers(0, 6))
         q = draw(st.floats(0, 1e6, allow_nan=False))
         fields = [item, str(t), str(h), repr(q)]
+        if draw(st.integers(0, 4)) == 0:
+            fields[3] = draw(st.sampled_from(ODD_QUANTITIES))
         if draw(st.booleans()):
             fields = [f" {f} " if "\n" not in f else f for f in fields]
         rows.append(fields)
@@ -308,7 +318,7 @@ def csv_files(draw):
         if draw(st.integers(0, 5)) == 0:
             lines.append(draw(st.sampled_from(["", "   ", "\t"])))
         lines.append(_row_text(fields, quote if draw(st.booleans()) else None))
-    end = draw(st.sampled_from(["\n", "\r\n"]))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     text = end.join(lines) + (end if draw(st.booleans()) else "")
     kwargs = draw(st.sampled_from([{}, {"max_lead": 2}, {"max_lead": 10},
                                    {"leads": 7}, {"leads": 3}, {"periods": 9}]))
@@ -393,3 +403,98 @@ def test_load_csv_memory_is_bounded_by_blocks(tmp_path):
         finally:
             tracemalloc.stop()
     assert peak < 6 * os.path.getsize(path)
+
+
+@pytest.mark.parametrize("block_lines", [ds._BLOCK_LINES, 1024])
+@pytest.mark.parametrize("long_quotient", [True, False])
+def test_catalog_loads_bit_identically(tmp_path, block_lines, long_quotient):
+    """A realistic catalog (repr quantities, sorted items) loads as the row
+    reader loads it, bit for bit, with and without the long double route."""
+    path = str(tmp_path / "catalog.csv")
+    ds.save_csv(ds.synthesize(0, 280, 45, 4, "anticipatory"), path)
+    with mock.patch.object(ds, "_BLOCK_LINES", block_lines), \
+            mock.patch.object(ds, "_LONG_QUOTIENT", long_quotient):
+        got = ds.load_csv(path)
+    want = load_csv_rows(path)
+    assert got.items == want.items
+    np.testing.assert_array_equal(got.values.view(np.int64), want.values.view(np.int64))
+    np.testing.assert_array_equal(got.observed_mask, want.observed_mask)
+
+
+def _fields(texts):
+    """texts as a padded block of UTF-8 bytes with the bounds of each."""
+    parts = [text.encode() for text in texts]
+    lengths = np.array([len(part) for part in parts], dtype=int)
+    ends = np.cumsum(lengths) + ds._WIDTH
+    return ds._padded(np.frombuffer(b"".join(parts), dtype=np.uint8)), ends - lengths, ends
+
+
+def _per_field(texts, convert, dtype):
+    """Each text through convert into a dtype array: its value bits, or the
+    message it fails with."""
+    out = []
+    for text in texts:
+        cell = np.zeros(1, dtype=dtype)
+        try:
+            cell[0] = convert(text)
+        except (ValueError, OverflowError) as exc:
+            out.append(str(exc))
+        else:
+            out.append(int(cell.view(np.int64)[0]))
+    return out
+
+
+def _converted(texts, convert, dtype):
+    values, bad = ds._column(*_fields(texts), convert)
+    return [bad[k] if k in bad else int(v) for k, v in enumerate(values.view(np.int64))]
+
+
+def _float_reprs():
+    bits = st.integers(0, 0x7FEFFFFFFFFFFFFF)   # every finite float64 >= 0
+    return st.one_of(bits.map(lambda b: repr(float(np.int64(b).view(np.float64)))),
+                     st.floats(0, 1e19).map(repr))
+
+
+def _decimals():
+    """1-25 digits with at most one point anywhere among them."""
+    return st.tuples(st.text("0123456789", min_size=1, max_size=25), st.integers(-1, 25)) \
+        .map(lambda dp: dp[0] if dp[1] < 0 else dp[0][:dp[1]] + "." + dp[0][dp[1]:])
+
+
+_FIELD_TEXT = st.one_of(st.sampled_from(["", ".", "..5", "1.2.3", " 7", "7 ", "-0", "+1",
+                                         "1_0", "1e3", "nan", "inf", "\u0663", "\u00e9",
+                                         "9" * 18, "9" * 19, "1" + "0" * 18,
+                                         "9223372036854775807", "9223372036854775808",
+                                         "99999999999999999999999"]),
+                        st.text(max_size=6))
+
+
+class TestFieldConverter:
+    """The array route of load_csv's numeric columns gives what int() and
+    float() give field by field: the same value bits or the same message."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(_float_reprs(), _decimals(), _FIELD_TEXT), max_size=40))
+    @pytest.mark.parametrize("long_quotient", [True, False])
+    def test_quantities_match_float(self, long_quotient, texts):
+        with mock.patch.object(ds, "_LONG_QUOTIENT", long_quotient):
+            assert _converted(texts, float, float) == _per_field(texts, float, float)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.integers(0, 2 ** 70).map(str), _decimals(), _FIELD_TEXT),
+                    max_size=40))
+    def test_periods_and_leads_match_int(self, texts):
+        assert _converted(texts, int, np.int64) == _per_field(texts, int, np.int64)
+
+    def test_midpoint_quotients_take_float(self):
+        # The long double quotients of the first two lie on a float64
+        # midpoint, and the second rounding would go the wrong way; that of
+        # 2**53 + 1 is a midpoint that float64 rounding gets right.
+        texts = ["5.376532436955062", "0.135959382530615", str(2 ** 53 + 1), "0.1"]
+        if ds._LONG_QUOTIENT:
+            twice = [float(np.longdouble(int(text.replace(".", "")))
+                           / np.longdouble(10 ** 15)) for text in texts[:2]]
+            assert twice != [float(text) for text in texts[:2]]
+        _, exact = ds._quantities(*_fields(texts))
+        assert exact.tolist() == [False, False, False, ds._LONG_QUOTIENT]
+        assert _converted(texts, float, float) == _per_field(texts, float, float)

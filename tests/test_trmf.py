@@ -10,7 +10,7 @@ from hierfcst.models import default_hyperparams
 from hierfcst.trmf import (FactorModel, TrmfConfig, ar_residuals, factorize,
                            forecast, forecast_factors, is_stationary, objective,
                            one_step_forecast, rolling_refit)
-from hierfcst.trmf import _f_step, _phi_step, _z_step
+from hierfcst.trmf import _band_map, _data_terms, _f_block, _phi_step, _z_block
 
 from oracles import (f_step_columns, factorize_reference, gradient_descent, numeric_grad,
                      z_step_dense)
@@ -147,7 +147,7 @@ class TestBlockOracles:
                                    rtol=1e-5, atol=1e-7)
 
     def test_f_step_matches_gradient_descent(self):
-        F_new = _f_step(self.Y, self.mask, self.Z, self.lams["lam_f"], self.m)
+        F_new = _f_block(_data_terms(self.Y, self.mask, self.m), self.Z, self.lams["lam_f"])
 
         def f(Fv):
             return self._objective(self.Z, Fv.reshape(2, 5), self.phi)
@@ -163,8 +163,8 @@ class TestBlockOracles:
         np.testing.assert_allclose(F_new.ravel(), ref, atol=1e-6)
 
     def test_z_step_matches_gradient_descent(self):
-        Z_new = _z_step(self.Y, self.mask, self.F, self.phi,
-                        self.lams["lam_z"], self.lams["lam_ar"], self.m)
+        Z_new = _z_block(_data_terms(self.Y, self.mask, self.m), _band_map(10, 2, 2),
+                         self.F, self.phi, self.lams["lam_z"], self.lams["lam_ar"])
         p = self.phi.shape[1]
 
         def f(Zv):
@@ -217,7 +217,7 @@ class TestStackedBlocks:
             Z = rng.normal(size=(T, d))
             lam_f = float(rng.choice([1e-4, 0.5]))
             m = int(mask.sum())
-            np.testing.assert_allclose(_f_step(Y, mask, Z, lam_f, m),
+            np.testing.assert_allclose(_f_block(_data_terms(Y, mask, m), Z, lam_f),
                                        f_step_columns(Y, mask, Z, lam_f, m),
                                        rtol=1e-10, atol=1e-12)
 
@@ -232,7 +232,7 @@ class TestStackedBlocks:
         mask[:, 0] = False
         mask[2:, 1] = False
         m = int(mask.sum())
-        F = _f_step(Y, mask, Z, 0.0, m)
+        F = _f_block(_data_terms(Y, mask, m), Z, 0.0)
         np.testing.assert_array_equal(F[:, 0], 0.0)
         np.testing.assert_allclose(F[:, 1], [Y[0, 1], Y[1, 1] / 2, 0.0],
                                    rtol=1e-12, atol=1e-12)
@@ -251,7 +251,8 @@ class TestStackedBlocks:
             lam_z = float(rng.choice([1e-3, 0.5]))
             lam_ar = float(rng.choice([0.0, 0.3]))
             m = max(int(mask.sum()), 1)
-            np.testing.assert_allclose(_z_step(Y, mask, F, phi, lam_z, lam_ar, m),
+            np.testing.assert_allclose(_z_block(_data_terms(Y, mask, m), _band_map(T, d, p),
+                                                F, phi, lam_z, lam_ar),
                                        z_step_dense(Y, mask, F, phi, lam_z, lam_ar, m),
                                        rtol=1e-8, atol=1e-10)
 
@@ -522,10 +523,12 @@ class TestJitter:
         self.m = int(self.mask.sum())
         self.F = rng.normal(size=(2, 5))
         self.phi = np.zeros((2, 1))
+        self.data = _data_terms(self.Y, self.mask, self.m)
+        self.band = _band_map(8, 2, 1)
 
     def test_singular_system_is_solved_with_jitter(self):
         with pytest.warns(RuntimeWarning, match="factor system near-singular"):
-            Z = _z_step(self.Y, self.mask, self.F, self.phi, 0.0, 0.0, self.m)
+            Z = _z_block(self.data, self.band, self.F, self.phi, 0.0, 0.0)
         np.testing.assert_array_equal(Z[3], 0.0)
         # Without lam_z and lam_ar each other period is its own least squares.
         for t in (0, 1, 2, 4, 5, 6, 7):
@@ -536,7 +539,7 @@ class TestJitter:
         # lam_z < 0 (which TrmfConfig rejects) makes the system indefinite.
         with pytest.warns(RuntimeWarning, match="factor system near-singular"), \
                 pytest.raises(IllConditionedError, match="set lam_z > 0"):
-            _z_step(self.Y, self.mask, self.F, self.phi, -1.0, 0.0, self.m)
+            _z_block(self.data, self.band, self.F, self.phi, -1.0, 0.0)
 
 
 class TestRollingRefitForecasts:
