@@ -45,6 +45,12 @@ SELECTOR_VERSION = 1
 PIPELINE_ARTIFACTS = ("leaderboard.csv", "graph.json", "graph.dot", "selector.bin",
                       "run_config.ini")
 
+# Defaults shared by the subcommands' flags and the pipeline's config keys.
+_SPLIT = ev.BacktestSplit()
+_SYNTH_ITEMS, _SYNTH_PERIODS, _SYNTH_REGIME = 20, 45, "smooth"
+_TRANSFORM_KIND = "none"
+_MIN_CLUSTER_FRAC = 0.05
+
 
 def stage_seed(master_seed: int, stage: str) -> int:
     """Deterministic per-stage expansion of the master seed."""
@@ -53,29 +59,52 @@ def stage_seed(master_seed: int, stage: str) -> int:
 
 
 def _atomic_write(path, text: str):
-    _atomic_write_bytes(path, text.encode("utf-8"))
-
-
-def _atomic_write_bytes(path, data: bytes):
     with ds._atomic_file(path) as fh:
-        fh.write(data)
+        fh.write(text.encode("utf-8"))
+
+
+def _write_versioned(path, version: int, **fields):
+    """Pickle {"format_version": version, **fields} atomically at path."""
+    with ds._atomic_file(path) as fh:
+        pickle.dump({"format_version": version, **fields}, fh)
+
+
+def _read_versioned(path, what: str, version: int) -> dict:
+    """The dict a _write_versioned file at path holds; an unreadable file or
+    one of another version raises HierfcstError naming the path."""
+    # The except clause lists what reading raises on a missing, truncated or
+    # foreign file, or on one that names classes the package no longer has.
+    try:
+        with open(path, "rb") as fh:
+            payload = pickle.load(fh)
+    except (OSError, EOFError, MemoryError, pickle.UnpicklingError,
+            AttributeError, ImportError, IndexError, KeyError, TypeError,
+            ValueError, OverflowError) as exc:
+        raise HierfcstError(f"cannot load {what} {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise HierfcstError(f"cannot load {what} {path}: not a dict")
+    if payload.get("format_version") != version:
+        raise HierfcstError(f"unsupported {what} version in {path}")
+    return payload
 
 
 def _mark_incomplete(out_dir, stage, message):
-    try:
+    with contextlib.suppress(OSError):
         os.makedirs(out_dir, exist_ok=True)
         _atomic_write(os.path.join(out_dir, "INCOMPLETE"),
                       f"stage={stage}\nerror={message}\n")
-    except OSError:
-        pass
 
 
 def write_run_config(path, stage: str, resolved: dict):
-    lines = [f"[{stage}]"]
-    lines.append(f"version = {__version__}")
-    for key in sorted(resolved):
-        lines.append(f"{key} = {resolved[key]}")
+    lines = [f"[{stage}]", f"version = {__version__}"]
+    lines += [f"{key} = {resolved[key]}" for key in sorted(resolved)]
     _atomic_write(path, "\n".join(lines) + "\n")
+
+
+def _spec_records(specs) -> dict:
+    """The run-record entries spec.<name>.<key> of every spec."""
+    return {f"spec.{spec.name}.{k}": v
+            for spec in specs for k, v in spec.resolved_config().items()}
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +112,11 @@ def write_run_config(path, stage: str, resolved: dict):
 # ---------------------------------------------------------------------------
 
 _SPEC_META_KEYS = ("family", "feeding", "transform", "label", "clip_negative")
+
+
+def _section(parser, name) -> dict:
+    """The keys of an INI section; an absent section has none."""
+    return dict(parser.items(name)) if parser.has_section(name) else {}
 
 
 def spec_from_mapping(name: str, mapping: dict) -> ModelSpec:
@@ -103,22 +137,77 @@ def load_specs(path) -> list:
     parser = configparser.ConfigParser()
     if not parser.read(path):
         raise HierfcstError(f"cannot read spec config {path}")
-    specs = []
-    for section in parser.sections():
-        specs.append(spec_from_mapping(section, dict(parser.items(section))))
+    specs = [spec_from_mapping(s, _section(parser, s)) for s in parser.sections()]
     if not specs:
         raise HierfcstError(f"no spec sections in {path}")
     return specs
 
 
 # ---------------------------------------------------------------------------
-# Stage implementations
+# Stage implementations, each run by its subcommand and by the pipeline
 # ---------------------------------------------------------------------------
 
+def _ingest(csv_path, output, strict=False, max_lead=ds.DEFAULT_MAX_LEAD):
+    tensor = ds.load_csv(csv_path, missing_as_zero=not strict, max_lead=max_lead)
+    ds.save_cache(tensor, output)
+    return tensor
+
+
+def _synth(output, seed, items, periods, leads, regime):
+    tensor = ds.synthesize(seed, items, periods, leads, regime)
+    ds.save_cache(tensor, output)
+    return tensor
+
+
+_KIND_ALIASES = {"none": "identity", "log": "log1p", "minmax": "minmax",
+                 "identity": "identity", "log1p": "log1p"}
+
+
+def _transform(tensor, name, window, leads, output):
+    kind = _KIND_ALIASES.get(name)
+    if kind is None:
+        raise HierfcstError(f"unknown transform kind {name!r}")
+    sset = build_training_set(tensor, "all", window, leads, transform=kind)
+    save_supervised(sset, output)
+    return sset
+
+
+def _select(tensor, board, train_periods, intervals, overlap, k, min_cluster_frac,
+            out, graph_path):
+    """Fit the TDA selector on the tensor's items labelled by their best
+    specs; write it to out and the Mapper graph to graph_path and its .dot.
+    An item that no spec scored has no label: it stops the stage."""
+    missing = [item for item in tensor.items if item not in board.best_model]
+    if missing:
+        raise HierfcstError(f"no spec scored items {missing}")
+    labels = [board.best_model[item] for item in tensor.items]
+    series = [tensor.gross_series(i)[:train_periods] for i in range(tensor.n_items)]
+    feats = extract_feature_matrix(series)
+    graph = tda.mapper(feats, n_intervals=intervals, overlap=overlap)
+    min_size = max(2, int(np.ceil(min_cluster_frac * tensor.n_items)))
+    tda.fiedler_partition(graph, min_size)
+    selector = tda.label_and_route(graph, feats, labels, k=k)
+    _write_versioned(out, SELECTOR_VERSION, selector=selector,
+                     train_periods=train_periods)
+    _atomic_write(graph_path, graph.to_json())
+    _atomic_write(os.path.splitext(graph_path)[0] + ".dot", graph.to_dot())
+    return selector
+
+
+def _report(board, item, out=None, out_dir=""):
+    """The item's best-forecast report, written to out or out_dir/report_<item>.csv."""
+    report = ev.best_forecast_report(board, item)
+    out = out or os.path.join(out_dir, f"report_{_safe_name(item)}.csv")
+    _atomic_write(out, report.to_csv())
+    return report, out
+
+
+def _safe_name(name: str) -> str:
+    return "".join(c if c.isalnum() or c in "-_" else "_" for c in name)
+
+
 def cmd_ingest(args):
-    tensor = ds.load_csv(args.input, missing_as_zero=not args.strict,
-                         max_lead=args.max_lead)
-    ds.save_cache(tensor, args.output)
+    tensor = _ingest(args.input, args.output, args.strict, args.max_lead)
     write_run_config(f"{args.output}.run.ini", "ingest", {
         "input": args.input, "output": args.output,
         "strict": args.strict, "max_lead": args.max_lead,
@@ -131,8 +220,7 @@ def cmd_ingest(args):
 
 def cmd_synth(args):
     seed = args.seed if args.seed is not None else stage_seed(args.master_seed, "synth")
-    tensor = ds.synthesize(seed, args.items, args.periods, args.leads, args.regime)
-    ds.save_cache(tensor, args.output)
+    _synth(args.output, seed, args.items, args.periods, args.leads, args.regime)
     write_run_config(f"{args.output}.run.ini", "synth", {
         "seed": seed, "items": args.items, "periods": args.periods,
         "leads": args.leads, "regime": args.regime, "output": args.output})
@@ -141,24 +229,11 @@ def cmd_synth(args):
     return 0
 
 
-_KIND_ALIASES = {"none": "identity", "log": "log1p", "minmax": "minmax",
-                 "identity": "identity", "log1p": "log1p"}
-
-
-def _transform_kind(name: str) -> str:
-    kind = _KIND_ALIASES.get(name)
-    if kind is None:
-        raise HierfcstError(f"unknown transform kind {name!r}")
-    return kind
-
-
 def cmd_transform(args):
     tensor = ds.load_cache(args.data)
-    kind = _transform_kind(args.kind)
-    sset = build_training_set(tensor, "all", args.window, args.leads, transform=kind)
-    save_supervised(sset, args.output)
+    sset = _transform(tensor, args.kind, args.window, args.leads, args.output)
     write_run_config(f"{args.output}.run.ini", "transform", {
-        "data": args.data, "kind": kind, "window": args.window,
+        "data": args.data, "kind": _KIND_ALIASES[args.kind], "window": args.window,
         "leads": args.leads, "output": args.output,
         "n_rows": sset.X.shape[0]})
     print(f"wrote supervised cache with {sset.X.shape[0]} rows -> {args.output}")
@@ -171,29 +246,28 @@ def cmd_train(args):
     split = ev.BacktestSplit(args.train_periods, args.test_periods)
     split.validate(tensor.n_periods)
     os.makedirs(args.out, exist_ok=True)
-    H = min(tensor.n_leads, ds.DEFAULT_MAX_LEAD)
+    H = ev.frame_leads(tensor)
     W = H + 1
+    anchors = range(split.train_periods - W + 1)
     n_models = 0
     for spec in specs:
         if spec.family in ("arx", "trmf") or spec.feeding == "none":
             # Series/matrix-route families are fitted inside backtest; the
             # store holds the matrix-interface models.
             continue
-        anchors = range(split.train_periods - W + 1)
+        sset = build_training_set(tensor, "all", W, H, transform=spec.transform,
+                                  fit_periods=split.train_range, anchors=anchors)
         if spec.feeding == "df_all_items":
-            sset = build_training_set(tensor, "all", W, H, transform=spec.transform,
-                                      fit_periods=split.train_range, anchors=anchors)
-            fitted = fit(spec, sset.X, sset.Y)
-            _store_model(args.out, spec, "ALL", fitted)
+            _store_model(args.out, spec, "ALL", fit(spec, sset.X, sset.Y))
             n_models += 1
-        else:
-            for i, item in enumerate(tensor.items):
-                sset = build_training_set(tensor, i, W, H, transform=spec.transform,
-                                          fit_periods=split.train_range,
-                                          anchors=anchors)
-                fitted = fit(spec, sset.X, sset.Y, transform=sset.transforms[i])
-                _store_model(args.out, spec, item, fitted)
-                n_models += 1
+            continue
+        # Rows run item-major: item i's own training set is block i.
+        rows = (tensor.n_items, len(anchors), -1)
+        X, Y = sset.X.reshape(rows), sset.Y.reshape(rows)
+        for i, item in enumerate(tensor.items):
+            _store_model(args.out, spec, item,
+                         fit(spec, X[i], Y[i], transform=sset.transforms[i]))
+            n_models += 1
     write_run_config(os.path.join(args.out, "run_config.ini"), "train", {
         "data": args.data, "spec": args.spec, "out": args.out,
         "train_periods": args.train_periods, "test_periods": args.test_periods,
@@ -202,28 +276,14 @@ def cmd_train(args):
     return 0
 
 
-def _safe_name(name: str) -> str:
-    return "".join(c if c.isalnum() or c in "-_" else "_" for c in name)
-
-
 def _store_model(out_dir, spec, item, fitted):
     path = os.path.join(out_dir, f"{_safe_name(spec.name)}__{_safe_name(str(item))}.pkl")
-    payload = {"format_version": MODEL_STORE_VERSION, "item": item,
-               "spec": spec.resolved_config(), "model": fitted}
-    _atomic_write_bytes(path, pickle.dumps(payload))
+    _write_versioned(path, MODEL_STORE_VERSION, item=item,
+                     spec=spec.resolved_config(), model=fitted)
 
 
 def load_stored_model(path):
-    with open(path, "rb") as fh:
-        try:
-            payload = pickle.load(fh)
-        except (AttributeError, ModuleNotFoundError) as exc:
-            # Classes the store names no longer exist: a store written by
-            # an older model format.
-            raise HierfcstError(f"cannot load model store {path}: {exc}") from exc
-    if payload.get("format_version") != MODEL_STORE_VERSION:
-        raise HierfcstError(f"unsupported model store version in {path}")
-    return payload
+    return _read_versioned(path, "model store", MODEL_STORE_VERSION)
 
 
 def cmd_trmf(args):
@@ -239,20 +299,14 @@ def cmd_trmf(args):
     fc = trmf_mod.forecast(model, args.horizon)
     os.makedirs(args.out_dir, exist_ok=True)
 
-    def matrix_csv(M, header):
-        lines = [",".join(header)]
-        for row in np.atleast_2d(M):
-            lines.append(",".join(f"{v:.12g}" for v in row))
-        return "\n".join(lines) + "\n"
-
-    _atomic_write(os.path.join(args.out_dir, "factors.csv"),
-                  matrix_csv(model.Z, [f"z{j}" for j in range(model.rank)]))
-    _atomic_write(os.path.join(args.out_dir, "loadings.csv"),
-                  matrix_csv(model.F, list(tensor.items)))
-    _atomic_write(os.path.join(args.out_dir, "ar_coefficients.csv"),
-                  matrix_csv(model.phi, [f"lag{i+1}" for i in range(model.ar_order)]))
-    _atomic_write(os.path.join(args.out_dir, "forecasts.csv"),
-                  matrix_csv(np.maximum(fc, 0.0), list(tensor.items)))
+    for name, M, header in (
+            ("factors", model.Z, [f"z{j}" for j in range(model.rank)]),
+            ("loadings", model.F, tensor.items),
+            ("ar_coefficients", model.phi, [f"lag{i+1}" for i in range(model.ar_order)]),
+            ("forecasts", np.maximum(fc, 0.0), tensor.items)):
+        rows = [",".join(f"{v:.12g}" for v in row) for row in np.atleast_2d(M)]
+        _atomic_write(os.path.join(args.out_dir, f"{name}.csv"),
+                      "\n".join([",".join(header)] + rows) + "\n")
     write_run_config(os.path.join(args.out_dir, "run_config.ini"), "trmf", {
         "data": args.data, "rank": args.rank, "ar_order": args.ar_order,
         "lambda_f": args.lambda_f, "lambda_z": args.lambda_z,
@@ -271,14 +325,10 @@ def cmd_backtest(args):
     split = ev.BacktestSplit(args.train_periods, args.test_periods)
     board = ev.backtest(tensor, specs, split)
     _atomic_write(args.out, board.to_csv())
-    resolved = {"data": args.data, "specs": args.specs,
-                "train_periods": args.train_periods,
-                "test_periods": args.test_periods, "out": args.out,
-                "n_failures": len(board.failures)}
-    for spec in specs:
-        for k, v in spec.resolved_config().items():
-            resolved[f"spec.{spec.name}.{k}"] = v
-    write_run_config(f"{args.out}.run.ini", "backtest", resolved)
+    write_run_config(f"{args.out}.run.ini", "backtest", {
+        "data": args.data, "specs": args.specs, "train_periods": args.train_periods,
+        "test_periods": args.test_periods, "out": args.out,
+        "n_failures": len(board.failures), **_spec_records(specs)})
     print(board.to_csv(), end="")
     if board.failures:
         print(f"{len(board.failures)} per-cell failures (excluded from argmin)",
@@ -291,52 +341,24 @@ def cmd_select(args):
     specs = load_specs(args.models)
     split = ev.BacktestSplit(args.train_periods, args.test_periods)
     subset = min(args.subset, tensor.n_items)
-    indices = list(range(subset))
-    sub = ds.PreorderTensor(items=[tensor.items[i] for i in indices],
-                            values=tensor.values[indices],
-                            observed_mask=tensor.observed_mask[indices])
+    sub = ds.PreorderTensor(items=tensor.items[:subset], values=tensor.values[:subset],
+                            observed_mask=tensor.observed_mask[:subset])
     board = ev.backtest(sub, specs, split)
-    labels = _best_labels(board, sub.items)
-
-    series = [sub.gross_series(i)[:split.train_periods] for i in range(subset)]
-    feats = extract_feature_matrix(series)
-    graph = tda.mapper(feats, n_intervals=args.intervals, overlap=args.overlap)
-    min_size = max(2, int(np.ceil(args.min_cluster_frac * subset)))
-    tda.fiedler_partition(graph, min_size)
-    selector = tda.label_and_route(graph, feats, labels, k=args.k)
-
-    _atomic_write_bytes(args.out, pickle.dumps({
-        "format_version": SELECTOR_VERSION, "selector": selector,
-        "train_periods": split.train_periods}))
-    _atomic_write(args.graph, graph.to_json())
-    dot_path = os.path.splitext(args.graph)[0] + ".dot"
-    _atomic_write(dot_path, graph.to_dot())
+    selector = _select(sub, board, split.train_periods, args.intervals, args.overlap,
+                       args.k, args.min_cluster_frac, args.out, args.graph)
     write_run_config(f"{args.out}.run.ini", "select", {
         "data": args.data, "models": args.models, "subset": subset,
         "intervals": args.intervals, "overlap": args.overlap, "k": args.k,
         "min_cluster_frac": args.min_cluster_frac, "out": args.out,
         "graph": args.graph, "clusters": len(selector.cluster_labels)})
-    shares = selector.cluster_shares()
     print(f"selector with {len(selector.cluster_labels)} clusters -> {args.out}")
-    for key, pct in shares.items():
+    for key, pct in selector.cluster_shares().items():
         print(f"  {key}: {pct:.1f}%")
     return 0
 
 
-def _best_labels(board, items) -> list:
-    """Best spec of every item; an item that no spec scored stops the stage."""
-    missing = [item for item in items if item not in board.best_model]
-    if missing:
-        raise HierfcstError(f"no spec scored items {missing}")
-    return [board.best_model[item] for item in items]
-
-
 def load_selector(path):
-    with open(path, "rb") as fh:
-        payload = pickle.load(fh)
-    if payload.get("format_version") != SELECTOR_VERSION:
-        raise HierfcstError(f"unsupported selector version in {path}")
-    return payload["selector"]
+    return _read_versioned(path, "selector", SELECTOR_VERSION)["selector"]
 
 
 def cmd_report(args):
@@ -344,9 +366,7 @@ def cmd_report(args):
     specs = load_specs(args.specs)
     split = ev.BacktestSplit(args.train_periods, args.test_periods)
     board = ev.backtest(tensor, specs, split)
-    report = ev.best_forecast_report(board, args.item)
-    out = args.out or f"report_{_safe_name(args.item)}.csv"
-    _atomic_write(out, report.to_csv())
+    report, out = _report(board, args.item, args.out)
     write_run_config(f"{out}.run.ini", "report", {
         "data": args.data, "specs": args.specs, "item": args.item,
         "train_periods": args.train_periods, "test_periods": args.test_periods,
@@ -368,7 +388,7 @@ def run_pipeline(config_path) -> int:
     if not parser.read(config_path):
         raise HierfcstError(f"cannot read pipeline config {config_path}")
 
-    run = dict(parser.items("run")) if parser.has_section("run") else {}
+    run = _section(parser, "run")
     out_dir = run.get("out_dir", "runs/latest")
     master_seed = int(run.get("seed", 0))
     os.makedirs(out_dir, exist_ok=True)
@@ -378,72 +398,53 @@ def run_pipeline(config_path) -> int:
         with contextlib.suppress(FileNotFoundError):
             os.remove(os.path.join(out_dir, name))
 
-    data = dict(parser.items("data")) if parser.has_section("data") else {}
+    data = _section(parser, "data")
     tensor_path = os.path.join(out_dir, "tensor.npz")
     if data.get("source", "synth") == "csv":
-        tensor = ds.load_csv(data["csv_path"])
+        tensor = _ingest(data["csv_path"], tensor_path)
     else:
-        tensor = ds.synthesize(int(data.get("seed", stage_seed(master_seed, "synth"))),
-                               int(data.get("items", 20)),
-                               int(data.get("periods", 45)),
-                               int(data.get("leads", 4)),
-                               data.get("regime", "smooth"))
-    ds.save_cache(tensor, tensor_path)
+        tensor = _synth(tensor_path,
+                        int(data.get("seed", stage_seed(master_seed, "synth"))),
+                        int(data.get("items", _SYNTH_ITEMS)),
+                        int(data.get("periods", _SYNTH_PERIODS)),
+                        int(data.get("leads", ds.DEFAULT_MAX_LEAD)),
+                        data.get("regime", _SYNTH_REGIME))
 
-    pp = dict(parser.items("preprocess")) if parser.has_section("preprocess") else {}
-    H = int(pp.get("leads", min(tensor.n_leads, ds.DEFAULT_MAX_LEAD)))
+    pp = _section(parser, "preprocess")
+    H = int(pp.get("leads", ev.frame_leads(tensor)))
     W = int(pp.get("window", H + 1))
-    kind = _transform_kind(pp.get("transform", "none"))
-    sset = build_training_set(tensor, "all", W, H, transform=kind)
-    save_supervised(sset, os.path.join(out_dir, "supervised.npz"))
+    _transform(tensor, pp.get("transform", _TRANSFORM_KIND), W, H,
+               os.path.join(out_dir, "supervised.npz"))
 
-    spec_sections = [s for s in parser.sections() if s.startswith("spec:")]
-    specs = [spec_from_mapping(s.split(":", 1)[1], dict(parser.items(s)))
-             for s in spec_sections]
+    specs = [spec_from_mapping(s.split(":", 1)[1], _section(parser, s))
+             for s in parser.sections() if s.startswith("spec:")]
     if not specs:
         raise HierfcstError("pipeline config defines no [spec:*] sections")
 
-    bt = dict(parser.items("backtest")) if parser.has_section("backtest") else {}
-    split = ev.BacktestSplit(int(bt.get("train_periods", 37)),
-                             int(bt.get("test_periods", 8)))
+    bt = _section(parser, "backtest")
+    split = ev.BacktestSplit(int(bt.get("train_periods", _SPLIT.train_periods)),
+                             int(bt.get("test_periods", _SPLIT.test_periods)))
     board = ev.backtest(tensor, specs, split)
 
-    sel = dict(parser.items("select")) if parser.has_section("select") else {}
+    sel = _section(parser, "select")
     if str(sel.get("enabled", "true")).lower() != "false" and tensor.n_items >= 4:
-        labels = _best_labels(board, tensor.items)
-        series = [tensor.gross_series(i)[:split.train_periods]
-                  for i in range(tensor.n_items)]
-        feats = extract_feature_matrix(series)
-        graph = tda.mapper(feats, n_intervals=int(sel.get("intervals", 10)),
-                           overlap=float(sel.get("overlap", 0.3)))
-        min_size = max(2, int(np.ceil(float(sel.get("min_cluster_frac", 0.05))
-                                      * tensor.n_items)))
-        tda.fiedler_partition(graph, min_size)
-        selector = tda.label_and_route(graph, feats, labels,
-                                       k=int(sel.get("k", tda.DEFAULT_KNN)))
-        _atomic_write_bytes(os.path.join(out_dir, "selector.bin"), pickle.dumps({
-            "format_version": SELECTOR_VERSION, "selector": selector,
-            "train_periods": split.train_periods}))
-        _atomic_write(os.path.join(out_dir, "graph.json"), graph.to_json())
-        _atomic_write(os.path.join(out_dir, "graph.dot"), graph.to_dot())
+        _select(tensor, board, split.train_periods,
+                int(sel.get("intervals", tda.DEFAULT_INTERVALS)),
+                float(sel.get("overlap", tda.DEFAULT_OVERLAP)),
+                int(sel.get("k", tda.DEFAULT_KNN)),
+                float(sel.get("min_cluster_frac", _MIN_CLUSTER_FRAC)),
+                os.path.join(out_dir, "selector.bin"),
+                os.path.join(out_dir, "graph.json"))
 
-    rep = dict(parser.items("report")) if parser.has_section("report") else {}
-    report_items = rep.get("items", "").split() or [tensor.items[0]]
-    for item in report_items:
-        report = ev.best_forecast_report(board, item)
-        _atomic_write(os.path.join(out_dir, f"report_{_safe_name(item)}.csv"),
-                      report.to_csv())
+    for item in _section(parser, "report").get("items", "").split() or [tensor.items[0]]:
+        _report(board, item, out_dir=out_dir)
     # Written once every stage has passed: a failed run leaves no leaderboard.
     _atomic_write(os.path.join(out_dir, "leaderboard.csv"), board.to_csv())
 
-    resolved = {"config": str(config_path), "out_dir": out_dir,
-                "seed": master_seed, "n_specs": len(specs),
-                "train_periods": split.train_periods,
-                "test_periods": split.test_periods}
-    for spec in specs:
-        for k, v in spec.resolved_config().items():
-            resolved[f"spec.{spec.name}.{k}"] = v
-    write_run_config(os.path.join(out_dir, "run_config.ini"), "pipeline", resolved)
+    write_run_config(os.path.join(out_dir, "run_config.ini"), "pipeline", {
+        "config": str(config_path), "out_dir": out_dir, "seed": master_seed,
+        "n_specs": len(specs), "train_periods": split.train_periods,
+        "test_periods": split.test_periods, **_spec_records(specs)})
     with contextlib.suppress(FileNotFoundError):
         os.remove(os.path.join(out_dir, "INCOMPLETE"))  # left by a failed run
     print(f"pipeline complete; artifacts in {out_dir}")
@@ -457,6 +458,11 @@ def cmd_pipeline(args):
 # ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
+
+def _add_split_flags(p):
+    p.add_argument("--train-periods", type=int, default=_SPLIT.train_periods)
+    p.add_argument("--test-periods", type=int, default=_SPLIT.test_periods)
+
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -476,16 +482,16 @@ def build_parser():
 
     p = sub.add_parser("synth", help="generate a synthetic tensor")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--regime", choices=ds.REGIMES, default="smooth")
-    p.add_argument("--items", type=int, default=20)
-    p.add_argument("--periods", type=int, default=45)
+    p.add_argument("--regime", choices=ds.REGIMES, default=_SYNTH_REGIME)
+    p.add_argument("--items", type=int, default=_SYNTH_ITEMS)
+    p.add_argument("--periods", type=int, default=_SYNTH_PERIODS)
     p.add_argument("--leads", type=int, default=ds.DEFAULT_MAX_LEAD)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("transform", help="write a cached supervised dataset")
     p.add_argument("--data", required=True)
-    p.add_argument("--kind", choices=sorted(_KIND_ALIASES), default="none")
+    p.add_argument("--kind", choices=sorted(_KIND_ALIASES), default=_TRANSFORM_KIND)
     p.add_argument("--window", type=int, required=True)
     p.add_argument("--leads", type=int, required=True)
     p.add_argument("--output", required=True)
@@ -495,8 +501,7 @@ def build_parser():
     p.add_argument("--spec", required=True, help="INI file, one section per spec")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--train-periods", type=int, default=37)
-    p.add_argument("--test-periods", type=int, default=8)
+    _add_split_flags(p)
     p.set_defaults(func=cmd_train)
 
     cfg = trmf_mod.TrmfConfig()
@@ -518,8 +523,7 @@ def build_parser():
     p = sub.add_parser("backtest", help="score specs on the fixed split")
     p.add_argument("--specs", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--train-periods", type=int, default=37)
-    p.add_argument("--test-periods", type=int, default=8)
+    _add_split_flags(p)
     p.add_argument("--out", default="leaderboard.csv")
     p.set_defaults(func=cmd_backtest)
 
@@ -530,9 +534,8 @@ def build_parser():
     p.add_argument("--intervals", type=int, default=tda.DEFAULT_INTERVALS)
     p.add_argument("--overlap", type=float, default=tda.DEFAULT_OVERLAP)
     p.add_argument("--k", type=int, default=tda.DEFAULT_KNN)
-    p.add_argument("--min-cluster-frac", type=float, default=0.05)
-    p.add_argument("--train-periods", type=int, default=37)
-    p.add_argument("--test-periods", type=int, default=8)
+    p.add_argument("--min-cluster-frac", type=float, default=_MIN_CLUSTER_FRAC)
+    _add_split_flags(p)
     p.add_argument("--out", default="selector.bin")
     p.add_argument("--graph", default="graph.json")
     p.set_defaults(func=cmd_select)
@@ -541,8 +544,7 @@ def build_parser():
     p.add_argument("--data", required=True)
     p.add_argument("--specs", required=True)
     p.add_argument("--item", required=True)
-    p.add_argument("--train-periods", type=int, default=37)
-    p.add_argument("--test-periods", type=int, default=8)
+    _add_split_flags(p)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_report)
 
@@ -563,13 +565,9 @@ def _failure_dir(args) -> str:
             return os.path.dirname(target) or "."
     if getattr(args, "config", None):
         parser = configparser.ConfigParser()
-        try:
+        with contextlib.suppress(configparser.Error):
             parser.read(args.config)
-            out_dir = parser.get("run", "out_dir", fallback=None)
-            if out_dir:
-                return out_dir
-        except configparser.Error:
-            pass
+            return parser.get("run", "out_dir", fallback=None) or "."
     return "."
 
 

@@ -137,12 +137,18 @@ def _own_models(spec, X, Y, xs, failures):
     return raws
 
 
-def _df_forecasts(tensor, spec, split, W, H, failures):
+def frame_leads(tensor) -> int:
+    """Leads H of the diagonal-feeding frames fitted on a tensor (W = H + 1)."""
+    return min(tensor.n_leads, DEFAULT_MAX_LEAD)
+
+
+def _df_forecasts(tensor, spec, split, failures):
     """DF-mode forecasts of q^0 over the test periods for every item.
 
     Returns (forecasts (n_items, n_test), diagonal_smape per item).
     """
-    T, n = tensor.n_periods, tensor.n_items
+    T, n, H = tensor.n_periods, tensor.n_items, frame_leads(tensor)
+    W = H + 1
     tf = _item_transforms(tensor, spec.transform, split)
     train_anchors = range(split.train_periods - W + 1)
     sset = build_training_set(tensor, "all", W, H, anchors=train_anchors,
@@ -253,8 +259,7 @@ def _trmf_forecasts(tensor, spec, split):
     return np.maximum(tf.inverse(np.array(rows).T), 0.0)
 
 
-def forecast_matrix(tensor, spec: ModelSpec, split: BacktestSplit,
-                    W=None, H=None):
+def forecast_matrix(tensor, spec: ModelSpec, split: BacktestSplit):
     """Test-period q^0 forecasts for every item under one spec.
 
     Returns (forecasts (n_items, n_test), extras dict).  An item whose fit
@@ -270,11 +275,7 @@ def forecast_matrix(tensor, spec: ModelSpec, split: BacktestSplit,
     elif spec.family == "arx":
         fc = _arx_forecasts(tensor, spec, split, failures)
     elif spec.feeding in ("df_one_by_one", "df_all_items"):
-        if H is None:
-            H = min(tensor.n_leads, DEFAULT_MAX_LEAD)
-        if W is None:
-            W = H + 1
-        fc, extras["diagonal_smape"] = _df_forecasts(tensor, spec, split, W, H, failures)
+        fc, extras["diagonal_smape"] = _df_forecasts(tensor, spec, split, failures)
     else:
         fc = _nodf_forecasts(tensor, spec, split, failures)
     # As smape raises on it, a non-finite forecast fails its item.
@@ -328,8 +329,8 @@ class Leaderboard:
         return counts
 
 
-def backtest(tensor: PreorderTensor, specs, split: BacktestSplit | None = None,
-             W=None, H=None) -> Leaderboard:
+def backtest(tensor: PreorderTensor, specs,
+             split: BacktestSplit | None = None) -> Leaderboard:
     """Fit every spec on the training periods and score test-period SMAPE.
 
     Mean/median per spec are computed over the items every spec scored
@@ -358,7 +359,7 @@ def backtest(tensor: PreorderTensor, specs, split: BacktestSplit | None = None,
     failures = []
     for s, (spec, name) in enumerate(zip(specs, names)):
         try:
-            fc, extras = forecast_matrix(tensor, spec, split, W=W, H=H)
+            fc, extras = forecast_matrix(tensor, spec, split)
             failed = extras["failures"]
         except ITEM_ERRORS as exc:
             fc = np.full(actual.shape, np.nan)

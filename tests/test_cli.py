@@ -10,8 +10,9 @@ from hierfcst import dataset as ds
 from hierfcst.errors import HierfcstError
 from hierfcst.cli import (STAGE_EXIT, load_selector, load_specs,
                           load_stored_model, main, run_pipeline, stage_seed)
-from hierfcst.models import default_hyperparams
-from hierfcst.preprocess import load_supervised
+from hierfcst.evaluate import BacktestSplit, frame_leads
+from hierfcst.models import default_hyperparams, fit
+from hierfcst.preprocess import build_training_set, load_supervised
 
 
 SPECS_INI = """
@@ -385,3 +386,81 @@ class TestArtifactsAndRecords:
         marker = (out_dir / "INCOMPLETE").read_text()
         assert "unknown transform kind 'bogus'" in marker
         assert not (out_dir / "supervised.npz").exists()
+
+
+class TestVersionedPickles:
+    @pytest.mark.parametrize("loader", [load_stored_model, load_selector])
+    @pytest.mark.parametrize("damage", ["truncated", "not a pickle", "not a dict",
+                                        "missing"])
+    def test_unreadable_file_raises_naming_it(self, tmp_path, loader, damage):
+        bad = tmp_path / "damaged.pkl"
+        whole = pickle.dumps({"format_version": 1, "model": list(range(100))})
+        if damage == "truncated":
+            bad.write_bytes(whole[:len(whole) // 2])
+        elif damage == "not a pickle":
+            bad.write_bytes(b"item_id,delivery_period,lead_time,quantity\n")
+        elif damage == "not a dict":
+            bad.write_bytes(pickle.dumps([1, "format_version"]))
+        with pytest.raises(HierfcstError, match="damaged.pkl"):
+            loader(bad)
+
+    def test_selector_of_another_version_raises(self, tmp_path):
+        old = tmp_path / "old_selector.bin"
+        old.write_bytes(pickle.dumps({"format_version": 0, "selector": None}))
+        with pytest.raises(HierfcstError, match="version in .*old_selector.bin"):
+            load_selector(old)
+
+
+class TestSharedStages:
+    def test_stored_model_predicts_as_its_own_fit(self, tmp_path, tensor_cache):
+        specs = tmp_path / "specs.ini"
+        specs.write_text("[ridge_log]\nfamily = ridge\nfeeding = df_one_by_one\n"
+                         "transform = log1p\nlam = 1e-3\n\n"
+                         "[kern]\nfamily = kernel\nfeeding = df_one_by_one\n"
+                         "transform = minmax\n")
+        out = tmp_path / "store"
+        assert main(["train", "--spec", str(specs), "--data", tensor_cache,
+                     "--out", str(out)]) == 0
+        tensor = ds.load_cache(tensor_cache)
+        split = BacktestSplit()
+        H = frame_leads(tensor)
+        W = H + 1
+        for spec in load_specs(str(specs)):
+            for i in (0, 3, tensor.n_items - 1):
+                own = build_training_set(tensor, i, W, H, transform=spec.transform,
+                                         fit_periods=split.train_range,
+                                         anchors=range(split.train_periods - W + 1))
+                expected = fit(spec, own.X, own.Y, transform=own.transforms[i])
+                stored = load_stored_model(out / f"{spec.name}__{tensor.items[i]}.pkl")
+                assert stored["item"] == tensor.items[i]
+                x = own.X[::-1] * 1.1
+                np.testing.assert_array_equal(stored["model"].predict(x),
+                                              expected.predict(x))
+
+    def test_pipeline_writes_what_the_subcommands_write(self, tmp_path):
+        run_dir, sub_dir = tmp_path / "pipeline", tmp_path / "subcommands"
+        sub_dir.mkdir()
+        cfg = tmp_path / "pipe.ini"
+        cfg.write_text(f"[run]\nseed = 3\nout_dir = {run_dir}\n\n"
+                       "[data]\nsource = synth\nseed = 5\nitems = 12\n"
+                       "regime = anticipatory\n\n"
+                       + SPECS_INI.replace("[", "[spec:"))
+        assert main(["pipeline", "--config", str(cfg)]) == 0
+
+        specs = tmp_path / "specs.ini"
+        specs.write_text(SPECS_INI)
+        tensor, board = str(sub_dir / "tensor.npz"), str(sub_dir / "leaderboard.csv")
+        for argv in (["synth", "--seed", "5", "--regime", "anticipatory", "--items", "12",
+                      "--output", tensor],
+                     ["transform", "--data", tensor, "--window", "5", "--leads", "4",
+                      "--output", str(sub_dir / "supervised.npz")],
+                     ["backtest", "--specs", str(specs), "--data", tensor, "--out", board],
+                     ["select", "--data", tensor, "--models", str(specs), "--subset", "12",
+                      "--out", str(sub_dir / "selector.bin"),
+                      "--graph", str(sub_dir / "graph.json")],
+                     ["report", "--data", tensor, "--specs", str(specs),
+                      "--item", "item0000", "--out", str(sub_dir / "report_item0000.csv")]):
+            assert main(argv) == 0, argv
+        for name in ("tensor.npz", "supervised.npz", "leaderboard.csv", "selector.bin",
+                     "graph.json", "graph.dot", "report_item0000.csv"):
+            assert (run_dir / name).read_bytes() == (sub_dir / name).read_bytes(), name
