@@ -231,9 +231,10 @@ def cmd_synth(args):
 
 def cmd_transform(args):
     tensor = ds.load_cache(args.data)
-    sset = _transform(tensor, args.kind, args.window, args.leads, args.output)
+    window = args.leads + 1 if args.window is None else args.window
+    sset = _transform(tensor, args.kind, window, args.leads, args.output)
     write_run_config(f"{args.output}.run.ini", "transform", {
-        "data": args.data, "kind": _KIND_ALIASES[args.kind], "window": args.window,
+        "data": args.data, "kind": _KIND_ALIASES[args.kind], "window": window,
         "leads": args.leads, "output": args.output,
         "n_rows": sset.X.shape[0]})
     print(f"wrote supervised cache with {sset.X.shape[0]} rows -> {args.output}")
@@ -492,7 +493,8 @@ def build_parser():
     p = sub.add_parser("transform", help="write a cached supervised dataset")
     p.add_argument("--data", required=True)
     p.add_argument("--kind", choices=sorted(_KIND_ALIASES), default=_TRANSFORM_KIND)
-    p.add_argument("--window", type=int, required=True)
+    p.add_argument("--window", type=int, default=None,
+                   help="frame width W; defaults to --leads + 1, the only one accepted")
     p.add_argument("--leads", type=int, required=True)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_transform)

@@ -142,14 +142,42 @@ def frame_leads(tensor) -> int:
     return min(tensor.n_leads, DEFAULT_MAX_LEAD)
 
 
-def _df_forecasts(tensor, spec, split, failures):
-    """DF-mode forecasts of q^0 over the test periods for every item.
+# A spec's design is everything its forecasts read before the fit: what
+# diagonal feeding or the no-feeding rows make of the tensor under one
+# transform kind.  backtest builds each design once and lends it, read-only,
+# to every spec of that (feeding, transform) pair.
+DF_FEEDINGS = ("df_one_by_one", "df_all_items")
 
-    Returns (forecasts (n_items, n_test), diagonal_smape per item).
-    """
+
+def _design_key(spec):
+    """("df" or "nodf", transform kind) of the design the spec reads; None
+    for arx and trmf, which read the tensor directly."""
+    if spec.family in ("arx", "trmf"):
+        return None
+    return ("df" if spec.feeding in DF_FEEDINGS else "nodf", spec.transform)
+
+
+def _build_design(tensor, key, split):
+    """The design of a key, its arrays made read-only: a fit that writes
+    into one raises instead of corrupting the specs that read it later."""
+    mode, kind = key
+    design = (_df_design if mode == "df" else _nodf_design)(tensor, kind, split)
+    tf = design[0]
+    for a in (*design[1:], tf.vmin, tf.vmax):
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    return design
+
+
+def _df_design(tensor, kind, split):
+    """(tf, X, Y, x, picks, diag): the items' transforms; the training rows
+    X, Y (items, anchors, cells) of every frame anchored in the training
+    periods; the test frames x (items, frames, cells); the (frame, cell)
+    picks of the test periods' one-step forecasts; and the actual cells of
+    the diagonal frame, None when the tensor ends before it."""
     T, n, H = tensor.n_periods, tensor.n_items, frame_leads(tensor)
     W = H + 1
-    tf = _item_transforms(tensor, spec.transform, split)
+    tf = _item_transforms(tensor, kind, split)
     train_anchors = range(split.train_periods - W + 1)
     sset = build_training_set(tensor, "all", W, H, anchors=train_anchors,
                               transforms=tf)
@@ -172,16 +200,29 @@ def _df_forecasts(tensor, spec, split, failures):
         anchors = np.append(anchors, diag_anchor)
 
     x = tf.forward(feature_frame(tensor, np.arange(n), anchors, W, H))
+    diag = None
+    if has_diag:
+        diag = gather_cells(tensor, np.arange(n), [diag_anchor], y_index)[:, 0]
+    rows = (n, len(train_anchors), -1)
+    return tf, sset.X.reshape(rows), sset.Y.reshape(rows), x, picks, diag
+
+
+def _df_forecasts(spec, design, failures):
+    """DF-mode forecasts of q^0 over the test periods for every item.
+
+    Returns (forecasts (n_items, n_test), diagonal_smape per item).
+    """
+    tf, X, Y, x, picks, diag_actual = design
+    n = len(X)
     if spec.feeding == "df_all_items":
-        raw = fit(spec, sset.X, sset.Y).predict_transformed(x)
+        raw = fit(spec, X.reshape(-1, X.shape[-1]),
+                  Y.reshape(-1, Y.shape[-1])).predict_transformed(x)
     else:
-        rows = (n, len(train_anchors), -1)
-        raw, = _own_models(spec, sset.X.reshape(rows), sset.Y.reshape(rows), [x], failures)
+        raw, = _own_models(spec, X, Y, [x], failures)
     y_hat = np.maximum(tf.inverse(raw), 0.0)
     diag = np.zeros(n)
-    if has_diag:
-        diag = smape_rows(y_hat[:, -1],
-                          gather_cells(tensor, np.arange(n), [diag_anchor], y_index)[:, 0])
+    if diag_actual is not None:
+        diag = smape_rows(y_hat[:, -1], diag_actual)
         # As smape raises on it, a non-finite diagonal forecast fails its item.
         for i in np.flatnonzero(~np.isfinite(y_hat[:, -1]).all(axis=1)).tolist():
             failures.setdefault(i, _failure_message(HierfcstError(_NONFINITE)))
@@ -199,22 +240,28 @@ def _nodf_rows(raw, series, taus):
                      for tau in taus], axis=1)
 
 
-def _nodf_forecasts(tensor, spec, split, failures):
-    """Small-feature regression on the gross series, one model per item,
-    each test period predicted from its own row."""
+def _nodf_design(tensor, kind, split):
+    """(tf, X, Y, x): the items' transforms of the gross series, and the
+    no-feeding rows X and targets Y (items, periods, 1) of the training
+    periods and the rows x of the test periods."""
     train = split.train_periods
     if train <= NODF_LAGS:
         raise HierfcstError(f"the no-feeding regression needs more than {NODF_LAGS} "
                             f"training periods, got {train}")
     raw = tensor.values[:, :, 0]
-    tf = TargetTransform.fit_items(spec.transform, raw[:, :train])
+    tf = TargetTransform.fit_items(kind, raw[:, :train])
     series = tf.forward(raw)
-    X = _nodf_rows(raw, series, range(NODF_LAGS, train))
-    x = _nodf_rows(raw, series, split.test_range)
+    return (tf, _nodf_rows(raw, series, range(NODF_LAGS, train)),
+            series[:, NODF_LAGS:train, None], _nodf_rows(raw, series, split.test_range))
+
+
+def _nodf_forecasts(spec, design, failures):
+    """Small-feature regression on the gross series, one model per item,
+    each test period predicted from its own row."""
+    tf, X, Y, x = design
     # One predict call per test row: a single-row product takes the BLAS
     # path a multi-row one does not, and the last bit of a forecast with it.
-    raws = _own_models(spec, X, series[:, NODF_LAGS:train, None],
-                       [x[:, [c]] for c in range(x.shape[1])], failures)
+    raws = _own_models(spec, X, Y, [x[:, [c]] for c in range(x.shape[1])], failures)
     out = tf.inverse(np.concatenate(raws, axis=1)[..., 0])
     if spec.clip_negative:
         out = np.maximum(out, 0.0)
@@ -268,16 +315,24 @@ def forecast_matrix(tensor, spec: ModelSpec, split: BacktestSplit):
     still forecast.
     """
     split.validate(tensor.n_periods)
+    key = _design_key(spec)
+    return _forecasts(tensor, spec, split,
+                      None if key is None else _build_design(tensor, key, split))
+
+
+def _forecasts(tensor, spec, split, design):
+    """forecast_matrix of a spec whose design is given (None for arx and
+    trmf)."""
     failures = {}
     extras = {"failures": failures}
     if spec.family == "trmf":
         fc = _trmf_forecasts(tensor, spec, split)
     elif spec.family == "arx":
         fc = _arx_forecasts(tensor, spec, split, failures)
-    elif spec.feeding in ("df_one_by_one", "df_all_items"):
-        fc, extras["diagonal_smape"] = _df_forecasts(tensor, spec, split, failures)
+    elif spec.feeding in DF_FEEDINGS:
+        fc, extras["diagonal_smape"] = _df_forecasts(spec, design, failures)
     else:
-        fc = _nodf_forecasts(tensor, spec, split, failures)
+        fc = _nodf_forecasts(spec, design, failures)
     # As smape raises on it, a non-finite forecast fails its item.
     for i in np.flatnonzero(~np.isfinite(fc).all(axis=1)).tolist():
         failures.setdefault(i, _failure_message(HierfcstError(_NONFINITE)))
@@ -333,6 +388,8 @@ def backtest(tensor: PreorderTensor, specs,
              split: BacktestSplit | None = None) -> Leaderboard:
     """Fit every spec on the training periods and score test-period SMAPE.
 
+    Specs of one feeding mode and transform kind share one design (the
+    diagonal-feeding frames or the no-feeding rows), built once.
     Mean/median per spec are computed over the items every spec scored
     (identical item set across rows); a per-item fitting failure is
     recorded as (spec, item, "<ExceptionClass>: message") and excludes that
@@ -357,13 +414,22 @@ def backtest(tensor: PreorderTensor, specs,
     scores = np.full((len(specs), n), np.nan)
     forecasts = {}
     failures = []
-    for s, (spec, name) in enumerate(zip(specs, names)):
+    keys = [_design_key(spec) for spec in specs]
+    last_use = {key: s for s, key in enumerate(keys)}
+    designs = {}                # built once, dropped after its last spec
+    for s, (spec, name, key) in enumerate(zip(specs, names, keys)):
         try:
-            fc, extras = forecast_matrix(tensor, spec, split)
+            # A design whose build raises is not kept: each spec that
+            # needs it builds it again and fails with the same error.
+            if key is not None and key not in designs:
+                designs[key] = _build_design(tensor, key, split)
+            fc, extras = _forecasts(tensor, spec, split, designs.get(key))
             failed = extras["failures"]
         except ITEM_ERRORS as exc:
             fc = np.full(actual.shape, np.nan)
             failed = dict.fromkeys(range(n), _failure_message(exc))
+        if last_use[key] == s:
+            designs.pop(key, None)
         for i in sorted(failed):
             failures.append((name, tensor.items[i], failed[i]))
         ok = np.ones(n, dtype=bool)

@@ -9,8 +9,13 @@ on their own predictions.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
 
 from ..errors import HierfcstError
+
+# LAPACK's gelsd, the routine np.linalg.lstsq calls, resolved once; a call
+# through the handle skips lstsq's per-call set-up and gives its bits.
+_gelsd, _gelsd_lwork = get_lapack_funcs(("gelsd", "gelsd_lwork"), dtype=np.float64)
 
 
 class ArxPayload:
@@ -84,9 +89,10 @@ def lag_matrix(series, p, exog=None):
 
 def fit_arx_payload(series, exog=None, p: int = 1) -> ArxPayload:
     """Fit one series (T,), with exog (T, k), or a stack of series
-    (items, T), with exog (items, T, k), from one gathered design.  A
-    single fit raises the LinAlgError of a failed solve; a stack records it
-    in the payload's ``failures`` and fits the other items."""
+    (items, T), with exog (items, T, k), from one gathered design solved by
+    one LAPACK least-squares call per item.  A single fit raises the
+    LinAlgError of a failed solve; a stack records it in the payload's
+    ``failures`` and fits the other items."""
     series = np.asarray(series, dtype=float)
     k = 0 if exog is None else np.shape(exog)[-1]
     if exog is not None and np.shape(exog)[-2] != series.shape[-1]:
@@ -100,12 +106,26 @@ def fit_arx_payload(series, exog=None, p: int = 1) -> ArxPayload:
     stacked = series.ndim == 2
     if not stacked:
         Xb, y = Xb[None], y[None]
-    # lstsq (LAPACK gelsd) item by item: a stacked SVD gives the same
-    # minimum-norm answers only to about 1e-14, which moves exact-fit
-    # SMAPE ties (a constant item scores 0 or 2e-14) and so best models.
-    coef = np.full((Xb.shape[0], Xb.shape[-1]), np.nan)
+    # gelsd item by item: a stacked SVD gives the same minimum-norm answers
+    # only to about 1e-14, which moves exact-fit SMAPE ties (a constant item
+    # scores 0 or 2e-14) and so best models.  The calls take lstsq's rcond
+    # and workspace; an item with non-finite rows, or whose call reports
+    # info != 0, goes through lstsq itself, which raises its LinAlgError.
+    n_rows, n_cols = Xb.shape[-2:]
+    rcond = np.finfo(float).eps * max(n_rows, n_cols)
+    lwork, iwork, _ = _gelsd_lwork(n_rows, n_cols, 1, rcond)
+    finite = np.isfinite(Xb).all(axis=(1, 2)) & np.isfinite(y).all(axis=1)
+    # gelsd takes and returns max(rows, cols) right-hand-side rows.
+    rhs = np.zeros((Xb.shape[0], max(n_rows, n_cols), 1))
+    rhs[:, :n_rows, 0] = y
+    coef = np.full((Xb.shape[0], n_cols), np.nan)
     failures = {}
     for i in range(Xb.shape[0]):
+        if finite[i]:
+            x, _, _, info = _gelsd(Xb[i], rhs[i], int(lwork), iwork, rcond)
+            if info == 0:
+                coef[i] = x[:n_cols, 0]
+                continue
         try:
             coef[i] = np.linalg.lstsq(Xb[i], y[i], rcond=None)[0]
         except np.linalg.LinAlgError as exc:

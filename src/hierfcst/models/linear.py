@@ -1,4 +1,5 @@
-"""Closed-form and iterative linear-family regressors (numpy only).
+"""Closed-form and iterative linear-family regressors (numpy, and LAPACK
+through scipy).
 
 All fitters take X without a bias column and add one internally; the
 intercept is never penalized.  Multi-output targets are handled as
@@ -8,9 +9,13 @@ independent per-column problems.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import get_lapack_funcs
 
 from ..errors import DomainError, HierfcstError, IllConditionedError
+
+# LAPACK handles resolved once: a per-item call skips scipy's argument
+# checks and batch loop, and makes the same call with the same bits.
+_potrf, _potrs = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
 
 def _with_bias(X):
@@ -52,10 +57,15 @@ def solve_items(solve, out, *stacks):
 
 
 def _cho_solve(A, B):
-    # scipy's batched cho_factor/cho_solve make the same LAPACK calls per
-    # item as a single fit, so a stacked fit is bit-identical to fitting
-    # each item alone.
-    return cho_solve(cho_factor(A, check_finite=False), B, check_finite=False)
+    """cho_solve(cho_factor(A), B) of one item: the potrf and potrs calls
+    scipy makes, through the handles.  Raises LinAlgError when A is not
+    positive definite."""
+    c, info = _potrf(A, lower=False, overwrite_a=False, clean=False)
+    if info == 0:
+        x, info = _potrs(c, B, lower=False, overwrite_b=False)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"Cholesky solve failed: LAPACK info {info}")
+    return x
 
 
 def fit_ridge(X, Y, lam: float) -> RidgePayload:
@@ -64,8 +74,9 @@ def fit_ridge(X, Y, lam: float) -> RidgePayload:
     X (n, k) and Y (n, m) fit one model, which raises the DomainError or
     IllConditionedError of non-finite (overflowing) or singular normal
     equations.  A stack X (items, n, k), Y (items, n, m) fits one model per
-    item by one stacked Cholesky solve; an item that fails is recorded in
-    the payload's ``failures`` and the other items are fitted.
+    item by one Cholesky solve per item, a pair of LAPACK calls; an item
+    that fails is recorded in the payload's ``failures`` and the other
+    items are fitted.
     """
     Xb = _with_bias(X)
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
@@ -78,15 +89,16 @@ def fit_ridge(X, Y, lam: float) -> RidgePayload:
     A = Xt @ Xb + penalty
     B = Xt @ Y
     finite = np.isfinite(A).all(axis=(1, 2)) & np.isfinite(B).all(axis=(1, 2))
-    # Each item's coefficients in Fortran order, as cho_solve returns them
-    # for one fit: predictions then take the same BLAS path, bit for bit.
+    # Each item's coefficients in Fortran order, as potrs returns them for
+    # one fit: predictions then take the same BLAS path, bit for bit.
     coef = np.empty((B.shape[0], B.shape[2], B.shape[1])).transpose(0, 2, 1)
-    # An item with non-finite equations is factored as the identity instead.
-    failures = {k: IllConditionedError(
-                    "singular normal equations; increase the ridge penalty lam above 0")
-                for k in solve_items(_cho_solve, coef,
-                                     np.where(finite[:, None, None], A, np.eye(A.shape[-1])),
-                                     B)}
+    failures = {}
+    for k in np.flatnonzero(finite).tolist():
+        try:
+            coef[k] = _cho_solve(A[k], B[k])
+        except np.linalg.LinAlgError:
+            failures[k] = IllConditionedError(
+                "singular normal equations; increase the ridge penalty lam above 0")
     for k in np.flatnonzero(~finite).tolist():
         failures[k] = DomainError("non-finite normal equations: the item's X'X "
                                   "overflows; rescale it or use the log1p transform")
@@ -310,32 +322,53 @@ class KernelRidgePayload:
 def pairwise_sq_dists(A, B):
     aa = np.sum(A ** 2, axis=-1)[..., :, None]
     bb = np.sum(B ** 2, axis=-1)[..., None, :]
+    # (2.0 * A) @ B^T, a general product, as written: numpy sends A @ A.T
+    # to a symmetric product (syrk), whose last bits differ from it, and
+    # so would every kernel leaderboard.
     return np.maximum(aa + bb - 2.0 * A @ np.swapaxes(B, -1, -2), 0.0)
 
 
-def rbf_kernel(A, B, bandwidth):
+def _rbf_in_place(sq, bandwidth):
+    """exp(-sq / (2 bandwidth^2)) of squared distances, in sq's memory."""
     bandwidth = np.asarray(bandwidth, dtype=float)[..., None, None]
     # float_power squares by C pow, as a Python float's ** 2 does, where
     # numpy's ** 2 multiplies; the two differ in the last bit now and then.
-    return np.exp(-pairwise_sq_dists(A, B) / (2.0 * np.float_power(bandwidth, 2)))
+    np.negative(sq, out=sq)
+    np.divide(sq, 2.0 * np.float_power(bandwidth, 2), out=sq)
+    return np.exp(sq, out=sq)
+
+
+def rbf_kernel(A, B, bandwidth):
+    return _rbf_in_place(pairwise_sq_dists(A, B), bandwidth)
+
+
+def _median_distance(sq):
+    """Median nonzero distance over the pairs above the diagonal of square
+    squared distances sq (n, n), or one per item of a stack (items, n, n);
+    1.0 where no pair is apart."""
+    n = sq.shape[-1]
+    if n < 2:                           # no pair to take the median of
+        return 1.0 if sq.ndim == 2 else np.ones(sq.shape[0])
+    # Row by row: an index of the upper triangle would take twice its size.
+    dists = np.concatenate([sq[..., i, i + 1:] for i in range(n - 1)], axis=-1)
+    np.sqrt(dists, out=dists)
+    apart = dists > 0
+    count = np.count_nonzero(apart, axis=-1)
+    # Zero distances sort last; the median is taken over the first count.
+    dists[~apart] = np.inf
+    dists.sort(axis=-1)
+    lo = np.take_along_axis(dists, np.maximum(count - 1, 0)[..., None] // 2, -1)[..., 0]
+    hi = np.take_along_axis(dists, (count // 2)[..., None], -1)[..., 0]
+    median = np.where(count % 2 == 1, lo, (lo + hi) / 2)
+    median = np.where(count > 0, median, 1.0)
+    return float(median) if sq.ndim == 2 else median
 
 
 def median_bandwidth(X):
     """Median nonzero pairwise distance; 1.0 for degenerate point clouds.
     A stack X (items, n, k) gives one bandwidth per item."""
     X = np.asarray(X, dtype=float)
-    if X.shape[-2] < 2:                 # no pair to take the median of
-        return 1.0 if X.ndim == 2 else np.ones(X.shape[0])
-    upper = np.triu_indices(X.shape[-2], k=1)
-    dists = np.sqrt(pairwise_sq_dists(X, X)[..., upper[0], upper[1]])
-    count = np.count_nonzero(dists > 0, axis=-1)
-    # Zero distances sort last; the median is taken over the first count.
-    ranked = np.sort(np.where(dists > 0, dists, np.inf), axis=-1)
-    lo = np.take_along_axis(ranked, np.maximum(count - 1, 0)[..., None] // 2, -1)[..., 0]
-    hi = np.take_along_axis(ranked, (count // 2)[..., None], -1)[..., 0]
-    median = np.where(count % 2 == 1, lo, (lo + hi) / 2)
-    median = np.where(count > 0, median, 1.0)
-    return float(median) if X.ndim == 2 else median
+    return _median_distance(pairwise_sq_dists(X, X))
 
 
 def _refined_solve(K, Y):
@@ -347,16 +380,22 @@ def _refined_solve(K, Y):
 def fit_kernel_ridge(X, Y, lam: float, bandwidth="median") -> KernelRidgePayload:
     """RBF kernel ridge: alpha = (K + lam*I)^-1 Y, by least squares when K
     is singular.  A stack X (items, n, k), Y (items, n, m) fits one model
-    per item by stacked solves, with a median bandwidth per item."""
+    per item by stacked solves, with a median bandwidth per item.  One
+    pairwise distance matrix per fit serves both the bandwidth and K."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    if bandwidth == "median":
-        bw = median_bandwidth(X)
-    else:
+    if bandwidth != "median":
         bw = float(bandwidth)
         if bw <= 0:
             raise HierfcstError(f"kernel bandwidth must be > 0, got {bw}")
-    K = rbf_kernel(X, X, bw) + lam * np.eye(X.shape[-2])
+    # One distance matrix gives the median bandwidth and, overwritten in
+    # place, K + lam*I.
+    sq = pairwise_sq_dists(X, X)
+    if bandwidth == "median":
+        bw = _median_distance(sq)
+    K = _rbf_in_place(sq, bw)
+    diag = np.arange(X.shape[-2])
+    K[..., diag, diag] += lam
     alpha = np.empty(Y.shape)
     Ks, Ys, out = (K, Y, alpha) if K.ndim == 3 else (K[None], Y[None], alpha[None])
     for k in solve_items(_refined_solve, out, Ks, Ys):

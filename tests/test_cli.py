@@ -464,3 +464,19 @@ class TestSharedStages:
         for name in ("tensor.npz", "supervised.npz", "leaderboard.csv", "selector.bin",
                      "graph.json", "graph.dot", "report_item0000.csv"):
             assert (run_dir / name).read_bytes() == (sub_dir / name).read_bytes(), name
+
+
+class TestTransformWindowDefault:
+    def test_window_defaults_to_leads_plus_one(self, tmp_path, tensor_cache):
+        # The one window window_index accepts; the run record names it.
+        derived, given = tmp_path / "derived.npz", tmp_path / "given.npz"
+        assert main(["transform", "--data", tensor_cache, "--leads", "3",
+                     "--output", str(derived)]) == 0
+        assert main(["transform", "--data", tensor_cache, "--window", "4", "--leads", "3",
+                     "--output", str(given)]) == 0
+        assert derived.read_bytes() == given.read_bytes()
+        sset = load_supervised(derived)
+        assert (sset.W, sset.H) == (4, 3)
+        parser = configparser.ConfigParser()
+        parser.read(f"{derived}.run.ini")
+        assert parser["transform"]["window"] == "4"

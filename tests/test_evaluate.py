@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hierfcst import dataset as ds
-from hierfcst import trmf
+from hierfcst import evaluate, trmf
 from hierfcst.errors import HierfcstError
-from hierfcst.evaluate import (BacktestSplit, backtest, best_forecast_report,
-                               forecast_matrix, lag1_mimicry, smape, smape_rows)
+from hierfcst.evaluate import (DF_FEEDINGS, NODF_LAGS, BacktestSplit, backtest,
+                               best_forecast_report, forecast_matrix, lag1_mimicry,
+                               smape, smape_rows)
 from hierfcst.models import FEEDING_MODES, ModelSpec
 from hierfcst.preprocess import TRANSFORM_KINDS
 
@@ -503,3 +504,114 @@ class TestNonFiniteForecastsFailTheirItem:
         assert board.failures == [("t", tensor.items[2],
                                    "HierfcstError: smape requires finite inputs")]
         assert sorted(board.scores["t"]) == [tensor.items[i] for i in (0, 1, 3)]
+
+
+@st.composite
+def shared_design_cases(draw):
+    """A small catalog, a split, and specs that interleave every transform
+    kind with both diagonal-feeding modes and no feeding, some (feeding,
+    kind) pairs repeated out of order, with an ARX spec among them."""
+    n_items = draw(st.integers(1, 4))
+    n_leads = draw(st.integers(1, 4))
+    T = draw(st.integers(12, 18))
+    n_test = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.uniform(0, 50, size=(n_items, T, n_leads))
+    values[rng.random(values.shape) < 0.2] = 0.0
+    tensor = ds.PreorderTensor(items=[f"i{i}" for i in range(n_items)], values=values,
+                               observed_mask=values > 0)
+    pairs = [(feeding, kind) for feeding in FEEDING_MODES for kind in TRANSFORM_KINDS]
+    pairs += draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=4))
+    pairs = draw(st.permutations(pairs))
+    specs = [ModelSpec(draw(st.sampled_from(["ridge", "kernel"])), transform=kind,
+                       feeding=feeding, label=f"s{j}")
+             for j, (feeding, kind) in enumerate(pairs)]
+    specs.insert(draw(st.integers(0, len(specs))), ModelSpec("arx", label="arx"))
+    return tensor, specs, BacktestSplit(T - n_test, n_test)
+
+
+class CountingCalls:
+    """Counts the calls backtest makes through hierfcst.evaluate's names
+    for the design builders, the names the benchmark's tracer wraps."""
+
+    def __init__(self, mp):
+        self.training_sets = []         # transform kind per build_training_set call
+        self.frames = 0
+        self.features = 0
+        build, frame, features = (evaluate.build_training_set, evaluate.feature_frame,
+                                  evaluate.extract_features)
+
+        def counting_build(*args, **kwargs):
+            self.training_sets.append(kwargs["transforms"].kind)
+            return build(*args, **kwargs)
+
+        def counting_frame(*args, **kwargs):
+            self.frames += 1
+            return frame(*args, **kwargs)
+
+        def counting_features(*args, **kwargs):
+            self.features += 1
+            return features(*args, **kwargs)
+
+        mp.setattr(evaluate, "build_training_set", counting_build)
+        mp.setattr(evaluate, "feature_frame", counting_frame)
+        mp.setattr(evaluate, "extract_features", counting_features)
+
+
+class TestSharedDesigns:
+    """backtest builds each design once per (feeding, transform kind) and
+    lends it read-only to every spec that reads it."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(shared_design_cases())
+    def test_one_build_per_kind_and_the_reference_board(self, case):
+        tensor, specs, split = case
+        assert_matches_reference(tensor, specs, split)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = CountingCalls(mp)
+            backtest(tensor, specs, split)
+        assert sorted(calls.training_sets) == sorted(TRANSFORM_KINDS)
+        assert calls.frames == len(TRANSFORM_KINDS)
+        rows_per_build = split.train_periods - NODF_LAGS + split.test_periods
+        assert calls.features == len(TRANSFORM_KINDS) * rows_per_build
+
+    @pytest.mark.parametrize("train, leads, failing", [(4, 4, DF_FEEDINGS),
+                                                       (3, 1, ("none",))])
+    def test_failed_build_fails_each_spec_with_its_message(self, train, leads, failing):
+        # With 4 leads the frames span 5 periods, so 4 training periods hold
+        # no training anchor; 3 are too few for the no-feeding lags.
+        tensor = ds.synthesize(2, 3, 12, leads)
+        split = BacktestSplit(train, 8)
+        specs = [ModelSpec("ridge", feeding=feeding, label=f"{feeding}{j}")
+                 for j in range(2) for feeding in FEEDING_MODES]
+        with pytest.MonkeyPatch.context() as mp:
+            calls = CountingCalls(mp)
+            board = backtest(tensor, specs, split)
+        for spec in specs:
+            messages = [m for name, _, m in board.failures if name == spec.name]
+            if spec.feeding in failing:
+                with pytest.raises(HierfcstError) as err:
+                    forecast_matrix(tensor, spec, split)
+                assert messages == [f"HierfcstError: {err.value}"] * tensor.n_items
+            else:
+                assert messages == []
+                fc, _ = forecast_matrix(tensor, spec, split)
+                for i, item in enumerate(tensor.items):
+                    assert bits(board.forecasts[(spec.name, item)]) == bits(fc[i])
+        # A build that raised is not kept: each spec needing it builds again.
+        assert len(calls.training_sets) == (4 if train == 4 else 1)
+
+    @pytest.mark.parametrize("feeding", FEEDING_MODES)
+    def test_a_fit_cannot_write_into_a_shared_design(self, feeding):
+        tensor = ds.synthesize(4, 5, 45, 4, "anticipatory")
+        seen = []
+
+        def writing_fit(spec, X, Y, *args, **kwargs):
+            seen.append((X.flags.writeable, Y.flags.writeable))
+            X[...] = 0.0
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evaluate, "fit", writing_fit)
+            with pytest.raises(ValueError, match="read-only"):
+                backtest(tensor, [ModelSpec("ridge", feeding=feeding, label="r")])
+        assert seen == [(False, False)]

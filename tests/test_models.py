@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from hierfcst.errors import (DomainError, HierfcstError, IllConditionedError,
                              OutOfScopeError)
@@ -7,7 +10,10 @@ from hierfcst.evaluate import smape
 from hierfcst.models import (AdaBoostR2, ModelSpec, RandomForest,
                              RegressionTree, default_hyperparams, fit,
                              fit_adaboost_r2, fit_arx, predict)
-from hierfcst.models.linear import fit_lasso, fit_poisson, fit_ridge
+from hierfcst.models.arx import fit_arx_payload, lag_matrix
+from hierfcst.models.linear import (_cho_solve, _refined_solve, fit_kernel_ridge,
+                                    fit_lasso, fit_poisson, fit_ridge, median_bandwidth,
+                                    pairwise_sq_dists, rbf_kernel)
 from hierfcst.preprocess import TargetTransform
 
 from oracles import gradient_descent, newton_poisson
@@ -401,3 +407,145 @@ class TestPoissonConverged:
         payload = fit(ModelSpec("poisson"), X, Y).payload
         assert all(len(h) - 1 < hp["max_iter"] for h in payload.ll_histories)
         assert payload.converged == [True, True]
+
+
+def normal_equations(X, Y, lam):
+    """Ridge's normal equations X'X + lam*D, X'Y with an unpenalized bias."""
+    Xb = np.concatenate([np.ones(X.shape[:-1] + (1,)), X], axis=-1)
+    penalty = np.eye(Xb.shape[-1]) * lam
+    penalty[0, 0] = 0.0
+    Xt = np.swapaxes(Xb, -1, -2)
+    return Xt @ Xb + penalty, Xt @ Y
+
+
+class TestLapackHandles:
+    """Ridge and ARX solve through LAPACK handles: the bits of the scipy and
+    numpy calls they replace, and the same items failing with the same
+    errors."""
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-3, 1.0])
+    def test_cho_solve_matches_scipy_item_by_item(self, lam):
+        rng = np.random.default_rng(11)
+        A, B = normal_equations(rng.gamma(0.5, 20, size=(30, 33, 10)),
+                                rng.gamma(0.5, 20, size=(30, 33, 10)), lam)
+        for k in range(len(A)):
+            got = _cho_solve(A[k], B[k])
+            want = cho_solve(cho_factor(A[k], check_finite=False), B[k], check_finite=False)
+            assert got.tobytes() == want.tobytes()
+            assert got.flags.f_contiguous == want.flags.f_contiguous
+
+    def test_cho_solve_raises_linalg_error_on_singular_item(self):
+        A, B = normal_equations(np.zeros((1, 6, 2)), np.ones((1, 6, 1)), 0.0)
+        with pytest.raises(np.linalg.LinAlgError):
+            _cho_solve(A[0], B[0])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    def test_singular_and_overflowing_items_fail_alone(self, lam):
+        rng = np.random.default_rng(12)
+        X = rng.gamma(0.5, 20, size=(5, 33, 10))
+        Y = rng.gamma(0.5, 20, size=(5, 33, 10))
+        X[1, :, 4] = 0.0                 # singular normal equations at lam = 0
+        X[3] = 1e200                     # X'X overflows
+        payload = fit_ridge(X, Y, lam)
+        singular = {1} if lam == 0.0 else set()
+        assert set(payload.failures) == singular | {3}
+        for k in range(len(X)):
+            if k in payload.failures:
+                assert np.isnan(payload.coef[k]).all()
+                cls = IllConditionedError if k in singular else DomainError
+                with pytest.raises(cls) as err:
+                    fit_ridge(X[k], Y[k], lam)
+                assert type(payload.failures[k]) is cls
+                assert str(payload.failures[k]) == str(err.value)
+            else:
+                A, B = normal_equations(X[k], Y[k], lam)
+                want = cho_solve(cho_factor(A, check_finite=False), B, check_finite=False)
+                assert payload.coef[k].tobytes() == want.tobytes()
+                assert fit_ridge(X[k], Y[k], lam).coef.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("with_exog", [False, True])
+    def test_arx_matches_lstsq_item_by_item(self, with_exog):
+        rng = np.random.default_rng(13)
+        p, T = 2, 37
+        series = rng.gamma(0.5, 20, size=(6, T))
+        exog = rng.gamma(0.5, 20, size=(6, T, 3)) if with_exog else None
+        series[1] = 7.5                          # constant: an exact fit
+        if with_exog:
+            exog[1] = 2.0
+            exog[2, 1:, 0] = series[2, :-1]      # an exog column equal to lag 1
+        series[4, 10] = np.nan                   # lstsq raises on its rows
+        series[5, -1] = np.nan                   # a NaN target only
+        payload = fit_arx_payload(series, exog, p)
+        assert list(payload.failures) == [4]
+        for i in range(len(series)):
+            X, y = lag_matrix(series[i], p, None if exog is None else exog[i])
+            Xb = np.column_stack([np.ones(len(X)), X])
+            coef = np.concatenate([[payload.intercept[i]], payload.phi[i], payload.beta[i]])
+            if i == 4:
+                with pytest.raises(np.linalg.LinAlgError) as err:
+                    np.linalg.lstsq(Xb, y, rcond=None)
+                assert type(payload.failures[4]) is type(err.value)
+                assert str(payload.failures[4]) == str(err.value)
+                assert np.isnan(coef).all()
+                with pytest.raises(np.linalg.LinAlgError, match=str(err.value)):
+                    fit_arx_payload(series[i], None if exog is None else exog[i], p)
+            else:
+                assert coef.tobytes() == np.linalg.lstsq(Xb, y, rcond=None)[0].tobytes()
+
+
+def old_median_bandwidth(X):
+    """median_bandwidth as a separate pass over its own distance matrix."""
+    if X.shape[-2] < 2:
+        return 1.0 if X.ndim == 2 else np.ones(X.shape[0])
+    upper = np.triu_indices(X.shape[-2], k=1)
+    dists = np.sqrt(pairwise_sq_dists(X, X)[..., upper[0], upper[1]])
+    count = np.count_nonzero(dists > 0, axis=-1)
+    ranked = np.sort(np.where(dists > 0, dists, np.inf), axis=-1)
+    lo = np.take_along_axis(ranked, np.maximum(count - 1, 0)[..., None] // 2, -1)[..., 0]
+    hi = np.take_along_axis(ranked, (count // 2)[..., None], -1)[..., 0]
+    median = np.where(count > 0, np.where(count % 2 == 1, lo, (lo + hi) / 2), 1.0)
+    return float(median) if X.ndim == 2 else median
+
+
+class TestKernelFitOneDistanceMatrix:
+    """fit_kernel_ridge builds K + lam*I from one distance matrix, in place,
+    with the bits of the two-pass formula."""
+
+    @staticmethod
+    def two_pass(X, Y, lam):
+        bw = old_median_bandwidth(X)
+        K = rbf_kernel(X, X, bw) + lam * np.eye(X.shape[-2])
+        return bw, _refined_solve(K, Y)
+
+    @pytest.mark.parametrize("lam", [1e-3, 1.0])
+    @pytest.mark.parametrize("shape", [(6, 33, 10), (200, 10)])
+    def test_stacked_and_pooled_fits_bit_for_bit(self, lam, shape):
+        rng = np.random.default_rng(14)
+        X = rng.gamma(0.5, 20, size=shape)
+        X[..., 3:6, :] = X[..., 2:3, :]          # zero distances the median skips
+        if X.ndim == 3:
+            X[4] = 0.0                           # no pair apart: unit bandwidth
+        Y = rng.gamma(0.5, 20, size=shape[:-1] + (4,))
+        bw, alpha = self.two_pass(X, Y, lam)
+        payload = fit_kernel_ridge(X, Y, lam)
+        assert np.asarray(payload.bandwidth).tobytes() == np.asarray(bw).tobytes()
+        assert payload.alpha.tobytes() == alpha.tobytes()
+        np.testing.assert_array_equal(median_bandwidth(X), bw)
+
+    def test_pooled_fit_peak_memory(self):
+        # 990 rows: the pooled df_all_items design of 30 items.
+        n = 990
+        rng = np.random.default_rng(15)
+        X = rng.gamma(0.5, 20, size=(n, 10))
+        Y = rng.gamma(0.5, 20, size=(n, 10))
+        fit_kernel_ridge(X, Y, 1e-3)
+        tracemalloc.start()
+        try:
+            fit_kernel_ridge(X, Y, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Two n x n matrices live at once; a kernel built beside its distance
+        # matrix, then added to lam * I, held three.
+        assert peak < 2.5 * n * n * 8
