@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from ..errors import HierfcstError
+from ..errors import DomainError, HierfcstError
 
 # LAPACK's gelsd, the routine np.linalg.lstsq calls, resolved once; a call
 # through the handle skips lstsq's per-call set-up and gives its bits.
@@ -91,8 +91,9 @@ def fit_arx_payload(series, exog=None, p: int = 1) -> ArxPayload:
     """Fit one series (T,), with exog (T, k), or a stack of series
     (items, T), with exog (items, T, k), from one gathered design solved by
     one LAPACK least-squares call per item.  A single fit raises the
-    LinAlgError of a failed solve; a stack records it in the payload's
-    ``failures`` and fits the other items."""
+    DomainError of non-finite data or the LinAlgError of a failed solve; a
+    stack records it in the payload's ``failures`` and fits the other
+    items."""
     series = np.asarray(series, dtype=float)
     k = 0 if exog is None else np.shape(exog)[-1]
     if exog is not None and np.shape(exog)[-2] != series.shape[-1]:
@@ -109,8 +110,8 @@ def fit_arx_payload(series, exog=None, p: int = 1) -> ArxPayload:
     # gelsd item by item: a stacked SVD gives the same minimum-norm answers
     # only to about 1e-14, which moves exact-fit SMAPE ties (a constant item
     # scores 0 or 2e-14) and so best models.  The calls take lstsq's rcond
-    # and workspace; an item with non-finite rows, or whose call reports
-    # info != 0, goes through lstsq itself, which raises its LinAlgError.
+    # and workspace.  An item with non-finite rows or targets fails before
+    # any call, and one whose SVD does not converge with lstsq's LinAlgError.
     n_rows, n_cols = Xb.shape[-2:]
     rcond = np.finfo(float).eps * max(n_rows, n_cols)
     lwork, iwork, _ = _gelsd_lwork(n_rows, n_cols, 1, rcond)
@@ -121,15 +122,14 @@ def fit_arx_payload(series, exog=None, p: int = 1) -> ArxPayload:
     coef = np.full((Xb.shape[0], n_cols), np.nan)
     failures = {}
     for i in range(Xb.shape[0]):
-        if finite[i]:
-            x, _, _, info = _gelsd(Xb[i], rhs[i], int(lwork), iwork, rcond)
-            if info == 0:
-                coef[i] = x[:n_cols, 0]
-                continue
-        try:
-            coef[i] = np.linalg.lstsq(Xb[i], y[i], rcond=None)[0]
-        except np.linalg.LinAlgError as exc:
-            failures[i] = exc
+        if not finite[i]:
+            failures[i] = DomainError("ARX design rows or targets are not all finite")
+            continue
+        x, _, _, info = _gelsd(Xb[i], rhs[i], int(lwork), iwork, rcond)
+        if info != 0:
+            failures[i] = np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+            continue
+        coef[i] = x[:n_cols, 0]
     if stacked:
         return ArxPayload(coef[:, 0], coef[:, 1:1 + p], coef[:, 1 + p:], failures)
     if failures:

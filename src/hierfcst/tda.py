@@ -11,7 +11,6 @@ neighbours in feature space.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +21,9 @@ from .features import extract_features
 DEFAULT_INTERVALS = 10
 DEFAULT_OVERLAP = 0.3
 DEFAULT_KNN = 5
+# Bins of the merge-height histogram whose first gap cuts a preimage's
+# single-linkage tree.
+HISTOGRAM_BINS = 10
 
 
 # ---------------------------------------------------------------------------
@@ -124,9 +126,18 @@ class MapperGraph:
     def adjacency(self) -> np.ndarray:
         k = len(self.nodes)
         adj = np.zeros((k, k))
-        for a, b in self.edges:
-            adj[a, b] = adj[b, a] = 1.0
+        a, b = np.array(self.edges, dtype=int).reshape(-1, 2).T
+        adj[np.r_[a, b], np.r_[b, a]] = 1.0
         return adj
+
+    def membership(self) -> np.ndarray:
+        """(nodes, series) matrix, 1.0 where the node holds the series; its
+        products count shared series and label votes."""
+        M = np.zeros((len(self.nodes), self.n_series))
+        sizes = [len(nd.members) for nd in self.nodes]
+        M[np.repeat(np.arange(len(sizes)), sizes),
+          np.array([s for nd in self.nodes for s in nd.members], dtype=int)] = 1.0
+        return M
 
     def to_json(self) -> str:
         payload = {
@@ -156,71 +167,40 @@ class MapperGraph:
         return "\n".join(lines)
 
 
-def _mst_edges(D):
-    """Prim's minimum spanning tree on a dense distance matrix.
-
-    Returns (i, j, weight) triples, n-1 of them.
-    """
-    n = D.shape[0]
-    in_tree = np.zeros(n, dtype=bool)
-    in_tree[0] = True
-    best = D[0].copy()
-    parent = np.zeros(n, dtype=int)
-    edges = []
-    for _ in range(n - 1):
-        cand = np.where(in_tree, np.inf, best)
-        j = int(np.argmin(cand))
-        edges.append((int(parent[j]), j, float(best[j])))
-        in_tree[j] = True
-        closer = D[j] < best
-        best[closer] = D[j][closer]
-        parent[closer] = j
-    return edges
-
-
-def _first_gap_threshold(heights, bins: int):
-    """Left edge of the first empty histogram bin, or None if no gap."""
+def _first_gap_threshold(heights, bins: int) -> float:
+    """Left edge of the first empty histogram bin, or inf if no gap."""
     heights = np.asarray(heights, dtype=float)
     top = heights.max()
     if top <= 0:
-        return None
+        return np.inf
     counts, edges = np.histogram(heights, bins=bins, range=(0.0, top))
-    seen_data = False
-    for k, c in enumerate(counts):
-        if c > 0:
-            seen_data = True
-        elif seen_data:
-            return float(edges[k])
-    return None
+    first = int(np.argmax(counts > 0))
+    gaps = np.flatnonzero(counts[first:] == 0)
+    return float(edges[first + gaps[0]]) if gaps.size else np.inf
 
 
-def _cluster_preimage(D, bins: int):
-    """Single-linkage components under the first-gap cut; list of index lists."""
-    n = D.shape[0]
-    if n == 1:
-        return [[0]]
-    edges = _mst_edges(D)
-    threshold = _first_gap_threshold([w for *_, w in edges], bins)
-    parent = list(range(n))
+def _cluster_preimage(D, bins: int = HISTOGRAM_BINS) -> np.ndarray:
+    """Single-linkage components under the first-gap cut, as one component
+    label per point, numbered in order of their lowest point.
 
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i, j, w in edges:
-        if threshold is None or w < threshold:
-            parent[find(i)] = find(j)
-
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return sorted(groups.values(), key=min)
+    The merge heights of single linkage are the minimum spanning tree's
+    edge weights (Gower & Ross 1969).  fcluster joins the merges at or
+    below the cut, which are those below it: no height equals the left
+    edge of an empty bin.
+    """
+    if D.shape[0] == 1:
+        return np.zeros(1, dtype=int)
+    # Imported here, as cdist is: scipy.cluster takes tens of milliseconds.
+    from scipy.cluster.hierarchy import fcluster, linkage
+    from scipy.spatial.distance import squareform
+    Z = linkage(squareform(D, checks=False), "single")
+    labels = fcluster(Z, _first_gap_threshold(Z[:, 2], bins), "distance")
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse]
 
 
 def mapper(features, lens=None, n_intervals: int = DEFAULT_INTERVALS,
-           overlap: float = DEFAULT_OVERLAP, histogram_bins: int = 10) -> MapperGraph:
+           overlap: float = DEFAULT_OVERLAP) -> MapperGraph:
     """Mapper graph: overlapping lens intervals, Canberra single-linkage
     clustering per preimage, edges between clusters sharing a series.
 
@@ -259,18 +239,16 @@ def mapper(features, lens=None, n_intervals: int = DEFAULT_INTERVALS,
             continue
         # Mapper clusters each preimage on its own, so only the distances
         # within it are computed.
-        for cluster in _cluster_preimage(canberra_matrix(X[members]), histogram_bins):
-            idx = tuple(sorted(int(members[c]) for c in cluster))
-            nodes.append(MapperNode(node_id=len(nodes), interval=k, members=idx))
+        labels = _cluster_preimage(canberra_matrix(X[members]))
+        for c in range(labels.max() + 1):
+            nodes.append(MapperNode(node_id=len(nodes), interval=k,
+                                    members=tuple(members[labels == c].tolist())))
 
-    edges = []
-    member_sets = [set(nd.members) for nd in nodes]
-    for a in range(len(nodes)):
-        for b in range(a + 1, len(nodes)):
-            if member_sets[a] & member_sets[b]:
-                edges.append((a, b))
-
-    return MapperGraph(nodes=nodes, edges=edges, n_series=n)
+    graph = MapperGraph(nodes=nodes, edges=[], n_series=n)
+    M = graph.membership()
+    # Nodes sharing a series, in row-major order.
+    graph.edges = list(map(tuple, np.argwhere(np.triu(M @ M.T, 1)).tolist()))
+    return graph
 
 
 # ---------------------------------------------------------------------------
@@ -291,26 +269,6 @@ def fiedler_vector(adjacency) -> np.ndarray:
     return _fix_sign(np.linalg.eigh(L)[1][:, 1])
 
 
-def _components(adjacency):
-    k = adjacency.shape[0]
-    seen = np.zeros(k, dtype=bool)
-    comps = []
-    for start in range(k):
-        if seen[start]:
-            continue
-        stack, comp = [start], []
-        seen[start] = True
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for w in np.nonzero(adjacency[u] > 0)[0]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(int(w))
-        comps.append(sorted(comp))
-    return comps
-
-
 def fiedler_partition(graph: MapperGraph, min_cluster_size: int) -> dict:
     """Recursive spectral bisection of the Mapper graph.
 
@@ -319,15 +277,9 @@ def fiedler_partition(graph: MapperGraph, min_cluster_size: int) -> dict:
     min_cluster_size underlying series.  Returns node_id -> partition id and
     stamps the ids on the nodes.
     """
+    from scipy.sparse.csgraph import connected_components
     adj = graph.adjacency()
-    members = [set(nd.members) for nd in graph.nodes]
-
-    def series_count(node_ids):
-        out = set()
-        for i in node_ids:
-            out |= members[i]
-        return len(out)
-
+    M = graph.membership()
     partitions = []
 
     def split(node_ids):
@@ -336,27 +288,26 @@ def fiedler_partition(graph: MapperGraph, min_cluster_size: int) -> dict:
             return
         sub = adj[np.ix_(node_ids, node_ids)]
         # A disconnected selection is handled component-wise.
-        comps = _components(sub)
-        if len(comps) > 1:
-            for comp in comps:
-                split([node_ids[c] for c in comp])
+        n_comp, labels = connected_components(sub, directed=False)
+        if n_comp > 1:
+            for c in range(n_comp):
+                split(node_ids[labels == c])
             return
         f = fiedler_vector(sub)
-        left = [node_ids[i] for i in range(len(node_ids)) if f[i] < 0]
-        right = [node_ids[i] for i in range(len(node_ids)) if f[i] >= 0]
-        if (not left or not right
-                or series_count(left) < min_cluster_size
-                or series_count(right) < min_cluster_size):
+        left, right = node_ids[f < 0], node_ids[f >= 0]
+        if (not left.size or not right.size
+                or np.count_nonzero(M[left].any(axis=0)) < min_cluster_size
+                or np.count_nonzero(M[right].any(axis=0)) < min_cluster_size):
             partitions.append(node_ids)
             return
         split(left)
         split(right)
 
-    split(list(range(len(graph.nodes))))
+    split(np.arange(len(graph.nodes)))
 
     assignment = {}
     for pid, node_ids in enumerate(sorted(partitions, key=min)):
-        for i in node_ids:
+        for i in node_ids.tolist():
             assignment[i] = pid
             graph.nodes[i].partition = pid
     return assignment
@@ -367,9 +318,9 @@ def fiedler_partition(graph: MapperGraph, min_cluster_size: int) -> dict:
 # ---------------------------------------------------------------------------
 
 def _majority(labels):
-    counts = Counter(labels)
-    top = max(counts.values())
-    return sorted(lbl for lbl, c in counts.items() if c == top)[0]
+    """The most frequent label; a tie goes to the lexicographically first."""
+    names, counts = np.unique(labels, return_counts=True)
+    return names[np.argmax(counts)].item()
 
 
 @dataclass
@@ -419,30 +370,34 @@ def label_and_route(graph: MapperGraph, features, best_labels,
     if any(nd.partition is None for nd in graph.nodes):
         raise HierfcstError("run fiedler_partition before labeling")
 
+    # np.unique sorts the names, so an argmax over label counts breaks ties
+    # lexicographically; label_hot marks each series' label.
+    names, codes = np.unique(best_labels, return_inverse=True)
+    names = names.tolist()
+    label_hot = (codes[:, None] == np.arange(len(names))).astype(float)
+    M = graph.membership()
+
     # A series appearing in several nodes joins the partition holding it
     # most often (ties -> lowest partition id).
-    votes = [Counter() for _ in range(n)]
-    for nd in graph.nodes:
-        for s in nd.members:
-            votes[s][nd.partition] += 1
-    series_cluster = np.empty(n, dtype=int)
-    for s in range(n):
-        if not votes[s]:
-            raise HierfcstError(f"series {s} belongs to no Mapper node")
-        top = max(votes[s].values())
-        series_cluster[s] = min(pid for pid, c in votes[s].items() if c == top)
+    pids, node_part = np.unique([nd.partition for nd in graph.nodes], return_inverse=True)
+    votes = M.T @ (node_part[:, None] == np.arange(pids.size))
+    orphans = np.flatnonzero(votes.sum(axis=1) == 0)
+    if orphans.size:
+        raise HierfcstError(f"series {orphans[0]} belongs to no Mapper node")
+    part = np.argmax(votes, axis=1)
+    series_cluster = pids[part]
 
-    cluster_labels = {}
-    for cid in sorted(set(series_cluster.tolist())):
-        members = np.nonzero(series_cluster == cid)[0]
-        cluster_labels[cid] = _majority([best_labels[s] for s in members])
+    used = np.unique(part)
+    cluster_top = np.argmax((part == used[:, None]) @ label_hot, axis=1)
+    cluster_labels = {cid: names[top] for cid, top in
+                      zip(pids[used].tolist(), cluster_top.tolist())}
 
-    for nd in graph.nodes:
-        node_best = [best_labels[s] for s in nd.members]
-        nd.label = _majority(node_best)
-        nd.purity = node_best.count(nd.label) / len(node_best)
+    for nd, counts in zip(graph.nodes, M @ label_hot):
+        top = int(np.argmax(counts))
+        nd.label = names[top]
+        nd.purity = int(counts[top]) / len(nd.members)
 
-    series_labels = [cluster_labels[series_cluster[s]] for s in range(n)]
+    series_labels = [cluster_labels[cid] for cid in series_cluster.tolist()]
     return ModelSelector(train_features=features, series_labels=series_labels,
                          series_cluster=series_cluster,
                          cluster_labels=cluster_labels, k=k, graph=graph)

@@ -14,11 +14,17 @@ where the library grows every tree of a fit level by level, a backtest
 run item by item (own transform, features, fit, lstsq and SMAPE per item)
 where the library stacks items, a CSV read row by row where the library
 parses by column, series features one series at a time where the library
-takes a stack, and a Mapper over the dense Canberra matrix summed column
-by column where the library computes each preimage's block on its own.
+takes a stack, a Mapper over the dense Canberra matrix summed column
+by column where the library computes each preimage's block on its own,
+single linkage by Prim's tree and a union-find where the library calls
+scipy's linkage and fcluster, graph components by depth-first search
+where the library calls scipy's connected_components, and Mapper edges,
+series counts, partition votes and majority labels from sets and
+Counters where the library multiplies one membership matrix.
 """
 
 import csv
+from collections import Counter
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solveh_banded
@@ -30,7 +36,7 @@ from hierfcst.errors import (DomainError, DuplicateKeyError, HierfcstError,
 from hierfcst.evaluate import ITEM_ERRORS, NODF_LAGS
 from hierfcst.models import fit
 from hierfcst.preprocess import window_index
-from hierfcst.tda import MapperGraph, MapperNode, _cluster_preimage, pca_lens
+from hierfcst.tda import HISTOGRAM_BINS, MapperGraph, MapperNode, pca_lens
 
 
 def gradient_descent(f, grad, x0, max_iter=20000, tol=1e-12):
@@ -774,9 +780,165 @@ def canberra_columns(A, B=None):
     return D
 
 
-def mapper_dense(features, lens=None, n_intervals=10, overlap=0.3, histogram_bins=10):
+def mst_edges_prim(D):
+    """Prim's minimum spanning tree on a dense distance matrix: (i, j,
+    weight) triples, n-1 of them."""
+    n = D.shape[0]
+    in_tree = np.zeros(n, dtype=bool)
+    in_tree[0] = True
+    best = D[0].copy()
+    parent = np.zeros(n, dtype=int)
+    edges = []
+    for _ in range(n - 1):
+        cand = np.where(in_tree, np.inf, best)
+        j = int(np.argmin(cand))
+        edges.append((int(parent[j]), j, float(best[j])))
+        in_tree[j] = True
+        closer = D[j] < best
+        best[closer] = D[j][closer]
+        parent[closer] = j
+    return edges
+
+
+def first_gap_threshold_loop(heights, bins):
+    """Left edge of the first empty histogram bin after a non-empty one,
+    or None, found bin by bin."""
+    heights = np.asarray(heights, dtype=float)
+    top = heights.max()
+    if top <= 0:
+        return None
+    counts, edges = np.histogram(heights, bins=bins, range=(0.0, top))
+    seen_data = False
+    for k, c in enumerate(counts):
+        if c > 0:
+            seen_data = True
+        elif seen_data:
+            return float(edges[k])
+    return None
+
+
+def cluster_preimage_prim(D, bins=HISTOGRAM_BINS):
+    """Single-linkage components under the first-gap cut of the Prim tree's
+    weights, merged by a union-find over the tree edges below the cut; a
+    list of index lists ordered by their first index."""
+    n = D.shape[0]
+    if n == 1:
+        return [[0]]
+    edges = mst_edges_prim(D)
+    threshold = first_gap_threshold_loop([w for *_, w in edges], bins)
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for i, j, w in edges:
+        if threshold is None or w < threshold:
+            parent[find(i)] = find(j)
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return sorted(groups.values(), key=min)
+
+
+def fiedler_partition_sets(graph, min_cluster_size):
+    """node_id -> partition id of hierfcst.tda.fiedler_partition, with
+    components found by depth-first search and each side's series counted
+    by set unions; the graph is left as it is."""
+    from hierfcst.tda import fiedler_vector
+    adj = np.zeros((len(graph.nodes),) * 2)
+    for a, b in graph.edges:
+        adj[a, b] = adj[b, a] = 1.0
+    members = [set(nd.members) for nd in graph.nodes]
+
+    def components(sub):
+        seen, comps = set(), []
+        for start in range(sub.shape[0]):
+            if start in seen:
+                continue
+            stack, comp = [start], []
+            seen.add(start)
+            while stack:
+                u = stack.pop()
+                comp.append(u)
+                for w in np.nonzero(sub[u] > 0)[0].tolist():
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+            comps.append(sorted(comp))
+        return comps
+
+    partitions = []
+
+    def split(node_ids):
+        if len(node_ids) < 2:
+            partitions.append(node_ids)
+            return
+        sub = adj[np.ix_(node_ids, node_ids)]
+        comps = components(sub)
+        if len(comps) > 1:
+            for comp in comps:
+                split([node_ids[c] for c in comp])
+            return
+        f = fiedler_vector(sub)
+        left = [i for i, v in zip(node_ids, f) if v < 0]
+        right = [i for i, v in zip(node_ids, f) if v >= 0]
+        if (not left or not right
+                or len(set().union(*(members[i] for i in left))) < min_cluster_size
+                or len(set().union(*(members[i] for i in right))) < min_cluster_size):
+            partitions.append(node_ids)
+            return
+        split(left)
+        split(right)
+
+    split(list(range(len(graph.nodes))))
+    return {i: pid for pid, node_ids in enumerate(sorted(partitions, key=min))
+            for i in node_ids}
+
+
+def majority_counter(labels):
+    """The most frequent label by a Counter; ties go to the first sorted."""
+    counts = Counter(labels)
+    top = max(counts.values())
+    return sorted(lbl for lbl, c in counts.items() if c == top)[0]
+
+
+def label_and_route_counter(graph, best_labels):
+    """What hierfcst.tda.label_and_route assigns, by one Counter of
+    partition votes per series and one of labels per cluster and node.
+    Returns (series_cluster, cluster_labels, series_labels, node labels,
+    node purities); the graph is left as it is."""
+    n = graph.n_series
+    votes = [Counter() for _ in range(n)]
+    for nd in graph.nodes:
+        for s in nd.members:
+            votes[s][nd.partition] += 1
+    series_cluster = np.empty(n, dtype=int)
+    for s in range(n):
+        if not votes[s]:
+            raise HierfcstError(f"series {s} belongs to no Mapper node")
+        top = max(votes[s].values())
+        series_cluster[s] = min(pid for pid, c in votes[s].items() if c == top)
+    cluster_labels = {}
+    for cid in sorted(set(series_cluster.tolist())):
+        members = np.nonzero(series_cluster == cid)[0]
+        cluster_labels[cid] = majority_counter([best_labels[s] for s in members])
+    labels, purities = [], []
+    for nd in graph.nodes:
+        node_best = [best_labels[s] for s in nd.members]
+        labels.append(majority_counter(node_best))
+        purities.append(node_best.count(labels[-1]) / len(node_best))
+    series_labels = [cluster_labels[series_cluster[s]] for s in range(n)]
+    return series_cluster, cluster_labels, series_labels, labels, purities
+
+
+def mapper_dense(features, lens=None, n_intervals=10, overlap=0.3,
+                 histogram_bins=HISTOGRAM_BINS):
     """Mapper that builds the whole n x n Canberra matrix first and clusters
-    each preimage on its block of it; nodes and edges as hierfcst.tda.mapper."""
+    each preimage on its block of it by the Prim tree, with edges from set
+    intersections; nodes and edges as hierfcst.tda.mapper."""
     X = np.atleast_2d(np.asarray(features, dtype=float))
     n = X.shape[0]
     lens = pca_lens(X) if lens is None else np.asarray(lens, dtype=float).ravel()
@@ -796,7 +958,8 @@ def mapper_dense(features, lens=None, n_intervals=10, overlap=0.3, histogram_bin
         members = [i for i in range(n) if a <= lens[i] <= b]
         if not members:
             continue
-        for cluster in _cluster_preimage(D_full[np.ix_(members, members)], histogram_bins):
+        for cluster in cluster_preimage_prim(D_full[np.ix_(members, members)],
+                                             histogram_bins):
             nodes.append(MapperNode(node_id=len(nodes), interval=k,
                                     members=tuple(sorted(members[c] for c in cluster))))
     edges = [(a, b) for a in range(len(nodes)) for b in range(a + 1, len(nodes))

@@ -7,12 +7,15 @@ from hypothesis import strategies as st
 
 from hierfcst.errors import HierfcstError
 from hierfcst.features import FEATURE_NAMES, extract_features, extract_feature_matrix
-from hierfcst.tda import (DEFAULT_KNN, MapperGraph, canberra, canberra_matrix,
+from hierfcst.tda import (DEFAULT_KNN, MapperGraph, MapperNode, ModelSelector,
+                          _cluster_preimage, canberra, canberra_matrix,
                           fiedler_partition, fiedler_vector,
                           first_principal_component, label_and_route, mapper,
                           pca_lens, standardize_columns)
 
-from oracles import features_item, fiedler_dense, mapper_dense, pc1_dense
+from oracles import (cluster_preimage_prim, features_item, fiedler_dense,
+                     fiedler_partition_sets, label_and_route_counter,
+                     mapper_dense, pc1_dense)
 
 
 def bits(a):
@@ -317,6 +320,121 @@ class TestMapperMatchesDense:
         assert g.n_series == ref.n_series
 
 
+@st.composite
+def distance_matrices(draw):
+    """Canberra matrices of feature rows with duplicates (zero distances)
+    and all-zero rows, or symmetric matrices of small integers, so heights
+    tie; from one point up."""
+    n = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        X = rng.lognormal(0, 1.5, size=(n, 7)) * (rng.random((n, 7)) > 0.2)
+        X[rng.random(n) < 0.15] = 0.0
+        dup = rng.random(n) < 0.3
+        X[dup] = X[rng.integers(0, n, size=int(dup.sum()))]
+        return canberra_matrix(X)
+    D = np.triu(rng.integers(0, draw(st.integers(1, 6)), size=(n, n)), 1).astype(float)
+    return D + D.T
+
+
+class TestClusterPreimageMatchesPrim:
+    @settings(max_examples=300, deadline=None)
+    @given(distance_matrices(), st.integers(2, 12))
+    def test_same_components(self, D, bins):
+        labels = _cluster_preimage(D, bins)
+        groups = [np.flatnonzero(labels == c).tolist() for c in range(labels.max() + 1)]
+        assert groups == cluster_preimage_prim(D, bins)
+
+
+@st.composite
+def labelled_graphs(draw):
+    """Partitioned graphs with series in several nodes whose partition
+    votes tie, partition ids with gaps, and labels from a small alphabet
+    whose counts tie; now and then a series in no node."""
+    n = draw(st.integers(1, 25))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_nodes = draw(st.integers(1, 12))
+    pids = draw(st.lists(st.sampled_from([0, 1, 3, 7]), min_size=n_nodes,
+                         max_size=n_nodes))
+    member_sets = [set(np.flatnonzero(rng.random(n) < 0.3).tolist()) for _ in range(n_nodes)]
+    uncovered = set(range(n)) - set().union(*member_sets)
+    if draw(st.integers(0, 9)) > 0:
+        for s in uncovered:
+            member_sets[rng.integers(n_nodes)].add(s)
+    kept = [(m, pid) for m, pid in zip(member_sets, pids) if m]
+    nodes = [MapperNode(node_id=i, interval=0, members=tuple(sorted(m)), partition=pid)
+             for i, (m, pid) in enumerate(kept)]
+    labels = draw(st.lists(st.sampled_from(["ridge", "arx", "B", "arx_exog"]),
+                           min_size=n, max_size=n))
+    return MapperGraph(nodes=nodes, edges=[], n_series=n), labels
+
+
+def assert_labels_match_counter(graph, labels):
+    try:
+        ref = label_and_route_counter(graph, labels)
+    except HierfcstError as exc:
+        with pytest.raises(HierfcstError, match=str(exc)):
+            label_and_route(graph, np.zeros((graph.n_series, 7)), labels)
+        return
+    series_cluster, cluster_labels, series_labels, node_labels, purities = ref
+    sel = label_and_route(graph, np.zeros((graph.n_series, 7)), labels)
+    assert sel.series_cluster.dtype == series_cluster.dtype
+    assert sel.series_cluster.tolist() == series_cluster.tolist()
+    assert list(sel.cluster_labels.items()) == list(cluster_labels.items())
+    assert all(type(cid) is int and type(lbl) is str
+               for cid, lbl in sel.cluster_labels.items())
+    assert sel.series_labels == series_labels
+    assert all(type(lbl) is str for lbl in sel.series_labels)
+    assert [nd.label for nd in graph.nodes] == node_labels
+    assert [nd.purity for nd in graph.nodes] == purities
+    assert all(type(nd.label) is str and type(nd.purity) is float for nd in graph.nodes)
+
+
+class TestLabelAndRouteMatchesCounter:
+    @settings(max_examples=300, deadline=None)
+    @given(labelled_graphs())
+    def test_drawn_graphs(self, case):
+        assert_labels_match_counter(*case)
+
+    @settings(max_examples=60, deadline=None)
+    @given(mapper_cases(), st.integers(1, 6), st.data())
+    def test_mapper_graphs_and_their_partitions(self, case, min_size, data):
+        X, lens, n_intervals, overlap = case
+        try:
+            graph = mapper(X, lens, n_intervals, overlap)
+        except HierfcstError:
+            return                       # the PCA lens of one row or constant columns
+        ref = fiedler_partition_sets(graph, min_size)
+        assert fiedler_partition(graph, min_size) == ref
+        labels = data.draw(st.lists(st.sampled_from(["a", "b", "c"]), min_size=len(X),
+                                    max_size=len(X)))
+        assert_labels_match_counter(graph, labels)
+
+    def test_tied_votes_and_labels(self):
+        # Series 2 lies in one node of each partition, so it joins the lower
+        # id; partition 1 then holds series 0 and 1, labelled "b" and "a".
+        graph = MapperGraph(nodes=[MapperNode(0, 0, (0, 1, 2), partition=1),
+                                   MapperNode(1, 0, (2, 3, 4), partition=0)],
+                            edges=[(0, 1)], n_series=5)
+        sel = label_and_route(graph, np.zeros((5, 7)), ["b", "a", "b", "c", "b"])
+        assert sel.series_cluster.tolist() == [1, 1, 0, 0, 0]
+        assert sel.cluster_labels == {0: "b", 1: "a"}
+        assert [nd.label for nd in graph.nodes] == ["b", "b"]
+        assert [nd.purity for nd in graph.nodes] == [2 / 3, 2 / 3]
+
+
+class TestGraphMatrices:
+    def test_adjacency_without_edges(self):
+        graph = MapperGraph(nodes=[_node(0, (0,)), _node(1, (1,))], edges=[], n_series=2)
+        assert graph.adjacency().tolist() == [[0.0, 0.0], [0.0, 0.0]]
+
+    def test_adjacency_and_membership(self):
+        graph = MapperGraph(nodes=[_node(0, (0, 2)), _node(1, (1,)), _node(2, (2,))],
+                            edges=[(0, 2), (1, 2)], n_series=3)
+        assert graph.adjacency().tolist() == [[0, 0, 1], [0, 0, 1], [1, 1, 0]]
+        assert graph.membership().tolist() == [[1, 0, 1], [0, 1, 0], [0, 0, 1]]
+
+
 class TestFiedler:
     def test_path_graph_split(self):
         adj = np.zeros((4, 4))
@@ -437,6 +555,13 @@ class TestLabelAndRoute:
 
     def test_default_k(self):
         assert DEFAULT_KNN == 5
+
+    def test_routing_tie_breaks_by_name(self):
+        sel = ModelSelector(train_features=np.array([[1.0] * 7, [1.0] * 7, [9.0] * 7]),
+                            series_labels=["b", "a", "a"], series_cluster=np.zeros(3, int),
+                            cluster_labels={0: "a"}, k=2)
+        label = sel.route_features([1.0] * 7)
+        assert label == "a" and type(label) is str
 
     def test_wrong_length_features_rejected(self):
         X, g, sel = self._fitted(["A"] * 50, seed=14)
