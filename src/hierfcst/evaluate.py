@@ -27,7 +27,8 @@ NODF_LAGS = 3
 # item, around a spec-wide fit the whole spec.
 ITEM_ERRORS = (HierfcstError, np.linalg.LinAlgError)
 
-# Items per stacked fit: bounds the (items, rows, rows) kernel temporaries.
+# Items per stacked fit: bounds the (items, rows, rows) kernel temporaries
+# and the number of trees a stacked tree fit holds at once.
 ITEM_BLOCK = 256
 
 _NONFINITE = "smape requires finite inputs"

@@ -24,8 +24,11 @@ __all__ = [
 
 
 # Families whose fit takes a stack of items, X (items, n, k) and
-# Y (items, n, m), and fits one model per item in one call.
-STACKED_FAMILIES = ("ridge", "kernel")
+# Y (items, n, m), and fits one model per item in one call: ridge and
+# kernel ridge by one solve per item, the tree families by growing every
+# item's trees together, one forest level or boosting round at a time.
+# Lasso and Poisson fit one item per call.
+STACKED_FAMILIES = ("ridge", "kernel", "rforest", "adaboost", "ensemble")
 
 
 def _check_xy(X, Y):
@@ -50,7 +53,9 @@ def fit(spec: ModelSpec, X, Y, transform: TargetTransform | None = None) -> Fitt
     a tree family fits every column in one batch.  A STACKED_FAMILIES
     family also takes a stack of items, X (items, n, k) and Y (items, n, m),
     and fits one model per item at once; an item whose fit fails is listed
-    in the payload's ``failures`` (item position -> error).
+    in the payload's ``failures`` (item position -> error).  A tree
+    family's stack gives the trees and forecasts of fitting each item
+    alone, bit for bit; an error in any item raises for the whole stack.
     ``transform`` is the fitted per-series transform that produced the
     (already transformed) X/Y entries; it is stored so predictions can be
     mapped back to original quantity units.
@@ -70,20 +75,12 @@ def fit(spec: ModelSpec, X, Y, transform: TargetTransform | None = None) -> Fitt
         payload = fit_poisson(X, Y, hp["lam"], hp["max_iter"], hp["tol"])
     elif family == "kernel":
         payload = fit_kernel_ridge(X, Y, hp["lam"], hp["bandwidth"])
-    elif family == "rforest":
-        payload = PerTargetPayload(RandomForest.fit_batch(
-            [RandomForest(hp["n_trees"], hp["max_depth"], hp["min_leaf"],
-                          hp["max_features"], hp["bootstrap"], seed=hp["seed"] + c)
-             for c in range(Y.shape[1])], X, Y))
-    elif family == "adaboost":
-        payload = PerTargetPayload(AdaBoostR2.fit_batch(
-            [AdaBoostR2(hp["rounds"], hp["base_depth"], hp["seed"])
-             for _ in range(Y.shape[1])], X, Y))
-    elif family == "ensemble":
-        payload = PerTargetPayload(BaggedGradientBoost.fit_batch(
-            [BaggedGradientBoost(hp["n_bags"], hp["boost_rounds"], hp["learning_rate"],
-                                 hp["max_depth"], seed=hp["seed"] + c)
-             for c in range(Y.shape[1])], X, Y))
+    elif family in ("rforest", "adaboost", "ensemble"):
+        items = len(X) if X.ndim == 3 else 1
+        models = [_tree_model(family, hp, c) for _ in range(items)
+                  for c in range(Y.shape[-1])]
+        type(models[0]).fit_batch(models, X, Y)
+        payload = PerTargetPayload(models, items if X.ndim == 3 else None)
     elif family == "arx":
         raise HierfcstError("arx is fitted from a series; use fit_arx")
     elif family == "trmf":
@@ -94,6 +91,17 @@ def fit(spec: ModelSpec, X, Y, transform: TargetTransform | None = None) -> Fitt
     return FittedModel(spec=spec, payload=payload, n_features=X.shape[-1],
                        n_targets=Y.shape[-1], transform=transform,
                        meta={"n_samples": X.shape[-2]})
+
+
+def _tree_model(family, hp, c):
+    """The unfitted model of a tree family for target column c."""
+    if family == "rforest":
+        return RandomForest(hp["n_trees"], hp["max_depth"], hp["min_leaf"],
+                            hp["max_features"], hp["bootstrap"], seed=hp["seed"] + c)
+    if family == "adaboost":
+        return AdaBoostR2(hp["rounds"], hp["base_depth"], hp["seed"])
+    return BaggedGradientBoost(hp["n_bags"], hp["boost_rounds"], hp["learning_rate"],
+                               hp["max_depth"], seed=hp["seed"] + c)
 
 
 def predict(model: FittedModel, X) -> np.ndarray:

@@ -4,9 +4,12 @@ split criteria and combination rules stay inspectable.
 
 The trees of one fit grow together, level by level (``_grow``): every tree
 of a forest, every bag of a bagged boost and every target column of a
-multi-output fit is split by one vectorised scan per depth.  Boosting rounds
-stay sequential, each round one batch.  A fitted tree is a set of flat node
-arrays and ``predict`` walks all rows (and all trees of an ensemble) at once.
+multi-output fit is split by one vectorised scan per depth.  A fit may be a
+stack of item fits, X (items, n, k): the stack is viewed as (items·n, k)
+and each tree's rows are offset by its item, so one level grows every
+item's trees.  Boosting rounds stay sequential, each round one batch.  A
+fitted tree is a set of flat node arrays and ``predict`` walks all rows
+(and all trees of an ensemble) at once.
 """
 
 from __future__ import annotations
@@ -116,6 +119,27 @@ def _as_xy(X, Y):
     return X, Y
 
 
+def _stacked(models, X, Y):
+    """A stack of fits as one: ``models[i * m + c]`` fits column c of item
+    i's Y, for X (items, n, k) and Y (items, n, m); a single fit's X (n, k)
+    and Y (n,) or (n, m) are a stack of one item.  Returns (X viewed as
+    (items·n, k), Y as (items·n, m), each model's first row in them, each
+    model's target column, n)."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim < 3:
+        X, Y = (a[None] for a in _as_xy(X, Y))
+    else:
+        Y = np.asarray(Y, dtype=float)
+        Y = Y[..., None] if Y.ndim == 2 else Y
+        if X.shape[:2] != Y.shape[:2] or X.shape[1] == 0:
+            raise HierfcstError("X and Y must share a positive row count")
+    items, n, m = Y.shape
+    if len(models) != items * m:
+        raise HierfcstError(f"{len(models)} models for {items} items x {m} targets")
+    b = np.arange(len(models))
+    return X.reshape(-1, X.shape[-1]), Y.reshape(-1, m), (b // m) * n, b % m, n
+
+
 def _pairwise_sum(a, start, n):
     """``a[..., s:s + k].sum(-1)`` for every segment (s, k) of ``zip(start,
     n)``, adding the terms in the order numpy's pairwise summation does, so
@@ -154,35 +178,38 @@ def _pairwise_sum(a, start, n):
     return total
 
 
-def _replay(gain):
-    """Index the sequential rule keeps: scanning ``gain`` in order, take a
-    candidate when it beats the best so far (starting at 0) by > 1e-12."""
-    best, pick, start = 0.0, -1, 0
-    while True:
-        hit = np.flatnonzero(gain[start:] > best + 1e-12)
-        if hit.size == 0:
-            return pick
-        pick = start + int(hit[0])
-        best, start = gain[pick], pick + 1
-
-
 def _pick(gain):
-    """Row-wise ``_replay``.  The first maximum is kept when it beats every
-    earlier gain (and 0) by > 1e-12; rows where a near-tie decides replay the
-    rule."""
+    """Row by row, the index the sequential rule keeps (-1 for none):
+    scanning the row in order, take a candidate when it beats the best so
+    far (starting at 0) by > 1e-12.  The first maximum is kept when it beats
+    every earlier gain (and 0) by > 1e-12; the rows where a near-tie decides
+    replay the rule, in lockstep, one taken candidate per step."""
     top = gain.argmax(axis=1)
     best = gain[np.arange(gain.shape[0]), top]
-    earlier = np.where(np.arange(gain.shape[1]) < top[:, None], gain, -np.inf)
+    cols = np.arange(gain.shape[1])
+    earlier = np.where(cols < top[:, None], gain, -np.inf)
     clear = best > np.maximum(earlier.max(axis=1), 0.0) + 1e-12
     pick = np.where(clear, top, -1)
-    for r in np.flatnonzero(~clear & (best > 1e-12)):
-        pick[r] = _replay(gain[r])
+    rows = np.flatnonzero(~clear & (best > 1e-12))
+    if rows.size:
+        g = gain[rows]
+        taken = np.full(rows.size, -1)
+        level = np.zeros(rows.size)
+        live = np.arange(rows.size)
+        while live.size:
+            hit = (g[live] > level[live, None] + 1e-12) & (cols > taken[live, None])
+            found = hit.any(axis=1)
+            live = live[found]
+            taken[live] = hit[found].argmax(axis=1)
+            level[live] = g[live, taken[live]]
+        pick[rows] = taken
     return pick
 
 
 def _column_ranks(X):
     """(features, rows) dense ranks: equal values share a rank, so sorting
-    (rank, slot) keys is a stable sort of the column."""
+    (rank, slot) keys is a stable sort of the column.  Ranks over a stack of
+    items order each item's rows as that item's own ranks do."""
     order = np.argsort(X, axis=0, kind="stable")
     xs = np.take_along_axis(X, order, axis=0)
     step = np.vstack([np.zeros((1, X.shape[1]), int), xs[1:] != xs[:-1]])
@@ -200,51 +227,60 @@ def _scan(nodes, starts, counts, tree_of, sse, w_tot, min_leaf, drawn,
     thr = np.zeros(nodes.size)
     by_size = nodes[np.argsort(counts[nodes], kind="stable")]
     pos = 0
-    while pos < by_size.size:
-        cost = np.arange(1, by_size.size - pos + 1) * counts[by_size[pos:]] * p
-        c = max(1, int(np.searchsorted(cost, _BLOCK, side="right")))
-        nd = by_size[pos:pos + c]
-        cnt = counts[nd]
-        m = int(cnt[-1])
-        inside = np.arange(m) < cnt[:, None]                                 # (c, m)
-        slot = order[np.minimum(starts[nd][:, None] + np.arange(m), order.size - 1)]
-        key = ranks[:, R[slot]] * n + slot % n                               # (p, c, m)
-        key[:, ~inside] = ranks.shape[1] * n                                 # sorts last
-        key.sort(axis=-1)
-        slot = (tree_of[nd] * n)[:, None] + key % n
-        ws = np.where(inside, W[slot], 0.0)
-        ys = np.where(inside, Y[slot], 0.0)
-        cw = np.cumsum(ws, axis=-1)
-        cwy = np.cumsum(ws * ys, axis=-1)
-        cwy2 = np.cumsum(ws * ys ** 2, axis=-1)
-        del ws, ys
-        wl = cw[..., :-1]
-        wr = w_tot[nd][:, None] - wl
-        i = np.arange(m - 1)
-        ok = ((i >= min_leaf[nd][:, None] - 1) & (i < (cnt - min_leaf[nd])[:, None])
-              & (key[..., :-1] // n != key[..., 1:] // n) & (wl > 0) & (wr > 0))
-        if drawn is not None:
-            ok &= drawn[np.searchsorted(nodes, nd)].T[..., None]
-        with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while pos < by_size.size:
+            cost = np.arange(1, by_size.size - pos + 1) * counts[by_size[pos:]] * p
+            c = max(1, int(np.searchsorted(cost, _BLOCK, side="right")))
+            nd = by_size[pos:pos + c]
+            cnt = counts[nd]
+            m = int(cnt[-1])
+            inside = np.arange(m) < cnt[:, None]                                 # (c, m)
+            slot = order[np.minimum(starts[nd][:, None] + np.arange(m), order.size - 1)]
+            key = ranks[:, R[slot]] * n + slot % n                               # (p, c, m)
+            key[:, ~inside] = ranks.shape[1] * n                                 # sorts last
+            key.sort(axis=-1)
+            rank = key // n
+            slot = (tree_of[nd] * n)[:, None] + (key - rank * n)
+            ys = np.where(inside, Y[slot], 0.0)
+            if W is None:       # unit weights: ``inside`` is every weight
+                cw = np.cumsum(inside, axis=-1, dtype=float)
+                cwy = np.cumsum(ys, axis=-1)
+                cwy2 = np.cumsum(ys ** 2, axis=-1)
+            else:
+                ws = np.where(inside, W[slot], 0.0)
+                cw = np.cumsum(ws, axis=-1)
+                cwy = np.cumsum(ws * ys, axis=-1)
+                cwy2 = np.cumsum(ws * ys ** 2, axis=-1)
+                del ws
+            del ys
+            wl = cw[..., :-1]
+            wr = w_tot[nd][:, None] - wl
+            i = np.arange(m - 1)
+            ok = ((i >= min_leaf[nd][:, None] - 1) & (i < (cnt - min_leaf[nd])[:, None])
+                  & (rank[..., :-1] != rank[..., 1:]) & (wl > 0) & (wr > 0))
+            if drawn is not None:
+                ok &= drawn[np.searchsorted(nodes, nd)].T[..., None]
             sl = cwy2[..., :-1] - cwy[..., :-1] ** 2 / wl
             sr = ((cwy2[..., -1:] - cwy2[..., :-1])
                   - (cwy[..., -1:] - cwy[..., :-1]) ** 2 / wr)
             gain = np.where(ok, sse[nd][:, None] - sl - sr, -np.inf)
-        del cw, cwy, cwy2, wr, ok, sl, sr
-        pick = _pick(gain.transpose(1, 0, 2).reshape(nd.size, -1))  # features, then positions
-        hit = np.flatnonzero(pick >= 0)
-        j, i = np.divmod(pick[hit], m - 1)
-        x = X[R[slot[j, hit, i]], j], X[R[slot[j, hit, i + 1]], j]
-        where = np.searchsorted(nodes, nd[hit])
-        feat[where], thr[where] = j, 0.5 * (x[0] + x[1])
-        pos += c
+            del rank, cw, cwy, cwy2, wr, ok, sl, sr
+            pick = _pick(gain.transpose(1, 0, 2).reshape(nd.size, -1))  # features, then positions
+            hit = np.flatnonzero(pick >= 0)
+            j, i = np.divmod(pick[hit], m - 1)
+            x = X[R[slot[j, hit, i]], j], X[R[slot[j, hit, i + 1]], j]
+            where = np.searchsorted(nodes, nd[hit])
+            feat[where], thr[where] = j, 0.5 * (x[0] + x[1])
+            pos += c
     return feat, thr
 
 
-def _grow(trees, X, rows, Y, W):
-    """Fit ``trees[b]`` to targets ``Y[b]`` with weights ``W[b]`` at the rows
-    ``X[rows[b]]`` (each (B, n)), one depth at a time, the trees together in
-    groups of at most _BLOCK slots.
+def _grow(trees, X, rows, Y, W=None, ranks=None):
+    """Fit ``trees[b]`` to targets ``Y[b]`` with weights ``W[b]`` (unit
+    weights when W is None) at the rows ``X[rows[b]]`` (each (B, n)), one
+    depth at a time, the trees together in groups of at most _BLOCK slots.
+    ``ranks`` are X's column ranks, given by a caller that grows on one X
+    again and again.
 
     Slot s of tree b is sample ``rows[b, s]``; a bootstrap draw keeps its
     duplicates as separate slots.  Every node keeps its slots in slot order
@@ -256,17 +292,19 @@ def _grow(trees, X, rows, Y, W):
     subsets (``max_features < 1``) are drawn node by node in level order.
     Returns the leaf value of every slot, (B, n).
     """
-    ranks = _column_ranks(X)
+    if ranks is None:
+        ranks = _column_ranks(X)
     step = max(1, _BLOCK // rows.shape[1])
     return np.concatenate([_grow_group(trees[g:g + step], X, ranks, rows[g:g + step],
-                                       Y[g:g + step], W[g:g + step])
+                                       Y[g:g + step], None if W is None else W[g:g + step])
                            for g in range(0, len(trees), step)])
 
 
 def _grow_group(trees, X, ranks, rows, Y, W):
     B, n = rows.shape
     p = X.shape[1]
-    R, Yf, Wf = rows.ravel(), np.ravel(Y), np.ravel(W)
+    R, Yf = rows.ravel(), np.ravel(Y)
+    Wf = None if W is None else np.ravel(W)
     max_depth = np.array([t.max_depth for t in trees])
     min_leaf = np.array([t.min_leaf for t in trees])
     sampled = any(t.max_features is not None and t.max_features < 1.0 for t in trees)
@@ -282,7 +320,8 @@ def _grow_group(trees, X, ranks, rows, Y, W):
         if np.any(counts == 0):
             raise HierfcstError("a tree node has no samples")
         starts = np.cumsum(counts) - counts
-        y, w = Yf[order], Wf[order]
+        y = Yf[order]
+        w = np.ones(order.size) if Wf is None else Wf[order]
         w_tot, wy = _pairwise_sum(np.stack([w, y * w]), starts, counts)
         if np.any(w_tot == 0.0):
             raise HierfcstError("a tree node has zero total weight")
@@ -329,24 +368,28 @@ def _grow_group(trees, X, ranks, rows, Y, W):
     owner, feature, threshold, left, right, value = (np.concatenate(a) for a in zip(*levels))
     by_tree = np.argsort(owner, kind="stable")      # level order within each tree
     sizes = np.bincount(owner, minlength=B)
+    ends = np.cumsum(sizes)
+    first = ends - sizes
     local = np.empty(done, dtype=np.int64)
-    local[by_tree] = np.arange(done) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    cuts = np.cumsum(sizes)[:-1]
-    parts = [np.split(a, cuts) for a in (feature[by_tree], threshold[by_tree],
-                                         local[left[by_tree]], local[right[by_tree]],
-                                         value[by_tree])]
-    for tree, arrays in zip(trees, zip(*parts)):
-        tree.feature, tree.threshold, tree.left, tree.right, tree.value = arrays
+    local[by_tree] = np.arange(done) - np.repeat(first, sizes)
+    feature, threshold, value = feature[by_tree], threshold[by_tree], value[by_tree]
+    left, right = local[left[by_tree]], local[right[by_tree]]
+    for tree, a, b in zip(trees, first.tolist(), ends.tolist()):
+        tree.feature, tree.threshold, tree.left, tree.right, tree.value = (
+            feature[a:b], threshold[a:b], left[a:b], right[a:b], value[a:b])
         tree.n_features = p
     return leaf_value.reshape(B, n)
 
 
-def _predict_trees(trees, X):
-    """(len(trees), rows) predictions: all trees walked together, one depth
-    per step."""
+def _predict_trees(trees, X, rows=None):
+    """(len(trees), r) predictions of tree t at the rows ``X[rows[t]]``, rows
+    (len(trees), r) or by default every row of X: all trees walked
+    together, one depth per step."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
+    if rows is None:
+        rows = np.arange(X.shape[0])[None]
     if not trees:
-        return np.empty((0, X.shape[0]))
+        return np.empty((0, rows.shape[1]))
     sizes = np.array([t.feature.size for t in trees])
     roots = np.cumsum(sizes) - sizes
     shift = np.repeat(roots, sizes)
@@ -355,8 +398,7 @@ def _predict_trees(trees, X):
     left = np.concatenate([t.left for t in trees]) + shift
     right = np.concatenate([t.right for t in trees]) + shift
     value = np.concatenate([t.value for t in trees])
-    node = np.repeat(roots[:, None], X.shape[0], axis=1)
-    rows = np.arange(X.shape[0])
+    node = np.repeat(roots[:, None], rows.shape[1], axis=1)
     while np.any(feature[node] >= 0):
         # A leaf points at itself, whatever its (unused) comparison says.
         node = np.where(X[rows, feature[node]] <= threshold[node], left[node], right[node])
@@ -372,6 +414,26 @@ class _Ensemble:
 
     def predict(self, X):
         return self.combine(_predict_trees(self.all_trees(), X))
+
+
+def _forest_draws(seed, n_trees, bootstrap, n):
+    """(generators, rows (n_trees, n)) of the trees of a forest fitted on n
+    rows: each tree's generator, as its bootstrap draw leaves it, and its
+    rows."""
+    rng = np.random.default_rng(seed)
+    rngs, rows = [], []
+    for _ in range(n_trees):
+        tree_rng = np.random.default_rng(rng.integers(0, 2 ** 63))
+        rows.append(tree_rng.integers(0, n, size=n) if bootstrap else np.arange(n))
+        rngs.append(tree_rng)
+    return rngs, np.array(rows)
+
+
+def _copy(rng):
+    """A generator in the state of ``rng``, drawing apart from it."""
+    out = np.random.Generator(np.random.PCG64(0))
+    out.bit_generator.state = rng.bit_generator.state
+    return out
 
 
 class RandomForest(_Ensemble):
@@ -393,24 +455,30 @@ class RandomForest(_Ensemble):
 
     @staticmethod
     def fit_batch(forests, X, Y):
-        """Fit ``forests[c]`` to column c of Y, all their trees grown together."""
-        X, Y = _as_xy(X, Y)
-        n = X.shape[0]
-        trees, rows, cols = [], [], []
-        for c, forest in enumerate(forests):
-            rng = np.random.default_rng(forest.seed)
+        """Fit ``forests[c]`` to column c of Y, all their trees grown together;
+        for a stack X (items, n, k), Y (items, n, m), ``forests[i * m + c]``
+        to column c of item i.  Bootstrap rows depend only on a forest's
+        seed, tree count and n, so they are drawn once per stack.  With
+        ``max_features < 1`` each forest's trees draw their feature subsets
+        from copies of the generators in the state a fit of that forest
+        alone leaves them."""
+        X, Y, first, col, n = _stacked(forests, X, Y)
+        draws = {}
+        trees, rows = [], []
+        for forest, start in zip(forests, first.tolist()):
+            key = (forest.seed, forest.n_trees, forest.bootstrap, n)
+            if key not in draws:
+                draws[key] = _forest_draws(*key)
+            rngs, draw = draws[key]
             mf = None if forest.max_features >= 1.0 else forest.max_features
-            forest.trees = []
-            for _ in range(forest.n_trees):
-                tree_rng = np.random.default_rng(rng.integers(0, 2 ** 63))
-                rows.append(tree_rng.integers(0, n, size=n) if forest.bootstrap
-                            else np.arange(n))
-                forest.trees.append(RegressionTree(forest.max_depth, forest.min_leaf,
-                                                   mf, tree_rng))
-                cols.append(c)
+            forest.trees = [RegressionTree(forest.max_depth, forest.min_leaf, mf,
+                                           None if mf is None else _copy(rng))
+                            for rng in rngs]
             trees += forest.trees
-        rows = np.array(rows)
-        _grow(trees, X, rows, Y[rows, np.array(cols)[:, None]], np.broadcast_to(1.0, rows.shape))
+            rows.append(draw + start)
+        rows = np.concatenate(rows)
+        cols = np.repeat(col, [forest.n_trees for forest in forests])
+        _grow(trees, X, rows, Y[rows, cols[:, None]])
         return forests
 
     def combine(self, preds):
@@ -447,54 +515,53 @@ class AdaBoostR2(_Ensemble):
 
     @staticmethod
     def fit_batch(boosts, X, Y):
-        """Fit ``boosts[c]`` to column c of Y; each round grows the trees of
-        every target still boosting together."""
-        X, Y = _as_xy(X, Y)
-        n = X.shape[0]
+        """Fit ``boosts[c]`` to column c of Y; for a stack X (items, n, k),
+        Y (items, n, m), ``boosts[i * m + c]`` to column c of item i.  Each
+        round grows the trees of every booster still boosting together and
+        books them by array code over those boosters.
+
+        A round's tree with zero error everywhere decides alone (log weight
+        log 1e12) and ends its boosting.  One whose weighted average linear
+        loss reaches 0.5 ends it too, and is kept, with log weight 1, only
+        as a first round.  Any other is kept with log weight log(1/beta),
+        beta = loss / (1 - loss), and scales each row's weight by
+        beta ** (1 - its loss), renormalised to sum n.
+        """
+        X, Y, first, col, n = _stacked(boosts, X, Y)
+        rows = first[:, None] + np.arange(n)
+        y = Y[rows, col[:, None]]
+        ranks = _column_ranks(X)
+        rounds = np.array([boost.rounds for boost in boosts])
         # Unit weights keep round one bit-identical to a plain tree.
-        weights = [np.ones(n) for _ in boosts]
+        W = np.ones(y.shape)
         for boost in boosts:
             boost.trees, boost.log_weights = [], []
-        live = list(range(len(boosts)))
-        for r in range(max(b.rounds for b in boosts)):
-            live = [c for c in live if r < boosts[c].rounds]
-            if not live:
+        live = np.arange(len(boosts))
+        for r in range(rounds.max()):
+            live = live[r < rounds[live]]
+            if not live.size:
                 break
-            trees = [RegressionTree(max_depth=boosts[c].base_depth) for c in live]
-            preds = _grow(trees, X, np.broadcast_to(np.arange(n), (len(live), n)),
-                          Y[:, live].T, np.array([weights[c] for c in live]))
-            still = []
-            for c, tree, pred in zip(live, trees, preds):
-                w = boosts[c]._round(tree, pred, Y[:, c], weights[c])
-                if w is not None:
-                    weights[c] = w
-                    still.append(c)
-            live = still
+            trees = [RegressionTree(max_depth=boosts[b].base_depth) for b in live.tolist()]
+            err = np.abs(_grow(trees, X, rows[live], y[live], W[live], ranks) - y[live])
+            w = W[live]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                max_err = err.max(axis=1)
+                loss = err / max_err[:, None]
+                avg_loss = np.matmul(w[:, None], loss[..., None])[:, 0, 0] / w.sum(axis=1)
+                beta = avg_loss / (1.0 - avg_loss)
+                perfect = max_err <= 0.0
+                weak = ~perfect & (avg_loss >= 0.5)
+                go = ~perfect & ~weak
+                log_weight = np.where(perfect, np.log(1e12),
+                                      np.where(weak, 1.0, np.log(1.0 / beta)))
+            kept = np.flatnonzero(~weak | (r == 0))
+            for b, k, lw in zip(live[kept].tolist(), kept.tolist(), log_weight[kept].tolist()):
+                boosts[b].trees.append(trees[k])
+                boosts[b].log_weights.append(lw)
+            w = w[go] * beta[go, None] ** (1.0 - loss[go])
+            live = live[go]
+            W[live] = w * (n / w.sum(axis=1))[:, None]
         return boosts
-
-    def _round(self, tree, pred, y, w):
-        """Book one round's tree; the next round's weights, or None when
-        boosting stops here."""
-        n = y.shape[0]
-        err = np.abs(pred - y)
-        max_err = err.max()
-        if max_err <= 0.0:
-            # Perfect fit: this tree decides alone.
-            self.trees.append(tree)
-            self.log_weights.append(np.log(1e12))
-            return None
-        loss = err / max_err
-        avg_loss = float(w @ loss) / float(w.sum())
-        if avg_loss >= 0.5:
-            if not self.trees:
-                self.trees.append(tree)
-                self.log_weights.append(1.0)
-            return None
-        beta = avg_loss / (1.0 - avg_loss)
-        self.trees.append(tree)
-        self.log_weights.append(np.log(1.0 / beta))
-        w = w * beta ** (1.0 - loss)
-        return w * (n / w.sum())
 
     def combine(self, preds):
         return _weighted_median(preds, self.log_weights)
@@ -502,12 +569,6 @@ class AdaBoostR2(_Ensemble):
     def predict(self, X, upto: int | None = None):
         return _weighted_median(_predict_trees(self.trees[:upto], X),
                                 self.log_weights[:upto])
-
-    def staged_predict(self, X):
-        """Predictions of the first k rounds for k = 1..len(trees)."""
-        preds = _predict_trees(self.trees, X)
-        return [_weighted_median(preds[:k], self.log_weights[:k])
-                for k in range(1, len(self.trees) + 1)]
 
 
 class GradientBoost(_Ensemble):
@@ -535,23 +596,26 @@ class GradientBoost(_Ensemble):
 def _boost(members, X, rows, Y):
     """Gradient-boost ``members[b]`` on targets ``Y[b]`` at the rows
     ``X[rows[b]]``; each round grows one tree per member still boosting."""
-    for member, y in zip(members, Y):
-        member.init = float(np.mean(y))
+    init = Y.mean(axis=1)
+    for member, value in zip(members, init.tolist()):
+        member.init = value
         member.trees = []
-    pred = np.array([np.full_like(y, m.init) for m, y in zip(members, Y)])
+    pred = np.repeat(init[:, None], Y.shape[1], axis=1)
+    ranks = _column_ranks(X)
+    rounds = np.array([m.rounds for m in members])
     live = np.arange(len(members))
-    for r in range(max(m.rounds for m in members)):
-        live = live[[r < members[b].rounds for b in live]]
+    for r in range(rounds.max()):
+        live = live[r < rounds[live]]
         resid = Y[live] - pred[live]
         going = np.max(np.abs(resid), axis=1) >= 1e-15
         live, resid = live[going], resid[going]
         if not live.size:
             break
-        trees = [RegressionTree(max_depth=members[b].max_depth) for b in live]
-        step = _grow(trees, X, rows[live], resid, np.broadcast_to(1.0, resid.shape))
-        rate = np.array([members[b].learning_rate for b in live])[:, None]
+        trees = [RegressionTree(max_depth=members[b].max_depth) for b in live.tolist()]
+        step = _grow(trees, X, rows[live], resid, ranks=ranks)
+        rate = np.array([members[b].learning_rate for b in live.tolist()])[:, None]
         pred[live] = pred[live] + rate * step
-        for b, tree in zip(live, trees):
+        for b, tree in zip(live.tolist(), trees):
             members[b].trees.append(tree)
 
 
@@ -575,19 +639,25 @@ class BaggedGradientBoost(_Ensemble):
     @staticmethod
     def fit_batch(ensembles, X, Y):
         """Fit ``ensembles[c]`` to column c of Y, boosting every bag of every
-        target together."""
-        X, Y = _as_xy(X, Y)
-        n = X.shape[0]
-        members, rows, cols = [], [], []
-        for c, ens in enumerate(ensembles):
-            rng = np.random.default_rng(ens.seed)
+        target together; for a stack X (items, n, k), Y (items, n, m),
+        ``ensembles[i * m + c]`` to column c of item i.  Bag rows depend only
+        on an ensemble's seed, bag count and n, so they are drawn once per
+        stack."""
+        X, Y, first, col, n = _stacked(ensembles, X, Y)
+        draws = {}
+        members, rows = [], []
+        for ens, start in zip(ensembles, first.tolist()):
+            key = (ens.seed, ens.n_bags)
+            if key not in draws:
+                rng = np.random.default_rng(ens.seed)
+                draws[key] = np.array([rng.integers(0, n, size=n) for _ in range(ens.n_bags)])
             ens.members = [GradientBoost(ens.boost_rounds, ens.learning_rate, ens.max_depth)
                            for _ in range(ens.n_bags)]
-            rows += [rng.integers(0, n, size=n) for _ in ens.members]
-            cols += [c] * ens.n_bags
             members += ens.members
-        rows = np.array(rows)
-        _boost(members, X, rows, Y[rows, np.array(cols)[:, None]])
+            rows.append(draws[key] + start)
+        rows = np.concatenate(rows)
+        cols = np.repeat(col, [ens.n_bags for ens in ensembles])
+        _boost(members, X, rows, Y[rows, cols[:, None]])
         return ensembles
 
     def all_trees(self):
@@ -600,19 +670,39 @@ class BaggedGradientBoost(_Ensemble):
 def _combine_each(models, preds):
     """Each model's ``combine`` of its own rows of ``preds``, the stacked
     predictions of every model's ``all_trees()`` in turn."""
-    cuts = np.cumsum([len(m.all_trees()) for m in models])[:-1]
-    return [m.combine(part) for m, part in zip(models, np.split(preds, cuts))]
+    ends = np.cumsum([len(m.all_trees()) for m in models]).tolist()
+    return [m.combine(preds[a:b]) for m, a, b in zip(models, [0] + ends[:-1], ends)]
 
 
 class PerTargetPayload:
-    """Wraps one single-output model per target column."""
+    """Wraps one single-output model per target column.  A stack of
+    ``items`` item fits wraps items × targets models, item-major, and
+    predicts X (items, rows, k) with item i's models at X[i] only.  A
+    stacked tree fit raises as a whole, so its ``failures`` (item position
+    -> error) stay empty."""
 
-    def __init__(self, models):
+    items = None        # payloads pickled before stacked fits lack the attribute
+
+    def __init__(self, models, items=None):
         self.models = models
+        self.items = items
+        self.failures = {}
 
     def predict_raw(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        trees = [tree for m in self.models for tree in m.all_trees()]
-        rows = _predict_trees(trees, X.reshape(-1, X.shape[-1]))
-        return np.column_stack(_combine_each(self.models, rows)).reshape(
-            X.shape[:-1] + (-1,))
+        per_model = [m.all_trees() for m in self.models]
+        trees = [tree for group in per_model for tree in group]
+        flat = X.reshape(-1, X.shape[-1])
+        if self.items is None:
+            preds = _predict_trees(trees, flat)
+            return np.column_stack(_combine_each(self.models, preds)).reshape(
+                X.shape[:-1] + (-1,))
+        if X.ndim != 3 or X.shape[0] != self.items:
+            raise HierfcstError(f"a stack of {self.items} item fits predicts X "
+                                f"(items, rows, k), got shape {X.shape}")
+        r = X.shape[1]
+        item = np.repeat(np.arange(len(self.models)) // (len(self.models) // self.items),
+                         [len(group) for group in per_model])
+        preds = _predict_trees(trees, flat, item[:, None] * r + np.arange(r))
+        out = np.column_stack(_combine_each(self.models, preds))
+        return out.reshape(r, self.items, -1).swapaxes(0, 1)

@@ -345,10 +345,6 @@ def _warn_if_non_stationary(phi):
                       "diverge", RuntimeWarning, stacklevel=3)
 
 
-def one_step_forecast(model: FactorModel) -> np.ndarray:
-    return forecast(model, 1)[0]
-
-
 def rolling_refit(Y_initial, stream, cfg: TrmfConfig | None = None,
                   window_policy: str | tuple = "expanding"):
     """One-step forecasts with re-estimation as new rows arrive.

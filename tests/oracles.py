@@ -396,6 +396,17 @@ class _RefNode:
         self.value = value
 
 
+def sequential_pick(gains):
+    """The split rule's choice among candidate gains in scan order: a
+    candidate is taken when it beats the best so far (starting at 0) by
+    more than 1e-12; -1 when none is."""
+    best, pick = 0.0, -1
+    for j, gain in enumerate(gains):
+        if gain > best + 1e-12:
+            best, pick = gain, j
+    return pick
+
+
 def forest_reference(X, y, n_trees, max_depth, min_leaf, bootstrap, seed):
     """Predict function of a bootstrap forest fitted tree by tree."""
     rng = np.random.default_rng(seed)
@@ -408,14 +419,16 @@ def forest_reference(X, y, n_trees, max_depth, min_leaf, bootstrap, seed):
     return lambda Xq: np.mean([t.predict(Xq) for t in trees], axis=0)
 
 
-def adaboost_reference(X, y, rounds, base_depth):
-    """AdaBoost.R2 (linear loss) fitted round by round: the trees and their
-    log weights."""
+def adaboost_reference(X, y, rounds, base_depth, tree_class=None):
+    """AdaBoost.R2 (linear loss) fitted round by round, one tree at a time
+    with scalar bookkeeping: the trees and their log weights.  The trees are
+    RecursiveTree unless ``tree_class`` says otherwise."""
+    tree_class = tree_class or RecursiveTree
     n = X.shape[0]
     w = np.ones(n)
     trees, log_weights = [], []
     for _ in range(rounds):
-        tree = RecursiveTree(max_depth=base_depth).fit(X, y, sample_weight=w)
+        tree = tree_class(max_depth=base_depth).fit(X, y, sample_weight=w)
         err = np.abs(tree.predict(X) - y)
         if err.max() <= 0.0:
             return trees + [tree], log_weights + [np.log(1e12)]

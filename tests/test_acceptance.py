@@ -299,7 +299,8 @@ def test_model_zoo_oracles():
         Xs = np.arange(30.0)[:, None]
         ys = np.repeat(levels, 5)
         boost = AdaBoostR2(rounds=12, base_depth=3).fit(Xs, ys)
-        staged = [smape(p, ys) for p in boost.staged_predict(Xs)]
+        staged = [smape(boost.predict(Xs, upto=k), ys)
+                  for k in range(1, len(boost.trees) + 1)]
         assert len(staged) >= 2
         assert all(b <= a + 1e-9 for a, b in zip(staged, staged[1:]))
         assert staged[-1] <= 1e-9

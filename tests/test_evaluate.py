@@ -285,7 +285,8 @@ def assert_matches_reference(tensor, specs, split):
 @st.composite
 def backtest_cases(draw):
     """A small catalog with all-zero and constant items, a split, and specs
-    in one transform covering every feeding mode, ARX and TRMF."""
+    in one transform covering every feeding mode, ARX, TRMF and the stacked
+    tree families."""
     n_items = draw(st.integers(1, 5))
     n_leads = draw(st.integers(1, 4))
     T = draw(st.integers(12, 18))
@@ -310,7 +311,23 @@ def backtest_cases(draw):
               ModelSpec("arx", {"exog": "preorders"}, transform=kind, label="arx_exog"),
               ModelSpec("trmf", {"rank": 1, "ar_order": 1, "max_sweeps": 5},
                         transform=kind, label="trmf")]
+    specs += tree_specs(kind)
     return tensor, specs, BacktestSplit(T - n_test, n_test)
+
+
+def tree_specs(kind):
+    """Small tree specs fitted per item: the three families under
+    df_one_by_one and adaboost without feeding."""
+    forest = {"n_trees": 3, "max_depth": 2, "max_features": 0.7}
+    boost = {"rounds": 3, "base_depth": 2}
+    bagged = {"n_bags": 2, "boost_rounds": 2, "max_depth": 2}
+    return [ModelSpec("rforest", forest, transform=kind, feeding="df_one_by_one",
+                      label="rforest"),
+            ModelSpec("adaboost", boost, transform=kind, feeding="df_one_by_one",
+                      label="adaboost"),
+            ModelSpec("ensemble", bagged, transform=kind, feeding="df_one_by_one",
+                      label="ensemble"),
+            ModelSpec("adaboost", boost, transform=kind, label="adaboost_nodf")]
 
 
 class TestStackedBacktestMatchesPerItem:
@@ -331,6 +348,26 @@ class TestStackedBacktestMatchesPerItem:
                  ModelSpec("arx", transform=kind, label="arx"),
                  ModelSpec("arx", {"exog": "preorders"}, transform=kind, label="arx_exog")]
         assert_matches_reference(tensor, specs, BacktestSplit(37, 8))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("feeding", ["df_one_by_one", "none"])
+    def test_non_finite_item_fails_alone_in_tree_specs(self, feeding):
+        # The item's non-finite training rows fail the stacked fit of its
+        # block, which is then fitted item by item: under feeding an
+        # infinite pre-order, without feeding features that overflow.
+        if feeding == "none":
+            tensor = self.overflowing_catalog()
+        else:
+            tensor = ds.synthesize(4, 5, 45, 4, "anticipatory")
+            tensor.values[2, 5, 1] = np.inf
+        specs = tree_specs("identity")
+        assert_matches_reference(tensor, specs, BacktestSplit(37, 8))
+        board = backtest(tensor, specs, BacktestSplit(37, 8))
+        names = {spec.name for spec in specs if spec.feeding == feeding}
+        assert [failure for failure in board.failures if failure[0] in names] == \
+            [(spec.name, tensor.items[2], "DomainError: X and Y must be finite")
+             for spec in specs if spec.name in names]
 
     @staticmethod
     def overflowing_catalog():

@@ -239,7 +239,8 @@ class TestAdaBoostR2:
         X = np.arange(30.0)[:, None]
         y = np.repeat(levels, 5)
         boost = AdaBoostR2(rounds=12, base_depth=3).fit(X, y)
-        staged = [smape(pred, y) for pred in boost.staged_predict(X)]
+        staged = [smape(boost.predict(X, upto=k), y)
+                  for k in range(1, len(boost.trees) + 1)]
         assert len(staged) >= 3  # boosting genuinely iterates here
         assert all(b <= a + 1e-9 for a, b in zip(staged, staged[1:]))
         assert staged[-1] <= 1e-9  # noiseless target eventually nailed

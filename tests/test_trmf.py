@@ -9,7 +9,7 @@ from hierfcst.errors import DensityError, DomainError, HierfcstError, IllConditi
 from hierfcst.models import default_hyperparams
 from hierfcst.trmf import (FactorModel, TrmfConfig, ar_residuals, factorize,
                            forecast, forecast_factors, is_stationary, objective,
-                           one_step_forecast, rolling_refit)
+                           rolling_refit)
 from hierfcst.trmf import _band_map, _data_terms, _f_block, _phi_step, _z_block
 
 from oracles import (f_step_columns, factorize_reference, gradient_descent, numeric_grad,
@@ -298,7 +298,7 @@ class TestForecast:
         phi = rng.normal(scale=0.3, size=(3, 2))
         m = make_model(Z, F, phi, np.ones((8, 4), bool))
         expected = (phi[:, 0] * Z[-1] + phi[:, 1] * Z[-2]) @ F
-        np.testing.assert_allclose(one_step_forecast(m), expected, atol=1e-12)
+        np.testing.assert_allclose(forecast(m, 1)[0], expected, atol=1e-12)
 
     def test_stationary_phi_levels_to_zero(self):
         rng = np.random.default_rng(10)
@@ -550,7 +550,7 @@ class TestRollingRefitForecasts:
         got = rolling_refit(Y[:12], list(Y[12:]), cfg)
         model = factorize(Y[:12], cfg=cfg)
         for k, t in enumerate(range(12, 16)):
-            assert bits(got[k]) == bits(one_step_forecast(model))
+            assert bits(got[k]) == bits(forecast(model, 1)[0])
             Z0 = np.vstack([model.Z, forecast_factors(model, 1)])
             model = factorize(Y[:t + 1], cfg=cfg, init=(Z0, model.F, model.phi))
 
