@@ -163,11 +163,11 @@ _KIND_ALIASES = {"none": "identity", "log": "log1p", "minmax": "minmax",
                  "identity": "identity", "log1p": "log1p"}
 
 
-def _transform(tensor, name, window, leads, output):
+def _transform(tensor, name, leads, output):
     kind = _KIND_ALIASES.get(name)
     if kind is None:
         raise HierfcstError(f"unknown transform kind {name!r}")
-    sset = build_training_set(tensor, "all", window, leads, transform=kind)
+    sset = build_training_set(tensor, "all", leads, transform=kind)
     save_supervised(sset, output)
     return sset
 
@@ -231,12 +231,10 @@ def cmd_synth(args):
 
 def cmd_transform(args):
     tensor = ds.load_cache(args.data)
-    window = args.leads + 1 if args.window is None else args.window
-    sset = _transform(tensor, args.kind, window, args.leads, args.output)
+    sset = _transform(tensor, args.kind, args.leads, args.output)
     write_run_config(f"{args.output}.run.ini", "transform", {
-        "data": args.data, "kind": _KIND_ALIASES[args.kind], "window": window,
-        "leads": args.leads, "output": args.output,
-        "n_rows": sset.X.shape[0]})
+        "data": args.data, "kind": _KIND_ALIASES[args.kind], "leads": args.leads,
+        "output": args.output, "n_rows": sset.X.shape[0]})
     print(f"wrote supervised cache with {sset.X.shape[0]} rows -> {args.output}")
     return 0
 
@@ -247,27 +245,25 @@ def cmd_train(args):
     split = ev.BacktestSplit(args.train_periods, args.test_periods)
     split.validate(tensor.n_periods)
     os.makedirs(args.out, exist_ok=True)
-    H = ev.frame_leads(tensor)
-    W = H + 1
-    anchors = range(split.train_periods - W + 1)
+    designs = {}
     n_models = 0
     for spec in specs:
-        if spec.family in ("arx", "trmf") or spec.feeding == "none":
-            # Series/matrix-route families are fitted inside backtest; the
-            # store holds the matrix-interface models.
+        key = ev._design_key(spec)
+        if key is None or key[0] != "df":
+            # The series/matrix-route and no-feeding models are fitted
+            # inside backtest; the store holds the diagonal-feeding ones.
             continue
-        sset = build_training_set(tensor, "all", W, H, transform=spec.transform,
-                                  fit_periods=split.train_range, anchors=anchors)
+        # The backtest's training rows: X[i], Y[i] are item i's frames.
+        if key not in designs:
+            designs[key] = ev._build_design(tensor, key, split)
+        tf, X, Y = designs[key][:3]
         if spec.feeding == "df_all_items":
-            _store_model(args.out, spec, "ALL", fit(spec, sset.X, sset.Y))
+            _store_model(args.out, spec, "ALL", fit(spec, X.reshape(-1, X.shape[-1]),
+                                                    Y.reshape(-1, Y.shape[-1])))
             n_models += 1
             continue
-        # Rows run item-major: item i's own training set is block i.
-        rows = (tensor.n_items, len(anchors), -1)
-        X, Y = sset.X.reshape(rows), sset.Y.reshape(rows)
         for i, item in enumerate(tensor.items):
-            _store_model(args.out, spec, item,
-                         fit(spec, X[i], Y[i], transform=sset.transforms[i]))
+            _store_model(args.out, spec, item, fit(spec, X[i], Y[i], transform=tf[i]))
             n_models += 1
     write_run_config(os.path.join(args.out, "run_config.ini"), "train", {
         "data": args.data, "spec": args.spec, "out": args.out,
@@ -412,9 +408,8 @@ def run_pipeline(config_path) -> int:
                         data.get("regime", _SYNTH_REGIME))
 
     pp = _section(parser, "preprocess")
-    H = int(pp.get("leads", ev.frame_leads(tensor)))
-    W = int(pp.get("window", H + 1))
-    _transform(tensor, pp.get("transform", _TRANSFORM_KIND), W, H,
+    _transform(tensor, pp.get("transform", _TRANSFORM_KIND),
+               int(pp.get("leads", ev.frame_leads(tensor))),
                os.path.join(out_dir, "supervised.npz"))
 
     specs = [spec_from_mapping(s.split(":", 1)[1], _section(parser, s))
@@ -493,8 +488,6 @@ def build_parser():
     p = sub.add_parser("transform", help="write a cached supervised dataset")
     p.add_argument("--data", required=True)
     p.add_argument("--kind", choices=sorted(_KIND_ALIASES), default=_TRANSFORM_KIND)
-    p.add_argument("--window", type=int, default=None,
-                   help="frame width W; defaults to --leads + 1, the only one accepted")
     p.add_argument("--leads", type=int, required=True)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_transform)

@@ -139,7 +139,7 @@ def _own_models(spec, X, Y, xs, failures):
 
 
 def frame_leads(tensor) -> int:
-    """Leads H of the diagonal-feeding frames fitted on a tensor (W = H + 1)."""
+    """Leads H of the diagonal-feeding frames fitted on a tensor."""
     return min(tensor.n_leads, DEFAULT_MAX_LEAD)
 
 
@@ -177,30 +177,28 @@ def _df_design(tensor, kind, split):
     picks of the test periods' one-step forecasts; and the actual cells of
     the diagonal frame, None when the tensor ends before it."""
     T, n, H = tensor.n_periods, tensor.n_items, frame_leads(tensor)
-    W = H + 1
     tf = _item_transforms(tensor, kind, split)
-    train_anchors = range(split.train_periods - W + 1)
-    sset = build_training_set(tensor, "all", W, H, anchors=train_anchors,
-                              transforms=tf)
+    train_anchors = range(split.train_periods - H)
+    sset = build_training_set(tensor, "all", H, anchors=train_anchors, transforms=tf)
 
     # Test period tau is read off the lead-0 cell (tau - a, 0) of the frame
     # anchored at a = tau - 1 (one step ahead) whenever that frame's input
     # cells fit in the tensor; the last periods fall back to deeper
-    # diagonal positions of the final feasible anchor T - W + 1.
+    # diagonal positions of the final feasible anchor T - H.
     test = np.asarray(split.test_range)
-    anchors = np.minimum(test - 1, T - W + 1)
-    y_index = window_index(W, H)[1]
+    anchors = np.minimum(test - 1, T - H)
+    y_index = window_index(H)[1]
     lead0 = np.flatnonzero(np.array(y_index)[:, 1] == 0)  # (s, 0) sits at s - 1
     picks = (np.arange(len(test)), lead0[test - anchors - 1])
     # Multi-horizon diagonal targets: the frame anchored on the last
     # training period has inputs known by the end of training and its
     # whole y block inside the test zone.
     diag_anchor = split.train_periods - 1
-    has_diag = diag_anchor + W - 1 < T
+    has_diag = diag_anchor + H < T
     if has_diag:
         anchors = np.append(anchors, diag_anchor)
 
-    x = tf.forward(feature_frame(tensor, np.arange(n), anchors, W, H))
+    x = tf.forward(feature_frame(tensor, np.arange(n), anchors, H))
     diag = None
     if has_diag:
         diag = gather_cells(tensor, np.arange(n), [diag_anchor], y_index)[:, 0]

@@ -1,17 +1,17 @@
 """Diagonal Feeding reshaping and invertible target transforms.
 
-A W x H window of the (delivery period x lead time) quantity matrix,
-anchored at period t, splits into cells already known at t (inputs x) and
-future cells (targets y): cell (s, h) holds q_{t+s}^h and is known at t
-exactly when s <= h.  With W = H + 1 the split runs down the diagonal and
-|x| = |y| = H(H+1)/2.  Reshaping every anchor this way turns anticipatory
-pre-order data into a plain multi-output regression problem.
+The (H + 1) x H window of the (delivery period x lead time) quantity
+matrix anchored at period t splits down its diagonal into cells already
+known at t (inputs x) and future cells (targets y): cell (s, h) holds
+q_{t+s}^h and is known at t exactly when s <= h, so |x| = |y| = H(H+1)/2.
+The lead count H fixes the whole geometry.  Reshaping every anchor this
+way turns anticipatory pre-order data into a plain multi-output
+regression problem.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -101,18 +101,14 @@ class TargetTransform:
         return np.where(span == 0.0, vmin, v * span + vmin)
 
 
-def window_index(W: int, H: int):
-    """Row-major (s, h) index lists for the known/future cell partition.
-
-    Requires the square-cornered geometry W = H + 1; every cell of the
-    window lands in exactly one list (x if s <= h, y otherwise).
-    """
+def window_index(H: int):
+    """Row-major (s, h) index lists for the known/future cell partition of
+    the (H + 1) x H window; every cell lands in exactly one list (x if
+    s <= h, y otherwise)."""
     if H < 1:
         raise HierfcstError(f"H must be >= 1, got {H}")
-    if W != H + 1:
-        raise HierfcstError(f"window must satisfy W = H + 1, got W={W}, H={H}")
-    x_index = [(s, h) for s in range(W) for h in range(H) if s <= h]
-    y_index = [(s, h) for s in range(W) for h in range(H) if s > h]
+    x_index = [(s, h) for s in range(H + 1) for h in range(H) if s <= h]
+    y_index = [(s, h) for s in range(H + 1) for h in range(H) if s > h]
     return x_index, y_index
 
 
@@ -144,69 +140,60 @@ def gather_cells(tensor: PreorderTensor, items, anchors, index) -> np.ndarray:
     return tensor.values[np.asarray(items)[:, None, None], anchors[:, None] + s, h]
 
 
-def diagonal_feed(tensor: PreorderTensor, item: int, anchor: int,
-                  W: int, H: int) -> SupervisedFrame:
+def diagonal_feed(tensor: PreorderTensor, item: int, anchor: int, H: int) -> SupervisedFrame:
     """Extract the diagonal-feeding frame anchored at ``anchor`` for one item."""
-    x_index, y_index = window_index(W, H)
+    x_index, y_index = window_index(H)
     x = gather_cells(tensor, [item], [anchor], x_index)[0, 0]
     y = gather_cells(tensor, [item], [anchor], y_index)[0, 0]
     return SupervisedFrame(item=item, anchor=anchor, x=x, y=y,
                            x_index=x_index, y_index=y_index)
 
 
-def feature_frame(tensor: PreorderTensor, item, anchor,
-                  W: int, H: int) -> np.ndarray:
+def feature_frame(tensor: PreorderTensor, item, anchor, H: int) -> np.ndarray:
     """Known cells x only, for prediction at anchors whose future cells may
-    fall outside the tensor.  Needs periods up to anchor + W - 2 because the
+    fall outside the tensor.  Needs periods up to anchor + H - 1 because the
     last row of the window contributes no known cell.  An array of anchors
     gives one row per anchor, a single anchor the 1-d row x; an array of
     items adds a leading item axis."""
     rows = gather_cells(tensor, np.atleast_1d(item), np.atleast_1d(anchor),
-                        window_index(W, H)[0])
+                        window_index(H)[0])
     rows = rows if np.ndim(anchor) else rows[:, 0]
     return rows if np.ndim(item) else rows[0]
 
 
 @dataclass
 class SupervisedSet:
-    """Stacked diagonal-feeding samples ready for model fitting."""
+    """Stacked diagonal-feeding samples ready for model fitting: row r is
+    item ``sample_items[r]``'s frame anchored at ``sample_anchors[r]``, and
+    ``item_transforms[k]`` is the transform of the scope's k-th item."""
 
     X: np.ndarray
     Y: np.ndarray
-    samples: list            # (item index, anchor) per row
-    transforms: dict         # item index -> fitted TargetTransform
-    W: int
+    sample_items: np.ndarray
+    sample_anchors: np.ndarray
+    item_transforms: TargetTransform
     H: int
 
-    @property
-    def x_index(self):
-        return window_index(self.W, self.H)[0]
 
-    @property
-    def y_index(self):
-        return window_index(self.W, self.H)[1]
-
-
-def build_training_set(tensor: PreorderTensor, scope, W: int, H: int,
+def build_training_set(tensor: PreorderTensor, scope, H: int, *,
                        transform: str = "identity", anchors=None,
-                       fit_periods=None, transforms=None) -> SupervisedSet:
+                       transforms=None) -> SupervisedSet:
     """Stack diagonal-feeding frames into matrices X, Y.
 
-    scope        -- a single item index, a sequence of item indices, or
-                    "all" for every item (the all-items training mode).
+    scope        -- a single item index, a sequence of distinct item
+                    indices, or "all" for every item (the all-items
+                    training mode).
     anchors      -- anchor periods to sample; defaults to every anchor whose
                     window fits (stride 1, maximal overlap).
-    fit_periods  -- periods used to fit per-item transform parameters;
-                    defaults to all periods.  Pass the training periods to
-                    keep test values out of the minmax range.
     transforms   -- pre-fitted transform stack, one entry per item of the
-                    scope in scope order; overrides fitting.
+                    scope in scope order; overrides fitting ``transform``
+                    on all periods of the scope's items.
 
     The cells of every (item, anchor) frame are read by one gather; rows
-    run item-major, anchors within an item, as listed in ``samples``.  Each
-    item's transform is applied to both its X and Y blocks, so models
-    operate entirely in transformed space and predictions must be mapped
-    back with the recorded per-item transform.
+    run item-major, anchors within an item.  Each item's transform is
+    applied to both its X and Y blocks, so models operate entirely in
+    transformed space and predictions must be mapped back with the item's
+    entry of ``item_transforms``.
     """
     if isinstance(scope, str) and scope == "all":
         items = np.arange(tensor.n_items)
@@ -214,49 +201,50 @@ def build_training_set(tensor: PreorderTensor, scope, W: int, H: int,
         items = np.atleast_1d(np.asarray(scope, dtype=int))
     if items.size == 0:
         raise HierfcstError("empty item scope")
+    if np.unique(items).size != items.size:
+        raise HierfcstError(f"item scope lists an item twice: {items.tolist()}")
 
     if anchors is None:
-        last = tensor.n_periods - W
-        if last < 0:
+        if tensor.n_periods <= H:
             raise WindowRangeError(
-                f"tensor has {tensor.n_periods} periods, too short for W={W}")
-        anchors = range(last + 1)
-    anchors = list(anchors)
-    if not anchors:
+                f"tensor has {tensor.n_periods} periods, too short for H={H}")
+        anchors = range(tensor.n_periods - H)
+    anchors = np.asarray(anchors, dtype=int)
+    if not anchors.size:
         raise HierfcstError("no valid anchors")
 
     if transforms is None:
-        periods = slice(None) if fit_periods is None else list(fit_periods)
-        transforms = TargetTransform.fit_items(transform, tensor.values[items][:, periods])
+        transforms = TargetTransform.fit_items(transform, tensor.values[items])
 
-    x_index, y_index = window_index(W, H)
+    x_index, y_index = window_index(H)
     X = transforms.forward(gather_cells(tensor, items, anchors, x_index))
     Y = transforms.forward(gather_cells(tensor, items, anchors, y_index))
     n_rows = len(items) * len(anchors)
-    items = items.tolist()
     return SupervisedSet(X=X.reshape(n_rows, -1), Y=Y.reshape(n_rows, -1),
-                         samples=list(product(items, anchors)),
-                         transforms={i: transforms[k] for k, i in enumerate(items)},
-                         W=W, H=H)
+                         sample_items=np.repeat(items, len(anchors)),
+                         sample_anchors=np.tile(anchors, len(items)),
+                         item_transforms=transforms, H=H)
 
 
 def save_supervised(sset: SupervisedSet, path) -> None:
-    """Versioned binary cache of a supervised dataset at exactly ``path``."""
-    items = np.array([s[0] for s in sset.samples])
-    anchors = np.array([s[1] for s in sset.samples])
-    keys = sorted(sset.transforms)
-    kinds = np.array([sset.transforms[k].kind for k in keys], dtype=str)
-    vmins = np.array([sset.transforms[k].vmin if sset.transforms[k].vmin is not None
-                      else np.nan for k in keys])
-    vmaxs = np.array([sset.transforms[k].vmax if sset.transforms[k].vmax is not None
-                      else np.nan for k in keys])
+    """Versioned binary cache of a supervised dataset at exactly ``path``.
+
+    The layout lists the transforms by ascending item index and keeps the
+    frame width W = H + 1 of its first readers."""
+    keys, first = np.unique(sset.sample_items, return_index=True)
+    position = np.argsort(np.argsort(first))   # each key's place in the scope
+    tf = sset.item_transforms
+    bounds = [np.full(len(keys), np.nan) if b is None else b[position]
+              for b in (tf.vmin, tf.vmax)]
     _write_npz(
         path,
         cache_version=np.array(SUPERVISED_CACHE_VERSION),
         kind=np.array("supervised_set"),
-        X=sset.X, Y=sset.Y, sample_items=items, sample_anchors=anchors,
-        W=np.array(sset.W), H=np.array(sset.H),
-        tf_items=np.array(keys), tf_kinds=kinds, tf_vmins=vmins, tf_vmaxs=vmaxs,
+        X=sset.X, Y=sset.Y, sample_items=sset.sample_items,
+        sample_anchors=sset.sample_anchors,
+        W=np.array(sset.H + 1), H=np.array(sset.H),
+        tf_items=keys, tf_kinds=np.array([tf.kind] * len(keys), dtype=str),
+        tf_vmins=bounds[0], tf_vmaxs=bounds[1],
     )
 
 
@@ -264,14 +252,17 @@ def load_supervised(path) -> SupervisedSet:
     data = _read_npz(path, "supervised_set", SUPERVISED_CACHE_VERSION,
                      ("X", "Y", "sample_items", "sample_anchors", "W", "H",
                       "tf_items", "tf_kinds", "tf_vmins", "tf_vmaxs"))
-    transforms = {}
-    for key, kind, vmin, vmax in zip(data["tf_items"], data["tf_kinds"],
-                                     data["tf_vmins"], data["tf_vmaxs"]):
-        transforms[int(key)] = TargetTransform(
-            kind=str(kind),
-            vmin=None if np.isnan(vmin) else float(vmin),
-            vmax=None if np.isnan(vmax) else float(vmax))
-    samples = list(zip(data["sample_items"].tolist(),
-                       data["sample_anchors"].tolist()))
-    return SupervisedSet(X=data["X"], Y=data["Y"], samples=samples,
-                         transforms=transforms, W=int(data["W"]), H=int(data["H"]))
+    kinds = sorted(set(data["tf_kinds"].tolist()))
+    if len(kinds) != 1:
+        raise HierfcstError(f"cannot load {path}: transform kinds {kinds}, "
+                            "expected one")
+    # The transforms in scope order: by each item's first row.
+    keys, first = np.unique(data["sample_items"], return_index=True)
+    order = np.argsort(first[np.searchsorted(keys, data["tf_items"])])
+    minmax = kinds[0] == "minmax"
+    tf = TargetTransform(kind=kinds[0],
+                         vmin=data["tf_vmins"][order] if minmax else None,
+                         vmax=data["tf_vmaxs"][order] if minmax else None)
+    return SupervisedSet(X=data["X"], Y=data["Y"], sample_items=data["sample_items"],
+                         sample_anchors=data["sample_anchors"], item_transforms=tf,
+                         H=int(data["H"]))

@@ -27,6 +27,7 @@ from scipy.linalg import get_lapack_funcs
 from .errors import DensityError, DomainError, HierfcstError, IllConditionedError
 from .models.spec import default_hyperparams
 
+# Least observed share of entries factorize accepts without allow_low_density.
 DEFAULT_DENSITY_FLOOR = 0.25
 
 # LAPACK's banded Cholesky solve, called directly: the system is built here
@@ -51,7 +52,6 @@ class TrmfConfig:
     max_sweeps: int = _ini("max_sweeps")
     tol: float = _ini("tol")
     seed: int = _ini("seed")
-    density_floor: float = DEFAULT_DENSITY_FLOOR
     allow_low_density: bool = False
 
     def __post_init__(self):
@@ -247,7 +247,7 @@ def factorize(Y, mask=None, cfg: TrmfConfig | None = None, init=None) -> FactorM
 
     mask marks observed entries; None treats every finite entry as observed
     (NaNs unobserved).  init, when given, is a (Z, F, phi) warm start.
-    Raises DensityError when fewer than cfg.density_floor of the entries
+    Raises DensityError when fewer than DEFAULT_DENSITY_FLOOR of the entries
     are observed, unless cfg.allow_low_density (then it warns), since the
     missing dynamics are not reliably recoverable below roughly a quarter
     coverage.  Raises HierfcstError when lam_f is 0 and fewer items than
@@ -276,9 +276,9 @@ def factorize(Y, mask=None, cfg: TrmfConfig | None = None, init=None) -> FactorM
     if m == 0:
         raise DensityError("no observed entries")
     density = m / mask.size
-    if density < cfg.density_floor:
+    if density < DEFAULT_DENSITY_FLOOR:
         message = (f"observed density {density:.3f} below floor "
-                   f"{cfg.density_floor:.2f}")
+                   f"{DEFAULT_DENSITY_FLOOR:.2f}")
         if not cfg.allow_low_density:
             raise DensityError(message + "; set allow_low_density to override")
         warnings.warn(message + "; proceeding anyway", RuntimeWarning, stacklevel=2)

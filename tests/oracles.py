@@ -581,7 +581,7 @@ def df_forecasts_reference(tensor, spec, split, W, H):
     values, n, T = tensor.values, tensor.n_items, tensor.n_periods
     tfs = {i: ItemTransform(spec.transform, values[i, :split.train_periods])
            for i in range(n)}
-    x_index, y_index = window_index(W, H)
+    x_index, y_index = window_index(H)
     train_anchors = range(split.train_periods - W + 1)
     shared = None
     if spec.feeding == "df_all_items":

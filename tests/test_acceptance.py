@@ -73,7 +73,7 @@ def test_diagonal_feeding_partition_and_layout():
     with timer(1.0) as t:
         for H in range(1, 8):
             W = H + 1
-            x_idx, y_idx = window_index(W, H)
+            x_idx, y_idx = window_index(H)
             cells = {(s, h) for s in range(W) for h in range(H)}
             assert set(x_idx) | set(y_idx) == cells
             assert not set(x_idx) & set(y_idx)
@@ -83,7 +83,7 @@ def test_diagonal_feeding_partition_and_layout():
             assert all(s > h for s, h in y_idx)
             assert x_idx == sorted(x_idx) and y_idx == sorted(y_idx)
         # the printed 4x3 scheme: subscripts of x and y in display order
-        x_idx, y_idx = window_index(4, 3)
+        x_idx, y_idx = window_index(3)
         assert x_idx == [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
         assert y_idx == [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)]
     _pass("diagonal-feeding-geometry", f"{t.elapsed:.2f}s")

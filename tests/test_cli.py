@@ -12,7 +12,9 @@ from hierfcst.cli import (STAGE_EXIT, load_selector, load_specs,
                           load_stored_model, main, run_pipeline, stage_seed)
 from hierfcst.evaluate import BacktestSplit, frame_leads
 from hierfcst.models import default_hyperparams, fit
-from hierfcst.preprocess import build_training_set, load_supervised
+from hierfcst.preprocess import TargetTransform, load_supervised
+
+from oracles import training_rows
 
 
 SPECS_INI = """
@@ -127,17 +129,17 @@ class TestStages:
     def test_transform_writes_supervised_cache(self, tmp_path, tensor_cache):
         out = tmp_path / "sup.npz"
         assert main(["transform", "--data", tensor_cache, "--kind", "log",
-                     "--window", "4", "--leads", "3",
-                     "--output", str(out)]) == 0
+                     "--leads", "3", "--output", str(out)]) == 0
         sset = load_supervised(out)
-        assert sset.W == 4 and sset.H == 3
+        assert sset.H == 3
         assert sset.X.shape[1] == 6
+        assert int(np.load(out)["W"]) == 4      # the cache layout keeps W = H + 1
 
     def test_outputs_land_at_exact_paths(self, tmp_path, specs_file):
         tensor, sup, board = (tmp_path / name for name in ("t.cache", "s.cache", "lb.out"))
         assert main(["synth", "--seed", "3", "--regime", "anticipatory", "--items", "5",
                      "--output", str(tensor)]) == 0
-        assert main(["transform", "--data", str(tensor), "--window", "5", "--leads", "4",
+        assert main(["transform", "--data", str(tensor), "--leads", "4",
                      "--output", str(sup)]) == 0
         assert main(["backtest", "--specs", specs_file, "--data", str(tensor),
                      "--out", str(board)]) == 0
@@ -149,6 +151,7 @@ class TestStages:
         parser.read(tmp_path / "s.cache.run.ini")
         assert parser["transform"]["data"] == str(tensor)
         assert parser["transform"]["output"] == str(sup)
+        assert "window" not in parser["transform"]   # the leads fix the frame width
 
     @pytest.mark.parametrize("damage", ["truncated", "not a zip file"])
     def test_unreadable_cache_fails_the_stage(self, tmp_path, tensor_cache, specs_file,
@@ -422,18 +425,22 @@ class TestSharedStages:
         assert main(["train", "--spec", str(specs), "--data", tensor_cache,
                      "--out", str(out)]) == 0
         tensor = ds.load_cache(tensor_cache)
-        split = BacktestSplit()
+        train = BacktestSplit().train_periods
         H = frame_leads(tensor)
-        W = H + 1
+        # Item i's frames anchored in the training periods, read cell by
+        # cell, under its transform fitted on its training periods.
+        anchors = range(train - H)
+        x_cells = [(s, h) for s in range(H + 1) for h in range(H) if s <= h]
+        y_cells = [(s, h) for s in range(H + 1) for h in range(H) if s > h]
         for spec in load_specs(str(specs)):
             for i in (0, 3, tensor.n_items - 1):
-                own = build_training_set(tensor, i, W, H, transform=spec.transform,
-                                         fit_periods=split.train_range,
-                                         anchors=range(split.train_periods - W + 1))
-                expected = fit(spec, own.X, own.Y, transform=own.transforms[i])
+                tf = {i: TargetTransform.fit(spec.transform, tensor.values[i, :train])}
+                X = training_rows(tensor.values, [i], anchors, x_cells, tf)
+                Y = training_rows(tensor.values, [i], anchors, y_cells, tf)
+                expected = fit(spec, X, Y, transform=tf[i])
                 stored = load_stored_model(out / f"{spec.name}__{tensor.items[i]}.pkl")
                 assert stored["item"] == tensor.items[i]
-                x = own.X[::-1] * 1.1
+                x = X[::-1] * 1.1
                 np.testing.assert_array_equal(stored["model"].predict(x),
                                               expected.predict(x))
 
@@ -441,9 +448,11 @@ class TestSharedStages:
         run_dir, sub_dir = tmp_path / "pipeline", tmp_path / "subcommands"
         sub_dir.mkdir()
         cfg = tmp_path / "pipe.ini"
+        # The frames' geometry follows from the leads alone: a window key
+        # left in [preprocess] by an older config is ignored.
         cfg.write_text(f"[run]\nseed = 3\nout_dir = {run_dir}\n\n"
                        "[data]\nsource = synth\nseed = 5\nitems = 12\n"
-                       "regime = anticipatory\n\n"
+                       "regime = anticipatory\n\n[preprocess]\nwindow = 9\n\n"
                        + SPECS_INI.replace("[", "[spec:"))
         assert main(["pipeline", "--config", str(cfg)]) == 0
 
@@ -452,7 +461,7 @@ class TestSharedStages:
         tensor, board = str(sub_dir / "tensor.npz"), str(sub_dir / "leaderboard.csv")
         for argv in (["synth", "--seed", "5", "--regime", "anticipatory", "--items", "12",
                       "--output", tensor],
-                     ["transform", "--data", tensor, "--window", "5", "--leads", "4",
+                     ["transform", "--data", tensor, "--leads", "4",
                       "--output", str(sub_dir / "supervised.npz")],
                      ["backtest", "--specs", str(specs), "--data", tensor, "--out", board],
                      ["select", "--data", tensor, "--models", str(specs), "--subset", "12",
@@ -464,19 +473,3 @@ class TestSharedStages:
         for name in ("tensor.npz", "supervised.npz", "leaderboard.csv", "selector.bin",
                      "graph.json", "graph.dot", "report_item0000.csv"):
             assert (run_dir / name).read_bytes() == (sub_dir / name).read_bytes(), name
-
-
-class TestTransformWindowDefault:
-    def test_window_defaults_to_leads_plus_one(self, tmp_path, tensor_cache):
-        # The one window window_index accepts; the run record names it.
-        derived, given = tmp_path / "derived.npz", tmp_path / "given.npz"
-        assert main(["transform", "--data", tensor_cache, "--leads", "3",
-                     "--output", str(derived)]) == 0
-        assert main(["transform", "--data", tensor_cache, "--window", "4", "--leads", "3",
-                     "--output", str(given)]) == 0
-        assert derived.read_bytes() == given.read_bytes()
-        sset = load_supervised(derived)
-        assert (sset.W, sset.H) == (4, 3)
-        parser = configparser.ConfigParser()
-        parser.read(f"{derived}.run.ini")
-        assert parser["transform"]["window"] == "4"

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,8 @@ from hierfcst import dataset as ds
 from hierfcst import evaluate, trmf
 from hierfcst.errors import HierfcstError
 from hierfcst.evaluate import (DF_FEEDINGS, NODF_LAGS, BacktestSplit, backtest,
-                               best_forecast_report, forecast_matrix, lag1_mimicry,
-                               smape, smape_rows)
+                               best_forecast_report, forecast_matrix, frame_leads,
+                               lag1_mimicry, smape, smape_rows)
 from hierfcst.models import FEEDING_MODES, ModelSpec
 from hierfcst.preprocess import TRANSFORM_KINDS
 
@@ -652,3 +654,67 @@ class TestSharedDesigns:
             with pytest.raises(ValueError, match="read-only"):
                 backtest(tensor, [ModelSpec("ridge", feeding=feeding, label="r")])
         assert seen == [(False, False)]
+
+
+@st.composite
+def short_catalog_cases(draw):
+    """A small catalog with all-zero items and a partial observation mask
+    (unobserved cells zero), H leads, a split whose training periods go
+    down to the shortest each feeding mode accepts (H + 1 with diagonal
+    feeding, NODF_LAGS + 1 without) and below, and one spec per feeding
+    mode and transform kind next to ARX and TRMF."""
+    n_items = draw(st.integers(1, 4))
+    H = draw(st.integers(1, 4))
+    train = draw(st.one_of(st.sampled_from([H, H + 1, NODF_LAGS, NODF_LAGS + 1]),
+                           st.integers(2, 12)).filter(lambda t: t >= 2))
+    n_test = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.uniform(0, 50, size=(n_items, train + n_test, H))
+    mask = rng.random(values.shape) < draw(st.sampled_from([0.3, 0.7, 1.0]))
+    for i in range(n_items):
+        if draw(st.booleans()):
+            values[i] = 0.0
+    values[~mask] = 0.0
+    tensor = ds.PreorderTensor(items=[f"i{i}" for i in range(n_items)], values=values,
+                               observed_mask=mask)
+    kind = draw(st.sampled_from(TRANSFORM_KINDS))
+    specs = [ModelSpec("ridge", {"lam": draw(st.sampled_from([0.0, 1e-3]))},
+                       transform=kind, feeding=feeding, label=f"ridge_{feeding}")
+             for feeding in FEEDING_MODES]
+    specs += [ModelSpec("kernel", transform=kind, feeding="df_all_items", label="kernel"),
+              ModelSpec("arx", {"p": 1}, transform=kind, label="arx"),
+              ModelSpec("trmf", {"rank": 1, "ar_order": 1, "max_sweeps": 3},
+                        transform=kind, label="trmf")]
+    return tensor, specs, BacktestSplit(train, n_test)
+
+
+class TestBacktestOnShortCatalogs:
+    @pytest.mark.filterwarnings("ignore:observed density:RuntimeWarning",
+                                "ignore:non-stationary AR:RuntimeWarning")
+    @settings(max_examples=60, deadline=None)
+    @given(short_catalog_cases())
+    def test_every_item_scored_or_failed_and_reruns_identical(self, case):
+        tensor, specs, split = case
+        board = backtest(tensor, specs, split)
+        failed = {(name, item): message for name, item, message in board.failures}
+        assert len(failed) == len(board.failures)
+        for spec in specs:
+            for item in tensor.items:
+                scored = item in board.scores[spec.name]
+                assert scored != ((spec.name, item) in failed), (spec.name, item)
+                assert scored or re.fullmatch(r"[A-Z]\w*: .+", failed[spec.name, item],
+                                              re.S), failed[spec.name, item]
+        nan = np.isnan([row.mean_smape for row in board.rows])
+        assert not np.any(nan[:-1] & ~nan[1:]), board.to_csv()
+        if split.train_periods <= frame_leads(tensor):
+            for spec in specs:
+                if spec.feeding in DF_FEEDINGS:
+                    assert [m for name, _, m in board.failures if name == spec.name] == \
+                        ["HierfcstError: no valid anchors"] * tensor.n_items
+
+        again = backtest(tensor, specs, split)
+        assert again.to_csv() == board.to_csv()
+        assert again.failures == board.failures
+        assert again.forecasts.keys() == board.forecasts.keys()
+        for key, fc in board.forecasts.items():
+            assert again.forecasts[key].tobytes() == fc.tobytes(), key

@@ -2,7 +2,9 @@
 the leaderboard CSV, the forecast bytes and the failures; for
 catalog-select one more over what its selection stage leaves: the Mapper
 graph JSON and the selector's series clusters, cluster labels and series
-labels, the board's best models being the labels.
+labels, the board's best models being the labels; and one over its
+diagonal-feeding layer: the supervised cache `hierfcst transform` writes
+and the model store `hierfcst train` writes for the workload's specs.
 
     python tools/board_digest.py [seed ...]        # seeds 1 2 3 by default
 
@@ -11,7 +13,9 @@ mean byte-identical leaderboards and graphs.  Each catalog of
 perfbench/workloads.py is built in a temporary directory; nothing under
 perfbench/ is written.
 """
+import contextlib
 import hashlib
+import io
 import os
 import sys
 import tempfile
@@ -22,8 +26,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from hierfcst import cli, evaluate, tda  # noqa: E402
-from workloads import SPLIT, WORKLOADS  # noqa: E402
+from hierfcst import cli, dataset, evaluate, tda  # noqa: E402
+from workloads import PIPELINE_SPECS, SPLIT, WORKLOADS  # noqa: E402
 
 
 def selection_digest(tensor, board, work_dir):
@@ -41,6 +45,27 @@ def selection_digest(tensor, board, work_dir):
     return digest.hexdigest()
 
 
+def feeding_digest(tensor, work_dir):
+    """sha256 of the supervised cache at the pipeline's default transform
+    and leads, and of the model files `hierfcst train` stores for the
+    pipeline's specs, in file name order."""
+    data, sup, store, specs = (os.path.join(work_dir, name) for name in
+                               ("tensor.npz", "supervised.npz", "store", "specs.ini"))
+    dataset.save_cache(tensor, data)
+    Path(specs).write_text(PIPELINE_SPECS.replace("[spec:", "["), encoding="utf-8")
+    split = [f"--train-periods={SPLIT.train_periods}", f"--test-periods={SPLIT.test_periods}"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in (["transform", "--data", data, "--kind", cli._TRANSFORM_KIND,
+                      "--leads", str(evaluate.frame_leads(tensor)), "--output", sup],
+                     ["train", "--spec", specs, "--data", data, "--out", store, *split]):
+            if cli.main(argv) != 0:
+                sys.exit(f"board_digest: hierfcst {argv[0]} failed")
+    digest = hashlib.sha256(Path(sup).read_bytes())
+    for name in sorted(p for p in os.listdir(store) if p.endswith(".pkl")):
+        digest.update(name.encode() + Path(store, name).read_bytes())
+    return digest.hexdigest()
+
+
 for seed in [int(a) for a in sys.argv[1:]] or [1, 2, 3]:
     for name, workload_class in WORKLOADS.items():
         workload = workload_class(seed, smoke=False)
@@ -55,3 +80,4 @@ for seed in [int(a) for a in sys.argv[1:]] or [1, 2, 3]:
             if name == "catalog-select":
                 print(f"{name}:select", seed,
                       selection_digest(workload.tensor, board, work_dir))
+                print(f"{name}:df", seed, feeding_digest(workload.tensor, work_dir))
