@@ -15,7 +15,7 @@ import numpy as np
 from . import trmf as trmf_mod
 from .dataset import DEFAULT_MAX_LEAD, PreorderTensor
 from .errors import HierfcstError
-from .features import extract_features
+from .features import FEATURE_NAMES, NONFINITE_SERIES, extract_features
 from .models import STACKED_FAMILIES, ModelSpec, fit, fit_arx, lag_matrix
 from .preprocess import (TargetTransform, build_training_set, feature_frame,
                          gather_cells, window_index)
@@ -109,7 +109,7 @@ def _own_models(spec, X, Y, xs, failures):
     fail.  A STACKED_FAMILIES family fits blocks of items at once; the
     others, and a block whose stacked fit raises (such as on one item's
     non-finite rows), fit one item at a time, so an error lands on its own
-    item."""
+    item.  Items already in failures are not fitted alone."""
     raws = [np.full(x.shape[:2] + Y.shape[-1:], np.nan) for x in xs]
 
     def predict(model, at):
@@ -130,7 +130,7 @@ def _own_models(spec, X, Y, xs, failures):
                 failures[start + k] = _failure_message(exc)
     else:
         singles = range(len(X))
-    for i in singles:
+    for i in (i for i in singles if i not in failures):
         try:
             predict(fit(spec, X[i], Y[i]), i)
         except ITEM_ERRORS as exc:
@@ -240,9 +240,11 @@ def _nodf_rows(raw, series, taus):
 
 
 def _nodf_design(tensor, kind, split):
-    """(tf, X, Y, x): the items' transforms of the gross series, and the
-    no-feeding rows X and targets Y (items, periods, 1) of the training
-    periods and the rows x of the test periods."""
+    """(tf, X, Y, x, nonfinite): the items' transforms of the gross series,
+    the no-feeding rows X and targets Y (items, periods, 1) of the training
+    periods and the rows x of the test periods, and the items whose series
+    is not finite before the last test period.  Such an item's rows, whose
+    features cannot be extracted, are NaN."""
     train = split.train_periods
     if train <= NODF_LAGS:
         raise HierfcstError(f"the no-feeding regression needs more than {NODF_LAGS} "
@@ -250,14 +252,24 @@ def _nodf_design(tensor, kind, split):
     raw = tensor.values[:, :, 0]
     tf = TargetTransform.fit_items(kind, raw[:, :train])
     series = tf.forward(raw)
-    return (tf, _nodf_rows(raw, series, range(NODF_LAGS, train)),
-            series[:, NODF_LAGS:train, None], _nodf_rows(raw, series, split.test_range))
+    # The last row reads the series before the last test period.
+    finite = np.isfinite(raw[:, :split.test_range[-1]]).all(axis=1)
+
+    def rows(taus):
+        out = np.full((len(raw), len(taus), NODF_LAGS + len(FEATURE_NAMES)), np.nan)
+        out[finite] = _nodf_rows(raw[finite], series[finite], taus)
+        return out
+
+    return (tf, rows(range(NODF_LAGS, train)), series[:, NODF_LAGS:train, None],
+            rows(split.test_range), ~finite)
 
 
 def _nodf_forecasts(spec, design, failures):
     """Small-feature regression on the gross series, one model per item,
     each test period predicted from its own row."""
-    tf, X, Y, x = design
+    tf, X, Y, x, nonfinite = design
+    for i in np.flatnonzero(nonfinite).tolist():
+        failures[i] = _failure_message(HierfcstError(NONFINITE_SERIES))
     # One predict call per test row: a single-row product takes the BLAS
     # path a multi-row one does not, and the last bit of a forecast with it.
     raws = _own_models(spec, X, Y, [x[:, [c]] for c in range(x.shape[1])], failures)

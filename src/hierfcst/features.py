@@ -14,6 +14,9 @@ from .errors import HierfcstError
 FEATURE_NAMES = ("mean", "variance", "skewness", "kurtosis",
                  "autocorr1", "zero_fraction", "max_mean_ratio")
 
+# The error of a series with a non-finite value.
+NONFINITE_SERIES = "series must be finite"
+
 
 def extract_features(series) -> np.ndarray:
     """Seven-value descriptor of one series (T,), length >= 2, or of each
@@ -37,7 +40,7 @@ def extract_features(series) -> np.ndarray:
     if x.shape[1] < 2:
         raise HierfcstError(f"need a series of length >= 2, got {x.shape[1]}")
     if not np.all(np.isfinite(x)):
-        raise HierfcstError("series must be finite")
+        raise HierfcstError(NONFINITE_SERIES)
 
     # Row reductions along the contiguous last axis sum each row as a lone
     # series is summed, and float_power is C pow, as a Python float's **:

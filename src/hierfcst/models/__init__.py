@@ -25,10 +25,11 @@ __all__ = [
 
 # Families whose fit takes a stack of items, X (items, n, k) and
 # Y (items, n, m), and fits one model per item in one call: ridge and
-# kernel ridge by one solve per item, the tree families by growing every
+# kernel ridge by one solve per item, Poisson by IRLS over every
+# (item, target) fit in lockstep, the tree families by growing every
 # item's trees together, one forest level or boosting round at a time.
-# Lasso and Poisson fit one item per call.
-STACKED_FAMILIES = ("ridge", "kernel", "rforest", "adaboost", "ensemble")
+# Lasso fits one item per call, its target columns in lockstep.
+STACKED_FAMILIES = ("ridge", "poisson", "kernel", "rforest", "adaboost", "ensemble")
 
 
 def _check_xy(X, Y):
@@ -50,12 +51,13 @@ def fit(spec: ModelSpec, X, Y, transform: TargetTransform | None = None) -> Fitt
     """Fit one matrix-interface family on supervised rows.
 
     Multi-column Y is handled per target column (independent regressors);
-    a tree family fits every column in one batch.  A STACKED_FAMILIES
-    family also takes a stack of items, X (items, n, k) and Y (items, n, m),
-    and fits one model per item at once; an item whose fit fails is listed
-    in the payload's ``failures`` (item position -> error).  A tree
-    family's stack gives the trees and forecasts of fitting each item
-    alone, bit for bit; an error in any item raises for the whole stack.
+    a tree family fits every column in one batch, and lasso and Poisson
+    step every column's fit in lockstep.  A STACKED_FAMILIES family also
+    takes a stack of items, X (items, n, k) and Y (items, n, m), and fits
+    one model per item at once, each with the bits of its fit alone; an
+    item whose fit fails is listed in the payload's ``failures`` (item
+    position -> error).  An error in a tree family's stack, or a negative
+    target in a Poisson stack, raises for the whole stack.
     ``transform`` is the fitted per-series transform that produced the
     (already transformed) X/Y entries; it is stored so predictions can be
     mapped back to original quantity units.

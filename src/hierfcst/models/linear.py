@@ -125,181 +125,279 @@ class LassoPayload:
 _EPS = np.finfo(float).eps
 
 
-def _active_set(Xc, yc, G, lam, max_steps, tol):
-    """Exact lasso on centred data: minimise 0.5*mean((yc - Xc w)^2) +
-    lam*||w||_1, i.e. 0.5 w'Gw - c'w + lam*||w||_1 with G = Xc'Xc/n and
-    c = Xc'yc/n, by the active-set method of Osborne, Presnell & Turlach
-    (2000), from w = 0.
+def _gemv(A, x):
+    """A @ x[f] for every row f of x (fits, k), A one matrix or a stack of
+    one per fit: one BLAS matrix-vector product per fit, each with the bits
+    of that product alone."""
+    return np.matmul(A, x[..., None])[..., 0]
 
-    Each step moves w once.  From an optimum on the active set it adds the
-    free coordinate that breaks the KKT conditions most, with the sign of
-    its gradient, and moves to the optimum on the enlarged set; when a sign
-    would flip on the way it stops at the first zero crossing and drops
-    that coordinate, and the next step re-solves without adding.  On a
-    singular active block it follows a null vector h with s'h < 0, along
-    which the objective falls, to a crossing.  Returns w, the objective
-    after every step, and whether the KKT conditions held within tol*lam
-    (plus a rounding floor) before max_steps steps.
-    """
-    n, k = Xc.shape
-    c = Xc.T @ yc / n
-    w = np.zeros(k)
-    signs = np.zeros(k)
-    free = np.diag(G) > 0             # zero-variance columns never enter
-    active = []
 
-    def objective():
-        return 0.5 * np.mean((yc - Xc @ w) ** 2) + lam * np.sum(np.abs(w))
+def _dots(a, b):
+    """a[f] @ b[f] for every row f of a and b (fits, n): one BLAS dot per
+    fit, with each row's stride."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
-    history = [objective()]
-    if k == 0:
-        return w, history, True
-    settled = True                    # w is optimal on the active set
-    while True:
-        if settled:
-            g = c - G @ w
-            # g is known only to about eps times the terms it sums; without
-            # this floor a fit at lam = 0 chases rounding until the cap.
-            floor = 16 * k * _EPS * max(np.abs(c).max(), (np.abs(G) @ np.abs(w)).max())
-            thr = tol * lam + floor
-            breach = np.where(free, np.abs(g) - lam, -np.inf)
-            j = int(np.argmax(breach))
-            if breach[j] <= thr:
-                return w, history, True
-        if len(history) > max_steps:
-            return w, history, False
-        if settled:
-            active.append(j)
-            free[j] = False
-            signs[j] = np.sign(g[j])
-        A = np.array(active)
-        sA, wA, GA = signs[A], w[A], G[np.ix_(A, A)]
-        vals, V = np.linalg.eigh(GA)
-        null = vals <= 100 * len(A) * _EPS * vals[-1]   # rounding-level eigenvalues
-        # lam*h is the part of the gradient no move on the block can cancel;
-        # when it is below the KKT tolerance the block is solved in its range.
-        h = -V[:, null] @ (V[:, null].T @ sA)
-        if lam * np.abs(h).max(initial=0.0) > thr:
-            d, reach = h, np.inf
-        else:
-            Vr = V[:, ~null]
-            d, reach = Vr @ (Vr.T @ (c[A] - lam * sA - GA @ wA) / vals[~null]), 1.0
-        shrink = sA * d < 0
-        cross = np.full(len(A), np.inf)
-        cross[shrink] = -wA[shrink] / d[shrink]
-        i = int(np.argmin(cross))
-        if cross[i] < reach:
-            w[A] = wA + cross[i] * d
-            w[A[i]] = 0.0
-            free[A[i]] = True
-            del active[i]
-            settled = not active
-        else:
-            w[A] = wA + d
-            settled = True
-        history.append(objective())
+
+def _fortran_stack(V):
+    """Each matrix of the stack V in Fortran order, the layout V[:, mask]
+    gives one matrix: products with it then take the BLAS path, and the
+    bits, of that one matrix."""
+    return np.swapaxes(np.swapaxes(V, 1, 2).copy(), 1, 2)
 
 
 def fit_lasso(X, Y, lam: float, max_sweeps: int = 500, tol: float = 1e-8) -> LassoPayload:
     """Exact lasso, objective 0.5*mean(r^2) + lam*||w||_1, unpenalized bias.
 
-    An active-set (homotopy) solver on the centred Gram matrix, one per
-    target column; the intercept is mean(y) - mean(X) @ w.  ``max_sweeps``
-    caps the active-set steps (each step adds or drops a coordinate, or
-    re-solves after a drop) and ``tol`` is the KKT tolerance relative to
-    ``lam``.  ``objective_histories`` holds the objective after every step
-    (non-increasing); ``converged[c]`` is False when target c hit the step
-    cap before meeting the KKT conditions.
+    Each target column y is an exact lasso on the centred data: minimise
+    0.5 w'Gw - c'w + lam*||w||_1 with G = Xc'Xc/n and c = Xc'yc/n, by the
+    active-set method of Osborne, Presnell & Turlach (2000), from w = 0;
+    the intercept is mean(y) - mean(X) @ w.  Each step moves w once.  From
+    an optimum on the active set it adds the free coordinate that breaks
+    the KKT conditions most, with the sign of its gradient, and moves to
+    the optimum on the enlarged set; when a sign would flip on the way it
+    stops at the first zero crossing and drops that coordinate, and the
+    next step re-solves without adding.  On a singular active block it
+    follows a null vector h with s'h < 0, along which the objective falls,
+    to a crossing.
+
+    The columns' fits step in lockstep on the shared Xc and G: per step one
+    KKT check over the fits at an optimum and one batched eigh per
+    active-set size, each fit with the bits it has alone.  ``max_sweeps``
+    caps the steps and ``tol`` is the KKT tolerance relative to ``lam``
+    (plus a rounding floor).  ``objective_histories`` holds the objective
+    after every step (non-increasing); ``converged[c]`` is False when
+    target c hit the step cap before meeting the KKT conditions.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    n, k = X.shape
     x_mean = X.mean(axis=0)
     Xc = X - x_mean
-    G = Xc.T @ Xc / X.shape[0]
-    coefs, intercepts, histories, converged = [], [], [], []
-    for y in Y.T:
-        w, hist, ok = _active_set(Xc, y - y.mean(), G, lam, max_sweeps, tol)
-        coefs.append(w)
-        intercepts.append(y.mean() - x_mean @ w)
-        histories.append(hist)
-        converged.append(ok)
-    return LassoPayload(np.array(intercepts), np.array(coefs).T, histories, converged)
+    G = Xc.T @ Xc / n
+    # A column's mean over a contiguous copy is summed pairwise, as the
+    # column alone is; a reduction down Y's rows would add sequentially.
+    Yt = np.ascontiguousarray(Y.T)
+    y_mean = Yt.mean(axis=1)
+    Yc = Yt - y_mean[:, None]
+    c = _gemv(Xc.T, Yc) / n
+    m = len(Yc)
+    W = np.zeros((m, k))              # one fit's w per row
+
+    def objective(fits):
+        w = W[fits]
+        return (0.5 * np.mean((Yc[fits] - _gemv(Xc, w)) ** 2, axis=1)
+                + lam * np.sum(np.abs(w), axis=1))
+
+    histories = [[value] for value in objective(np.arange(m))]
+    converged = np.full(m, k == 0)
+    live = np.full(m, k > 0)              # fits still stepping
+    signs = np.zeros((m, k))
+    free = np.repeat(np.diag(G)[None] > 0, m, axis=0)   # zero-variance columns never enter
+    order = np.zeros((m, k), dtype=int)   # the active set, in order of entry
+    size = np.zeros(m, dtype=int)
+    settled = np.ones(m, dtype=bool)      # w is optimal on the active set
+    thr = np.zeros(m)
+    c_top, abs_G = np.abs(c).max(axis=1, initial=0.0), np.abs(G)
+    steps = 0
+    while live.any():
+        check = np.flatnonzero(live & settled)
+        w = W[check]
+        g = c[check] - _gemv(G, w)
+        # g is known only to about eps times the terms it sums; without this
+        # floor a fit at lam = 0 chases rounding until the cap.
+        floor = 16 * k * _EPS * np.maximum(c_top[check],
+                                           _gemv(abs_G, np.abs(w)).max(axis=1, initial=0.0))
+        thr[check] = tol * lam + floor
+        breach = np.where(free[check], np.abs(g) - lam, -np.inf)
+        j = np.argmax(breach, axis=1)
+        grow = breach[np.arange(len(check)), j] > thr[check]
+        converged[check[~grow]] = True
+        live[check[~grow]] = False
+        if steps >= max_sweeps:
+            break
+        fits, j = check[grow], j[grow]
+        order[fits, size[fits]] = j
+        size[fits] += 1
+        free[fits, j] = False
+        signs[fits, j] = np.sign(g[grow, j])
+        stepping = np.flatnonzero(live)
+        sizes = size[stepping]
+        for s in np.unique(sizes).tolist():
+            fits = stepping[sizes == s]
+            A = order[fits, :s]
+            rows = fits[:, None]
+            sA, wA, GA = signs[rows, A], W[rows, A], G[A[:, :, None], A[:, None, :]]
+            vals, V = np.linalg.eigh(GA)
+            null = vals <= 100 * s * _EPS * vals[:, -1:]   # rounding-level eigenvalues
+            r = c[rows, A] - lam * sA - _gemv(GA, wA)
+            d, reach = np.empty_like(wA), np.ones(len(fits))
+            full = ~null.any(axis=1)
+            Vf = _fortran_stack(V[full])
+            d[full] = _gemv(Vf, _gemv(np.swapaxes(Vf, 1, 2), r[full]) / vals[full])
+            for b in np.flatnonzero(~full).tolist():
+                # lam*h is the part of the gradient no move on the block can
+                # cancel; when it is below the KKT tolerance the block is
+                # solved in its range.
+                h = -V[b][:, null[b]] @ (V[b][:, null[b]].T @ sA[b])
+                if lam * np.abs(h).max(initial=0.0) > thr[fits[b]]:
+                    d[b], reach[b] = h, np.inf
+                else:
+                    Vr = V[b][:, ~null[b]]
+                    d[b] = Vr @ (Vr.T @ r[b] / vals[b][~null[b]])
+            shrink = sA * d < 0
+            cross = np.divide(-wA, d, out=np.full(d.shape, np.inf), where=shrink)
+            i = np.argmin(cross, axis=1)
+            first = cross[np.arange(len(fits)), i]
+            # A sign would flip: stop at the first zero crossing and drop
+            # that coordinate.
+            hit = first < reach
+            W[rows, A] = wA + np.where(hit, first, 1.0)[:, None] * d
+            settled[fits] = ~hit | (s == 1)
+            if hit.any():
+                fits, A = fits[hit], A[hit]
+                at = A[np.arange(len(fits)), i[hit]]
+                W[fits, at] = 0.0
+                free[fits, at] = True
+                order[fits, :s - 1] = A[A != at[:, None]].reshape(len(fits), s - 1)
+                size[fits] = s - 1
+        for f, value in zip(stepping.tolist(), objective(stepping)):
+            histories[f].append(value)
+        steps += 1
+    intercepts = y_mean - _dots(np.broadcast_to(x_mean, W.shape), W)
+    return LassoPayload(intercepts, W.T, histories, converged.tolist())
 
 
 class PoissonPayload:
-    def __init__(self, coef, ll_histories, converged):
-        self.coef = np.asarray(coef)  # (1 + n_features, n_targets)
+    """coef has shape (1 + n_features, n_targets), bias first; a stack of
+    item fits has a leading item axis, with NaN coefficients for the items
+    listed in ``failures`` (item position -> error).  ``ll_histories``,
+    ``converged`` and ``lstsq_fallbacks`` hold one entry per fit,
+    item-major: item i's target c at i * n_targets + c."""
+
+    def __init__(self, coef, ll_histories, converged, lstsq_fallbacks, failures=None):
+        self.coef = coef
         self.ll_histories = ll_histories
-        self.converged = converged    # per target: stopped on tol before max_iter
+        self.converged = converged      # per fit: stopped on tol before max_iter
+        # Per fit: the iterations whose IRLS system was singular, solved by
+        # least squares.
+        self.lstsq_fallbacks = lstsq_fallbacks
+        self.failures = failures or {}
 
     def predict_raw(self, X):
         eta = _with_bias(X) @ self.coef
         return np.exp(eta)
 
 
-def _poisson_ll(Xb, y, beta):
-    eta = np.clip(Xb @ beta, -500, 500)
-    return float(y @ eta - np.sum(np.exp(eta)))
+def _poisson_lls(Xb, y, B, lam):
+    """Penalized log-likelihood of every fit f at coefficients B[f], on rows
+    Xb[f] and targets y[f]."""
+    eta = np.clip(_gemv(Xb, B), -500, 500)
+    ll = _dots(y, eta) - np.sum(np.exp(eta), axis=1)
+    return ll - _dots(0.5 * lam * B[:, 1:], B[:, 1:])
 
 
-def _poisson_single(Xb, y, lam, max_iter, tol):
-    """IRLS with step halving; works for fractional y >= 0 (quasi deviance)."""
-    k = Xb.shape[1]
-    beta = np.zeros(k)
-    beta[0] = np.log(np.mean(y) + 1e-8)
-    penalty = np.eye(k) * lam
-    penalty[0, 0] = 0.0
-    ll = _poisson_ll(Xb, y, beta) - 0.5 * lam * beta[1:] @ beta[1:]
-    history = [ll]
-    converged = False
-    for _ in range(max_iter):
-        eta = np.clip(Xb @ beta, -500, 500)
-        mu = np.exp(eta)
-        z = eta + (y - mu) / np.maximum(mu, 1e-12)
-        A = Xb.T @ (mu[:, None] * Xb) + penalty
-        b = Xb.T @ (mu * z)
-        try:
-            proposal = np.linalg.solve(A, b)
-        except np.linalg.LinAlgError:
-            proposal = np.linalg.lstsq(A, b, rcond=None)[0]
-        # Step halving keeps the penalized log-likelihood non-decreasing.
-        step = 1.0
-        direction = proposal - beta
-        for _ in range(60):
-            candidate = beta + step * direction
-            cand_ll = (_poisson_ll(Xb, y, candidate)
-                       - 0.5 * lam * candidate[1:] @ candidate[1:])
-            if cand_ll >= ll - 1e-12:
-                break
-            step *= 0.5
-        beta = beta + step * direction
-        new_ll = _poisson_ll(Xb, y, beta) - 0.5 * lam * beta[1:] @ beta[1:]
-        history.append(new_ll)
-        if abs(new_ll - ll) < tol * (1 + abs(ll)):
-            converged = True
-            break
-        ll = new_ll
-    return beta, history, converged
+def _solve_system(A, b):
+    return np.linalg.solve(A, b[..., None])[..., 0]
 
 
 def fit_poisson(X, Y, lam: float = 0.0, max_iter: int = 200,
                 tol: float = 1e-10) -> PoissonPayload:
-    """Log-link Poisson regression by iteratively reweighted least squares.
+    """Log-link Poisson regression by iteratively reweighted least squares
+    (McCullagh & Nelder 1989) with step halving, which keeps the penalized
+    log-likelihood non-decreasing; fractional y >= 0 is accepted (quasi
+    deviance).
 
-    ``converged[c]`` is False when target c ran all ``max_iter`` iterations
+    Every (item, target) fit runs in lockstep: one batched Gram product and
+    one stacked solve per iteration, the halving masked over the fits still
+    halving.  Only when the stacked solve raises is each fit solved alone;
+    a singular system is solved by least squares and counted in
+    ``lstsq_fallbacks``.  X (n, k), Y (n, m) fit one model and raise the
+    error of a failed fit; a stack X (items, n, k), Y (items, n, m) fits
+    one model per item and lists an item whose fit fails in ``failures``.
+    ``converged`` is False for a fit that ran all ``max_iter`` iterations
     without the log-likelihood settling within ``tol``.
     """
     Xb = _with_bias(X)
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if np.any(Y < 0):
         raise DomainError("Poisson regression requires non-negative targets")
-    coefs, histories, converged = [], [], []
-    for c in range(Y.shape[1]):
-        beta, hist, ok = _poisson_single(Xb, Y[:, c], lam, max_iter, tol)
-        coefs.append(beta)
-        histories.append(hist)
-        converged.append(ok)
-    return PoissonPayload(np.array(coefs).T, histories, converged)
+    stacked = Xb.ndim == 3
+    if not stacked:
+        Xb, Y = Xb[None], Y[None]
+    items, n, k = Xb.shape
+    m = Y.shape[-1]
+    item = np.repeat(np.arange(items), m)
+    # Each fit's targets, a contiguous row for the starting mean (summed
+    # pairwise, as a lone column is; a reduction along a strided axis adds
+    # sequentially) and a strided view for y @ eta: a target column Y[:, c]
+    # that is strided takes BLAS's strided ddot, whose bits differ from the
+    # unit-stride one.
+    ys = np.ascontiguousarray(np.swapaxes(Y, 1, 2)).reshape(items * m, n)
+    strided = np.zeros((items * m, n, 1 if Y.strides[-2] == Y.itemsize else 2))
+    strided[:, :, 0] = ys
+
+    def lls(fits, B):
+        return _poisson_lls(Xb[item[fits]], strided[fits][:, :, 0], B, lam)
+
+    penalty = np.eye(k) * lam
+    penalty[0, 0] = 0.0
+    B = np.zeros((items * m, k))
+    B[:, 0] = np.log(ys.mean(axis=1) + 1e-8)
+    ll = lls(np.arange(items * m), B)
+    histories = [[value] for value in ll]
+    converged = np.zeros(items * m, dtype=bool)
+    fallbacks = np.zeros(items * m, dtype=int)
+    errors = {}                           # fit -> the LinAlgError of its lstsq
+    live = np.arange(items * m)
+    for _ in range(max_iter):
+        if not len(live):
+            break
+        Xl, y, beta = Xb[item[live]], strided[live][:, :, 0], B[live]
+        eta = np.clip(_gemv(Xl, beta), -500, 500)
+        mu = np.exp(eta)
+        z = eta + (y - mu) / np.maximum(mu, 1e-12)
+        Xt = np.swapaxes(Xl, 1, 2)
+        A = Xt @ (mu[:, :, None] * Xl) + penalty
+        b = _gemv(Xt, mu * z)
+        proposal = np.empty_like(beta)
+        solved = np.ones(len(live), dtype=bool)
+        for r in solve_items(_solve_system, proposal, A, b):
+            fallbacks[live[r]] += 1
+            try:
+                proposal[r] = np.linalg.lstsq(A[r], b[r], rcond=None)[0]
+            except np.linalg.LinAlgError as exc:
+                errors[live[r]] = exc
+                solved[r] = False
+        live, beta, proposal = live[solved], beta[solved], proposal[solved]
+        # Step halving keeps the penalized log-likelihood non-decreasing.
+        step = np.ones(len(live))
+        direction = proposal - beta
+        halving = np.arange(len(live))
+        for _ in range(60):
+            candidate = beta[halving] + step[halving, None] * direction[halving]
+            short = ~(lls(live[halving], candidate) >= ll[live[halving]] - 1e-12)
+            halving = halving[short]
+            if not len(halving):
+                break
+            step[halving] *= 0.5
+        B[live] = beta + step[:, None] * direction
+        new_ll = lls(live, B[live])
+        for f, value in zip(live.tolist(), new_ll):
+            histories[f].append(value)
+        settled = np.abs(new_ll - ll[live]) < tol * (1 + np.abs(ll[live]))
+        converged[live[settled]] = True
+        ll[live] = new_ll
+        live = live[~settled]
+    failures = {}
+    for f in sorted(errors):
+        failures.setdefault(int(item[f]), errors[f])
+    coef = B.reshape(items, m, k).transpose(0, 2, 1)
+    coef[list(failures)] = np.nan
+    payload = PoissonPayload(coef if stacked else coef[0], histories,
+                             converged.tolist(), fallbacks.tolist(), failures)
+    if not stacked and failures:
+        raise failures[0]
+    return payload
 
 
 class KernelRidgePayload:

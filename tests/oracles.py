@@ -18,9 +18,11 @@ takes a stack, a Mapper over the dense Canberra matrix summed column
 by column where the library computes each preimage's block on its own,
 single linkage by Prim's tree and a union-find where the library calls
 scipy's linkage and fcluster, graph components by depth-first search
-where the library calls scipy's connected_components, and Mapper edges,
+where the library calls scipy's connected_components, Mapper edges,
 series counts, partition votes and majority labels from sets and
-Counters where the library multiplies one membership matrix.
+Counters where the library multiplies one membership matrix, and the
+active-set lasso and Poisson IRLS one target of one item at a time where
+the library steps every fit in lockstep.
 """
 
 import csv
@@ -165,6 +167,147 @@ def lasso_cd(X, y, lam, max_sweeps, tol):
         if max_delta < tol and abs(b - b_old) < tol:
             break
     return w, b, history
+
+
+# The one-fit-at-a-time lasso and Poisson solvers that the lockstep fits
+# of hierfcst.models.linear replaced: each must reproduce them bit for bit.
+
+_EPS = np.finfo(float).eps
+
+
+def active_set_lasso(Xc, yc, G, lam, max_steps, tol):
+    """Exact lasso on centred data: minimise 0.5*mean((yc - Xc w)^2) +
+    lam*||w||_1, i.e. 0.5 w'Gw - c'w + lam*||w||_1 with G = Xc'Xc/n and
+    c = Xc'yc/n, by the active-set method of Osborne, Presnell & Turlach
+    (2000), from w = 0, one fit at a time.  Returns w, the objective after
+    every step, and whether the KKT conditions held within tol*lam (plus a
+    rounding floor) before max_steps steps."""
+    n, k = Xc.shape
+    c = Xc.T @ yc / n
+    w = np.zeros(k)
+    signs = np.zeros(k)
+    free = np.diag(G) > 0
+    active = []
+
+    def objective():
+        return 0.5 * np.mean((yc - Xc @ w) ** 2) + lam * np.sum(np.abs(w))
+
+    history = [objective()]
+    if k == 0:
+        return w, history, True
+    settled = True
+    while True:
+        if settled:
+            g = c - G @ w
+            floor = 16 * k * _EPS * max(np.abs(c).max(), (np.abs(G) @ np.abs(w)).max())
+            thr = tol * lam + floor
+            breach = np.where(free, np.abs(g) - lam, -np.inf)
+            j = int(np.argmax(breach))
+            if breach[j] <= thr:
+                return w, history, True
+        if len(history) > max_steps:
+            return w, history, False
+        if settled:
+            active.append(j)
+            free[j] = False
+            signs[j] = np.sign(g[j])
+        A = np.array(active)
+        sA, wA, GA = signs[A], w[A], G[np.ix_(A, A)]
+        vals, V = np.linalg.eigh(GA)
+        null = vals <= 100 * len(A) * _EPS * vals[-1]
+        h = -V[:, null] @ (V[:, null].T @ sA)
+        if lam * np.abs(h).max(initial=0.0) > thr:
+            d, reach = h, np.inf
+        else:
+            Vr = V[:, ~null]
+            d, reach = Vr @ (Vr.T @ (c[A] - lam * sA - GA @ wA) / vals[~null]), 1.0
+        shrink = sA * d < 0
+        cross = np.full(len(A), np.inf)
+        cross[shrink] = -wA[shrink] / d[shrink]
+        i = int(np.argmin(cross))
+        if cross[i] < reach:
+            w[A] = wA + cross[i] * d
+            w[A[i]] = 0.0
+            free[A[i]] = True
+            del active[i]
+            settled = not active
+        else:
+            w[A] = wA + d
+            settled = True
+        history.append(objective())
+
+
+def lasso_fits(X, Y, lam, max_sweeps=500, tol=1e-8):
+    """(intercepts, coefs, objective histories, converged) of one
+    active_set_lasso per target column."""
+    x_mean = X.mean(axis=0)
+    Xc = X - x_mean
+    G = Xc.T @ Xc / X.shape[0]
+    coefs, intercepts, histories, converged = [], [], [], []
+    for y in Y.T:
+        w, hist, ok = active_set_lasso(Xc, y - y.mean(), G, lam, max_sweeps, tol)
+        coefs.append(w)
+        intercepts.append(y.mean() - x_mean @ w)
+        histories.append(hist)
+        converged.append(ok)
+    return np.array(intercepts), np.array(coefs).T, histories, converged
+
+
+def _poisson_ll(Xb, y, beta):
+    eta = np.clip(Xb @ beta, -500, 500)
+    return float(y @ eta - np.sum(np.exp(eta)))
+
+
+def poisson_irls(Xb, y, lam, max_iter, tol):
+    """IRLS with step halving for one target, least squares where the
+    system is singular.  Returns beta, the penalized log-likelihood after
+    every iteration, converged and the number of least-squares solves."""
+    k = Xb.shape[1]
+    beta = np.zeros(k)
+    beta[0] = np.log(np.mean(y) + 1e-8)
+    penalty = np.eye(k) * lam
+    penalty[0, 0] = 0.0
+    ll = _poisson_ll(Xb, y, beta) - 0.5 * lam * beta[1:] @ beta[1:]
+    history = [ll]
+    converged = False
+    fallbacks = 0
+    for _ in range(max_iter):
+        eta = np.clip(Xb @ beta, -500, 500)
+        mu = np.exp(eta)
+        z = eta + (y - mu) / np.maximum(mu, 1e-12)
+        A = Xb.T @ (mu[:, None] * Xb) + penalty
+        b = Xb.T @ (mu * z)
+        try:
+            proposal = np.linalg.solve(A, b)
+        except np.linalg.LinAlgError:
+            fallbacks += 1
+            proposal = np.linalg.lstsq(A, b, rcond=None)[0]
+        step = 1.0
+        direction = proposal - beta
+        for _ in range(60):
+            candidate = beta + step * direction
+            cand_ll = (_poisson_ll(Xb, y, candidate)
+                       - 0.5 * lam * candidate[1:] @ candidate[1:])
+            if cand_ll >= ll - 1e-12:
+                break
+            step *= 0.5
+        beta = beta + step * direction
+        new_ll = _poisson_ll(Xb, y, beta) - 0.5 * lam * beta[1:] @ beta[1:]
+        history.append(new_ll)
+        if abs(new_ll - ll) < tol * (1 + abs(ll)):
+            converged = True
+            break
+        ll = new_ll
+    return beta, history, converged, fallbacks
+
+
+def poisson_fits(X, Y, lam=0.0, max_iter=200, tol=1e-10):
+    """(coef, log-likelihood histories, converged, lstsq fallbacks) of one
+    poisson_irls per target column of one item."""
+    Xb = np.concatenate([np.ones((X.shape[0], 1)), X], axis=1)
+    fits = [poisson_irls(Xb, Y[:, c], lam, max_iter, tol) for c in range(Y.shape[1])]
+    coef, histories, converged, fallbacks = zip(*fits) if fits else ((), (), (), ())
+    return np.array(coef).T, list(histories), list(converged), list(fallbacks)
 
 
 def smape_ref(forecast, actual):

@@ -287,8 +287,8 @@ def assert_matches_reference(tensor, specs, split):
 @st.composite
 def backtest_cases(draw):
     """A small catalog with all-zero and constant items, a split, and specs
-    in one transform covering every feeding mode, ARX, TRMF and the stacked
-    tree families."""
+    in one transform covering every feeding mode, ARX, TRMF, stacked
+    Poisson and the stacked tree families."""
     n_items = draw(st.integers(1, 5))
     n_leads = draw(st.integers(1, 4))
     T = draw(st.integers(12, 18))
@@ -309,6 +309,8 @@ def backtest_cases(draw):
     specs += [ModelSpec("kernel", transform=kind, feeding=feeding, label=f"kernel_{feeding}")
               for feeding in ("df_one_by_one", "df_all_items")]
     specs += [ModelSpec("lasso", transform=kind, feeding="df_one_by_one", label="lasso"),
+              ModelSpec("poisson", transform=kind, feeding="df_one_by_one", label="poisson"),
+              ModelSpec("poisson", transform=kind, label="poisson_nodf"),
               ModelSpec("arx", {"p": draw(st.integers(1, 2))}, transform=kind, label="arx"),
               ModelSpec("arx", {"exog": "preorders"}, transform=kind, label="arx_exog"),
               ModelSpec("trmf", {"rank": 1, "ar_order": 1, "max_sweeps": 5},
@@ -333,6 +335,8 @@ def tree_specs(kind):
 
 
 class TestStackedBacktestMatchesPerItem:
+    # A log1p Poisson forecast can overflow expm1; that item then fails.
+    @pytest.mark.filterwarnings("ignore:overflow encountered in expm1:RuntimeWarning")
     @settings(max_examples=30, deadline=None)
     @given(backtest_cases())
     def test_random_catalogs(self, case):
@@ -370,6 +374,36 @@ class TestStackedBacktestMatchesPerItem:
         assert [failure for failure in board.failures if failure[0] in names] == \
             [(spec.name, tensor.items[2], "DomainError: X and Y must be finite")
              for spec in specs if spec.name in names]
+
+    def test_negative_target_item_fails_alone_in_poisson_specs(self):
+        # The item's negative targets fail the stacked Poisson fit of its
+        # block, which is then fitted item by item.
+        tensor = ds.synthesize(4, 5, 45, 4, "anticipatory")
+        tensor.values[2, 5] = -1.0
+        specs = [ModelSpec("poisson", feeding="df_one_by_one", label="p"),
+                 ModelSpec("poisson", label="p_nodf")]
+        assert_matches_reference(tensor, specs, BacktestSplit(37, 8))
+        board = backtest(tensor, specs, BacktestSplit(37, 8))
+        assert board.failures == [
+            (name, tensor.items[2], "DomainError: Poisson regression requires "
+                                    "non-negative targets") for name in ("p", "p_nodf")]
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("period", [5, 40])
+    @pytest.mark.parametrize("kind", TRANSFORM_KINDS)
+    def test_non_finite_series_fails_alone_without_feeding(self, kind, period):
+        # The item's series is infinite in a training or a test period: its
+        # features cannot be extracted, so it fails alone and every other
+        # item is fitted and forecast as alone.
+        tensor = ds.synthesize(4, 5, 45, 4, "anticipatory")
+        tensor.values[2, period, 0] = np.inf
+        for family in ("ridge", "lasso", "poisson", "kernel", "adaboost"):
+            spec = ModelSpec(family, transform=kind)
+            fc, extras = forecast_matrix(tensor, spec, BacktestSplit(37, 8))
+            ref, failures = nodf_forecasts_reference(tensor, spec, BacktestSplit(37, 8))
+            assert extras["failures"] == failures == \
+                {2: "HierfcstError: series must be finite"}, spec
+            assert bits(fc) == bits(ref), spec
 
     @staticmethod
     def overflowing_catalog():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hierfcst.models import ModelSpec, fit
 from hierfcst.models.linear import fit_lasso
 
-from oracles import lasso_cd, lasso_kkt_breach, lasso_objective
+from oracles import lasso_cd, lasso_fits, lasso_kkt_breach, lasso_objective
 
 
 def _max_corr(X, y):
@@ -173,3 +173,58 @@ class TestStepCap:
         X, y, _ = self._problem()
         fitted = fit(ModelSpec("lasso", {"lam": 0.01, "max_sweeps": 1}), X, y)
         assert fitted.payload.converged == [False]
+
+
+def _bits(values):
+    return np.ascontiguousarray(values, dtype=float).tobytes()
+
+
+def assert_matches_one_fit_at_a_time(X, Y, lam, max_sweeps):
+    """fit_lasso's lockstep fits give each column's fit alone, bit for bit:
+    coefficients, intercepts, objective histories and converged."""
+    payload = fit_lasso(X, Y, lam, max_sweeps, tol=1e-10)
+    intercepts, coefs, histories, converged = lasso_fits(X, Y, lam, max_sweeps, 1e-10)
+    assert _bits(payload.coefs) == _bits(coefs)
+    assert _bits(payload.intercepts) == _bits(intercepts)
+    assert [_bits(h) for h in payload.objective_histories] == [_bits(h) for h in histories]
+    assert payload.converged == converged
+    return payload
+
+
+def _lockstep_problem(seed):
+    """_problem's X and lam, lam = 0 on a quarter of the draws, with four
+    targets that step differently: the problem's y, a constant (w = 0 at
+    once), a scaled y and noise; the step cap from 1 upward."""
+    X, y, lam = _problem(seed)
+    rng = np.random.default_rng([seed, 1])
+    Y = np.column_stack([y, np.full(len(y), 2.5), -3.0 * y, rng.normal(size=len(y))])
+    lam = 0.0 if rng.random() < 0.25 else lam
+    return X, Y, lam, int(rng.choice([1, 2, 3, 500]))
+
+
+class TestLockstepMatchesOneFitAtATime:
+    """The columns' fits step in lockstep, grouped by active-set size; each
+    must keep the bits of the one-fit-at-a-time solver in
+    tests/oracles.py."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1).map(_lockstep_problem))
+    def test_bit_for_bit(self, problem):
+        assert_matches_one_fit_at_a_time(*problem)
+
+    def test_bit_for_bit_on_a_fixed_sweep(self):
+        # Zero-variance columns, lam = 0, step caps and singular active
+        # blocks, met on every run.
+        for seed in range(400):
+            assert_matches_one_fit_at_a_time(*_lockstep_problem(seed))
+
+    def test_one_column_capped_while_the_others_converge(self):
+        rng = np.random.default_rng(21)
+        X = rng.normal(size=(30, 8))
+        X[:, 5] = 4.0                    # zero variance
+        Y = np.column_stack([np.full(30, 1.5), X @ rng.normal(size=8), X[:, 0]])
+        for lam in (0.0, 1e-4):
+            payload = assert_matches_one_fit_at_a_time(X, Y, lam, 3)
+            assert payload.converged == [True, False, True]
+            assert [len(h) - 1 for h in payload.objective_histories][:2] == [0, 3]
+            assert payload.coefs[5].tolist() == [0.0, 0.0, 0.0]

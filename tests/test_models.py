@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
 from hierfcst.errors import (DomainError, HierfcstError, IllConditionedError,
@@ -16,7 +18,7 @@ from hierfcst.models.linear import (_cho_solve, _refined_solve, fit_kernel_ridge
                                     pairwise_sq_dists, rbf_kernel)
 from hierfcst.preprocess import TargetTransform
 
-from oracles import gradient_descent, newton_poisson
+from oracles import gradient_descent, newton_poisson, poisson_fits
 
 
 class TestModelSpec:
@@ -408,6 +410,104 @@ class TestPoissonConverged:
         payload = fit(ModelSpec("poisson"), X, Y).payload
         assert all(len(h) - 1 < hp["max_iter"] for h in payload.ll_histories)
         assert payload.converged == [True, True]
+
+
+def _bits(values):
+    return np.ascontiguousarray(values, dtype=float).tobytes()
+
+
+def assert_poisson_matches_one_fit_at_a_time(X, Y, lam, max_iter):
+    """fit_poisson's lockstep fits of a stack X (items, n, k), Y (items, n, m)
+    give each (item, target) fit alone, bit for bit: coefficients,
+    log-likelihood histories, converged and lstsq fallbacks; so does the
+    fit of each item on its own."""
+    payload = fit_poisson(X, Y, lam, max_iter)
+    m = Y.shape[-1]
+    for i in range(len(X)):
+        coef, histories, converged, fallbacks = poisson_fits(X[i], Y[i], lam, max_iter)
+        alone = fit_poisson(X[i], Y[i], lam, max_iter)
+        fits = slice(i * m, (i + 1) * m)
+        for coefs, lls in ((payload.coef[i], payload.ll_histories[fits]),
+                           (alone.coef, alone.ll_histories)):
+            assert _bits(coefs) == _bits(coef)
+            assert [_bits(h) for h in lls] == [_bits(h) for h in histories]
+        assert payload.converged[fits] == alone.converged == converged
+        assert payload.lstsq_fallbacks[fits] == alone.lstsq_fallbacks == fallbacks
+    assert payload.failures == {}
+    return payload
+
+
+def _poisson_stack(seed):
+    """A stack of Poisson problems with fractional targets; on about half of
+    the draws one all-zero target, and one item with a zero column, whose
+    IRLS system is singular at lam = 0; lam 0 or positive, iteration caps
+    from 1."""
+    rng = np.random.default_rng(seed)
+    items, n, k, m = (int(v) for v in rng.integers([1, 2, 1, 1], [6, 25, 6, 4]))
+    X = rng.normal(size=(items, n, k))
+    Y = rng.poisson(2.0, size=(items, n, m)) * rng.uniform(0.5, 1.5, size=(items, n, m))
+    if rng.random() < 0.5:
+        Y[rng.integers(items), :, rng.integers(m)] = 0.0
+    if rng.random() < 0.5:
+        X[rng.integers(items), :, rng.integers(k)] = 0.0
+    return X, Y, float(rng.choice([0.0, 1e-6, 1.0])), int(rng.choice([1, 2, 200]))
+
+
+class TestPoissonLockstep:
+    """Every (item, target) IRLS fit runs in lockstep; each must keep the
+    bits of the one-fit-at-a-time solver in tests/oracles.py."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1).map(_poisson_stack))
+    def test_bit_for_bit(self, problem):
+        assert_poisson_matches_one_fit_at_a_time(*problem)
+
+    def test_all_zero_target(self):
+        X, Y, _, _ = _poisson_stack(3)
+        Y[1, :, 0] = 0.0
+        payload = assert_poisson_matches_one_fit_at_a_time(X, Y, 0.0, 200)
+        assert payload.converged[Y.shape[-1]]
+        assert payload.predict_raw(X)[1, :, 0].max() < 1e-6
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-6])
+    def test_singular_system_counts_its_lstsq_fallbacks(self, lam):
+        # A zero column makes item 1's IRLS system singular at lam = 0: the
+        # stacked solve raises, each fit is solved alone, and only item 1's
+        # fits fall back to least squares, each once per iteration.
+        X, Y, _, _ = _poisson_stack(5)
+        X[1, :, 0] = 0.0
+        payload = assert_poisson_matches_one_fit_at_a_time(X, Y, lam, 200)
+        m = Y.shape[-1]
+        iterations = [len(h) - 1 for h in payload.ll_histories]
+        expect = [iterations[f] if lam == 0.0 and f // m == 1 else 0
+                  for f in range(len(X) * m)]
+        assert payload.lstsq_fallbacks == expect
+        assert sum(expect) > 0 or lam > 0.0
+
+    def test_failed_solve_fails_its_item_alone(self, monkeypatch):
+        # A least-squares solve that raises fails the item of its fit; the
+        # stack's other items are fitted as alone.
+        X, Y, _, _ = _poisson_stack(5)
+        X[1, :, 0] = 0.0
+
+        def lstsq(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+        monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+        payload = fit_poisson(X, Y, 0.0)
+        assert list(payload.failures) == [1]
+        assert str(payload.failures[1]) == "SVD did not converge in Linear Least Squares"
+        assert np.isnan(payload.coef[1]).all()
+        for i in (0, 2):
+            assert _bits(payload.coef[i]) == _bits(fit_poisson(X[i], Y[i], 0.0).coef)
+        with pytest.raises(np.linalg.LinAlgError):
+            fit_poisson(X[1], Y[1], 0.0)
+
+    def test_negative_target_rejects_the_stack(self):
+        X, Y, _, _ = _poisson_stack(5)
+        Y[2, 3, 0] = -0.5
+        with pytest.raises(DomainError):
+            fit_poisson(X, Y)
 
 
 def normal_equations(X, Y, lam):

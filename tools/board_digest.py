@@ -5,6 +5,10 @@ graph JSON and the selector's series clusters, cluster labels and series
 labels, the board's best models being the labels; and one over its
 diagonal-feeding layer: the supervised cache `hierfcst transform` writes
 and the model store `hierfcst train` writes for the workload's specs.
+A last line, `zoo-300`, digests a backtest of lasso and Poisson
+`df_one_by_one` under every transform on the first 300 items of the
+anticipatory catalog (synthesize(7, 300, 45, 4)): more items than one
+stacked block holds.
 
     python tools/board_digest.py [seed ...]        # seeds 1 2 3 by default
 
@@ -26,8 +30,19 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
+import hierfcst  # noqa: E402
 from hierfcst import cli, dataset, evaluate, tda  # noqa: E402
+from hierfcst.models import ModelSpec  # noqa: E402
 from workloads import PIPELINE_SPECS, SPLIT, WORKLOADS  # noqa: E402
+
+
+def board_digest(board):
+    """sha256 of a leaderboard's CSV, forecast bytes and failures."""
+    digest = hashlib.sha256(board.to_csv().encode())
+    for key in sorted(board.forecasts):
+        digest.update(repr(key).encode() + board.forecasts[key].tobytes())
+    digest.update(repr(board.failures).encode())
+    return digest.hexdigest()
 
 
 def selection_digest(tensor, board, work_dir):
@@ -72,12 +87,13 @@ for seed in [int(a) for a in sys.argv[1:]] or [1, 2, 3]:
         with tempfile.TemporaryDirectory() as work_dir:
             workload.build(work_dir)
             board = evaluate.backtest(workload.tensor, workload.specs, SPLIT)
-            digest = hashlib.sha256(board.to_csv().encode())
-            for key in sorted(board.forecasts):
-                digest.update(repr(key).encode() + board.forecasts[key].tobytes())
-            digest.update(repr(board.failures).encode())
-            print(name, seed, digest.hexdigest())
+            print(name, seed, board_digest(board))
             if name == "catalog-select":
                 print(f"{name}:select", seed,
                       selection_digest(workload.tensor, board, work_dir))
                 print(f"{name}:df", seed, feeding_digest(workload.tensor, work_dir))
+
+zoo = [ModelSpec(family, transform=kind, feeding="df_one_by_one")
+       for family in ("lasso", "poisson") for kind in ("identity", "log1p", "minmax")]
+print("zoo-300", board_digest(evaluate.backtest(
+    hierfcst.synthesize(7, 300, 45, 4, "anticipatory"), zoo, SPLIT)))
