@@ -16,9 +16,9 @@ from . import trmf as trmf_mod
 from .dataset import DEFAULT_MAX_LEAD, PreorderTensor
 from .errors import HierfcstError
 from .features import FEATURE_NAMES, NONFINITE_SERIES, extract_features
-from .models import STACKED_FAMILIES, ModelSpec, fit, fit_arx, lag_matrix
-from .preprocess import (TargetTransform, build_training_set, feature_frame,
-                         gather_cells, window_index)
+from .models import (STACKED_FAMILIES, TREE_FAMILIES, ModelSpec, fit, fit_arx,
+                     lag_matrix)
+from .preprocess import TargetTransform, build_training_set, feature_frame, window_index
 
 # Lag count for the small-feature (non-diagonal) regression baseline.
 NODF_LAGS = 3
@@ -102,40 +102,53 @@ def _item_transforms(tensor, kind, split):
     return TargetTransform.fit_items(kind, tensor.values[:, :split.train_periods])
 
 
-def _own_models(spec, X, Y, xs, failures):
-    """Item i's model fitted on X[i], Y[i] predicts xs[c][i] in transformed
-    space, for every (items, rows, k) array of xs by one predict call each:
-    one (items, rows, targets) array per entry of xs, NaN for the items that
-    fail.  A STACKED_FAMILIES family fits blocks of items at once; the
-    others, and a block whose stacked fit raises (such as on one item's
-    non-finite rows), fit one item at a time, so an error lands on its own
-    item.  Items already in failures are not fitted alone."""
-    raws = [np.full(x.shape[:2] + Y.shape[-1:], np.nan) for x in xs]
+def _own_models(spec, X, Y, xs, failures, targets=None):
+    """Item i's model fitted on X[i] and the first ``targets`` columns of
+    Y[i] (all by default) predicts xs[c][i] in transformed space, for every
+    (items, rows, k) array of xs by one predict call each: one (items,
+    rows, targets) array per entry of xs, NaN for the items that fail.
+    Items already in failures are not fitted.  A STACKED_FAMILIES family
+    fits runs of consecutive items at once; an item whose rows or targets
+    are not finite is fitted alone, so its own fit's error lands on it, and
+    so is every item of a run whose stacked fit raises.  The other families
+    fit one item at a time."""
+    m = Y[..., :targets].shape[-1]
+    raws = [np.full(x.shape[:2] + (m,), np.nan) for x in xs]
 
     def predict(model, at):
         for raw, x in zip(raws, xs):
             raw[at] = model.predict_transformed(x[at])
 
-    singles = []
+    todo = np.ones(len(X), dtype=bool)
+    todo[list(failures)] = False
+    singles = todo.copy()
     if spec.family in STACKED_FAMILIES:
-        for start in range(0, len(X), ITEM_BLOCK):
-            block = slice(start, start + ITEM_BLOCK)
+        stack = todo & np.isfinite(X).all(axis=(1, 2)) & np.isfinite(Y).all(axis=(1, 2))
+        singles &= ~stack
+        for block in _runs(stack, ITEM_BLOCK):
             try:
-                model = fit(spec, X[block], Y[block])
+                model = fit(spec, X[block], Y[block], targets=targets)
             except ITEM_ERRORS:
-                singles.extend(range(len(X))[block])
+                singles[block] = True
                 continue
             predict(model, block)
             for k, exc in model.payload.failures.items():
-                failures[start + k] = _failure_message(exc)
-    else:
-        singles = range(len(X))
-    for i in (i for i in singles if i not in failures):
+                failures[block.start + k] = _failure_message(exc)
+            del model               # a tree block's trees go before the next grows
+    for i in np.flatnonzero(singles).tolist():
         try:
-            predict(fit(spec, X[i], Y[i]), i)
+            predict(fit(spec, X[i], Y[i], targets=targets), i)
         except ITEM_ERRORS as exc:
             failures[i] = _failure_message(exc)
     return raws
+
+
+def _runs(mask, size):
+    """Slices of at most ``size`` consecutive True entries of mask, in
+    order: views of the read-only design, not copies."""
+    edges = np.flatnonzero(np.diff(mask, prepend=False, append=False)).tolist()
+    return [slice(s, min(s + size, b))
+            for a, b in zip(edges[::2], edges[1::2]) for s in range(a, b, size)]
 
 
 def frame_leads(tensor) -> int:
@@ -171,11 +184,10 @@ def _build_design(tensor, key, split):
 
 
 def _df_design(tensor, kind, split):
-    """(tf, X, Y, x, picks, diag): the items' transforms; the training rows
-    X, Y (items, anchors, cells) of every frame anchored in the training
-    periods; the test frames x (items, frames, cells); the (frame, cell)
-    picks of the test periods' one-step forecasts; and the actual cells of
-    the diagonal frame, None when the tensor ends before it."""
+    """(tf, X, Y, x, picks): the items' transforms; the training rows X, Y
+    (items, anchors, cells) of every frame anchored in the training
+    periods; the test frames x (items, frames, cells); and the (frame,
+    cell) picks of the test periods' one-step forecasts."""
     T, n, H = tensor.n_periods, tensor.n_items, frame_leads(tensor)
     tf = _item_transforms(tensor, kind, split)
     train_anchors = range(split.train_periods - H)
@@ -187,47 +199,25 @@ def _df_design(tensor, kind, split):
     # diagonal positions of the final feasible anchor T - H.
     test = np.asarray(split.test_range)
     anchors = np.minimum(test - 1, T - H)
-    y_index = window_index(H)[1]
-    lead0 = np.flatnonzero(np.array(y_index)[:, 1] == 0)  # (s, 0) sits at s - 1
+    lead0 = np.flatnonzero(np.array(window_index(H)[1])[:, 1] == 0)  # (s, 0) sits at s - 1
     picks = (np.arange(len(test)), lead0[test - anchors - 1])
-    # Multi-horizon diagonal targets: the frame anchored on the last
-    # training period has inputs known by the end of training and its
-    # whole y block inside the test zone.
-    diag_anchor = split.train_periods - 1
-    has_diag = diag_anchor + H < T
-    if has_diag:
-        anchors = np.append(anchors, diag_anchor)
-
     x = tf.forward(feature_frame(tensor, np.arange(n), anchors, H))
-    diag = None
-    if has_diag:
-        diag = gather_cells(tensor, np.arange(n), [diag_anchor], y_index)[:, 0]
     rows = (n, len(train_anchors), -1)
-    return tf, sset.X.reshape(rows), sset.Y.reshape(rows), x, picks, diag
+    return tf, sset.X.reshape(rows), sset.Y.reshape(rows), x, picks
 
 
 def _df_forecasts(spec, design, failures):
-    """DF-mode forecasts of q^0 over the test periods for every item.
-
-    Returns (forecasts (n_items, n_test), diagonal_smape per item).
-    """
-    tf, X, Y, x, picks, diag_actual = design
-    n = len(X)
+    """DF-mode forecasts (n_items, n_test) of q^0 over the test periods."""
+    tf, X, Y, x, picks = design
+    # A tree family grows an independent model per target cell, so it fits
+    # only the cells up to the deepest one a pick reads.
+    targets = int(picks[1].max()) + 1 if spec.family in TREE_FAMILIES else None
     if spec.feeding == "df_all_items":
-        raw = fit(spec, X.reshape(-1, X.shape[-1]),
-                  Y.reshape(-1, Y.shape[-1])).predict_transformed(x)
+        raw = fit(spec, X.reshape(-1, X.shape[-1]), Y.reshape(-1, Y.shape[-1]),
+                  targets=targets).predict_transformed(x)
     else:
-        raw, = _own_models(spec, X, Y, [x], failures)
-    y_hat = np.maximum(tf.inverse(raw), 0.0)
-    diag = np.zeros(n)
-    if diag_actual is not None:
-        diag = smape_rows(y_hat[:, -1], diag_actual)
-        # As smape raises on it, a non-finite diagonal forecast fails its item.
-        for i in np.flatnonzero(~np.isfinite(y_hat[:, -1]).all(axis=1)).tolist():
-            failures.setdefault(i, _failure_message(HierfcstError(_NONFINITE)))
-    out = np.column_stack([y_hat[:, picks[0], picks[1]], diag])
-    out[list(failures)] = np.nan
-    return out[:, :-1], out[:, -1]
+        raw, = _own_models(spec, X, Y, [x], failures, targets)
+    return np.maximum(tf.inverse(raw), 0.0)[:, picks[0], picks[1]]
 
 
 def _nodf_rows(raw, series, taus):
@@ -341,7 +331,7 @@ def _forecasts(tensor, spec, split, design):
     elif spec.family == "arx":
         fc = _arx_forecasts(tensor, spec, split, failures)
     elif spec.feeding in DF_FEEDINGS:
-        fc, extras["diagonal_smape"] = _df_forecasts(spec, design, failures)
+        fc = _df_forecasts(spec, design, failures)
     else:
         fc = _nodf_forecasts(spec, design, failures)
     # As smape raises on it, a non-finite forecast fails its item.

@@ -19,8 +19,13 @@ __all__ = [
     "IMPLEMENTED_FAMILIES", "OUT_OF_SCOPE_FAMILIES", "FEEDING_MODES",
     "default_hyperparams", "RegressionTree", "RandomForest", "AdaBoostR2",
     "GradientBoost", "BaggedGradientBoost", "median_bandwidth", "lag_matrix",
-    "STACKED_FAMILIES",
+    "STACKED_FAMILIES", "TREE_FAMILIES",
 ]
+
+# Families that fit one independent model per target column (a forest or
+# bagged boost of column c draws from seed + c; adaboost draws nothing), so
+# a fit on Y's first columns grows the models a fit on all of Y grows there.
+TREE_FAMILIES = ("rforest", "adaboost", "ensemble")
 
 
 # Families whose fit takes a stack of items, X (items, n, k) and
@@ -29,7 +34,7 @@ __all__ = [
 # (item, target) fit in lockstep, the tree families by growing every
 # item's trees together, one forest level or boosting round at a time.
 # Lasso fits one item per call, its target columns in lockstep.
-STACKED_FAMILIES = ("ridge", "poisson", "kernel", "rforest", "adaboost", "ensemble")
+STACKED_FAMILIES = ("ridge", "poisson", "kernel") + TREE_FAMILIES
 
 
 def _check_xy(X, Y):
@@ -47,7 +52,8 @@ def _check_xy(X, Y):
     return X, Y
 
 
-def fit(spec: ModelSpec, X, Y, transform: TargetTransform | None = None) -> FittedModel:
+def fit(spec: ModelSpec, X, Y, transform: TargetTransform | None = None,
+        targets: int | None = None) -> FittedModel:
     """Fit one matrix-interface family on supervised rows.
 
     Multi-column Y is handled per target column (independent regressors);
@@ -60,9 +66,12 @@ def fit(spec: ModelSpec, X, Y, transform: TargetTransform | None = None) -> Fitt
     target in a Poisson stack, raises for the whole stack.
     ``transform`` is the fitted per-series transform that produced the
     (already transformed) X/Y entries; it is stored so predictions can be
-    mapped back to original quantity units.
+    mapped back to original quantity units.  ``targets`` fits only Y's
+    first columns (all by default); the checks still read every column, so
+    a non-finite column left unfitted raises as a fitted one does.
     """
     X, Y = _check_xy(X, Y)
+    Y = Y[..., :targets]
     hp = spec.hyperparams
     family = spec.family
     if X.ndim == 3 and family not in STACKED_FAMILIES:
@@ -77,7 +86,7 @@ def fit(spec: ModelSpec, X, Y, transform: TargetTransform | None = None) -> Fitt
         payload = fit_poisson(X, Y, hp["lam"], hp["max_iter"], hp["tol"])
     elif family == "kernel":
         payload = fit_kernel_ridge(X, Y, hp["lam"], hp["bandwidth"])
-    elif family in ("rforest", "adaboost", "ensemble"):
+    elif family in TREE_FAMILIES:
         items = len(X) if X.ndim == 3 else 1
         models = [_tree_model(family, hp, c) for _ in range(items)
                   for c in range(Y.shape[-1])]

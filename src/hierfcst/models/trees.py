@@ -14,6 +14,8 @@ fitted tree is a set of flat node arrays and ``predict`` walks all rows
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ..errors import HierfcstError
@@ -416,17 +418,22 @@ class _Ensemble:
         return self.combine(_predict_trees(self.all_trees(), X))
 
 
+@functools.lru_cache(maxsize=64)
 def _forest_draws(seed, n_trees, bootstrap, n):
     """(generators, rows (n_trees, n)) of the trees of a forest fitted on n
     rows: each tree's generator, as its bootstrap draw leaves it, and its
-    rows."""
+    rows, read-only.  They depend only on the arguments, so they are drawn
+    once per process and shared: callers draw from ``_copy`` of a
+    generator, never from the generator itself."""
     rng = np.random.default_rng(seed)
     rngs, rows = [], []
     for _ in range(n_trees):
         tree_rng = np.random.default_rng(rng.integers(0, 2 ** 63))
         rows.append(tree_rng.integers(0, n, size=n) if bootstrap else np.arange(n))
         rngs.append(tree_rng)
-    return rngs, np.array(rows)
+    rows = np.array(rows)
+    rows.flags.writeable = False
+    return tuple(rngs), rows
 
 
 def _copy(rng):
@@ -457,19 +464,14 @@ class RandomForest(_Ensemble):
     def fit_batch(forests, X, Y):
         """Fit ``forests[c]`` to column c of Y, all their trees grown together;
         for a stack X (items, n, k), Y (items, n, m), ``forests[i * m + c]``
-        to column c of item i.  Bootstrap rows depend only on a forest's
-        seed, tree count and n, so they are drawn once per stack.  With
-        ``max_features < 1`` each forest's trees draw their feature subsets
-        from copies of the generators in the state a fit of that forest
-        alone leaves them."""
+        to column c of item i.  Bootstrap rows come from ``_forest_draws``.
+        With ``max_features < 1`` each forest's trees draw their feature
+        subsets from copies of the generators in the state a fit of that
+        forest alone leaves them."""
         X, Y, first, col, n = _stacked(forests, X, Y)
-        draws = {}
         trees, rows = [], []
         for forest, start in zip(forests, first.tolist()):
-            key = (forest.seed, forest.n_trees, forest.bootstrap, n)
-            if key not in draws:
-                draws[key] = _forest_draws(*key)
-            rngs, draw = draws[key]
+            rngs, draw = _forest_draws(forest.seed, forest.n_trees, forest.bootstrap, n)
             mf = None if forest.max_features >= 1.0 else forest.max_features
             forest.trees = [RegressionTree(forest.max_depth, forest.min_leaf, mf,
                                            None if mf is None else _copy(rng))

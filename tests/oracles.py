@@ -720,7 +720,7 @@ def _item_model(spec, X, Y):
 def df_forecasts_reference(tensor, spec, split, W, H):
     """Diagonal-feeding forecasts item by item: per-cell training rows, one
     model per item (or one pooled model), one frame set per item.  Returns
-    (forecasts, diagonal SMAPE, failures)."""
+    (forecasts, failures)."""
     values, n, T = tensor.values, tensor.n_items, tensor.n_periods
     tfs = {i: ItemTransform(spec.transform, values[i, :split.train_periods])
            for i in range(n)}
@@ -734,11 +734,7 @@ def df_forecasts_reference(tensor, spec, split, W, H):
     anchors = list(np.minimum(test - 1, T - W + 1))
     lead0 = [k for k, (s, h) in enumerate(y_index) if h == 0]
     picks = [lead0[tau - a - 1] for tau, a in zip(test, anchors)]
-    diag_anchor = split.train_periods - 1
-    has_diag = diag_anchor + W - 1 < T
-    if has_diag:
-        anchors.append(diag_anchor)
-    out = np.full((n, len(test) + 1), np.nan)
+    out = np.full((n, len(test)), np.nan)
     failures = {}
     for i in range(n):
         try:
@@ -748,12 +744,10 @@ def df_forecasts_reference(tensor, spec, split, W, H):
             x = tfs[i].forward(np.array([window_cells(values, i, a, x_index)
                                          for a in anchors]))
             y_hat = np.maximum(tfs[i].inverse(model(x)), 0.0)
-            diag = (smape_item(y_hat[-1], window_cells(values, i, diag_anchor, y_index))
-                    if has_diag else 0.0)
-            out[i] = [y_hat[c, k] for c, k in enumerate(picks)] + [diag]
+            out[i] = [y_hat[c, k] for c, k in enumerate(picks)]
         except ITEM_ERRORS as exc:
             failures[i] = f"{type(exc).__name__}: {exc}"
-    return out[:, :-1], out[:, -1], failures
+    return out, failures
 
 
 def features_item(series):
@@ -883,7 +877,7 @@ def backtest_reference(tensor, specs, split):
             elif spec.feeding == "none":
                 fc, failed = nodf_forecasts_reference(tensor, spec, split)
             else:
-                fc, _diag, failed = df_forecasts_reference(tensor, spec, split, H + 1, H)
+                fc, failed = df_forecasts_reference(tensor, spec, split, H + 1, H)
         except ITEM_ERRORS as exc:
             failed = dict.fromkeys(range(tensor.n_items), f"{type(exc).__name__}: {exc}")
         scores[spec.name] = {}

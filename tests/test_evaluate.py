@@ -11,7 +11,7 @@ from hierfcst.errors import HierfcstError
 from hierfcst.evaluate import (DF_FEEDINGS, NODF_LAGS, BacktestSplit, backtest,
                                best_forecast_report, forecast_matrix, frame_leads,
                                lag1_mimicry, smape, smape_rows)
-from hierfcst.models import FEEDING_MODES, ModelSpec
+from hierfcst.models import FEEDING_MODES, ModelSpec, fit
 from hierfcst.preprocess import TRANSFORM_KINDS
 
 from oracles import backtest_reference, nodf_forecasts_reference, smape_item, smape_ref
@@ -206,9 +206,6 @@ class TestBacktest:
             fc, extras = forecast_matrix(tensor, spec, split)
             assert fc.shape == (4, 8)
             assert np.all(fc >= 0) and np.all(np.isfinite(fc))
-        fc, extras = forecast_matrix(
-            tensor, ModelSpec("ridge", feeding="df_one_by_one", label="d"), split)
-        assert "diagonal_smape" in extras and extras["diagonal_smape"].shape == (4,)
 
 
 class TestMimicry:
@@ -405,6 +402,30 @@ class TestStackedBacktestMatchesPerItem:
                 {2: "HierfcstError: series must be finite"}, spec
             assert bits(fc) == bits(ref), spec
 
+    @pytest.mark.parametrize("feeding, period, lead", [("df_one_by_one", 5, 1),
+                                                       ("none", 5, 0)])
+    def test_one_bad_item_leaves_the_others_stacked(self, feeding, period, lead):
+        # The items on either side of the bad one are fitted as two stacks;
+        # the bad item is fitted alone under feeding, where its own fit
+        # raises, and not at all without feeding, where its series has
+        # already failed it.
+        tensor = ds.synthesize(4, 6, 45, 4, "anticipatory")
+        tensor.values[2, period, lead] = np.inf
+        spec = ModelSpec("adaboost", {"rounds": 3, "base_depth": 2}, feeding=feeding,
+                         label="a")
+        stacks = []
+
+        def recording_fit(spec, X, Y, *args, **kwargs):
+            stacks.append(len(X) if np.ndim(X) == 3 else None)
+            return fit(spec, X, Y, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evaluate, "fit", recording_fit)
+            board = backtest(tensor, [spec], BacktestSplit(37, 8))
+        assert stacks == [2, 3] + ([None] if feeding != "none" else [])
+        assert [item for _, item, _ in board.failures] == [tensor.items[2]]
+        assert_matches_reference(tensor, [spec], BacktestSplit(37, 8))
+
     @staticmethod
     def overflowing_catalog():
         tensor = ds.synthesize(3, 4, 45, 4)
@@ -428,7 +449,7 @@ class TestStackedBacktestMatchesPerItem:
                                 "ignore:invalid value encountered:RuntimeWarning")
     def test_overflowing_item_non_finite_forecasts(self):
         # Kernel ridge turns the item's overflow into NaN forecasts, which
-        # fail the item at its diagonal SMAPE, as they did per item.
+        # fail the item at scoring, as they did per item.
         specs = [ModelSpec("kernel", feeding="df_one_by_one", label="k"),
                  ModelSpec("ridge", transform="log1p", feeding="df_one_by_one", label="r"),
                  ModelSpec("arx", {"exog": "preorders"}, label="a")]
@@ -475,6 +496,61 @@ class TestStackedBacktestMatchesPerItem:
         assert all(message.startswith("IllConditionedError: ") for _, message in failed)
         assert board.row("r").n_items == 3
         assert np.isfinite(board.row("r").mean_smape)
+
+
+class TestTreeSpecsFitTheScoredCells:
+    """A tree family grows one model per target cell, so a DF backtest fits
+    only the cells up to the deepest one it scores, with the forecasts of
+    fits on every cell; the other families fit every cell."""
+
+    @staticmethod
+    def specs():
+        forest = {"max_features": 0.7}          # draws feature subsets per column
+        return [ModelSpec(family, params, feeding=feeding, label=f"{family}{j} {feeding}")
+                for feeding in DF_FEEDINGS
+                for j, (family, params) in enumerate([("rforest", {}), ("rforest", forest),
+                                                      ("adaboost", {}), ("ensemble", {})])]
+
+    @pytest.mark.parametrize("split, cells", [(BacktestSplit(37, 8), 4),
+                                              (BacktestSplit(30, 8), 1)])
+    def test_fitted_cells(self, split, cells):
+        # At 37/8 on 45 periods the last test periods fall back to cells
+        # (2, 0) and (3, 0), the fourth of the 10 in row-major order; at
+        # 30/8 every test period reads the lead-0 cell (1, 0).
+        tensor = ds.synthesize(4, 3, 45, 4, "anticipatory")
+        specs = self.specs() + [ModelSpec("ridge", feeding=feeding, label=feeding)
+                                for feeding in DF_FEEDINGS]
+        fitted = {}
+
+        def recording_fit(*args, **kwargs):
+            model = fit(*args, **kwargs)
+            fitted.setdefault(args[0].name, set()).add(model.n_targets)
+            return model
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evaluate, "fit", recording_fit)
+            board = backtest(tensor, specs, split)
+        assert not board.failures
+        assert fitted == {spec.name: {10 if spec.family == "ridge" else cells}
+                          for spec in specs}
+
+    @pytest.mark.parametrize("split", [BacktestSplit(37, 8), BacktestSplit(30, 8)])
+    def test_forecasts_of_fits_on_every_cell(self, split):
+        assert_matches_reference(ds.synthesize(4, 5, 45, 4, "anticipatory"),
+                                 self.specs(), split)
+
+    def test_non_finite_unscored_cell_fails_as_a_fitted_one(self):
+        # The infinite pre-order reaches only training targets the trees do
+        # not fit; it still fails the item, or the pooled spec's every item.
+        tensor = ds.synthesize(4, 5, 45, 4, "anticipatory")
+        tensor.values[2, 35, 2] = np.inf
+        specs = self.specs()
+        assert_matches_reference(tensor, specs, BacktestSplit(37, 8))
+        board = backtest(tensor, specs, BacktestSplit(37, 8))
+        message = "DomainError: X and Y must be finite"
+        assert board.failures == [
+            (spec.name, item, message) for spec in specs
+            for item in (tensor.items if spec.feeding == "df_all_items" else [tensor.items[2]])]
 
 
 def bits(a):

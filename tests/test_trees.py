@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hierfcst.errors import HierfcstError
 from hierfcst.models import AdaBoostR2, ModelSpec, RegressionTree, fit
-from hierfcst.models.trees import _pairwise_sum, _pick, _weighted_median
+from hierfcst.models.trees import _forest_draws, _pairwise_sum, _pick, _weighted_median
 
 from oracles import (RecursiveTree, adaboost_reference, bagged_boost_reference,
                      forest_reference, sequential_pick, weighted_median_reference)
@@ -169,6 +169,14 @@ class TestStackedFitMatchesPerItem:
                                      "bootstrap": bootstrap, "seed": 3})
         forests = assert_stack_matches_items(spec, X, Y, Xq).payload.models
         assert all(len(f.trees) == 4 for f in forests)
+
+    def test_forest_draws_are_drawn_once_and_read_only(self):
+        # Every fit shares them; the stacked and lone fits above draw their
+        # feature subsets from copies of the shared generators.
+        draws = _forest_draws(3, 4, True, 6)
+        assert _forest_draws(3, 4, True, 6) is draws
+        with pytest.raises(ValueError, match="read-only"):
+            draws[1][0, 0] = 0
 
     def test_bagged_boost(self):
         X, Y, Xq = boosting_stack()

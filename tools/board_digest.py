@@ -5,10 +5,12 @@ graph JSON and the selector's series clusters, cluster labels and series
 labels, the board's best models being the labels; and one over its
 diagonal-feeding layer: the supervised cache `hierfcst transform` writes
 and the model store `hierfcst train` writes for the workload's specs.
-A last line, `zoo-300`, digests a backtest of lasso and Poisson
-`df_one_by_one` under every transform on the first 300 items of the
-anticipatory catalog (synthesize(7, 300, 45, 4)): more items than one
-stacked block holds.
+Two last lines digest backtests of the anticipatory catalog: `zoo-300`
+of lasso and Poisson `df_one_by_one` under every transform on
+synthesize(7, 300, 45, 4), more items than one stacked block holds, and
+`trees-40` of the tree families at their defaults on
+synthesize(7, 40, 45, 4): `rforest`, `adaboost` and `ensemble` with
+`df_one_by_one` and `ensemble` with `df_all_items`.
 
     python tools/board_digest.py [seed ...]        # seeds 1 2 3 by default
 
@@ -97,3 +99,9 @@ zoo = [ModelSpec(family, transform=kind, feeding="df_one_by_one")
        for family in ("lasso", "poisson") for kind in ("identity", "log1p", "minmax")]
 print("zoo-300", board_digest(evaluate.backtest(
     hierfcst.synthesize(7, 300, 45, 4, "anticipatory"), zoo, SPLIT)))
+
+trees = [ModelSpec(family, feeding="df_one_by_one")
+         for family in ("rforest", "adaboost", "ensemble")]
+trees.append(ModelSpec("ensemble", feeding="df_all_items"))
+print("trees-40", board_digest(evaluate.backtest(
+    hierfcst.synthesize(7, 40, 45, 4, "anticipatory"), trees, SPLIT)))
