@@ -163,11 +163,12 @@ _KIND_ALIASES = {"none": "identity", "log": "log1p", "minmax": "minmax",
                  "identity": "identity", "log1p": "log1p"}
 
 
-def _transform(tensor, name, leads, output):
+def _transform(tensor, name, split, output):
+    """Cache the diagonal-feeding rows the backtest fits under the split."""
     kind = _KIND_ALIASES.get(name)
     if kind is None:
         raise HierfcstError(f"unknown transform kind {name!r}")
-    sset = build_training_set(tensor, "all", leads, transform=kind)
+    sset = build_training_set(tensor, **ev.df_training_rows(tensor, kind, split))
     save_supervised(sset, output)
     return sset
 
@@ -231,10 +232,11 @@ def cmd_synth(args):
 
 def cmd_transform(args):
     tensor = ds.load_cache(args.data)
-    sset = _transform(tensor, args.kind, args.leads, args.output)
+    sset = _transform(tensor, args.kind, ev.BacktestSplit(args.train_periods), args.output)
     write_run_config(f"{args.output}.run.ini", "transform", {
-        "data": args.data, "kind": _KIND_ALIASES[args.kind], "leads": args.leads,
-        "output": args.output, "n_rows": sset.X.shape[0]})
+        "data": args.data, "kind": _KIND_ALIASES[args.kind], "leads": sset.H,
+        "train_periods": args.train_periods, "output": args.output,
+        "n_rows": sset.X.shape[0]})
     print(f"wrote supervised cache with {sset.X.shape[0]} rows -> {args.output}")
     return 0
 
@@ -407,19 +409,17 @@ def run_pipeline(config_path) -> int:
                         int(data.get("leads", ds.DEFAULT_MAX_LEAD)),
                         data.get("regime", _SYNTH_REGIME))
 
-    pp = _section(parser, "preprocess")
-    _transform(tensor, pp.get("transform", _TRANSFORM_KIND),
-               int(pp.get("leads", ev.frame_leads(tensor))),
-               os.path.join(out_dir, "supervised.npz"))
+    bt = _section(parser, "backtest")
+    split = ev.BacktestSplit(int(bt.get("train_periods", _SPLIT.train_periods)),
+                             int(bt.get("test_periods", _SPLIT.test_periods)))
+    _transform(tensor, _section(parser, "preprocess").get("transform", _TRANSFORM_KIND),
+               split, os.path.join(out_dir, "supervised.npz"))
 
     specs = [spec_from_mapping(s.split(":", 1)[1], _section(parser, s))
              for s in parser.sections() if s.startswith("spec:")]
     if not specs:
         raise HierfcstError("pipeline config defines no [spec:*] sections")
 
-    bt = _section(parser, "backtest")
-    split = ev.BacktestSplit(int(bt.get("train_periods", _SPLIT.train_periods)),
-                             int(bt.get("test_periods", _SPLIT.test_periods)))
     board = ev.backtest(tensor, specs, split)
 
     sel = _section(parser, "select")
@@ -488,7 +488,7 @@ def build_parser():
     p = sub.add_parser("transform", help="write a cached supervised dataset")
     p.add_argument("--data", required=True)
     p.add_argument("--kind", choices=sorted(_KIND_ALIASES), default=_TRANSFORM_KIND)
-    p.add_argument("--leads", type=int, required=True)
+    p.add_argument("--train-periods", type=int, default=_SPLIT.train_periods)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_transform)
 

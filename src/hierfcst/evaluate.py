@@ -97,11 +97,6 @@ def _failure_message(exc) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _item_transforms(tensor, kind, split):
-    """Every item's transform, fitted on its training periods (all leads)."""
-    return TargetTransform.fit_items(kind, tensor.values[:, :split.train_periods])
-
-
 def _own_models(spec, X, Y, xs, failures, targets=None):
     """Item i's model fitted on X[i] and the first ``targets`` columns of
     Y[i] (all by default) predicts xs[c][i] in transformed space, for every
@@ -183,15 +178,23 @@ def _build_design(tensor, key, split):
     return design
 
 
+def df_training_rows(tensor, kind, split) -> dict:
+    """build_training_set's arguments for the rows the backtest fits and the
+    supervised cache holds: every item's frames of frame_leads(tensor)
+    leads inside the training periods, under its transform fitted on them."""
+    H, train = frame_leads(tensor), split.train_periods
+    return {"scope": "all", "H": H, "anchors": range(train - H),
+            "transforms": TargetTransform.fit_items(kind, tensor.values[:, :train])}
+
+
 def _df_design(tensor, kind, split):
     """(tf, X, Y, x, picks): the items' transforms; the training rows X, Y
-    (items, anchors, cells) of every frame anchored in the training
-    periods; the test frames x (items, frames, cells); and the (frame,
-    cell) picks of the test periods' one-step forecasts."""
-    T, n, H = tensor.n_periods, tensor.n_items, frame_leads(tensor)
-    tf = _item_transforms(tensor, kind, split)
-    train_anchors = range(split.train_periods - H)
-    sset = build_training_set(tensor, "all", H, anchors=train_anchors, transforms=tf)
+    (items, anchors, cells) of df_training_rows; the test frames x (items,
+    frames, cells); and the (frame, cell) picks of the test periods'
+    one-step forecasts."""
+    T, n = tensor.n_periods, tensor.n_items
+    sset = build_training_set(tensor, **df_training_rows(tensor, kind, split))
+    tf, H = sset.item_transforms, sset.H
 
     # Test period tau is read off the lead-0 cell (tau - a, 0) of the frame
     # anchored at a = tau - 1 (one step ahead) whenever that frame's input
@@ -202,7 +205,7 @@ def _df_design(tensor, kind, split):
     lead0 = np.flatnonzero(np.array(window_index(H)[1])[:, 1] == 0)  # (s, 0) sits at s - 1
     picks = (np.arange(len(test)), lead0[test - anchors - 1])
     x = tf.forward(feature_frame(tensor, np.arange(n), anchors, H))
-    rows = (n, len(train_anchors), -1)
+    rows = (n, -1, sset.X.shape[1])         # |x| = |y| cells
     return tf, sset.X.reshape(rows), sset.Y.reshape(rows), x, picks
 
 
@@ -296,7 +299,7 @@ def _trmf_forecasts(tensor, spec, split):
     """Joint factorization of the gross-demand matrix with one-step
     re-estimated forecasts across the test periods (the recommended use)."""
     cfg = trmf_mod.TrmfConfig(**spec.hyperparams, allow_low_density=True)
-    tf = _item_transforms(tensor, spec.transform, split)
+    tf = TargetTransform.fit_items(spec.transform, tensor.values[:, :split.train_periods])
     Y = tf.forward(tensor.values[:, :, 0]).T
     observed = tensor.observed_mask[:, :, 0].T.copy()
     Y = np.where(observed, Y, np.nan)

@@ -475,6 +475,11 @@ def _refined_solve(K, Y):
     return alpha + np.linalg.solve(K, Y - K @ alpha)
 
 
+# Bytes of the (..., n, n) kernel stack one fit may build: 1 GiB, a single
+# matrix of up to 11,585 rows.  A fit past it fails before it allocates.
+KERNEL_MAX_BYTES = 2 ** 30
+
+
 def fit_kernel_ridge(X, Y, lam: float, bandwidth="median") -> KernelRidgePayload:
     """RBF kernel ridge: alpha = (K + lam*I)^-1 Y, by least squares when K
     is singular.  A stack X (items, n, k), Y (items, n, m) fits one model
@@ -482,6 +487,11 @@ def fit_kernel_ridge(X, Y, lam: float, bandwidth="median") -> KernelRidgePayload
     pairwise distance matrix per fit serves both the bandwidth and K."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    n = X.shape[-2]
+    if (nbytes := X[..., 0].size * n * X.itemsize) > KERNEL_MAX_BYTES:
+        raise HierfcstError(
+            f"kernel ridge on {n} rows needs {nbytes} bytes of kernel matrices, over "
+            f"the budget of {KERNEL_MAX_BYTES}; fit it per item (df_one_by_one)")
     if bandwidth != "median":
         bw = float(bandwidth)
         if bw <= 0:
@@ -492,7 +502,7 @@ def fit_kernel_ridge(X, Y, lam: float, bandwidth="median") -> KernelRidgePayload
     if bandwidth == "median":
         bw = _median_distance(sq)
     K = _rbf_in_place(sq, bw)
-    diag = np.arange(X.shape[-2])
+    diag = np.arange(n)
     K[..., diag, diag] += lam
     alpha = np.empty(Y.shape)
     Ks, Ys, out = (K, Y, alpha) if K.ndim == 3 else (K[None], Y[None], alpha[None])

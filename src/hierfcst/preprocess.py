@@ -18,7 +18,7 @@ import numpy as np
 from .dataset import PreorderTensor, _read_npz, _write_npz
 from .errors import DomainError, HierfcstError, NotFittedError, WindowRangeError
 
-SUPERVISED_CACHE_VERSION = 1
+SUPERVISED_CACHE_VERSION = 2
 
 TRANSFORM_KINDS = ("identity", "log1p", "minmax")
 
@@ -227,42 +227,28 @@ def build_training_set(tensor: PreorderTensor, scope, H: int, *,
 
 
 def save_supervised(sset: SupervisedSet, path) -> None:
-    """Versioned binary cache of a supervised dataset at exactly ``path``.
-
-    The layout lists the transforms by ascending item index and keeps the
-    frame width W = H + 1 of its first readers."""
-    keys, first = np.unique(sset.sample_items, return_index=True)
-    position = np.argsort(np.argsort(first))   # each key's place in the scope
+    """Versioned binary cache of a supervised dataset at exactly ``path``,
+    its transforms in scope order: one kind and, for minmax, the bounds
+    (empty for the other kinds)."""
     tf = sset.item_transforms
-    bounds = [np.full(len(keys), np.nan) if b is None else b[position]
-              for b in (tf.vmin, tf.vmax)]
+    bounds = [np.empty(0) if b is None else b for b in (tf.vmin, tf.vmax)]
     _write_npz(
         path,
         cache_version=np.array(SUPERVISED_CACHE_VERSION),
         kind=np.array("supervised_set"),
         X=sset.X, Y=sset.Y, sample_items=sset.sample_items,
-        sample_anchors=sset.sample_anchors,
-        W=np.array(sset.H + 1), H=np.array(sset.H),
-        tf_items=keys, tf_kinds=np.array([tf.kind] * len(keys), dtype=str),
-        tf_vmins=bounds[0], tf_vmaxs=bounds[1],
+        sample_anchors=sset.sample_anchors, H=np.array(sset.H),
+        tf_kind=np.array(tf.kind), tf_vmin=bounds[0], tf_vmax=bounds[1],
     )
 
 
 def load_supervised(path) -> SupervisedSet:
     data = _read_npz(path, "supervised_set", SUPERVISED_CACHE_VERSION,
-                     ("X", "Y", "sample_items", "sample_anchors", "W", "H",
-                      "tf_items", "tf_kinds", "tf_vmins", "tf_vmaxs"))
-    kinds = sorted(set(data["tf_kinds"].tolist()))
-    if len(kinds) != 1:
-        raise HierfcstError(f"cannot load {path}: transform kinds {kinds}, "
-                            "expected one")
-    # The transforms in scope order: by each item's first row.
-    keys, first = np.unique(data["sample_items"], return_index=True)
-    order = np.argsort(first[np.searchsorted(keys, data["tf_items"])])
-    minmax = kinds[0] == "minmax"
-    tf = TargetTransform(kind=kinds[0],
-                         vmin=data["tf_vmins"][order] if minmax else None,
-                         vmax=data["tf_vmaxs"][order] if minmax else None)
+                     ("X", "Y", "sample_items", "sample_anchors", "H", "tf_kind",
+                      "tf_vmin", "tf_vmax"))
+    minmax = data["tf_kind"] == "minmax"
+    tf = TargetTransform(kind=str(data["tf_kind"]), vmin=data["tf_vmin"] if minmax else None,
+                         vmax=data["tf_vmax"] if minmax else None)
     return SupervisedSet(X=data["X"], Y=data["Y"], sample_items=data["sample_items"],
                          sample_anchors=data["sample_anchors"], item_transforms=tf,
                          H=int(data["H"]))

@@ -10,7 +10,7 @@ from hierfcst import dataset as ds
 from hierfcst.errors import HierfcstError
 from hierfcst.cli import (STAGE_EXIT, load_selector, load_specs,
                           load_stored_model, main, run_pipeline, stage_seed)
-from hierfcst.evaluate import BacktestSplit, frame_leads
+from hierfcst.evaluate import BacktestSplit, _build_design, frame_leads
 from hierfcst.models import default_hyperparams, fit
 from hierfcst.preprocess import TargetTransform, load_supervised
 
@@ -129,24 +129,28 @@ class TestStages:
     def test_transform_writes_supervised_cache(self, tmp_path, tensor_cache):
         out = tmp_path / "sup.npz"
         assert main(["transform", "--data", tensor_cache, "--kind", "log",
-                     "--leads", "3", "--output", str(out)]) == 0
+                     "--output", str(out)]) == 0
         sset = load_supervised(out)
-        assert sset.H == 3
-        assert sset.X.shape[1] == 6
-        assert int(np.load(out)["W"]) == 4      # the cache layout keeps W = H + 1
+        assert sset.H == 4                      # the tensor's leads
+        assert sset.X.shape == (8 * 33, 10)
+        assert sset.item_transforms.kind == "log1p"
+        assert "W" not in np.load(out).files
+        parser = configparser.ConfigParser()
+        parser.read(f"{out}.run.ini")
+        assert (parser["transform"]["train_periods"], parser["transform"]["leads"]) == \
+            ("37", "4")
 
     def test_outputs_land_at_exact_paths(self, tmp_path, specs_file):
         tensor, sup, board = (tmp_path / name for name in ("t.cache", "s.cache", "lb.out"))
         assert main(["synth", "--seed", "3", "--regime", "anticipatory", "--items", "5",
                      "--output", str(tensor)]) == 0
-        assert main(["transform", "--data", str(tensor), "--leads", "4",
-                     "--output", str(sup)]) == 0
+        assert main(["transform", "--data", str(tensor), "--output", str(sup)]) == 0
         assert main(["backtest", "--specs", specs_file, "--data", str(tensor),
                      "--out", str(board)]) == 0
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "lb.out", "lb.out.run.ini", "s.cache", "s.cache.run.ini", "specs.ini",
             "t.cache", "t.cache.run.ini"]
-        assert load_supervised(sup).X.shape == (5 * 41, 10)
+        assert load_supervised(sup).X.shape == (5 * 33, 10)
         parser = configparser.ConfigParser()
         parser.read(tmp_path / "s.cache.run.ini")
         assert parser["transform"]["data"] == str(tensor)
@@ -444,32 +448,73 @@ class TestSharedStages:
                 np.testing.assert_array_equal(stored["model"].predict(x),
                                               expected.predict(x))
 
+    @pytest.mark.parametrize("train, n_anchors", [(None, 33), (30, 26)])
+    @pytest.mark.parametrize("name, kind", [("minmax", "minmax"), ("log", "log1p")])
+    def test_cache_is_the_backtest_design(self, tmp_path, tensor_cache, train, n_anchors,
+                                          name, kind):
+        out = tmp_path / "sup.npz"
+        split = ["--train-periods", str(train)] if train else []
+        assert main(["transform", "--data", tensor_cache, "--kind", name,
+                     "--output", str(out), *split]) == 0
+        sset = load_supervised(out)
+        tensor = ds.load_cache(tensor_cache)
+        train = train or BacktestSplit().train_periods
+        tf, X, Y = _build_design(tensor, ("df", kind), BacktestSplit(train))[:3]
+        n = tensor.n_items
+        assert X.shape[:2] == (n, n_anchors)
+        assert sset.H == frame_leads(tensor)
+        np.testing.assert_array_equal(sset.X, X.reshape(n * n_anchors, -1))
+        np.testing.assert_array_equal(sset.Y, Y.reshape(n * n_anchors, -1))
+        np.testing.assert_array_equal(sset.sample_items, np.repeat(np.arange(n), n_anchors))
+        np.testing.assert_array_equal(sset.sample_anchors,
+                                      np.tile(np.arange(n_anchors), n))
+        assert sset.item_transforms.kind == tf.kind == kind
+        if kind == "minmax":
+            # Fitted on the training periods: test-period values set the
+            # range of some items over all periods.
+            vmax = TargetTransform.fit_items(kind, tensor.values[:, :train]).vmax
+            np.testing.assert_array_equal(sset.item_transforms.vmax, vmax)
+            np.testing.assert_array_equal(sset.item_transforms.vmin, tf.vmin)
+            assert (vmax < TargetTransform.fit_items(kind, tensor.values).vmax).any()
+
     def test_pipeline_writes_what_the_subcommands_write(self, tmp_path):
+        self.assert_pipeline_writes_what_the_subcommands_write(tmp_path, None)
+
+    def test_pipeline_writes_what_the_subcommands_write_at_split_30(self, tmp_path):
+        self.assert_pipeline_writes_what_the_subcommands_write(tmp_path, 30)
+
+    @staticmethod
+    def assert_pipeline_writes_what_the_subcommands_write(tmp_path, train):
         run_dir, sub_dir = tmp_path / "pipeline", tmp_path / "subcommands"
         sub_dir.mkdir()
         cfg = tmp_path / "pipe.ini"
-        # The frames' geometry follows from the leads alone: a window key
-        # left in [preprocess] by an older config is ignored.
+        # The frames' geometry follows from the tensor's leads alone: window
+        # and leads keys left in [preprocess] by older configs are ignored.
+        backtest = f"[backtest]\ntrain_periods = {train}\n\n" if train else ""
         cfg.write_text(f"[run]\nseed = 3\nout_dir = {run_dir}\n\n"
                        "[data]\nsource = synth\nseed = 5\nitems = 12\n"
-                       "regime = anticipatory\n\n[preprocess]\nwindow = 9\n\n"
-                       + SPECS_INI.replace("[", "[spec:"))
+                       "regime = anticipatory\n\n[preprocess]\nwindow = 9\nleads = 3\n\n"
+                       + backtest + SPECS_INI.replace("[", "[spec:"))
         assert main(["pipeline", "--config", str(cfg)]) == 0
 
         specs = tmp_path / "specs.ini"
         specs.write_text(SPECS_INI)
         tensor, board = str(sub_dir / "tensor.npz"), str(sub_dir / "leaderboard.csv")
+        split = ["--train-periods", str(train)] if train else []
         for argv in (["synth", "--seed", "5", "--regime", "anticipatory", "--items", "12",
                       "--output", tensor],
-                     ["transform", "--data", tensor, "--leads", "4",
+                     ["transform", "--data", tensor, *split,
                       "--output", str(sub_dir / "supervised.npz")],
-                     ["backtest", "--specs", str(specs), "--data", tensor, "--out", board],
+                     ["backtest", "--specs", str(specs), "--data", tensor, *split,
+                      "--out", board],
                      ["select", "--data", tensor, "--models", str(specs), "--subset", "12",
-                      "--out", str(sub_dir / "selector.bin"),
+                      *split, "--out", str(sub_dir / "selector.bin"),
                       "--graph", str(sub_dir / "graph.json")],
-                     ["report", "--data", tensor, "--specs", str(specs),
+                     ["report", "--data", tensor, "--specs", str(specs), *split,
                       "--item", "item0000", "--out", str(sub_dir / "report_item0000.csv")]):
             assert main(argv) == 0, argv
         for name in ("tensor.npz", "supervised.npz", "leaderboard.csv", "selector.bin",
                      "graph.json", "graph.dot", "report_item0000.csv"):
             assert (run_dir / name).read_bytes() == (sub_dir / name).read_bytes(), name
+        assert load_supervised(run_dir / "supervised.npz").X.shape[0] == \
+            12 * ((train or BacktestSplit().train_periods) - 4)

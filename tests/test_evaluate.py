@@ -11,7 +11,7 @@ from hierfcst.errors import HierfcstError
 from hierfcst.evaluate import (DF_FEEDINGS, NODF_LAGS, BacktestSplit, backtest,
                                best_forecast_report, forecast_matrix, frame_leads,
                                lag1_mimicry, smape, smape_rows)
-from hierfcst.models import FEEDING_MODES, ModelSpec, fit
+from hierfcst.models import FEEDING_MODES, ModelSpec, fit, linear
 from hierfcst.preprocess import TRANSFORM_KINDS
 
 from oracles import backtest_reference, nodf_forecasts_reference, smape_item, smape_ref
@@ -496,6 +496,37 @@ class TestStackedBacktestMatchesPerItem:
         assert all(message.startswith("IllConditionedError: ") for _, message in failed)
         assert board.row("r").n_items == 3
         assert np.isfinite(board.row("r").mean_smape)
+
+
+class TestKernelMemoryBudget:
+    """A kernel ridge fit whose kernel stack would pass KERNEL_MAX_BYTES
+    fails before it builds it."""
+
+    def test_pooled_kernel_fails_and_per_item_kernel_scores(self, monkeypatch):
+        tensor = ds.synthesize(3, 6, 45, 4, "anticipatory")
+        split = BacktestSplit(37, 8)
+        specs = [ModelSpec("kernel", feeding="df_all_items", label="pooled"),
+                 ModelSpec("kernel", feeding="df_one_by_one", label="own")]
+        unbounded = backtest(tensor, specs[1:], split)
+        # Pooled: one matrix over 6 x 33 rows, 313,632 bytes; per item: a
+        # stack of six 33 x 33 matrices, 52,272 bytes.
+        monkeypatch.setattr(linear, "KERNEL_MAX_BYTES", 100_000)
+        board = backtest(tensor, specs, split)
+        message = ("HierfcstError: kernel ridge on 198 rows needs 313632 bytes of kernel "
+                   "matrices, over the budget of 100000; fit it per item (df_one_by_one)")
+        assert board.failures == [("pooled", item, message) for item in tensor.items]
+        assert board.row("pooled").n_items == 0
+        assert board.scores["own"] == unbounded.scores["own"]
+        assert board.row("own").n_items == 6
+
+    def test_default_budget_stops_the_paper_scale_pooled_design(self):
+        # One matrix of 11,585 rows fits in 1 GiB; the pooled design of
+        # 2562 items x 33 anchors would take 57 GB.  Only X (84,546 x 10)
+        # is allocated here.
+        assert 11585 ** 2 * 8 <= linear.KERNEL_MAX_BYTES < 11586 ** 2 * 8
+        X = np.zeros((2562 * 33, 10))
+        with pytest.raises(HierfcstError, match="84546 rows needs 57184208928 bytes"):
+            linear.fit_kernel_ridge(X, X, 1e-4)
 
 
 class TestTreeSpecsFitTheScoredCells:

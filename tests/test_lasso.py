@@ -202,6 +202,18 @@ def _lockstep_problem(seed):
     return X, Y, lam, int(rng.choice([1, 2, 3, 500]))
 
 
+def _near_duplicate_problem(seed):
+    """lam = 0 on 30 rows of 4 columns, one of them another column plus
+    noise of 1e-12 to 1e-7, and two targets: an active block whose Gram
+    matrix is singular to rounding, which the fit solves in its range."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(30, 4))
+    src, dst = rng.choice(4, 2, replace=False)
+    X[:, dst] = X[:, src] + rng.normal(size=30) * 10 ** rng.uniform(-12, -7)
+    Y = np.column_stack([X @ rng.normal(size=4) + rng.normal(size=30), rng.normal(size=30)])
+    return X, Y, 0.0, 500
+
+
 class TestLockstepMatchesOneFitAtATime:
     """The columns' fits step in lockstep, grouped by active-set size; each
     must keep the bits of the one-fit-at-a-time solver in
@@ -217,6 +229,10 @@ class TestLockstepMatchesOneFitAtATime:
         # blocks, met on every run.
         for seed in range(400):
             assert_matches_one_fit_at_a_time(*_lockstep_problem(seed))
+
+    def test_bit_for_bit_on_a_singular_block_solved_in_its_range(self):
+        for seed in range(50):
+            assert_matches_one_fit_at_a_time(*_near_duplicate_problem(seed))
 
     def test_one_column_capped_while_the_others_converge(self):
         rng = np.random.default_rng(21)

@@ -155,21 +155,21 @@ class TestBuildTrainingSet:
         assert back.item_transforms[1].vmax == sset.item_transforms[1].vmax
 
     @pytest.mark.parametrize("kind", ["identity", "minmax"])
-    def test_cache_lists_transforms_by_item_index(self, tmp_path, kind):
-        # The cache layout lists the transforms by ascending item index; a
-        # loaded set holds them in scope order again.
+    def test_cache_lists_transforms_in_scope_order(self, tmp_path, kind):
+        # One transform kind, and minmax bounds in the scope's order.
         t = coded_tensor(n_items=3)
         sset = build_training_set(t, [2, 0], 3, transform=kind, anchors=[4, 1])
         path = tmp_path / "sup.npz"
         save_supervised(sset, path)
         stored = np.load(path)
+        assert set(stored.files) == {"cache_version", "kind", "X", "Y", "sample_items",
+                                     "sample_anchors", "H", "tf_kind", "tf_vmin", "tf_vmax"}
+        assert int(stored["cache_version"]) == 2
         np.testing.assert_array_equal(stored["sample_items"], [2, 2, 0, 0])
         np.testing.assert_array_equal(stored["sample_anchors"], [4, 1, 4, 1])
-        assert (int(stored["W"]), int(stored["H"])) == (4, 3)
-        np.testing.assert_array_equal(stored["tf_items"], [0, 2])
-        np.testing.assert_array_equal(stored["tf_kinds"], [kind, kind])
-        lows = [t.values[0].min(), t.values[2].min()] if kind == "minmax" else [np.nan] * 2
-        np.testing.assert_array_equal(stored["tf_vmins"], lows)
+        assert (int(stored["H"]), str(stored["tf_kind"])) == (3, kind)
+        lows = [t.values[2].min(), t.values[0].min()] if kind == "minmax" else []
+        np.testing.assert_array_equal(stored["tf_vmin"], lows)
         back = load_supervised(path).item_transforms
         for k, i in enumerate([2, 0]):
             assert back[k] == TargetTransform.fit(kind, t.values[i])
@@ -183,23 +183,34 @@ class TestBuildTrainingSet:
             assert {info.compress_type for info in zf.infolist()} == {zipfile.ZIP_STORED}
         np.testing.assert_array_equal(load_supervised(path).X, sset.X)
 
-    def test_compressed_cache_of_earlier_layout_loads(self, tmp_path):
+    def test_deflated_cache_loads(self, tmp_path):
+        sset = build_training_set(coded_tensor(), [1, 0], 3, transform="minmax")
+        path = tmp_path / "deflated.npz"
+        save_supervised(sset, tmp_path / "stored.npz")
+        np.savez_compressed(path, **np.load(tmp_path / "stored.npz"))
+        with zipfile.ZipFile(path) as zf:
+            assert zipfile.ZIP_DEFLATED in {info.compress_type for info in zf.infolist()}
+        back = load_supervised(path)
+        for name in ("X", "Y", "sample_items", "sample_anchors"):
+            np.testing.assert_array_equal(getattr(back, name), getattr(sset, name))
+        assert back.H == 3
+        tf = sset.item_transforms
+        assert [back.item_transforms[k] for k in range(2)] == [tf[k] for k in range(2)]
+
+    def test_version_1_cache_fails_naming_it(self, tmp_path):
+        # The layout before the cache held the training design: transforms
+        # by item index and the frame width W.
         sset = build_training_set(coded_tensor(), "all", 3, transform="minmax")
         tf = sset.item_transforms
-        path = tmp_path / "old.npz"
+        path = tmp_path / "v1.npz"
         np.savez_compressed(
             path, cache_version=np.array(1), kind=np.array("supervised_set"),
             X=sset.X, Y=sset.Y, sample_items=sset.sample_items,
             sample_anchors=sset.sample_anchors, W=np.array(4), H=np.array(3),
             tf_items=np.arange(2), tf_kinds=np.array(["minmax"] * 2),
             tf_vmins=tf.vmin, tf_vmaxs=tf.vmax)
-        back = load_supervised(path)
-        np.testing.assert_array_equal(back.X, sset.X)
-        np.testing.assert_array_equal(back.Y, sset.Y)
-        np.testing.assert_array_equal(back.sample_items, sset.sample_items)
-        np.testing.assert_array_equal(back.sample_anchors, sset.sample_anchors)
-        assert back.H == 3
-        assert [back.item_transforms[k] for k in range(2)] == [tf[k] for k in range(2)]
+        with pytest.raises(HierfcstError, match="unsupported .*v1.npz"):
+            load_supervised(path)
 
     def test_tensor_cache_is_not_a_supervised_cache(self, tmp_path):
         path = tmp_path / "t.npz"

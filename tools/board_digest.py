@@ -4,7 +4,8 @@ catalog-select one more over what its selection stage leaves: the Mapper
 graph JSON and the selector's series clusters, cluster labels and series
 labels, the board's best models being the labels; and one over its
 diagonal-feeding layer: the supervised cache `hierfcst transform` writes
-and the model store `hierfcst train` writes for the workload's specs.
+(the backtest's training design) and the model store `hierfcst train`
+writes for the workload's specs, both at the workload's split.
 Two last lines digest backtests of the anticipatory catalog: `zoo-300`
 of lasso and Poisson `df_one_by_one` under every transform on
 synthesize(7, 300, 45, 4), more items than one stacked block holds, and
@@ -63,9 +64,10 @@ def selection_digest(tensor, board, work_dir):
 
 
 def feeding_digest(tensor, work_dir):
-    """sha256 of the supervised cache at the pipeline's default transform
-    and leads, and of the model files `hierfcst train` stores for the
-    pipeline's specs, in file name order."""
+    """sha256 of the supervised cache `hierfcst transform` writes at the
+    pipeline's default transform and the workload's split, and of the model
+    files `hierfcst train` stores for the pipeline's specs, in file name
+    order."""
     data, sup, store, specs = (os.path.join(work_dir, name) for name in
                                ("tensor.npz", "supervised.npz", "store", "specs.ini"))
     dataset.save_cache(tensor, data)
@@ -73,7 +75,7 @@ def feeding_digest(tensor, work_dir):
     split = [f"--train-periods={SPLIT.train_periods}", f"--test-periods={SPLIT.test_periods}"]
     with contextlib.redirect_stdout(io.StringIO()):
         for argv in (["transform", "--data", data, "--kind", cli._TRANSFORM_KIND,
-                      "--leads", str(evaluate.frame_leads(tensor)), "--output", sup],
+                      split[0], "--output", sup],
                      ["train", "--spec", specs, "--data", data, "--out", store, *split]):
             if cli.main(argv) != 0:
                 sys.exit(f"board_digest: hierfcst {argv[0]} failed")
