@@ -37,7 +37,7 @@ STAGE_EXIT = {"ingest": 10, "synth": 11, "transform": 12, "train": 13,
 
 _STAGE_IDS = {name: i for i, name in enumerate(sorted(STAGE_EXIT))}
 
-MODEL_STORE_VERSION = 2
+MODEL_STORE_VERSION = 3
 SELECTOR_VERSION = 1
 
 # What `hierfcst pipeline` writes to its out_dir besides the tensor and

@@ -110,7 +110,7 @@ def _tree_model(family, hp, c):
         return RandomForest(hp["n_trees"], hp["max_depth"], hp["min_leaf"],
                             hp["max_features"], hp["bootstrap"], seed=hp["seed"] + c)
     if family == "adaboost":
-        return AdaBoostR2(hp["rounds"], hp["base_depth"], hp["seed"])
+        return AdaBoostR2(hp["rounds"], hp["base_depth"])
     return BaggedGradientBoost(hp["n_bags"], hp["boost_rounds"], hp["learning_rate"],
                                hp["max_depth"], seed=hp["seed"] + c)
 
@@ -138,10 +138,8 @@ def fit_arx(series, exog=None, p: int = 1, spec: ModelSpec | None = None,
                        meta={"n_samples": np.shape(series)[-1] - p})
 
 
-def fit_adaboost_r2(X, Y, rounds: int = 20, base_depth: int = 3,
-                    seed: int = 0) -> FittedModel:
+def fit_adaboost_r2(X, Y, rounds: int = 20, base_depth: int = 3) -> FittedModel:
     """Convenience wrapper fitting the adaboost family directly."""
     spec = ModelSpec(family="adaboost",
-                     hyperparams={"rounds": rounds, "base_depth": base_depth,
-                                  "seed": seed})
+                     hyperparams={"rounds": rounds, "base_depth": base_depth})
     return fit(spec, X, Y)

@@ -8,12 +8,13 @@ multi-output fit is split by one vectorised scan per depth.  A fit may be a
 stack of item fits, X (items, n, k): the stack is viewed as (items·n, k)
 and each tree's rows are offset by its item, so one level grows every
 item's trees.  Boosting rounds stay sequential, each round one batch.  A
-fitted tree is a set of flat node arrays and ``predict`` walks all rows
-(and all trees of an ensemble) at once.
+fit keeps one node table of all its trees (``_Nodes``), each model the ids
+of its trees in it, and ``predict`` walks all rows and trees at once.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 
 import numpy as np
@@ -24,6 +25,39 @@ from ..errors import HierfcstError
 # scan takes nodes in chunks of at most this many (feature, slot) cells, so
 # temporaries stay bounded whatever the batch size.
 _BLOCK = 1 << 14
+
+
+# The node table of a fit's trees, as parallel arrays: tree t is rows
+# offsets[t]:offsets[t + 1], numbered level by level from its root.  feature
+# is -1 at a leaf, whose left and right are its own row; children are table
+# rows; value is the weighted mean of the node's samples.
+_Nodes = collections.namedtuple("_Nodes", "feature threshold left right value offsets")
+
+
+def _concat(tables):
+    """One node table of the trees of ``tables`` in turn (none: no trees)."""
+    start = np.cumsum([0] + [t.value.size for t in tables]).tolist()
+    empty = (np.zeros(0, np.int64), np.zeros(0), np.zeros(0, np.int64),
+             np.zeros(0, np.int64), np.zeros(0), np.zeros(1, np.int64))
+    return _Nodes(*map(np.concatenate, zip(empty, *(
+        (t.feature, t.threshold, t.left + s, t.right + s, t.value, t.offsets[1:] + s)
+        for t, s in zip(tables, start)))))
+
+
+def _walk(nodes, roots, X, rows=None):
+    """(len(roots), r) predictions of the trees rooted at table rows
+    ``roots``, tree t at the rows ``X[rows[t]]``, rows (len(roots), r) or
+    by default every row of X: the trees walked together, one depth per
+    step."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if rows is None:
+        rows = np.arange(X.shape[0])[None]
+    node = np.repeat(np.asarray(roots)[:, None], rows.shape[1], axis=1)
+    while np.any(nodes.feature[node] >= 0):
+        # A leaf points at itself, whatever its (unused) comparison says.
+        node = np.where(X[rows, nodes.feature[node]] <= nodes.threshold[node],
+                        nodes.left[node], nodes.right[node])
+    return nodes.value[node]
 
 
 class _NodeView:
@@ -66,9 +100,8 @@ class RegressionTree:
     order per feature and ties resolve to the lowest feature index, never to
     input ordering.  min_leaf applies to the sample count on each side.
 
-    Stored flat, nodes numbered level by level from the root (node 0):
-    ``feature[i]`` is -1 at a leaf, whose ``left[i]`` and ``right[i]`` are
-    ``i`` itself; ``value[i]`` is the weighted mean of the node's samples.
+    A fitted tree is a node table of one tree, rooted at row 0 (its five
+    node arrays, no offsets), as is a view of a tree of an ensemble's table.
     """
 
     def __init__(self, max_depth: int = 6, min_leaf: int = 2,
@@ -87,6 +120,14 @@ class RegressionTree:
         self.rng = rng
         self.feature = self.threshold = self.left = self.right = self.value = None
 
+    def _slice(self, nodes, t):
+        """Hold tree t of a node table, children numbered from its root."""
+        a, b = nodes.offsets[t], nodes.offsets[t + 1]
+        self.feature, self.threshold, self.value = (
+            c[a:b] for c in (nodes.feature, nodes.threshold, nodes.value))
+        self.left, self.right = nodes.left[a:b] - a, nodes.right[a:b] - a
+        return self
+
     @property
     def root(self):
         return None if self.feature is None else _NodeView(self, 0)
@@ -98,18 +139,14 @@ class RegressionTree:
             raise HierfcstError("sample_weight needs one weight per row")
         if np.any(w < 0) or w.sum() <= 0:
             raise HierfcstError("sample weights must be non-negative with positive sum")
-        _grow([self], X, np.arange(X.shape[0])[None], Y.T, w[None])
-        return self
-
-    def _draw(self, k):
-        """Features one node may split on: all k, or a sorted random subset."""
-        if self.max_features is None or self.max_features >= 1.0:
-            return None
-        m = max(1, int(round(self.max_features * k)))
-        return np.sort(self.rng.choice(k, size=m, replace=False))
+        mf = self.max_features
+        draws = None if mf is None or mf >= 1.0 else [(mf, self.rng)]
+        nodes = _grow(self.max_depth, X, np.arange(X.shape[0])[None], Y.T, w[None],
+                      min_leaf=self.min_leaf, draws=draws)[1]
+        return self._slice(nodes, 0)
 
     def predict(self, X):
-        return _predict_trees([self], X)[0]
+        return _walk(self, [0], X)[0]
 
 
 def _as_xy(X, Y):
@@ -277,12 +314,13 @@ def _scan(nodes, starts, counts, tree_of, sse, w_tot, min_leaf, drawn,
     return feat, thr
 
 
-def _grow(trees, X, rows, Y, W=None, ranks=None):
-    """Fit ``trees[b]`` to targets ``Y[b]`` with weights ``W[b]`` (unit
-    weights when W is None) at the rows ``X[rows[b]]`` (each (B, n)), one
-    depth at a time, the trees together in groups of at most _BLOCK slots.
-    ``ranks`` are X's column ranks, given by a caller that grows on one X
-    again and again.
+def _grow(max_depth, X, rows, Y, W=None, ranks=None, min_leaf=2, draws=None):
+    """Grow tree b (to ``max_depth[b]``, ``min_leaf[b]``: (B,) or scalars)
+    on targets ``Y[b]`` with weights ``W[b]`` (unit weights when W is None)
+    at the rows ``X[rows[b]]`` (each (B, n)), one depth at a time, the trees
+    together in groups of at most _BLOCK slots.  ``ranks`` are X's column
+    ranks, given by a caller that grows on one X again and again.  A tree's
+    ``draws[b]``, if not None, is (max_features, generator).
 
     Slot s of tree b is sample ``rows[b, s]``; a bootstrap draw keeps its
     duplicates as separate slots.  Every node keeps its slots in slot order
@@ -291,25 +329,27 @@ def _grow(trees, X, rows, Y, W=None, ranks=None):
     pairwise sums over that order, split statistics cumulative sums in
     sorted order, and a candidate wins when its gain beats the best so far
     by more than 1e-12 (features in order, then positions).  Feature
-    subsets (``max_features < 1``) are drawn node by node in level order.
-    Returns the leaf value of every slot, (B, n).
+    subsets are drawn node by node in level order.  Returns the leaf value
+    of every slot, (B, n), and the node table.
     """
     if ranks is None:
         ranks = _column_ranks(X)
+    B = rows.shape[0]
+    max_depth, min_leaf = np.broadcast_to(max_depth, B), np.broadcast_to(min_leaf, B)
     step = max(1, _BLOCK // rows.shape[1])
-    return np.concatenate([_grow_group(trees[g:g + step], X, ranks, rows[g:g + step],
-                                       Y[g:g + step], None if W is None else W[g:g + step])
-                           for g in range(0, len(trees), step)])
+    leaves, tables = zip(*(
+        _grow_group(max_depth[g:g + step], min_leaf[g:g + step], X, ranks,
+                    rows[g:g + step], Y[g:g + step], None if W is None else W[g:g + step],
+                    None if draws is None else draws[g:g + step])
+        for g in range(0, B, step)))
+    return np.concatenate(leaves), _concat(tables)
 
 
-def _grow_group(trees, X, ranks, rows, Y, W):
+def _grow_group(max_depth, min_leaf, X, ranks, rows, Y, W, draws):
     B, n = rows.shape
     p = X.shape[1]
     R, Yf = rows.ravel(), np.ravel(Y)
     Wf = None if W is None else np.ravel(W)
-    max_depth = np.array([t.max_depth for t in trees])
-    min_leaf = np.array([t.min_leaf for t in trees])
-    sampled = any(t.max_features is not None and t.max_features < 1.0 for t in trees)
     leaf_value = np.empty(B * n)
 
     order = np.arange(B * n)        # the level's slots, node by node
@@ -338,13 +378,14 @@ def _grow_group(trees, X, ranks, rows, Y, W):
             sse[nodes] = _pairwise_sum(w * (y - np.repeat(mean, counts)) ** 2,
                                        starts[nodes], counts[nodes])
             drawn = None
-            if sampled:
+            if draws is not None:
                 drawn = np.ones((nodes.size, p), bool)
-                for r, v in enumerate(nodes):
-                    subset = trees[tree_of[v]]._draw(p)
-                    if subset is not None:
+                for r, t in enumerate(tree_of[nodes].tolist()):
+                    if draws[t] is not None:
+                        mf, rng = draws[t]
                         drawn[r] = False
-                        drawn[r, subset] = True
+                        drawn[r, rng.choice(p, size=max(1, int(round(mf * p))),
+                                            replace=False)] = True
             feat[nodes], thr[nodes] = _scan(nodes, starts, counts, tree_of, sse, w_tot,
                                             min_leaf[tree_of], drawn, order, X, ranks,
                                             R, Yf, Wf, n)
@@ -369,53 +410,33 @@ def _grow_group(trees, X, ranks, rows, Y, W):
 
     owner, feature, threshold, left, right, value = (np.concatenate(a) for a in zip(*levels))
     by_tree = np.argsort(owner, kind="stable")      # level order within each tree
-    sizes = np.bincount(owner, minlength=B)
-    ends = np.cumsum(sizes)
-    first = ends - sizes
-    local = np.empty(done, dtype=np.int64)
-    local[by_tree] = np.arange(done) - np.repeat(first, sizes)
-    feature, threshold, value = feature[by_tree], threshold[by_tree], value[by_tree]
-    left, right = local[left[by_tree]], local[right[by_tree]]
-    for tree, a, b in zip(trees, first.tolist(), ends.tolist()):
-        tree.feature, tree.threshold, tree.left, tree.right, tree.value = (
-            feature[a:b], threshold[a:b], left[a:b], right[a:b], value[a:b])
-        tree.n_features = p
-    return leaf_value.reshape(B, n)
+    row = np.empty(done, dtype=np.int64)
+    row[by_tree] = np.arange(done)
+    offsets = np.concatenate([[0], np.cumsum(np.bincount(owner, minlength=B))])
+    return leaf_value.reshape(B, n), _Nodes(
+        feature[by_tree], threshold[by_tree], row[left[by_tree]], row[right[by_tree]],
+        value[by_tree], offsets)
 
 
-def _predict_trees(trees, X, rows=None):
-    """(len(trees), r) predictions of tree t at the rows ``X[rows[t]]``, rows
-    (len(trees), r) or by default every row of X: all trees walked
-    together, one depth per step."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if rows is None:
-        rows = np.arange(X.shape[0])[None]
-    if not trees:
-        return np.empty((0, rows.shape[1]))
-    sizes = np.array([t.feature.size for t in trees])
-    roots = np.cumsum(sizes) - sizes
-    shift = np.repeat(roots, sizes)
-    feature = np.concatenate([t.feature for t in trees])
-    threshold = np.concatenate([t.threshold for t in trees])
-    left = np.concatenate([t.left for t in trees]) + shift
-    right = np.concatenate([t.right for t in trees]) + shift
-    value = np.concatenate([t.value for t in trees])
-    node = np.repeat(roots[:, None], rows.shape[1], axis=1)
-    while np.any(feature[node] >= 0):
-        # A leaf points at itself, whatever its (unused) comparison says.
-        node = np.where(X[rows, feature[node]] <= threshold[node], left[node], right[node])
-    return value[node]
+def _trees_of(owner, n):
+    """Each of n models' tree ids in a fit's table, in round order: tree t
+    is owned by model ``owner[t]`` (n: by none)."""
+    order = np.argsort(owner, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(owner, minlength=n))[:n])[:n]
 
 
 class _Ensemble:
-    """A model predicting from one walk of all its trees: ``combine`` maps
-    the stacked predictions of ``all_trees()`` to the model's own."""
+    """A model predicting from one walk of its trees, ``ids`` in the node
+    table ``nodes`` its fit sets: ``combine`` maps their stacked
+    predictions to the model's own."""
 
     def all_trees(self):
-        return self.trees
+        """The model's trees as RegressionTree views of its node table."""
+        return [RegressionTree.__new__(RegressionTree)._slice(self.nodes, t)
+                for t in self.ids.tolist()]
 
     def predict(self, X):
-        return self.combine(_predict_trees(self.all_trees(), X))
+        return self.combine(_walk(self.nodes, self.nodes.offsets[self.ids], X))
 
 
 @functools.lru_cache(maxsize=64)
@@ -455,7 +476,8 @@ class RandomForest(_Ensemble):
         self.max_features = max_features
         self.bootstrap = bootstrap
         self.seed = seed
-        self.trees = []
+
+    trees = property(_Ensemble.all_trees)
 
     def fit(self, X, y):
         return self.fit_batch([self], X, np.ravel(y))[0]
@@ -469,18 +491,20 @@ class RandomForest(_Ensemble):
         subsets from copies of the generators in the state a fit of that
         forest alone leaves them."""
         X, Y, first, col, n = _stacked(forests, X, Y)
-        trees, rows = [], []
+        rows, draws = [], []
         for forest, start in zip(forests, first.tolist()):
             rngs, draw = _forest_draws(forest.seed, forest.n_trees, forest.bootstrap, n)
-            mf = None if forest.max_features >= 1.0 else forest.max_features
-            forest.trees = [RegressionTree(forest.max_depth, forest.min_leaf, mf,
-                                           None if mf is None else _copy(rng))
-                            for rng in rngs]
-            trees += forest.trees
             rows.append(draw + start)
+            draws += [None if forest.max_features >= 1.0 else (forest.max_features, _copy(rng))
+                      for rng in rngs]
         rows = np.concatenate(rows)
-        cols = np.repeat(col, [forest.n_trees for forest in forests])
-        _grow(trees, X, rows, Y[rows, cols[:, None]])
+        owner = np.repeat(np.arange(len(forests)), [forest.n_trees for forest in forests])
+        depth, min_leaf = (np.array([getattr(forest, a) for forest in forests])[owner]
+                           for a in ("max_depth", "min_leaf"))
+        nodes = _grow(depth, X, rows, Y[rows, col[owner, None]], min_leaf=min_leaf,
+                      draws=draws if any(draws) else None)[1]
+        for forest, ids in zip(forests, _trees_of(owner, len(forests))):
+            forest.nodes, forest.ids = nodes, ids
         return forests
 
     def combine(self, preds):
@@ -505,12 +529,11 @@ class AdaBoostR2(_Ensemble):
     the procedure is deterministic and one round equals a single plain tree.
     """
 
-    def __init__(self, rounds=20, base_depth=3, seed=0):
+    def __init__(self, rounds=20, base_depth=3):
         self.rounds = rounds
         self.base_depth = base_depth
-        self.seed = seed  # kept for interface symmetry; fitting is deterministic
-        self.trees = []
-        self.log_weights = []
+
+    trees = property(_Ensemble.all_trees)
 
     def fit(self, X, y):
         return self.fit_batch([self], X, np.ravel(y))[0]
@@ -525,26 +548,27 @@ class AdaBoostR2(_Ensemble):
         A round's tree with zero error everywhere decides alone (log weight
         log 1e12) and ends its boosting.  One whose weighted average linear
         loss reaches 0.5 ends it too, and is kept, with log weight 1, only
-        as a first round.  Any other is kept with log weight log(1/beta),
-        beta = loss / (1 - loss), and scales each row's weight by
-        beta ** (1 - its loss), renormalised to sum n.
+        as a first round (a later one stays in the node table, unused).  Any
+        other is kept with log weight log(1/beta), beta = loss / (1 - loss),
+        and scales each row's weight by beta ** (1 - its loss), renormalised
+        to sum n.
         """
         X, Y, first, col, n = _stacked(boosts, X, Y)
         rows = first[:, None] + np.arange(n)
         y = Y[rows, col[:, None]]
         ranks = _column_ranks(X)
         rounds = np.array([boost.rounds for boost in boosts])
+        depth = np.array([boost.base_depth for boost in boosts])
         # Unit weights keep round one bit-identical to a plain tree.
         W = np.ones(y.shape)
-        for boost in boosts:
-            boost.trees, boost.log_weights = [], []
+        tables, owner, log_weights = [], [], []
         live = np.arange(len(boosts))
         for r in range(rounds.max()):
             live = live[r < rounds[live]]
             if not live.size:
                 break
-            trees = [RegressionTree(max_depth=boosts[b].base_depth) for b in live.tolist()]
-            err = np.abs(_grow(trees, X, rows[live], y[live], W[live], ranks) - y[live])
+            leaf, nodes = _grow(depth[live], X, rows[live], y[live], W[live], ranks)
+            err = np.abs(leaf - y[live])
             w = W[live]
             with np.errstate(divide="ignore", invalid="ignore"):
                 max_err = err.max(axis=1)
@@ -556,20 +580,22 @@ class AdaBoostR2(_Ensemble):
                 go = ~perfect & ~weak
                 log_weight = np.where(perfect, np.log(1e12),
                                       np.where(weak, 1.0, np.log(1.0 / beta)))
-            kept = np.flatnonzero(~weak | (r == 0))
-            for b, k, lw in zip(live[kept].tolist(), kept.tolist(), log_weight[kept].tolist()):
-                boosts[b].trees.append(trees[k])
-                boosts[b].log_weights.append(lw)
+            tables.append(nodes)
+            owner.append(np.where(~weak | (r == 0), live, len(boosts)))
+            log_weights.append(log_weight)
             w = w[go] * beta[go, None] ** (1.0 - loss[go])
             live = live[go]
             W[live] = w * (n / w.sum(axis=1))[:, None]
+        nodes, log_weights = _concat(tables), np.concatenate(log_weights)
+        for boost, ids in zip(boosts, _trees_of(np.concatenate(owner), len(boosts))):
+            boost.nodes, boost.ids, boost.log_weights = nodes, ids, log_weights[ids]
         return boosts
 
     def combine(self, preds):
         return _weighted_median(preds, self.log_weights)
 
     def predict(self, X, upto: int | None = None):
-        return _weighted_median(_predict_trees(self.trees[:upto], X),
+        return _weighted_median(_walk(self.nodes, self.nodes.offsets[self.ids[:upto]], X),
                                 self.log_weights[:upto])
 
 
@@ -581,7 +607,8 @@ class GradientBoost(_Ensemble):
         self.learning_rate = learning_rate
         self.max_depth = max_depth
         self.init = 0.0
-        self.trees = []
+
+    trees = property(_Ensemble.all_trees)
 
     def fit(self, X, y):
         X, Y = _as_xy(X, np.ravel(y))
@@ -597,14 +624,14 @@ class GradientBoost(_Ensemble):
 
 def _boost(members, X, rows, Y):
     """Gradient-boost ``members[b]`` on targets ``Y[b]`` at the rows
-    ``X[rows[b]]``; each round grows one tree per member still boosting."""
+    ``X[rows[b]]``; each round grows one tree per member still boosting.
+    The members share the rounds' node table."""
     init = Y.mean(axis=1)
-    for member, value in zip(members, init.tolist()):
-        member.init = value
-        member.trees = []
     pred = np.repeat(init[:, None], Y.shape[1], axis=1)
     ranks = _column_ranks(X)
-    rounds = np.array([m.rounds for m in members])
+    rounds, depth, rate = (np.array([getattr(m, a) for m in members])
+                           for a in ("rounds", "max_depth", "learning_rate"))
+    tables, owner = [], [np.zeros(0, np.int64)]
     live = np.arange(len(members))
     for r in range(rounds.max()):
         live = live[r < rounds[live]]
@@ -613,18 +640,20 @@ def _boost(members, X, rows, Y):
         live, resid = live[going], resid[going]
         if not live.size:
             break
-        trees = [RegressionTree(max_depth=members[b].max_depth) for b in live.tolist()]
-        step = _grow(trees, X, rows[live], resid, ranks=ranks)
-        rate = np.array([members[b].learning_rate for b in live.tolist()])[:, None]
-        pred[live] = pred[live] + rate * step
-        for b, tree in zip(live.tolist(), trees):
-            members[b].trees.append(tree)
+        step, nodes = _grow(depth[live], X, rows[live], resid, ranks=ranks)
+        pred[live] = pred[live] + rate[live, None] * step
+        tables.append(nodes)
+        owner.append(live)
+    nodes = _concat(tables)
+    for member, value, ids in zip(members, init.tolist(),
+                                  _trees_of(np.concatenate(owner), len(members))):
+        member.nodes, member.ids, member.init = nodes, ids, value
 
 
 class BaggedGradientBoost(_Ensemble):
     """Bagged ensemble of gradient-boosted trees (the leaderboard
     'Ensemble' entry; its composition is ambiguous upstream, this picks
-    bagging over boosting)."""
+    bagging over boosting).  Its trees are its members' trees in turn."""
 
     def __init__(self, n_bags=5, boost_rounds=20, learning_rate=0.1,
                  max_depth=3, seed=0):
@@ -662,28 +691,26 @@ class BaggedGradientBoost(_Ensemble):
         _boost(members, X, rows, Y[rows, cols[:, None]])
         return ensembles
 
-    def all_trees(self):
-        return [tree for m in self.members for tree in m.trees]
+    @property
+    def nodes(self):
+        return self.members[0].nodes
+
+    @property
+    def ids(self):
+        return np.concatenate([m.ids for m in self.members])
 
     def combine(self, preds):
-        return np.mean(_combine_each(self.members, preds), axis=0)
-
-
-def _combine_each(models, preds):
-    """Each model's ``combine`` of its own rows of ``preds``, the stacked
-    predictions of every model's ``all_trees()`` in turn."""
-    ends = np.cumsum([len(m.all_trees()) for m in models]).tolist()
-    return [m.combine(preds[a:b]) for m, a, b in zip(models, [0] + ends[:-1], ends)]
+        ends = np.cumsum([m.ids.size for m in self.members])
+        return np.mean([m.combine(p) for m, p in
+                        zip(self.members, np.split(preds, ends[:-1]))], axis=0)
 
 
 class PerTargetPayload:
-    """Wraps one single-output model per target column.  A stack of
-    ``items`` item fits wraps items × targets models, item-major, and
-    predicts X (items, rows, k) with item i's models at X[i] only.  A
-    stacked tree fit raises as a whole, so its ``failures`` (item position
-    -> error) stay empty."""
-
-    items = None        # payloads pickled before stacked fits lack the attribute
+    """Wraps one single-output model per target column, all fitted by one
+    ``fit_batch``, so they share one node table.  A stack of ``items`` item
+    fits wraps items × targets models, item-major, and predicts X (items,
+    rows, k) with item i's models at X[i] only.  A stacked tree fit raises
+    as a whole, so its ``failures`` (item position -> error) stay empty."""
 
     def __init__(self, models, items=None):
         self.models = models
@@ -692,19 +719,21 @@ class PerTargetPayload:
 
     def predict_raw(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        per_model = [m.all_trees() for m in self.models]
-        trees = [tree for group in per_model for tree in group]
-        flat = X.reshape(-1, X.shape[-1])
+        ids = [m.ids for m in self.models]
+        sizes = np.array([i.size for i in ids])
+        rows = None
+        if self.items is not None:
+            if X.ndim != 3 or X.shape[0] != self.items:
+                raise HierfcstError(f"a stack of {self.items} item fits predicts X "
+                                    f"(items, rows, k), got shape {X.shape}")
+            item = np.repeat(np.arange(len(self.models)) // (len(self.models) // self.items),
+                             sizes)
+            rows = item[:, None] * X.shape[1] + np.arange(X.shape[1])
+        nodes = self.models[0].nodes
+        preds = _walk(nodes, nodes.offsets[np.concatenate(ids)], X.reshape(-1, X.shape[-1]),
+                      rows)
+        out = np.column_stack([m.combine(p) for m, p in
+                               zip(self.models, np.split(preds, np.cumsum(sizes)[:-1]))])
         if self.items is None:
-            preds = _predict_trees(trees, flat)
-            return np.column_stack(_combine_each(self.models, preds)).reshape(
-                X.shape[:-1] + (-1,))
-        if X.ndim != 3 or X.shape[0] != self.items:
-            raise HierfcstError(f"a stack of {self.items} item fits predicts X "
-                                f"(items, rows, k), got shape {X.shape}")
-        r = X.shape[1]
-        item = np.repeat(np.arange(len(self.models)) // (len(self.models) // self.items),
-                         [len(group) for group in per_model])
-        preds = _predict_trees(trees, flat, item[:, None] * r + np.arange(r))
-        out = np.column_stack(_combine_each(self.models, preds))
-        return out.reshape(r, self.items, -1).swapaxes(0, 1)
+            return out.reshape(X.shape[:-1] + (-1,))
+        return out.reshape(X.shape[1], self.items, -1).swapaxes(0, 1)

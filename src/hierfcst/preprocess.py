@@ -246,8 +246,11 @@ def load_supervised(path) -> SupervisedSet:
     data = _read_npz(path, "supervised_set", SUPERVISED_CACHE_VERSION,
                      ("X", "Y", "sample_items", "sample_anchors", "H", "tf_kind",
                       "tf_vmin", "tf_vmax"))
-    minmax = data["tf_kind"] == "minmax"
-    tf = TargetTransform(kind=str(data["tf_kind"]), vmin=data["tf_vmin"] if minmax else None,
+    kind = str(data["tf_kind"])
+    if kind not in TRANSFORM_KINDS:
+        raise HierfcstError(f"supervised_set cache {path} holds unknown transform {kind!r}")
+    minmax = kind == "minmax"
+    tf = TargetTransform(kind=kind, vmin=data["tf_vmin"] if minmax else None,
                          vmax=data["tf_vmax"] if minmax else None)
     return SupervisedSet(X=data["X"], Y=data["Y"], sample_items=data["sample_items"],
                          sample_anchors=data["sample_anchors"], item_transforms=tf,

@@ -383,6 +383,12 @@ class TestArtifactsAndRecords:
         v1.write_bytes(pickle.dumps({"format_version": 1, "model": None}))
         with pytest.raises(HierfcstError, match="version"):
             load_stored_model(v1)
+        # A store of trees as objects, one per tree, before the node table.
+        v2 = tmp_path / "v2.pkl"
+        v2.write_bytes(pickle.dumps({"format_version": 2, "item": "A", "spec": {},
+                                     "model": [trees.RegressionTree()]}))
+        with pytest.raises(HierfcstError, match="unsupported model store version in .*v2.pkl"):
+            load_stored_model(v2)
 
     def test_unknown_pipeline_transform_fails_stage(self, tmp_path):
         cfg = tmp_path / "pipe.ini"
@@ -424,7 +430,11 @@ class TestSharedStages:
         specs.write_text("[ridge_log]\nfamily = ridge\nfeeding = df_one_by_one\n"
                          "transform = log1p\nlam = 1e-3\n\n"
                          "[kern]\nfamily = kernel\nfeeding = df_one_by_one\n"
-                         "transform = minmax\n")
+                         "transform = minmax\n\n"
+                         "[forest]\nfamily = rforest\nfeeding = df_one_by_one\n"
+                         "n_trees = 3\nmax_features = 0.5\n\n"
+                         "[bagged]\nfamily = ensemble\nfeeding = df_one_by_one\n"
+                         "transform = log1p\nn_bags = 2\nboost_rounds = 3\n")
         out = tmp_path / "store"
         assert main(["train", "--spec", str(specs), "--data", tensor_cache,
                      "--out", str(out)]) == 0

@@ -231,10 +231,15 @@ class TestAdaBoostR2:
         rng = np.random.default_rng(11)
         X = rng.normal(size=(30, 2))
         y = rng.normal(size=30)
-        a = fit_adaboost_r2(X, y[:, None], rounds=8, base_depth=2, seed=4)
-        b = fit_adaboost_r2(X, y[:, None], rounds=8, base_depth=2, seed=4)
+        a = fit_adaboost_r2(X, y[:, None], rounds=8, base_depth=2)
+        b = fit_adaboost_r2(X, y[:, None], rounds=8, base_depth=2)
         np.testing.assert_array_equal(a.predict(X, clip=False),
                                       b.predict(X, clip=False))
+
+    def test_seed_is_not_a_hyperparameter(self):
+        # Fitting draws nothing, so a seed would be a knob that does nothing.
+        with pytest.raises(HierfcstError, match=r"unknown hyperparameters \['seed'\]"):
+            ModelSpec("adaboost", {"seed": 4})
 
     def test_training_smape_non_increasing_on_step_target(self):
         levels = np.array([1.0, 3.0, 6.0, 4.0, 2.0, 5.0])

@@ -212,6 +212,15 @@ class TestBuildTrainingSet:
         with pytest.raises(HierfcstError, match="unsupported .*v1.npz"):
             load_supervised(path)
 
+    def test_unknown_transform_kind_fails_naming_the_cache(self, tmp_path):
+        path = tmp_path / "sqrt.npz"
+        save_supervised(build_training_set(coded_tensor(), "all", 3), path)
+        with np.load(path) as data:
+            arrays = dict(data)
+        np.savez(path, **{**arrays, "tf_kind": np.array("sqrt")})
+        with pytest.raises(HierfcstError, match="sqrt.npz.*unknown transform 'sqrt'"):
+            load_supervised(path)
+
     def test_tensor_cache_is_not_a_supervised_cache(self, tmp_path):
         path = tmp_path / "t.npz"
         ds.save_cache(coded_tensor(), path)
