@@ -312,7 +312,8 @@ def cmd_trmf(args):
         "lambda_ar": args.lambda_ar, "sweeps": args.sweeps, "tol": args.tol,
         "seed": args.seed, "horizon": args.horizon,
         "final_objective": f"{model.objective_history[-1]:.12g}",
-        "n_sweeps": len(model.objective_history) - 1, "converged": model.converged})
+        "n_sweeps": len(model.objective_history) - 1, "converged": model.converged,
+        "unobserved_periods": model.unobserved_periods})
     print(f"factorized rank={args.rank} p={args.ar_order}; final objective "
           f"{model.objective_history[-1]:.6g}; forecasts -> {args.out_dir}")
     return 0

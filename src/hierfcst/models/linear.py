@@ -9,13 +9,14 @@ independent per-column problems.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
+from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 from ..errors import DomainError, HierfcstError, IllConditionedError
 
-# LAPACK handles resolved once: a per-item call skips scipy's argument
-# checks and batch loop, and makes the same call with the same bits.
+# LAPACK and BLAS handles resolved once: a per-item call skips scipy's
+# argument checks and batch loop, and makes the same call with the same bits.
 _potrf, _potrs = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
+_symm = get_blas_funcs("symm", dtype=np.float64)
 
 
 def _with_bias(X):
@@ -403,13 +404,17 @@ def fit_poisson(X, Y, lam: float = 0.0, max_iter: int = 200,
 class KernelRidgePayload:
     """alpha (n_train, n_targets) and a float bandwidth; a stack of item
     fits has a leading item axis on X_train and alpha and one bandwidth
-    per item."""
+    per item.  ``lstsq_fallbacks`` holds one entry per item: 1 when its
+    K + lam*I was not positive definite and was solved by least squares,
+    else 0.  A stack's fit raises as a whole, so its ``failures`` (item
+    position -> error) stay empty."""
 
-    def __init__(self, X_train, alpha, bandwidth):
+    def __init__(self, X_train, alpha, bandwidth, lstsq_fallbacks):
         self.X_train = X_train
         self.alpha = alpha          # (n_train, n_targets)
         self.bandwidth = bandwidth
-        self.failures = {}          # a singular K falls back to least squares
+        self.lstsq_fallbacks = lstsq_fallbacks
+        self.failures = {}
 
     def predict_raw(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -420,10 +425,31 @@ class KernelRidgePayload:
 def pairwise_sq_dists(A, B):
     aa = np.sum(A ** 2, axis=-1)[..., :, None]
     bb = np.sum(B ** 2, axis=-1)[..., None, :]
-    # (2.0 * A) @ B^T, a general product, as written: numpy sends A @ A.T
-    # to a symmetric product (syrk), whose last bits differ from it, and
-    # so would every kernel leaderboard.
+    # The predict path: (2.0 * A) @ B^T, a general product, as written, so
+    # predictions keep their bits.  A fit's own distances are _self_sq_dists.
     return np.maximum(aa + bb - 2.0 * A @ np.swapaxes(B, -1, -2), 0.0)
+
+
+def _self_sq_dists(X):
+    """Squared distances between the rows of each item of a stack X (items,
+    n, k): (aa_i + aa_j) - 2 G_ij over the Gram matrix G = X X', written
+    into G's memory an eighth of the rows at a time.  numpy forms each
+    item's X X' by a symmetric product (syrk), so the result is exactly
+    symmetric.  A value within the formula's rounding error bound of 0,
+    2 (k + 1) eps (aa_i + aa_j), is 0: equal rows are exactly 0 apart,
+    where rounding would leave them a spurious distance."""
+    aa = np.sum(X ** 2, axis=-1)
+    sq = X @ np.swapaxes(X, 1, 2)
+    floor = 2 * (X.shape[2] + 1) * _EPS
+    step = -(-X.shape[1] // 8)
+    for r in range(0, X.shape[1], step):
+        rows = sq[:, r:r + step]
+        scale = aa[:, r:r + step, None] + aa[:, None, :]
+        rows *= -2.0
+        rows += scale
+        scale *= floor
+        rows[rows <= scale] = 0.0
+    return sq
 
 
 def _rbf_in_place(sq, bandwidth):
@@ -441,38 +467,56 @@ def rbf_kernel(A, B, bandwidth):
 
 
 def _median_distance(sq):
-    """Median nonzero distance over the pairs above the diagonal of square
-    squared distances sq (n, n), or one per item of a stack (items, n, n);
-    1.0 where no pair is apart."""
+    """Median nonzero distance over the pairs above the diagonal of each
+    item's squared distances in a stack sq (items, n, n); 1.0 for an item
+    with no pair apart."""
     n = sq.shape[-1]
     if n < 2:                           # no pair to take the median of
-        return 1.0 if sq.ndim == 2 else np.ones(sq.shape[0])
+        return np.ones(len(sq))
     # Row by row: an index of the upper triangle would take twice its size.
-    dists = np.concatenate([sq[..., i, i + 1:] for i in range(n - 1)], axis=-1)
-    np.sqrt(dists, out=dists)
-    apart = dists > 0
-    count = np.count_nonzero(apart, axis=-1)
+    upper = np.concatenate([sq[:, i, i + 1:] for i in range(n - 1)], axis=-1)
+    count = np.count_nonzero(upper > 0, axis=-1)
     # Zero distances sort last; the median is taken over the first count.
-    dists[~apart] = np.inf
-    dists.sort(axis=-1)
-    lo = np.take_along_axis(dists, np.maximum(count - 1, 0)[..., None] // 2, -1)[..., 0]
-    hi = np.take_along_axis(dists, (count // 2)[..., None], -1)[..., 0]
+    upper[upper == 0] = np.inf
+    upper.sort(axis=-1)
+    # Order statistics of the squares: sqrt is monotone.
+    lo = np.sqrt(np.take_along_axis(upper, np.maximum(count - 1, 0)[:, None] // 2, -1)[:, 0])
+    hi = np.sqrt(np.take_along_axis(upper, (count // 2)[:, None], -1)[:, 0])
     median = np.where(count % 2 == 1, lo, (lo + hi) / 2)
-    median = np.where(count > 0, median, 1.0)
-    return float(median) if sq.ndim == 2 else median
+    return np.where(count > 0, median, 1.0)
 
 
 def median_bandwidth(X):
     """Median nonzero pairwise distance; 1.0 for degenerate point clouds.
     A stack X (items, n, k) gives one bandwidth per item."""
     X = np.asarray(X, dtype=float)
-    return _median_distance(pairwise_sq_dists(X, X))
+    median = _median_distance(_self_sq_dists(X if X.ndim == 3 else X[None]))
+    return median if X.ndim == 3 else float(median[0])
 
 
-def _refined_solve(K, Y):
-    alpha = np.linalg.solve(K, Y)
-    # One round of iterative refinement; K is near-singular when lam -> 0.
-    return alpha + np.linalg.solve(K, Y - K @ alpha)
+def _kernel_solve(K, Y):
+    """(alpha, 0) with K alpha = Y for one item's K + lam*I (n, n), exactly
+    symmetric and in C order, by one Cholesky factor and one round of
+    iterative refinement.  The factor is written over K's lower triangle
+    (the upper triangle of the Fortran-ordered K.T); the refinement's
+    residual Y - K x reads K from the upper triangle, which the factor
+    leaves as it was, and the diagonal saved before.  When K is not
+    positive definite it is restored and solved by least squares: (alpha,
+    1)."""
+    A = K.T
+    diag = K.diagonal().copy()
+    factor, info = _potrf(A, lower=False, overwrite_a=True, clean=False)
+    if info > 0:
+        for i in range(1, len(K)):
+            K[i, :i] = K[:i, i]
+        np.fill_diagonal(K, diag)
+        return np.linalg.lstsq(K, Y, rcond=None)[0], 1
+    x, _ = _potrs(factor, Y, lower=False)
+    pivots = K.diagonal().copy()
+    np.fill_diagonal(K, diag)
+    residual = Y - _symm(1.0, A, x, lower=True)
+    np.fill_diagonal(K, pivots)
+    return x + _potrs(factor, residual, lower=False)[0], 0
 
 
 # Bytes of the (..., n, n) kernel stack one fit may build: 1 GiB, a single
@@ -481,10 +525,16 @@ KERNEL_MAX_BYTES = 2 ** 30
 
 
 def fit_kernel_ridge(X, Y, lam: float, bandwidth="median") -> KernelRidgePayload:
-    """RBF kernel ridge: alpha = (K + lam*I)^-1 Y, by least squares when K
-    is singular.  A stack X (items, n, k), Y (items, n, m) fits one model
-    per item by stacked solves, with a median bandwidth per item.  One
-    pairwise distance matrix per fit serves both the bandwidth and K."""
+    """RBF kernel ridge: alpha = (K + lam*I)^-1 Y.
+
+    X (n, k), Y (n, m) fit one model; a stack X (items, n, k), Y (items, n,
+    m) fits one model per item, with a median bandwidth per item, and a fit
+    is a stack of one.  Each item's n x n buffer holds its squared
+    distances, which give the median bandwidth, then K + lam*I in place,
+    then its Cholesky factor beside it (``_kernel_solve``).  An item whose
+    K + lam*I is not positive definite, such as one whose rows are all
+    equal at lam = 0, is solved by least squares and counted in the
+    payload's ``lstsq_fallbacks``."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     n = X.shape[-2]
@@ -496,16 +546,18 @@ def fit_kernel_ridge(X, Y, lam: float, bandwidth="median") -> KernelRidgePayload
         bw = float(bandwidth)
         if bw <= 0:
             raise HierfcstError(f"kernel bandwidth must be > 0, got {bw}")
-    # One distance matrix gives the median bandwidth and, overwritten in
-    # place, K + lam*I.
-    sq = pairwise_sq_dists(X, X)
+    stacked = X.ndim == 3
+    Xs, Ys = (X, Y) if stacked else (X[None], Y[None])
+    K = _self_sq_dists(Xs)
     if bandwidth == "median":
-        bw = _median_distance(sq)
-    K = _rbf_in_place(sq, bw)
+        bw = _median_distance(K)
+        if not stacked:
+            bw = float(bw[0])
+    K = _rbf_in_place(K, bw)
     diag = np.arange(n)
-    K[..., diag, diag] += lam
-    alpha = np.empty(Y.shape)
-    Ks, Ys, out = (K, Y, alpha) if K.ndim == 3 else (K[None], Y[None], alpha[None])
-    for k in solve_items(_refined_solve, out, Ks, Ys):
-        out[k] = np.linalg.lstsq(Ks[k], Ys[k], rcond=None)[0]
-    return KernelRidgePayload(X, alpha, bw)
+    K[:, diag, diag] += lam
+    alpha = np.empty(Ys.shape)
+    fallbacks = [0] * len(K)
+    for k in range(len(K)):
+        alpha[k], fallbacks[k] = _kernel_solve(K[k], Ys[k])
+    return KernelRidgePayload(X, alpha if stacked else alpha[0], bw, fallbacks)

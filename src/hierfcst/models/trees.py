@@ -466,7 +466,7 @@ def _copy(rng):
 
 class RandomForest(_Ensemble):
     """Bootstrap-aggregated trees; reduces to the plain tree when bootstrap
-    is off, max_features is 1.0 and n_trees is 1."""
+    is off, max_features is 1.0 (or None: all features) and n_trees is 1."""
 
     def __init__(self, n_trees=30, max_depth=4, min_leaf=2, max_features=1.0,
                  bootstrap=True, seed=0):
@@ -495,8 +495,8 @@ class RandomForest(_Ensemble):
         for forest, start in zip(forests, first.tolist()):
             rngs, draw = _forest_draws(forest.seed, forest.n_trees, forest.bootstrap, n)
             rows.append(draw + start)
-            draws += [None if forest.max_features >= 1.0 else (forest.max_features, _copy(rng))
-                      for rng in rngs]
+            mf = forest.max_features
+            draws += [None if mf is None or mf >= 1.0 else (mf, _copy(rng)) for rng in rngs]
         rows = np.concatenate(rows)
         owner = np.repeat(np.arange(len(forests)), [forest.n_trees for forest in forests])
         depth, min_leaf = (np.array([getattr(forest, a) for forest in forests])[owner]

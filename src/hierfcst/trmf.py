@@ -85,6 +85,13 @@ class FactorModel:
         return self.Z.shape[1]
 
     @property
+    def unobserved_periods(self) -> list:
+        """The periods (rows of mask) that no item observes.  They are
+        accepted, but only the AR term ties their factor rows, so a fit's
+        answer there can depend on rounding."""
+        return np.flatnonzero(~self.mask.any(axis=1)).tolist()
+
+    @property
     def ar_order(self):
         return self.phi.shape[1]
 

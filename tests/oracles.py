@@ -20,9 +20,12 @@ single linkage by Prim's tree and a union-find where the library calls
 scipy's linkage and fcluster, graph components by depth-first search
 where the library calls scipy's connected_components, Mapper edges,
 series counts, partition votes and majority labels from sets and
-Counters where the library multiplies one membership matrix, and the
-active-set lasso and Poisson IRLS one target of one item at a time where
-the library steps every fit in lockstep.
+Counters where the library multiplies one membership matrix, kernel
+ridge by scipy's cho_factor and cho_solve on a whole K, its bandwidth by
+np.median of an index-gathered triangle, where the library factors K in
+the buffer that held its distances, and the active-set lasso and Poisson
+IRLS one target of one item at a time where the library steps every fit
+in lockstep.
 """
 
 import csv
@@ -30,6 +33,7 @@ from collections import Counter
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solveh_banded
+from scipy.linalg.blas import dsymm
 
 from hierfcst import trmf
 from hierfcst.dataset import CSV_HEADER, DEFAULT_MAX_LEAD, PreorderTensor
@@ -688,24 +692,40 @@ def ridge_item(X, Y, lam):
     return lambda x: np.hstack([np.ones((x.shape[0], 1)), x]) @ coef
 
 
-def kernel_item(X, Y, lam):
-    """Predict function of one RBF kernel ridge fit with the median
-    bandwidth, least squares when K is singular."""
-    def sq_dists(A, B):
-        aa = np.sum(A ** 2, axis=1)[:, None]
-        bb = np.sum(B ** 2, axis=1)[None, :]
-        return np.maximum(aa + bb - 2.0 * A @ B.T, 0.0)
-
-    d2 = sq_dists(X, X)
+def kernel_fit(X, Y, lam):
+    """(bandwidth, alpha) of one RBF kernel ridge fit with the median
+    bandwidth.  The squared distances (aa_i + aa_j) - 2 X X' are symmetric,
+    and 0 within the formula's rounding error bound 2 (k + 1) eps (aa_i +
+    aa_j); K + lam*I is solved by its Cholesky factor and one refinement
+    step whose residual Y - K alpha is a symmetric product (BLAS symm), or
+    by least squares when K + lam*I is not positive definite."""
+    aa = np.sum(X ** 2, axis=1)
+    scale = aa[:, None] + aa[None, :]
+    d2 = scale - 2.0 * (X @ X.T)
+    d2[d2 <= 2 * (X.shape[1] + 1) * np.finfo(float).eps * scale] = 0.0
     dists = np.sqrt(d2[np.triu_indices_from(d2, k=1)])
     dists = dists[dists > 0]
     bw = float(np.median(dists)) if dists.size else 1.0
     K = np.exp(-d2 / (2.0 * bw ** 2)) + lam * np.eye(X.shape[0])
     try:
-        alpha = np.linalg.solve(K, Y)
-        alpha += np.linalg.solve(K, Y - K @ alpha)
+        factor = cho_factor(K, check_finite=False)
     except np.linalg.LinAlgError:
-        alpha = np.linalg.lstsq(K, Y, rcond=None)[0]
+        return bw, np.linalg.lstsq(K, Y, rcond=None)[0]
+    alpha = cho_solve(factor, Y, check_finite=False)
+    residual = Y - dsymm(1.0, K, alpha, lower=1)
+    # In C order, as the library stores alpha and lstsq returns it: the
+    # predict product then takes the library's BLAS path.
+    return bw, np.ascontiguousarray(alpha + cho_solve(factor, residual, check_finite=False))
+
+
+def kernel_item(X, Y, lam):
+    """Predict function of kernel_fit's fit."""
+    def sq_dists(A, B):
+        aa = np.sum(A ** 2, axis=1)[:, None]
+        bb = np.sum(B ** 2, axis=1)[None, :]
+        return np.maximum(aa + bb - 2.0 * A @ B.T, 0.0)
+
+    bw, alpha = kernel_fit(X, Y, lam)
     return lambda x: np.exp(-sq_dists(x, X) / (2.0 * bw ** 2)) @ alpha
 
 

@@ -366,6 +366,18 @@ class TestArtifactsAndRecords:
         parser.read(out / "run_config.ini")
         assert parser["trmf"]["n_sweeps"] == "2"
         assert parser["trmf"]["converged"] == "False"
+        assert parser["trmf"]["unobserved_periods"] == "[]"
+
+    def test_trmf_records_unobserved_periods(self, tmp_path):
+        data = str(tmp_path / "sparse.npz")
+        assert main(["synth", "--seed", "1", "--regime", "sparse-spiky", "--items", "8",
+                     "--periods", "45", "--leads", "4", "--output", data]) == 0
+        out = tmp_path / "mf"
+        assert main(["trmf", "--data", data, "--sweeps", "2", "--horizon", "2",
+                     "--out-dir", str(out)]) == 0
+        parser = configparser.ConfigParser()
+        parser.read(out / "run_config.ini")
+        assert parser["trmf"]["unobserved_periods"] == "[11, 12]"
 
     def test_stale_model_store_raises(self, tmp_path, monkeypatch):
         import hierfcst.models.trees as trees

@@ -13,12 +13,13 @@ from hierfcst.models import (AdaBoostR2, ModelSpec, RandomForest,
                              RegressionTree, default_hyperparams, fit,
                              fit_adaboost_r2, fit_arx, predict)
 from hierfcst.models.arx import fit_arx_payload, lag_matrix
-from hierfcst.models.linear import (_cho_solve, _refined_solve, fit_kernel_ridge,
+from hierfcst.models import linear
+from hierfcst.models.linear import (_cho_solve, _self_sq_dists, fit_kernel_ridge,
                                     fit_lasso, fit_poisson, fit_ridge, median_bandwidth,
                                     pairwise_sq_dists, rbf_kernel)
 from hierfcst.preprocess import TargetTransform
 
-from oracles import gradient_descent, newton_poisson, poisson_fits
+from oracles import gradient_descent, kernel_fit, newton_poisson, poisson_fits
 
 
 class TestModelSpec:
@@ -195,6 +196,16 @@ class TestTrees:
                               max_features=1.0).fit(X, y)
         tree = RegressionTree(max_depth=4).fit(X, y)
         np.testing.assert_array_equal(forest.predict(X), tree.predict(X))
+
+    def test_max_features_none_means_all_features(self):
+        rng = np.random.default_rng(9)
+        X = rng.normal(size=(20, 3))
+        y = rng.normal(size=20)
+        tree = RegressionTree(max_depth=3, max_features=None).fit(X, y)
+        for mf in (None, 1.0):
+            forest = RandomForest(n_trees=1, max_depth=3, bootstrap=False,
+                                  max_features=mf).fit(X, y)
+            np.testing.assert_array_equal(forest.predict(X), tree.predict(X))
 
     def test_tree_fits_step_function(self):
         X = np.arange(20.0)[:, None]
@@ -600,44 +611,116 @@ class TestLapackHandles:
         assert "DLASCL" not in "".join(capfd.readouterr())
 
 
-def old_median_bandwidth(X):
-    """median_bandwidth as a separate pass over its own distance matrix."""
-    if X.shape[-2] < 2:
-        return 1.0 if X.ndim == 2 else np.ones(X.shape[0])
-    upper = np.triu_indices(X.shape[-2], k=1)
-    dists = np.sqrt(pairwise_sq_dists(X, X)[..., upper[0], upper[1]])
+def old_median_bandwidth(sq):
+    """The median as a separate pass over squared distances sq (n, n), or a
+    stack of them: the square roots of the triangle above the diagonal
+    gathered by index, then the median of the nonzero ones."""
+    if sq.shape[-1] < 2:
+        return 1.0 if sq.ndim == 2 else np.ones(sq.shape[0])
+    upper = np.triu_indices(sq.shape[-1], k=1)
+    dists = np.sqrt(sq[..., upper[0], upper[1]])
     count = np.count_nonzero(dists > 0, axis=-1)
     ranked = np.sort(np.where(dists > 0, dists, np.inf), axis=-1)
     lo = np.take_along_axis(ranked, np.maximum(count - 1, 0)[..., None] // 2, -1)[..., 0]
     hi = np.take_along_axis(ranked, (count // 2)[..., None], -1)[..., 0]
     median = np.where(count > 0, np.where(count % 2 == 1, lo, (lo + hi) / 2), 1.0)
-    return float(median) if X.ndim == 2 else median
+    return float(median) if sq.ndim == 2 else median
+
+
+def kernel_case(shape, seed=14):
+    """Gamma X of a shape, (items, n, k) or (n, k), with duplicated rows,
+    and gamma targets of four columns; a stack's item 4 is all zeros."""
+    rng = np.random.default_rng(seed)
+    X = rng.gamma(0.5, 20, size=shape)
+    X[..., 3:6, :] = X[..., 2:3, :]          # zero distances the median skips
+    if X.ndim == 3:
+        X[4] = 0.0                           # no pair apart: unit bandwidth
+    return X, rng.gamma(0.5, 20, size=shape[:-1] + (4,))
 
 
 class TestKernelFitOneDistanceMatrix:
-    """fit_kernel_ridge builds K + lam*I from one distance matrix, in place,
-    with the bits of the two-pass formula."""
-
-    @staticmethod
-    def two_pass(X, Y, lam):
-        bw = old_median_bandwidth(X)
-        K = rbf_kernel(X, X, bw) + lam * np.eye(X.shape[-2])
-        return bw, _refined_solve(K, Y)
+    """fit_kernel_ridge builds its squared distances, the median bandwidth,
+    K + lam*I and K's Cholesky factor in one n x n buffer per item, with
+    the bits of tests/oracles.py:kernel_fit, item by item."""
 
     @pytest.mark.parametrize("lam", [1e-3, 1.0])
     @pytest.mark.parametrize("shape", [(6, 33, 10), (200, 10)])
     def test_stacked_and_pooled_fits_bit_for_bit(self, lam, shape):
-        rng = np.random.default_rng(14)
-        X = rng.gamma(0.5, 20, size=shape)
-        X[..., 3:6, :] = X[..., 2:3, :]          # zero distances the median skips
-        if X.ndim == 3:
-            X[4] = 0.0                           # no pair apart: unit bandwidth
-        Y = rng.gamma(0.5, 20, size=shape[:-1] + (4,))
-        bw, alpha = self.two_pass(X, Y, lam)
+        X, Y = kernel_case(shape)
         payload = fit_kernel_ridge(X, Y, lam)
+        items = zip(X, Y) if X.ndim == 3 else [(X, Y)]
+        bw, alpha = zip(*(kernel_fit(x, y, lam) for x, y in items))
+        if X.ndim == 2:
+            bw, alpha = bw[0], alpha[0]
         assert np.asarray(payload.bandwidth).tobytes() == np.asarray(bw).tobytes()
-        assert payload.alpha.tobytes() == alpha.tobytes()
+        assert payload.alpha.tobytes() == np.asarray(alpha).tobytes()
         np.testing.assert_array_equal(median_bandwidth(X), bw)
+        assert payload.lstsq_fallbacks == [0] * (len(X) if X.ndim == 3 else 1)
+
+    @pytest.mark.parametrize("shape", [(6, 33, 10), (990, 10)])
+    def test_self_distances_exactly_symmetric(self, shape):
+        X, _ = kernel_case(shape)
+        sq = _self_sq_dists(X if X.ndim == 3 else X[None])
+        assert np.array_equal(sq, np.swapaxes(sq, 1, 2))
+        # The general product of the predict path is not symmetric here.
+        if X.ndim == 2:
+            assert not np.array_equal(pairwise_sq_dists(X, X), pairwise_sq_dists(X, X).T)
+
+    def test_equal_rows_are_zero_apart(self):
+        # Rounding alone put this constant item's rows about 1e-7 apart,
+        # and that was its median bandwidth.
+        assert median_bandwidth(np.full((13, 10), np.log1p(7.5))) == 1.0
+        rng = np.random.default_rng(17)
+        for _ in range(50):
+            n, k = rng.integers(2, 40), rng.integers(1, 15)
+            X = np.log1p(rng.gamma(0.5, 20, size=(3, n, k)))
+            X[:, rng.integers(0, n, size=n // 2)] = X[:, rng.integers(0, n)][:, None]
+            sq = _self_sq_dists(X)
+            equal = (X[:, :, None, :] == X[:, None, :, :]).all(axis=-1)
+            assert (sq[equal] == 0).all() and (sq[~equal] > 0).all()
+
+    @pytest.mark.parametrize("shape", [(6, 33, 10), (200, 10), (1, 10), (2, 10)])
+    def test_median_bandwidth_is_the_two_pass_median(self, shape):
+        X = (kernel_case(shape)[0] if shape[-2] > 5
+             else np.random.default_rng(14).gamma(0.5, 20, size=shape))
+        sq = _self_sq_dists(X if X.ndim == 3 else X[None])
+        want = old_median_bandwidth(sq if X.ndim == 3 else sq[0])
+        assert np.asarray(median_bandwidth(X)).tobytes() == np.asarray(want).tobytes()
+
+    def test_one_cholesky_per_item_and_no_lu_solve(self, monkeypatch):
+        calls = []
+
+        def counting_potrf(*args, **kwargs):
+            calls.append(args[0].shape)
+            return potrf(*args, **kwargs)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("np.linalg.solve called")
+
+        potrf = linear._potrf
+        monkeypatch.setattr(linear, "_potrf", counting_potrf)
+        monkeypatch.setattr(np.linalg, "solve", no_solve)
+        X, Y = kernel_case((6, 33, 10))
+        fit_kernel_ridge(X, Y, 1e-3)
+        fit_kernel_ridge(X[0], Y[0], 1e-3)
+        assert calls == [(33, 33)] * 7
+
+    def test_not_positive_definite_item_falls_back_to_lstsq(self):
+        # At lam = 0 an item whose rows are all one row has K all ones,
+        # whose second Cholesky pivot is exactly 0.
+        rng = np.random.default_rng(16)
+        X = rng.gamma(0.5, 20, size=(3, 12, 2))
+        Y = rng.normal(size=(3, 12, 2))
+        X[1] = X[1, 0]
+        payload = fit_kernel_ridge(X, Y, 0.0)
+        assert payload.lstsq_fallbacks == [0, 1, 0]
+        assert not payload.failures
+        K = np.exp(-_self_sq_dists(X[1][None])[0] / (2.0 * float(payload.bandwidth[1]) ** 2))
+        want = np.linalg.lstsq(K, Y[1], rcond=None)[0]
+        assert payload.alpha[1].tobytes() == want.tobytes()
+        alone = fit_kernel_ridge(X[1], Y[1], 0.0)
+        assert alone.lstsq_fallbacks == [1]
+        assert alone.alpha.tobytes() == want.tobytes()
 
     def test_pooled_fit_peak_memory(self):
         # 990 rows: the pooled df_all_items design of 30 items.
@@ -652,6 +735,39 @@ class TestKernelFitOneDistanceMatrix:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # Two n x n matrices live at once; a kernel built beside its distance
-        # matrix, then added to lam * I, held three.
-        assert peak < 2.5 * n * n * 8
+        # One n x n buffer and the gathered upper triangle (half of one) at
+        # the median; the Cholesky factor is written into the buffer.
+        assert peak < 1.75 * n * n * 8
+
+
+@st.composite
+def kernel_stacks(draw):
+    """A stack of 1 to 4 items of n = 1 to 6 rows, some rows duplicated and
+    some items all zero, and a penalty lam of 1e-3 or 1."""
+    items, n, k = draw(st.integers(1, 4)), draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.gamma(0.5, 20, size=(items, n, k))
+    Y = rng.normal(size=(items, n, draw(st.integers(1, 3))))
+    for i in range(items):
+        shape = draw(st.sampled_from(["random", "duplicated", "zero"]))
+        if shape == "duplicated":
+            X[i, -1] = X[i, 0]
+        elif shape == "zero":
+            X[i] = 0.0
+    return X, Y, draw(st.sampled_from([1e-3, 1.0]))
+
+
+class TestKernelStackMatchesItemFits:
+    @settings(max_examples=60, deadline=None)
+    @given(kernel_stacks())
+    def test_bit_for_bit(self, case):
+        X, Y, lam = case
+        payload = fit_kernel_ridge(X, Y, lam)
+        for k in range(len(X)):
+            alone = fit_kernel_ridge(X[k], Y[k], lam)
+            assert type(alone.bandwidth) is float
+            assert alone.bandwidth == payload.bandwidth[k]
+            assert alone.alpha.tobytes() == payload.alpha[k].tobytes()
+            assert alone.lstsq_fallbacks == [payload.lstsq_fallbacks[k]]
+            bw, alpha = kernel_fit(X[k], Y[k], lam)
+            assert (bw, alpha.tobytes()) == (alone.bandwidth, alone.alpha.tobytes())

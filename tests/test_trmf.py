@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hierfcst.dataset import synthesize
 from hierfcst.errors import DensityError, DomainError, HierfcstError, IllConditionedError
 from hierfcst.models import default_hyperparams
 from hierfcst.trmf import (FactorModel, TrmfConfig, ar_residuals, factorize,
@@ -102,6 +103,15 @@ class TestFactorize:
             factorize(Y, mask, cfg)
         m = factorize(Y, mask, TrmfConfig(rank=1, ar_order=3, lam_f=0.0, max_sweeps=3))
         assert np.all(np.isfinite(m.F))
+
+    def test_unobserved_periods_are_recorded(self):
+        # The catalog perfbench's --smoke runs: no item observes lead 0 of
+        # periods 11 and 12.  The fit accepts them and records them.
+        tensor = synthesize(1, 8, 45, 4, "sparse-spiky")
+        Y, mask = tensor.values[:, :, 0].T, tensor.observed_mask[:, :, 0].T
+        m = factorize(Y, mask, TrmfConfig(max_sweeps=2))
+        assert m.unobserved_periods == [11, 12]
+        assert factorize(Y, np.ones_like(mask), TrmfConfig(max_sweeps=2)).unobserved_periods == []
 
     def test_parameter_count(self):
         rng = np.random.default_rng(5)
