@@ -33,7 +33,7 @@ specs = [
 board = backtest(tensor, specs, BacktestSplit(train_periods=37, test_periods=8))
 print("\nleaderboard (mean SMAPE over items, low is better):")
 print(board.to_csv())
-print("per-item best-model counts:", board.best_counts())
+print("per-item best-model counts:", {r.spec_name: r.best_count for r in board.rows})
 
 best_item = min(board.best_model, key=lambda it: board.scores[board.best_model[it]][it])
 report = best_forecast_report(board, best_item)

@@ -29,7 +29,7 @@ from .errors import HierfcstError, OutOfScopeError
 from .features import extract_feature_matrix
 from .models import ModelSpec, fit
 from .models.spec import _coerce
-from .preprocess import build_training_set, save_supervised
+from .preprocess import TRANSFORM_KINDS, build_training_set, save_supervised
 
 STAGE_EXIT = {"ingest": 10, "synth": 11, "transform": 12, "train": 13,
               "trmf": 14, "backtest": 15, "select": 16, "report": 17,
@@ -48,7 +48,7 @@ PIPELINE_ARTIFACTS = ("leaderboard.csv", "graph.json", "graph.dot", "selector.bi
 # Defaults shared by the subcommands' flags and the pipeline's config keys.
 _SPLIT = ev.BacktestSplit()
 _SYNTH_ITEMS, _SYNTH_PERIODS, _SYNTH_REGIME = 20, 45, "smooth"
-_TRANSFORM_KIND = "none"
+_TRANSFORM_KIND = "identity"
 _MIN_CLUSTER_FRAC = 0.05
 
 
@@ -111,7 +111,7 @@ def _spec_records(specs) -> dict:
 # Spec config files
 # ---------------------------------------------------------------------------
 
-_SPEC_META_KEYS = ("family", "feeding", "transform", "label", "clip_negative")
+_SPEC_META_KEYS = ("family", "feeding", "transform", "label")
 
 
 def _section(parser, name) -> dict:
@@ -125,11 +125,13 @@ def spec_from_mapping(name: str, mapping: dict) -> ModelSpec:
         raise HierfcstError(f"spec {name!r} is missing the 'family' key")
     hyper = {key: _coerce(str(raw)) for key, raw in mapping.items()
              if key not in _SPEC_META_KEYS}
-    clip = str(mapping.get("clip_negative", "true")).strip().lower() != "false"
-    return ModelSpec(family=family, hyperparams=hyper,
-                     transform=mapping.get("transform", "identity"),
-                     feeding=mapping.get("feeding", "none"),
-                     label=mapping.get("label", name), clip_negative=clip)
+    try:
+        return ModelSpec(family=family, hyperparams=hyper,
+                         transform=mapping.get("transform", "identity"),
+                         feeding=mapping.get("feeding", "none"),
+                         label=mapping.get("label", name))
+    except HierfcstError as exc:
+        raise type(exc)(f"spec {name!r}: {exc}") from exc
 
 
 def load_specs(path) -> list:
@@ -159,15 +161,10 @@ def _synth(output, seed, items, periods, leads, regime):
     return tensor
 
 
-_KIND_ALIASES = {"none": "identity", "log": "log1p", "minmax": "minmax",
-                 "identity": "identity", "log1p": "log1p"}
-
-
-def _transform(tensor, name, split, output):
+def _transform(tensor, kind, split, output):
     """Cache the diagonal-feeding rows the backtest fits under the split."""
-    kind = _KIND_ALIASES.get(name)
-    if kind is None:
-        raise HierfcstError(f"unknown transform kind {name!r}")
+    if kind not in TRANSFORM_KINDS:
+        raise HierfcstError(f"unknown transform kind {kind!r}")
     sset = build_training_set(tensor, **ev.df_training_rows(tensor, kind, split))
     save_supervised(sset, output)
     return sset
@@ -234,7 +231,7 @@ def cmd_transform(args):
     tensor = ds.load_cache(args.data)
     sset = _transform(tensor, args.kind, ev.BacktestSplit(args.train_periods), args.output)
     write_run_config(f"{args.output}.run.ini", "transform", {
-        "data": args.data, "kind": _KIND_ALIASES[args.kind], "leads": sset.H,
+        "data": args.data, "kind": args.kind, "leads": sset.H,
         "train_periods": args.train_periods, "output": args.output,
         "n_rows": sset.X.shape[0]})
     print(f"wrote supervised cache with {sset.X.shape[0]} rows -> {args.output}")
@@ -488,7 +485,7 @@ def build_parser():
 
     p = sub.add_parser("transform", help="write a cached supervised dataset")
     p.add_argument("--data", required=True)
-    p.add_argument("--kind", choices=sorted(_KIND_ALIASES), default=_TRANSFORM_KIND)
+    p.add_argument("--kind", choices=TRANSFORM_KINDS, default=_TRANSFORM_KIND)
     p.add_argument("--train-periods", type=int, default=_SPLIT.train_periods)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_transform)

@@ -33,24 +33,6 @@ CACHE_VERSION = 1
 _BLOCK_LINES = 32768
 
 
-@dataclass(frozen=True)
-class PreorderRecord:
-    """One (item, delivery period, lead time) -> quantity observation."""
-
-    item_id: str
-    delivery_period: int
-    lead_time: int
-    quantity: float
-
-    def __post_init__(self):
-        if self.delivery_period < 0:
-            raise DomainError(f"delivery_period must be >= 0, got {self.delivery_period}")
-        if self.lead_time < 0:
-            raise DomainError(f"lead_time must be >= 0, got {self.lead_time}")
-        if self.quantity < 0:
-            raise DomainError(f"quantity must be >= 0, got {self.quantity}")
-
-
 @dataclass
 class PreorderTensor:
     """Dense item x period x lead cube with an observed-entry mask.
@@ -323,7 +305,7 @@ def _check_block(line_no, counts, buf, starts, ends, index, max_lead):
     """One block of records (as _records gives them), checked: the kept
     records as arrays (item codes, t, h, q, line numbers), and (line, error)
     of the first record that fails each check.  Names of kept items that
-    index lacks get the next codes in it.  max_lead None keeps every lead."""
+    index lacks get the next codes in it."""
     buf = _padded(buf)
     starts, ends = starts + _WIDTH, ends + _WIDTH
     blank = counts == 0
@@ -373,9 +355,7 @@ def _check_block(line_no, counts, buf, starts, ends, index, max_lead):
         if mask.any():
             k = int(np.argmax(mask))
             errors.append((int(lines[k]), make(k, int(lines[k]))))
-    kept = ~np.logical_or.reduce([mask for mask, _ in checks])
-    if max_lead is not None:
-        kept &= h < max_lead
+    kept = ~np.logical_or.reduce([mask for mask, _ in checks]) & (h < max_lead)
     # A kept record whose plain item repeats the one before it takes its
     # code; the others are named and coded through index.
     kept = np.flatnonzero(kept)
@@ -389,15 +369,15 @@ def _check_block(line_no, counts, buf, starts, ends, index, max_lead):
     return (codes[np.cumsum(named) - 1], t[kept], h[kept], q[kept], lines[kept]), errors
 
 
-def load_csv(path, missing_as_zero: bool = True, max_lead: int = DEFAULT_MAX_LEAD,
-             periods: int | None = None, leads: int | None = None) -> PreorderTensor:
+def load_csv(path, missing_as_zero: bool = True,
+             max_lead: int = DEFAULT_MAX_LEAD) -> PreorderTensor:
     """Load a pre-order CSV into a dense tensor.
 
     The file must be UTF-8 with header ``item_id,delivery_period,lead_time,
     quantity`` and one record per line.  Dimensions are inferred from the
-    data maxima unless ``periods``/``leads`` pin them explicitly.  Records
-    with lead_time >= max_lead are dropped (the default cap keeps the 4
-    actionable lead columns; pass a larger ``max_lead`` to keep more).
+    data maxima.  Records with lead_time >= max_lead are dropped (the
+    default cap keeps the 4 actionable lead columns; pass a larger
+    ``max_lead`` to keep more).
 
     With ``missing_as_zero`` (default) absent (item, t, h) combinations
     load as quantity 0 with observed_mask False.  With it off, any absent
@@ -424,13 +404,12 @@ def load_csv(path, missing_as_zero: bool = True, max_lead: int = DEFAULT_MAX_LEA
             line_number=1)
 
     index = {}      # item name -> code, in order of first appearance
-    cap = max_lead if leads is None else None
     # Item codes, t, h, q and line numbers of the kept records, by block.
     columns = [[np.zeros(0, dtype)] for dtype in (int, np.int64, np.int64, float, int)]
     errors, reader_error = [], None
     try:
         for block in blocks:
-            arrays, errors = _check_block(*block, index, cap)
+            arrays, errors = _check_block(*block, index, max_lead)
             for column, array in zip(columns, arrays):
                 column.append(array)
             if errors:
@@ -468,15 +447,6 @@ def load_csv(path, missing_as_zero: bool = True, max_lead: int = DEFAULT_MAX_LEA
                             "do not fit in one tensor")
     if not codes.size:
         raise ParseError("no data rows", line_number=1)
-
-    if periods is not None:
-        if periods < T:
-            raise HierfcstError(f"periods={periods} below observed maximum {T}")
-        T = periods
-    if leads is not None:
-        if leads < H:
-            raise HierfcstError(f"leads={leads} below observed maximum {H}")
-        H = leads
 
     values = np.zeros((len(names), T, H))
     mask = np.zeros((len(names), T, H), dtype=bool)

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the range check its
+constructors share."""
 
 
 class HierfcstError(Exception):
@@ -41,3 +42,15 @@ class DensityError(HierfcstError):
 
 class OutOfScopeError(HierfcstError):
     """A requested model family is deliberately not implemented."""
+
+
+def require_at_least(name, value, low, strict=False):
+    """Raise HierfcstError "<name> must be >= <low>, got <value>" (> when
+    strict) unless value compares so: NaN, or a value that does not
+    compare with a number, fails."""
+    try:
+        ok = value > low if strict else value >= low
+    except TypeError:
+        ok = False
+    if not ok:
+        raise HierfcstError(f"{name} must be {'>' if strict else '>='} {low}, got {value}")

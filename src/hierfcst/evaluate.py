@@ -16,8 +16,8 @@ from . import trmf as trmf_mod
 from .dataset import DEFAULT_MAX_LEAD, PreorderTensor
 from .errors import HierfcstError
 from .features import FEATURE_NAMES, NONFINITE_SERIES, extract_features
-from .models import (STACKED_FAMILIES, TREE_FAMILIES, ModelSpec, fit, fit_arx,
-                     lag_matrix)
+from .models import (SERIES_FAMILIES, STACKED_FAMILIES, TREE_FAMILIES, ModelSpec,
+                     fit, fit_arx, lag_matrix)
 from .preprocess import TargetTransform, build_training_set, feature_frame, window_index
 
 # Lag count for the small-feature (non-diagonal) regression baseline.
@@ -161,7 +161,7 @@ DF_FEEDINGS = ("df_one_by_one", "df_all_items")
 def _design_key(spec):
     """("df" or "nodf", transform kind) of the design the spec reads; None
     for arx and trmf, which read the tensor directly."""
-    if spec.family in ("arx", "trmf"):
+    if spec.family in SERIES_FAMILIES:
         return None
     return ("df" if spec.feeding in DF_FEEDINGS else "nodf", spec.transform)
 
@@ -220,7 +220,7 @@ def _df_forecasts(spec, design, failures):
                   targets=targets).predict_transformed(x)
     else:
         raw, = _own_models(spec, X, Y, [x], failures, targets)
-    return np.maximum(tf.inverse(raw), 0.0)[:, picks[0], picks[1]]
+    return tf.inverse(raw)[:, picks[0], picks[1]]
 
 
 def _nodf_rows(raw, series, taus):
@@ -266,10 +266,7 @@ def _nodf_forecasts(spec, design, failures):
     # One predict call per test row: a single-row product takes the BLAS
     # path a multi-row one does not, and the last bit of a forecast with it.
     raws = _own_models(spec, X, Y, [x[:, [c]] for c in range(x.shape[1])], failures)
-    out = tf.inverse(np.concatenate(raws, axis=1)[..., 0])
-    if spec.clip_negative:
-        out = np.maximum(out, 0.0)
-    return out
+    return tf.inverse(np.concatenate(raws, axis=1)[..., 0])
 
 
 def _arx_forecasts(tensor, spec, split, failures):
@@ -292,7 +289,7 @@ def _arx_forecasts(tensor, spec, split, failures):
         failures[i] = _failure_message(exc)
     rows, _ = lag_matrix(series, p, exog)          # the design row of every t >= p
     raw = model.predict_transformed(rows[:, np.asarray(split.test_range) - p])
-    return np.maximum(tf.inverse(raw[..., 0]), 0.0)
+    return tf.inverse(raw[..., 0])
 
 
 def _trmf_forecasts(tensor, spec, split):
@@ -307,7 +304,7 @@ def _trmf_forecasts(tensor, spec, split):
     Y0 = Y[:split.train_periods]
     stream = [Y[tau] for tau in split.test_range]
     rows = trmf_mod.rolling_refit(Y0, stream, cfg)
-    return np.maximum(tf.inverse(np.array(rows).T), 0.0)
+    return tf.inverse(np.array(rows).T)
 
 
 def forecast_matrix(tensor, spec: ModelSpec, split: BacktestSplit):
@@ -326,7 +323,8 @@ def forecast_matrix(tensor, spec: ModelSpec, split: BacktestSplit):
 
 def _forecasts(tensor, spec, split, design):
     """forecast_matrix of a spec whose design is given (None for arx and
-    trmf)."""
+    trmf).  Every route's forecasts are clipped at zero here: demand is
+    non-negative."""
     failures = {}
     extras = {"failures": failures}
     if spec.family == "trmf":
@@ -337,6 +335,7 @@ def _forecasts(tensor, spec, split, design):
         fc = _df_forecasts(spec, design, failures)
     else:
         fc = _nodf_forecasts(spec, design, failures)
+    np.maximum(fc, 0.0, out=fc)
     # As smape raises on it, a non-finite forecast fails its item.
     for i in np.flatnonzero(~np.isfinite(fc).all(axis=1)).tolist():
         failures.setdefault(i, _failure_message(HierfcstError(_NONFINITE)))
@@ -380,12 +379,6 @@ class Leaderboard:
             lines.append(f"{r.spec_name},{r.mean_smape:.12g},"
                          f"{r.median_smape:.12g},{r.n_items},{r.best_count}")
         return "\n".join(lines) + "\n"
-
-    def best_counts(self) -> dict:
-        counts = {}
-        for name in sorted(self.scores):
-            counts[name] = sum(1 for v in self.best_model.values() if v == name)
-        return counts
 
 
 def backtest(tensor: PreorderTensor, specs,

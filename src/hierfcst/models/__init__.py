@@ -10,22 +10,18 @@ from .arx import fit_arx_payload, lag_matrix
 from .linear import (fit_kernel_ridge, fit_lasso, fit_poisson, fit_ridge,
                      median_bandwidth)
 from .spec import (FEEDING_MODES, IMPLEMENTED_FAMILIES, OUT_OF_SCOPE_FAMILIES,
-                   FittedModel, ModelSpec, default_hyperparams)
+                   SERIES_FAMILIES, TREE_FAMILIES, FittedModel, ModelSpec,
+                   default_hyperparams, tree_model)
 from .trees import (AdaBoostR2, BaggedGradientBoost, GradientBoost,
                     PerTargetPayload, RandomForest, RegressionTree)
 
 __all__ = [
-    "ModelSpec", "FittedModel", "fit", "predict", "fit_arx", "fit_adaboost_r2",
+    "ModelSpec", "FittedModel", "fit", "fit_arx",
     "IMPLEMENTED_FAMILIES", "OUT_OF_SCOPE_FAMILIES", "FEEDING_MODES",
     "default_hyperparams", "RegressionTree", "RandomForest", "AdaBoostR2",
     "GradientBoost", "BaggedGradientBoost", "median_bandwidth", "lag_matrix",
-    "STACKED_FAMILIES", "TREE_FAMILIES",
+    "STACKED_FAMILIES", "TREE_FAMILIES", "SERIES_FAMILIES",
 ]
-
-# Families that fit one independent model per target column (a forest or
-# bagged boost of column c draws from seed + c; adaboost draws nothing), so
-# a fit on Y's first columns grows the models a fit on all of Y grows there.
-TREE_FAMILIES = ("rforest", "adaboost", "ensemble")
 
 
 # Families whose fit takes a stack of items, X (items, n, k) and
@@ -88,7 +84,7 @@ def fit(spec: ModelSpec, X, Y, transform: TargetTransform | None = None,
         payload = fit_kernel_ridge(X, Y, hp["lam"], hp["bandwidth"])
     elif family in TREE_FAMILIES:
         items = len(X) if X.ndim == 3 else 1
-        models = [_tree_model(family, hp, c) for _ in range(items)
+        models = [tree_model(family, hp, c) for _ in range(items)
                   for c in range(Y.shape[-1])]
         type(models[0]).fit_batch(models, X, Y)
         payload = PerTargetPayload(models, items if X.ndim == 3 else None)
@@ -100,24 +96,7 @@ def fit(spec: ModelSpec, X, Y, transform: TargetTransform | None = None,
         raise HierfcstError(f"unhandled family {family!r}")
 
     return FittedModel(spec=spec, payload=payload, n_features=X.shape[-1],
-                       n_targets=Y.shape[-1], transform=transform,
-                       meta={"n_samples": X.shape[-2]})
-
-
-def _tree_model(family, hp, c):
-    """The unfitted model of a tree family for target column c."""
-    if family == "rforest":
-        return RandomForest(hp["n_trees"], hp["max_depth"], hp["min_leaf"],
-                            hp["max_features"], hp["bootstrap"], seed=hp["seed"] + c)
-    if family == "adaboost":
-        return AdaBoostR2(hp["rounds"], hp["base_depth"])
-    return BaggedGradientBoost(hp["n_bags"], hp["boost_rounds"], hp["learning_rate"],
-                               hp["max_depth"], seed=hp["seed"] + c)
-
-
-def predict(model: FittedModel, X) -> np.ndarray:
-    """Predict in original units (inverse transform + non-negativity clip)."""
-    return model.predict(X)
+                       n_targets=Y.shape[-1], transform=transform)
 
 
 def fit_arx(series, exog=None, p: int = 1, spec: ModelSpec | None = None,
@@ -134,12 +113,5 @@ def fit_arx(series, exog=None, p: int = 1, spec: ModelSpec | None = None,
         spec = ModelSpec(family="arx", hyperparams={"p": p})
     k = payload.beta.shape[-1]
     return FittedModel(spec=spec, payload=payload, n_features=p + k, n_targets=1,
-                       transform=transform,
-                       meta={"n_samples": np.shape(series)[-1] - p})
+                       transform=transform)
 
-
-def fit_adaboost_r2(X, Y, rounds: int = 20, base_depth: int = 3) -> FittedModel:
-    """Convenience wrapper fitting the adaboost family directly."""
-    spec = ModelSpec(family="adaboost",
-                     hyperparams={"rounds": rounds, "base_depth": base_depth})
-    return fit(spec, X, Y)

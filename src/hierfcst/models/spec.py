@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import configparser
+import numbers
 from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
 
-from ..errors import HierfcstError, OutOfScopeError
+from ..errors import HierfcstError, OutOfScopeError, require_at_least
 from ..preprocess import TargetTransform, TRANSFORM_KINDS
+from .trees import AdaBoostR2, BaggedGradientBoost, RandomForest
 
 IMPLEMENTED_FAMILIES = (
     "ridge", "lasso", "poisson", "kernel", "rforest", "adaboost",
@@ -22,6 +24,15 @@ IMPLEMENTED_FAMILIES = (
 OUT_OF_SCOPE_FAMILIES = ("bsts", "bsts_classifier", "nn", "svr", "arima", "arimax")
 
 FEEDING_MODES = ("none", "df_one_by_one", "df_all_items")
+
+# Families that fit one independent model per target column (a forest or
+# bagged boost of column c draws from seed + c; adaboost draws nothing), so
+# a fit on Y's first columns grows the models a fit on all of Y grows there.
+TREE_FAMILIES = ("rforest", "adaboost", "ensemble")
+
+# Families that read the gross series themselves, never diagonal-feeding
+# or no-feeding rows.
+SERIES_FAMILIES = ("arx", "trmf")
 
 
 def _coerce(raw: str):
@@ -63,37 +74,39 @@ def _require(cond: bool, message: str):
 
 
 def _validate_hyperparams(family: str, hp: dict) -> None:
+    """The rules of the linear families and arx; a tree family's model and
+    trmf's TrmfConfig check their own arguments."""
     if family in ("ridge", "lasso", "kernel", "poisson"):
-        _require(hp["lam"] >= 0, f"{family}: lam must be >= 0, got {hp['lam']}")
+        require_at_least(f"{family}: lam", hp["lam"], 0)
     if family == "kernel":
         bw = hp["bandwidth"]
-        _require(bw == "median" or (np.isscalar(bw) and bw > 0),
+        _require(bw == "median" or (isinstance(bw, numbers.Real) and bw > 0),
                  f"kernel: bandwidth must be positive or 'median', got {bw}")
-    if family in ("lasso",):
-        _require(hp["max_sweeps"] >= 1, "lasso: max_sweeps must be >= 1")
+    if family == "lasso":
+        require_at_least("lasso: max_sweeps", hp["max_sweeps"], 1)
     if family == "poisson":
-        _require(hp["max_iter"] >= 1, "poisson: max_iter must be >= 1")
-    if family == "rforest":
-        _require(hp["n_trees"] >= 1, "rforest: n_trees must be >= 1")
-        _require(hp["max_depth"] >= 0, "rforest: max_depth must be >= 0")
-        _require(hp["min_leaf"] >= 1, "rforest: min_leaf must be >= 1")
-        _require(0 < hp["max_features"] <= 1, "rforest: max_features must be in (0, 1]")
-    if family == "adaboost":
-        _require(hp["rounds"] >= 1, "adaboost: rounds must be >= 1")
-        _require(hp["base_depth"] >= 0, "adaboost: base_depth must be >= 0")
-    if family == "ensemble":
-        _require(hp["n_bags"] >= 1, "ensemble: n_bags must be >= 1")
-        _require(hp["boost_rounds"] >= 1, "ensemble: boost_rounds must be >= 1")
-        _require(hp["learning_rate"] > 0, "ensemble: learning_rate must be > 0")
+        require_at_least("poisson: max_iter", hp["max_iter"], 1)
     if family == "arx":
-        _require(hp["p"] >= 1, f"arx: AR order p must be >= 1, got {hp['p']}")
+        require_at_least("arx: AR order p", hp["p"], 1)
         _require(hp["exog"] in ("none", "preorders"),
                  f"arx: exog must be 'none' or 'preorders', got {hp['exog']!r}")
+    if family in TREE_FAMILIES:
+        tree_model(family, hp)
     if family == "trmf":
-        _require(hp["rank"] >= 1, "trmf: rank must be >= 1")
-        _require(hp["ar_order"] >= 1, "trmf: ar_order must be >= 1")
-        for key in ("lam_f", "lam_z", "lam_ar"):
-            _require(hp[key] >= 0, f"trmf: {key} must be >= 0")
+        from ..trmf import TrmfConfig       # trmf reads its defaults from here
+        TrmfConfig(**hp)
+
+
+def tree_model(family: str, hp: dict, column: int = 0):
+    """The unfitted model of a tree family for target column ``column``: a
+    forest or bagged boost of column c draws from seed + c."""
+    if family == "rforest":
+        return RandomForest(hp["n_trees"], hp["max_depth"], hp["min_leaf"],
+                            hp["max_features"], hp["bootstrap"], seed=hp["seed"] + column)
+    if family == "adaboost":
+        return AdaBoostR2(hp["rounds"], hp["base_depth"])
+    return BaggedGradientBoost(hp["n_bags"], hp["boost_rounds"], hp["learning_rate"],
+                               hp["max_depth"], seed=hp["seed"] + column)
 
 
 @dataclass(frozen=True)
@@ -109,7 +122,6 @@ class ModelSpec:
     transform: str = "identity"
     feeding: str = "none"
     label: str | None = None
-    clip_negative: bool = True
 
     def __post_init__(self):
         if self.family in OUT_OF_SCOPE_FAMILIES:
@@ -126,6 +138,9 @@ class ModelSpec:
             raise HierfcstError(f"unknown transform {self.transform!r}")
         if self.feeding not in FEEDING_MODES:
             raise HierfcstError(f"unknown feeding mode {self.feeding!r}")
+        if self.family in SERIES_FAMILIES and self.feeding != "none":
+            raise HierfcstError(f"{self.family} reads the series, not diagonal-feeding "
+                                f"rows: feeding must be 'none', got {self.feeding!r}")
         merged = default_hyperparams(self.family)
         unknown = set(self.hyperparams) - set(merged)
         if unknown:
@@ -157,8 +172,7 @@ class ModelSpec:
     def resolved_config(self) -> dict:
         """Flat key->value view for run records."""
         out = {"family": self.family, "transform": self.transform,
-               "feeding": self.feeding, "clip_negative": self.clip_negative,
-               "name": self.name}
+               "feeding": self.feeding, "name": self.name}
         for k, v in sorted(self.hyperparams.items()):
             out[f"hp.{k}"] = v
         return out
@@ -173,25 +187,15 @@ class FittedModel:
     n_features: int
     n_targets: int
     transform: TargetTransform | None = None
-    meta: dict = field(default_factory=dict)
 
-    def predict(self, X: np.ndarray, clip: bool | None = None) -> np.ndarray:
-        """Predict in original quantity units.
-
-        Applies the stored inverse transform, then clips negatives to zero
-        (demand is non-negative) unless the ModelSpec turns clipping off.
-        """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.shape[-1] != self.n_features:
-            raise HierfcstError(
-                f"expected {self.n_features} features, got {X.shape[-1]}")
-        raw = self.payload.predict_raw(X)
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        """Predict in original quantity units: the stored inverse transform
+        of predict_transformed, negatives clipped to zero (demand is
+        non-negative), as the backtest scores every forecast."""
+        raw = self.predict_transformed(X)
         if self.transform is not None:
             raw = self.transform.inverse(raw)
-        do_clip = self.spec.clip_negative if clip is None else clip
-        if do_clip:
-            raw = np.maximum(raw, 0.0)
-        return raw
+        return np.maximum(raw, 0.0)
 
     def predict_transformed(self, X: np.ndarray) -> np.ndarray:
         """Raw model output in transformed space (no inverse, no clipping).

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import collections
 import functools
+import numbers
 
 import numpy as np
 
-from ..errors import HierfcstError
+from ..errors import HierfcstError, require_at_least
 
 # Trees grow in groups of at most this many sample slots, and the split
 # scan takes nodes in chunks of at most this many (feature, slot) cells, so
@@ -93,6 +94,15 @@ class _NodeView:
         return float(self._tree.value[self._i])
 
 
+def _check_tree(max_depth, min_leaf, max_features):
+    """The checks of the arguments every tree of a model grows under."""
+    require_at_least("max_depth", max_depth, 0)
+    require_at_least("min_leaf", min_leaf, 1)
+    if max_features is not None and not (isinstance(max_features, numbers.Real)
+                                         and 0 < max_features <= 1):
+        raise HierfcstError(f"max_features must be in (0, 1], got {max_features}")
+
+
 class RegressionTree:
     """Binary tree with weighted variance-reduction splits.
 
@@ -106,12 +116,7 @@ class RegressionTree:
 
     def __init__(self, max_depth: int = 6, min_leaf: int = 2,
                  max_features: float | None = None, rng=None):
-        if max_depth < 0:
-            raise HierfcstError("max_depth must be >= 0")
-        if min_leaf < 1:
-            raise HierfcstError("min_leaf must be >= 1")
-        if max_features is not None and not 0 < max_features <= 1:
-            raise HierfcstError("max_features must be in (0, 1]")
+        _check_tree(max_depth, min_leaf, max_features)
         if max_features is not None and max_features < 1 and rng is None:
             raise HierfcstError("max_features < 1 needs an rng to draw feature subsets")
         self.max_depth = max_depth
@@ -470,6 +475,11 @@ class RandomForest(_Ensemble):
 
     def __init__(self, n_trees=30, max_depth=4, min_leaf=2, max_features=1.0,
                  bootstrap=True, seed=0):
+        require_at_least("n_trees", n_trees, 1)
+        _check_tree(max_depth, min_leaf, max_features)
+        if bootstrap not in (True, False):
+            raise HierfcstError(f"bootstrap must be true or false, got {bootstrap}")
+        require_at_least("seed", seed, 0)
         self.n_trees = n_trees
         self.max_depth = max_depth
         self.min_leaf = min_leaf
@@ -530,6 +540,8 @@ class AdaBoostR2(_Ensemble):
     """
 
     def __init__(self, rounds=20, base_depth=3):
+        require_at_least("rounds", rounds, 1)
+        require_at_least("base_depth", base_depth, 0)
         self.rounds = rounds
         self.base_depth = base_depth
 
@@ -603,6 +615,9 @@ class GradientBoost(_Ensemble):
     """Squared-loss gradient boosting: trees fitted to residuals."""
 
     def __init__(self, rounds=20, learning_rate=0.1, max_depth=3):
+        require_at_least("rounds", rounds, 1)
+        require_at_least("learning_rate", learning_rate, 0, strict=True)
+        require_at_least("max_depth", max_depth, 0)
         self.rounds = rounds
         self.learning_rate = learning_rate
         self.max_depth = max_depth
@@ -657,6 +672,11 @@ class BaggedGradientBoost(_Ensemble):
 
     def __init__(self, n_bags=5, boost_rounds=20, learning_rate=0.1,
                  max_depth=3, seed=0):
+        require_at_least("n_bags", n_bags, 1)
+        require_at_least("boost_rounds", boost_rounds, 1)
+        require_at_least("learning_rate", learning_rate, 0, strict=True)
+        require_at_least("max_depth", max_depth, 0)
+        require_at_least("seed", seed, 0)
         self.n_bags = n_bags
         self.boost_rounds = boost_rounds
         self.learning_rate = learning_rate

@@ -11,7 +11,7 @@ neighbours in feature space.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -333,7 +333,6 @@ class ModelSelector:
     cluster_labels: dict
     k: int = DEFAULT_KNN
     graph: MapperGraph | None = None
-    feature_fn: object = field(default=extract_features, repr=False)
 
     def route_features(self, feats) -> str:
         feats = np.asarray(feats, dtype=float).ravel()
@@ -342,7 +341,7 @@ class ModelSelector:
         return _majority([self.series_labels[i] for i in order])
 
     def route_series(self, series) -> str:
-        return self.route_features(self.feature_fn(series))
+        return self.route_features(extract_features(series))
 
     def cluster_shares(self) -> dict:
         """Share of training series per cluster label; sums to 100."""

@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .errors import DensityError, DomainError, HierfcstError, IllConditionedError
+from .errors import (DensityError, DomainError, HierfcstError, IllConditionedError,
+                     require_at_least)
 from .models.spec import default_hyperparams
 
 # Least observed share of entries factorize accepts without allow_low_density.
@@ -55,15 +56,10 @@ class TrmfConfig:
     allow_low_density: bool = False
 
     def __post_init__(self):
-        if self.rank < 1:
-            raise HierfcstError("rank must be >= 1")
-        if self.ar_order < 1:
-            raise HierfcstError("ar_order must be >= 1")
-        for name in ("lam_f", "lam_z", "lam_ar"):
-            if getattr(self, name) < 0:
-                raise HierfcstError(f"{name} must be >= 0")
-        if self.max_sweeps < 1:
-            raise HierfcstError("max_sweeps must be >= 1")
+        # tol takes any number: a negative one never stops a fit early.
+        for name, low in (("rank", 1), ("ar_order", 1), ("lam_f", 0), ("lam_z", 0),
+                          ("lam_ar", 0), ("max_sweeps", 1), ("seed", 0)):
+            require_at_least(name, getattr(self, name), low)
 
 
 @dataclass
@@ -352,27 +348,17 @@ def _warn_if_non_stationary(phi):
                       "diverge", RuntimeWarning, stacklevel=3)
 
 
-def rolling_refit(Y_initial, stream, cfg: TrmfConfig | None = None,
-                  window_policy: str | tuple = "expanding"):
+def rolling_refit(Y_initial, stream, cfg: TrmfConfig | None = None):
     """One-step forecasts with re-estimation as new rows arrive.
 
     For each incoming row: emit the one-step forecast from the current
-    model, append the row, refit warm-started from the previous (Z, F, phi)
-    with the forecast factor state as the new row's initialization.
-    window_policy is "expanding" or ("rolling", w) to keep only the last w
-    rows.  Returns the list of one-step forecasts (one per streamed row).
+    model, append the row (the window expands), refit warm-started from the
+    previous (Z, F, phi) with the forecast factor state as the new row's
+    initialization.  Returns the list of one-step forecasts (one per
+    streamed row).
     """
     cfg = cfg or TrmfConfig()
     Y = np.asarray(Y_initial, dtype=float)
-    if isinstance(window_policy, tuple):
-        kind, window = window_policy
-        if kind != "rolling" or window < cfg.ar_order + 1:
-            raise HierfcstError(f"bad window policy {window_policy!r}")
-    elif window_policy != "expanding":
-        raise HierfcstError(f"bad window policy {window_policy!r}")
-    else:
-        window = None
-
     model = factorize(Y, cfg=cfg)
     forecasts = []
     for row in stream:
@@ -385,9 +371,6 @@ def rolling_refit(Y_initial, stream, cfg: TrmfConfig | None = None,
         forecasts.append((z_next @ model.F)[0])
         Y = np.vstack([Y, row[None, :]])
         Z0 = np.vstack([model.Z, z_next])
-        if window is not None and Y.shape[0] > window:
-            Y = Y[-window:]
-            Z0 = Z0[-window:]
         model = factorize(Y, cfg=cfg, init=(Z0, model.F, model.phi))
     return forecasts
 

@@ -813,7 +813,7 @@ def nodf_forecasts_reference(tensor, spec, split):
                         series_tf[list(taus)][:, None])
             for col, tau in enumerate(split.test_range):
                 value = tf.inverse(model.predict_transformed(row(series_tf, raw, tau)[None, :]))
-                out[i, col] = max(value[0, 0], 0.0) if spec.clip_negative else value[0, 0]
+                out[i, col] = max(value[0, 0], 0.0)
             if not np.all(np.isfinite(out[i])):
                 raise HierfcstError("smape requires finite inputs")
         except ITEM_ERRORS as exc:
@@ -1141,7 +1141,7 @@ def mapper_dense(features, lens=None, n_intervals=10, overlap=0.3,
 # Pre-order CSV read row by row
 # ---------------------------------------------------------------------------
 
-def load_csv_rows(path, missing_as_zero=True, max_lead=4, periods=None, leads=None):
+def load_csv_rows(path, missing_as_zero=True, max_lead=4):
     """The pre-order CSV loader that validates and stores one csv.reader row
     at a time, raising at the first bad row."""
     records = {}
@@ -1176,7 +1176,7 @@ def load_csv_rows(path, missing_as_zero=True, max_lead=4, periods=None, leads=No
                 raise ParseError(f"lead_time must be >= 0, got {h}", line_number=line)
             if not np.isfinite(q) or q < 0:
                 raise DomainError(f"line {line}: quantity must be finite and >= 0, got {q}")
-            if h >= max_lead and leads is None:
+            if h >= max_lead:
                 continue
             key = (item, t, h)
             if key in records:
@@ -1189,14 +1189,6 @@ def load_csv_rows(path, missing_as_zero=True, max_lead=4, periods=None, leads=No
     items = sorted({key[0] for key in records})
     T = 1 + max(key[1] for key in records)
     H = 1 + max(key[2] for key in records)
-    if periods is not None:
-        if periods < T:
-            raise HierfcstError(f"periods={periods} below observed maximum {T}")
-        T = periods
-    if leads is not None:
-        if leads < H:
-            raise HierfcstError(f"leads={leads} below observed maximum {H}")
-        H = leads
     values = np.zeros((len(items), T, H))
     mask = np.zeros((len(items), T, H), dtype=bool)
     index = {item: i for i, item in enumerate(items)}

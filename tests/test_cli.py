@@ -128,7 +128,7 @@ class TestStages:
 
     def test_transform_writes_supervised_cache(self, tmp_path, tensor_cache):
         out = tmp_path / "sup.npz"
-        assert main(["transform", "--data", tensor_cache, "--kind", "log",
+        assert main(["transform", "--data", tensor_cache, "--kind", "log1p",
                      "--output", str(out)]) == 0
         sset = load_supervised(out)
         assert sset.H == 4                      # the tensor's leads
@@ -412,6 +412,21 @@ class TestArtifactsAndRecords:
         assert "unknown transform kind 'bogus'" in marker
         assert not (out_dir / "supervised.npz").exists()
 
+    def test_clip_negative_key_fails_stage(self, tmp_path):
+        # Every forecast is clipped at zero: there is no key to turn it off.
+        cfg = tmp_path / "pipe.ini"
+        out_dir = tmp_path / "run"
+        cfg.write_text(PIPELINE_INI.format(out_dir=out_dir) + "clip_negative = false\n")
+        assert main(["pipeline", "--config", str(cfg)]) == STAGE_EXIT["pipeline"]
+        assert "spec 'arx': arx: unknown hyperparameters ['clip_negative']" in \
+            (out_dir / "INCOMPLETE").read_text()
+
+    @pytest.mark.parametrize("name", ["none", "log"])
+    def test_transform_kind_takes_no_aliases(self, tmp_path, tensor_cache, name):
+        with pytest.raises(SystemExit):
+            main(["transform", "--data", tensor_cache, "--kind", name,
+                  "--output", str(tmp_path / "sup.npz")])
+
 
 class TestVersionedPickles:
     @pytest.mark.parametrize("loader", [load_stored_model, load_selector])
@@ -471,7 +486,7 @@ class TestSharedStages:
                                               expected.predict(x))
 
     @pytest.mark.parametrize("train, n_anchors", [(None, 33), (30, 26)])
-    @pytest.mark.parametrize("name, kind", [("minmax", "minmax"), ("log", "log1p")])
+    @pytest.mark.parametrize("name, kind", [("minmax", "minmax"), ("log1p", "log1p")])
     def test_cache_is_the_backtest_design(self, tmp_path, tensor_cache, train, n_anchors,
                                           name, kind):
         out = tmp_path / "sup.npz"

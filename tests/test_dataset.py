@@ -83,10 +83,13 @@ class TestRoundTrip:
         t = ds.synthesize(3, 4, 12, 3, regime)
         path = tmp_path / "out.csv"
         ds.save_csv(t, path)
-        back = ds.load_csv(str(path), periods=t.n_periods, leads=t.n_leads)
+        back = ds.load_csv(str(path))
+        # Dimensions are the observed maxima: past them nothing is observed.
+        T, H = back.n_periods, back.n_leads
+        assert not t.observed_mask[:, T:].any() and not t.observed_mask[:, :, H:].any()
         assert back.items == t.items
-        np.testing.assert_array_equal(back.values, t.values)
-        np.testing.assert_array_equal(back.observed_mask, t.observed_mask)
+        np.testing.assert_array_equal(back.values, t.values[:, :T, :H])
+        np.testing.assert_array_equal(back.observed_mask, t.observed_mask[:, :T, :H])
 
     def test_cache_round_trip(self, tmp_path):
         t = ds.synthesize(1, 3, 8, 2, "smooth")
@@ -206,20 +209,6 @@ class TestIsKnownAt:
                 assert flags == sorted(flags)  # False..False,True..True
 
 
-class TestPreorderRecord:
-    def test_valid_record(self):
-        r = ds.PreorderRecord("A", 3, 1, 2.5)
-        assert r.quantity == 2.5
-
-    def test_invariants_enforced(self):
-        with pytest.raises(DomainError):
-            ds.PreorderRecord("A", -1, 0, 1.0)
-        with pytest.raises(DomainError):
-            ds.PreorderRecord("A", 0, -1, 1.0)
-        with pytest.raises(DomainError):
-            ds.PreorderRecord("A", 0, 0, -1.0)
-
-
 class TestSynthesize:
     def test_deterministic(self):
         a = ds.synthesize(1, 4, 20, 3, "anticipatory")
@@ -320,8 +309,7 @@ def csv_files(draw):
         lines.append(_row_text(fields, quote if draw(st.booleans()) else None))
     end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     text = end.join(lines) + (end if draw(st.booleans()) else "")
-    kwargs = draw(st.sampled_from([{}, {"max_lead": 2}, {"max_lead": 10},
-                                   {"leads": 7}, {"leads": 3}, {"periods": 9}]))
+    kwargs = draw(st.sampled_from([{}, {"max_lead": 2}, {"max_lead": 10}]))
     return text, kwargs
 
 

@@ -592,8 +592,7 @@ def bits(a):
 def nodf_cases(draw):
     """A small catalog with all-zero and constant items, a split, and
     no-feeding specs in one transform: the stacked families (ridge from
-    lam = 0, kernel), ridge without the clip, and lasso, fitted item by
-    item."""
+    lam = 0, kernel) and lasso, fitted item by item."""
     n_items = draw(st.integers(1, 6))
     T = draw(st.integers(8, 20))
     n_test = draw(st.integers(1, 4))
@@ -608,8 +607,7 @@ def nodf_cases(draw):
                                observed_mask=values > 0)
     kind = draw(st.sampled_from(TRANSFORM_KINDS))
     specs = [ModelSpec("ridge", {"lam": lam}, transform=kind) for lam in (0.0, 1e-3, 1.0)]
-    specs += [ModelSpec("ridge", transform=kind, clip_negative=False),
-              ModelSpec("kernel", transform=kind), ModelSpec("lasso", transform=kind)]
+    specs += [ModelSpec("kernel", transform=kind), ModelSpec("lasso", transform=kind)]
     return tensor, specs, BacktestSplit(T - n_test, n_test)
 
 

@@ -9,17 +9,62 @@ from scipy.linalg import cho_factor, cho_solve
 from hierfcst.errors import (DomainError, HierfcstError, IllConditionedError,
                              OutOfScopeError)
 from hierfcst.evaluate import smape
-from hierfcst.models import (AdaBoostR2, ModelSpec, RandomForest,
-                             RegressionTree, default_hyperparams, fit,
-                             fit_adaboost_r2, fit_arx, predict)
+from hierfcst.models import (AdaBoostR2, BaggedGradientBoost, GradientBoost,
+                             ModelSpec, RandomForest, RegressionTree,
+                             default_hyperparams, fit, fit_arx)
 from hierfcst.models.arx import fit_arx_payload, lag_matrix
 from hierfcst.models import linear
 from hierfcst.models.linear import (_cho_solve, _self_sq_dists, fit_kernel_ridge,
                                     fit_lasso, fit_poisson, fit_ridge, median_bandwidth,
                                     pairwise_sq_dists, rbf_kernel)
 from hierfcst.preprocess import TargetTransform
+from hierfcst.trmf import TrmfConfig
 
 from oracles import gradient_descent, kernel_fit, newton_poisson, poisson_fits
+
+
+# (constructor, family, key, value): an out-of-range value of every
+# argument of the tree models and of every TrmfConfig field a spec sets.
+# The family's spec with that key fails with the constructor's message;
+# GradientBoost's rounds is no spec key (ensemble's is boost_rounds), and
+# TrmfConfig's tol takes any number.
+OUT_OF_RANGE = [
+    *[(RandomForest, "rforest", key, value) for key, value in [
+        ("n_trees", 0), ("n_trees", "many"), ("max_depth", -1), ("min_leaf", 0),
+        ("max_features", 0.0), ("max_features", 2.0), ("max_features", float("nan")),
+        ("bootstrap", "no"), ("seed", -1)]],
+    *[(RegressionTree, "rforest", key, value) for key, value in [
+        ("max_depth", -1), ("min_leaf", 0), ("max_features", 0.0), ("max_features", 2.0)]],
+    (AdaBoostR2, "adaboost", "rounds", 0), (AdaBoostR2, "adaboost", "base_depth", -1),
+    *[(BaggedGradientBoost, "ensemble", key, value) for key, value in [
+        ("n_bags", 0), ("boost_rounds", 0), ("learning_rate", 0.0),
+        ("learning_rate", -0.1), ("max_depth", -1), ("seed", -1)]],
+    (GradientBoost, None, "rounds", 0), (GradientBoost, "ensemble", "learning_rate", 0.0),
+    (GradientBoost, "ensemble", "max_depth", -1),
+    *[(TrmfConfig, "trmf", key, value) for key, value in [
+        ("rank", 0), ("ar_order", 0), ("lam_f", -1e-4), ("lam_z", -1e-4), ("lam_ar", -1e-2),
+        ("max_sweeps", 0), ("seed", -1)]],
+]
+
+
+class TestOneGate:
+    @pytest.mark.parametrize("make, family, key, value", OUT_OF_RANGE,
+                             ids=[f"{make.__name__}-{key}={value}"
+                                  for make, _, key, value in OUT_OF_RANGE])
+    def test_spec_and_constructor_raise_the_same_message(self, make, family, key, value):
+        with pytest.raises(HierfcstError) as direct:
+            make(**{key: value})
+        assert str(direct.value).startswith(f"{key} must be ")
+        if family is not None:
+            with pytest.raises(HierfcstError) as spec:
+                ModelSpec(family, {key: value})
+            assert str(spec.value) == str(direct.value)
+
+    @pytest.mark.parametrize("family", ["arx", "trmf"])
+    @pytest.mark.parametrize("feeding", ["df_one_by_one", "df_all_items"])
+    def test_series_families_reject_feeding(self, family, feeding):
+        with pytest.raises(HierfcstError, match=f"feeding must be 'none', got '{feeding}'"):
+            ModelSpec(family, feeding=feeding)
 
 
 class TestModelSpec:
@@ -44,6 +89,12 @@ class TestModelSpec:
             ModelSpec("kernel", {"bandwidth": -2.0})
         with pytest.raises(HierfcstError):
             ModelSpec("ridge", {"nonsense": 1})
+        # A value that does not compare with a number (an INI typo) fails
+        # as out of range, not with a TypeError.
+        with pytest.raises(HierfcstError, match="ridge: lam must be >= 0, got 1e-4x"):
+            ModelSpec("ridge", {"lam": "1e-4x"})
+        with pytest.raises(HierfcstError, match="bandwidth must be positive or 'median'"):
+            ModelSpec("kernel", {"bandwidth": "wide"})
 
     def test_defaults_merged_and_recorded(self):
         spec = ModelSpec("lasso", {"lam": 0.5})
@@ -59,7 +110,7 @@ class TestModelSpec:
 
 class TestRidge:
     def test_two_point_ols(self):
-        model = fit(ModelSpec("ridge", {"lam": 0.0}, clip_negative=False),
+        model = fit(ModelSpec("ridge", {"lam": 0.0}),
                     np.array([[0.0], [1.0]]), np.array([[1.0], [3.0]]))
         coef = model.payload.coef
         assert abs(coef[0, 0] - 1.0) < 1e-12  # intercept
@@ -163,18 +214,18 @@ class TestKernelRidge:
         rng = np.random.default_rng(6)
         X = rng.normal(size=(25, 3))
         Y = rng.normal(size=(25, 2))
-        model = fit(ModelSpec("kernel", {"lam": 0.0}, clip_negative=False), X, Y)
-        np.testing.assert_allclose(model.predict(X), Y, atol=1e-6)
+        model = fit(ModelSpec("kernel", {"lam": 0.0}), X, Y)
+        np.testing.assert_allclose(model.predict_transformed(X), Y, atol=1e-6)
 
     def test_explicit_bandwidth(self):
         X = np.array([[0.0], [1.0], [2.0]])
-        model = fit(ModelSpec("kernel", {"lam": 1e-8, "bandwidth": 0.7},
-                              clip_negative=False), X, np.array([[1.0], [2.0], [3.0]]))
+        model = fit(ModelSpec("kernel", {"lam": 1e-8, "bandwidth": 0.7}), X,
+                    np.array([[1.0], [2.0], [3.0]]))
         assert model.payload.bandwidth == 0.7
 
     def test_one_row_takes_the_unit_bandwidth(self):
         # One row has no pairwise distance to take the median of.
-        spec = ModelSpec("kernel", clip_negative=False)
+        spec = ModelSpec("kernel")
         assert fit(spec, [[2.0, 3.0]], [[5.0]]).payload.bandwidth == 1.0
         stacked = fit(spec, np.ones((3, 1, 2)), np.ones((3, 1, 1)))
         np.testing.assert_array_equal(stacked.payload.bandwidth, [1.0, 1.0, 1.0])
@@ -242,10 +293,10 @@ class TestAdaBoostR2:
         rng = np.random.default_rng(11)
         X = rng.normal(size=(30, 2))
         y = rng.normal(size=30)
-        a = fit_adaboost_r2(X, y[:, None], rounds=8, base_depth=2)
-        b = fit_adaboost_r2(X, y[:, None], rounds=8, base_depth=2)
-        np.testing.assert_array_equal(a.predict(X, clip=False),
-                                      b.predict(X, clip=False))
+        spec = ModelSpec("adaboost", {"rounds": 8, "base_depth": 2})
+        a = fit(spec, X, y[:, None])
+        b = fit(spec, X, y[:, None])
+        np.testing.assert_array_equal(a.predict_transformed(X), b.predict_transformed(X))
 
     def test_seed_is_not_a_hyperparameter(self):
         # Fitting draws nothing, so a seed would be a knob that does nothing.
@@ -340,7 +391,7 @@ class TestFitPredictSurface:
         model = fit(ModelSpec("ridge", {"lam": 0.0}), X, Y)
         clipped = model.predict(np.array([[10.0]]))
         assert clipped[0, 0] == 0.0
-        raw = model.predict(np.array([[10.0]]), clip=False)
+        raw = model.predict_transformed(np.array([[10.0]]))
         assert raw[0, 0] < 0.0
 
     def test_inverse_transform_applied(self):
@@ -355,10 +406,10 @@ class TestFitPredictSurface:
         rng = np.random.default_rng(14)
         X = rng.normal(size=(30, 3))
         Y = rng.normal(size=(30, 2))
-        both = fit(ModelSpec("ridge", {"lam": 0.5}, clip_negative=False), X, Y)
-        left = fit(ModelSpec("ridge", {"lam": 0.5}, clip_negative=False), X, Y[:, :1])
-        np.testing.assert_allclose(both.predict(X)[:, 0], left.predict(X)[:, 0],
-                                   atol=1e-12)
+        both = fit(ModelSpec("ridge", {"lam": 0.5}), X, Y)
+        left = fit(ModelSpec("ridge", {"lam": 0.5}), X, Y[:, :1])
+        np.testing.assert_allclose(both.predict_transformed(X)[:, 0],
+                                   left.predict_transformed(X)[:, 0], atol=1e-12)
 
     def test_row_permutation_invariance_deterministic_families(self):
         rng = np.random.default_rng(15)
@@ -368,9 +419,10 @@ class TestFitPredictSurface:
         perm = rng.permutation(40)
         for family, hp in [("ridge", {"lam": 0.1}), ("lasso", {"lam": 0.01}),
                            ("poisson", {"lam": 1e-6}), ("kernel", {"lam": 0.1})]:
-            a = fit(ModelSpec(family, hp, clip_negative=False), X, Y)
-            b = fit(ModelSpec(family, hp, clip_negative=False), X[perm], Y[perm])
-            np.testing.assert_allclose(a.predict(grid), b.predict(grid), atol=1e-8,
+            a = fit(ModelSpec(family, hp), X, Y)
+            b = fit(ModelSpec(family, hp), X[perm], Y[perm])
+            np.testing.assert_allclose(a.predict_transformed(grid),
+                                       b.predict_transformed(grid), atol=1e-8,
                                        err_msg=family)
 
     def test_row_permutation_invariance_trees_fixed_resample(self):
@@ -379,13 +431,12 @@ class TestFitPredictSurface:
         Y = rng.normal(size=(40, 1))
         grid = rng.normal(size=(10, 3))
         perm = rng.permutation(40)
-        for spec in (ModelSpec("rforest", {"n_trees": 3, "bootstrap": False},
-                               clip_negative=False),
-                     ModelSpec("adaboost", {"rounds": 5, "base_depth": 2},
-                               clip_negative=False)):
+        for spec in (ModelSpec("rforest", {"n_trees": 3, "bootstrap": False}),
+                     ModelSpec("adaboost", {"rounds": 5, "base_depth": 2})):
             a = fit(spec, X, Y)
             b = fit(spec, X[perm], Y[perm])
-            np.testing.assert_allclose(a.predict(grid), b.predict(grid),
+            np.testing.assert_allclose(a.predict_transformed(grid),
+                                       b.predict_transformed(grid),
                                        atol=1e-12, err_msg=spec.family)
 
     def test_series_families_reject_matrix_fit(self):
@@ -394,10 +445,6 @@ class TestFitPredictSurface:
         with pytest.raises(HierfcstError):
             fit(ModelSpec("trmf"), np.ones((5, 2)), np.ones((5, 1)))
 
-    def test_predict_module_function(self):
-        model = fit(ModelSpec("ridge"), np.ones((4, 2)), np.ones((4, 1)))
-        np.testing.assert_array_equal(predict(model, np.ones((2, 2))),
-                                      model.predict(np.ones((2, 2))))
 
     def test_ensemble_family_fits(self):
         rng = np.random.default_rng(17)

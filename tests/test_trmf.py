@@ -365,25 +365,6 @@ class TestRollingRefit:
         a, b = cold.objective_history[-1], warm.objective_history[-1]
         assert abs(a - b) <= 1e-6 * (1 + abs(a))
 
-    def test_rolling_window_policy(self):
-        rng = np.random.default_rng(13)
-        Y0 = np.full((10, 3), 4.0) + 0.01 * rng.normal(size=(10, 3))
-        stream = [np.full(3, 4.0) for _ in range(6)]
-        cfg = TrmfConfig(rank=1, ar_order=1, lam_f=1e-8, lam_z=1e-8,
-                         lam_ar=1e-6, max_sweeps=60, tol=1e-12, seed=5)
-        fcs = rolling_refit(Y0, stream, cfg, window_policy=("rolling", 8))
-        assert len(fcs) == 6
-        for fc in fcs:
-            np.testing.assert_allclose(fc, 4.0, atol=0.05)
-
-    def test_bad_window_policy(self):
-        with pytest.raises(HierfcstError):
-            rolling_refit(np.ones((6, 2)), [], TrmfConfig(rank=1, ar_order=1),
-                          window_policy="bogus")
-        with pytest.raises(HierfcstError):
-            rolling_refit(np.ones((6, 2)), [], TrmfConfig(rank=1, ar_order=2),
-                          window_policy=("rolling", 2))
-
 
 def test_config_defaults_are_the_model_defaults():
     cfg = TrmfConfig()

@@ -6,7 +6,7 @@ labels, the board's best models being the labels; and one over its
 diagonal-feeding layer: the supervised cache `hierfcst transform` writes
 (the backtest's training design) and the model store `hierfcst train`
 writes for the workload's specs, both at the workload's split.
-Three last lines digest backtests of the anticipatory catalog: `zoo-300`
+Four last lines digest backtests of the anticipatory catalog: `zoo-300`
 of lasso and Poisson `df_one_by_one` under every transform on
 synthesize(7, 300, 45, 4), more items than one stacked block holds;
 `trees-40` of the tree families at their defaults on
@@ -14,7 +14,10 @@ synthesize(7, 40, 45, 4): `rforest`, `adaboost` and `ensemble` with
 `df_one_by_one` and `ensemble` with `df_all_items`; and `kernel-60` of
 kernel ridge with `df_all_items` and `df_one_by_one` under the identity
 and log1p transforms on synthesize(7, 60, 45, 4), whose pooled fit has
-1,980 rows.
+1,980 rows; and `nodf-40` of ridge, kernel, lasso, Poisson and `rforest`
+without feeding under every transform on synthesize(7, 40, 45, 4): the
+no-feeding route, where lasso's identity forecasts go below zero and are
+clipped.
 
     python tools/board_digest.py [seed ...]        # seeds 1 2 3 by default
 
@@ -115,3 +118,9 @@ kernels = [ModelSpec("kernel", transform=kind, feeding=feeding)
            for feeding in ("df_all_items", "df_one_by_one") for kind in ("identity", "log1p")]
 print("kernel-60", board_digest(evaluate.backtest(
     hierfcst.synthesize(7, 60, 45, 4, "anticipatory"), kernels, SPLIT)))
+
+nodf = [ModelSpec(family, transform=kind)
+        for family in ("ridge", "kernel", "lasso", "poisson", "rforest")
+        for kind in ("identity", "log1p", "minmax")]
+print("nodf-40", board_digest(evaluate.backtest(
+    hierfcst.synthesize(7, 40, 45, 4, "anticipatory"), nodf, SPLIT)))
