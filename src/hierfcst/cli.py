@@ -1,7 +1,9 @@
 """Batch command-line entry point.
 
 Subcommands: ingest, synth, transform, train, trmf, backtest, select,
-report, pipeline.  Every run resolves its configuration (built-in defaults
+report, pipeline.  `pipeline` runs ingest or synth, backtest, select and
+report; `transform` exports the training design the backtest builds for
+itself.  Every run resolves its configuration (built-in defaults
 < config file < explicit flags), writes the resolved key/value table next
 to its outputs, and derives all stage randomness from one master seed, so
 re-running a recorded config reproduces outputs byte-for-byte.  The tool is
@@ -40,15 +42,14 @@ _STAGE_IDS = {name: i for i, name in enumerate(sorted(STAGE_EXIT))}
 MODEL_STORE_VERSION = 3
 SELECTOR_VERSION = 1
 
-# What `hierfcst pipeline` writes to its out_dir besides the tensor and
-# supervised caches, the report_<item>.csv files and the INCOMPLETE marker.
+# What `hierfcst pipeline` writes to its out_dir besides the tensor cache,
+# the report_<item>.csv files and the INCOMPLETE marker.
 PIPELINE_ARTIFACTS = ("leaderboard.csv", "graph.json", "graph.dot", "selector.bin",
                       "run_config.ini")
 
 # Defaults shared by the subcommands' flags and the pipeline's config keys.
 _SPLIT = ev.BacktestSplit()
 _SYNTH_ITEMS, _SYNTH_PERIODS, _SYNTH_REGIME = 20, 45, "smooth"
-_TRANSFORM_KIND = "identity"
 _MIN_CLUSTER_FRAC = 0.05
 
 
@@ -161,15 +162,6 @@ def _synth(output, seed, items, periods, leads, regime):
     return tensor
 
 
-def _transform(tensor, kind, split, output):
-    """Cache the diagonal-feeding rows the backtest fits under the split."""
-    if kind not in TRANSFORM_KINDS:
-        raise HierfcstError(f"unknown transform kind {kind!r}")
-    sset = build_training_set(tensor, **ev.df_training_rows(tensor, kind, split))
-    save_supervised(sset, output)
-    return sset
-
-
 def _select(tensor, board, train_periods, intervals, overlap, k, min_cluster_frac,
             out, graph_path):
     """Fit the TDA selector on the tensor's items labelled by their best
@@ -228,8 +220,11 @@ def cmd_synth(args):
 
 
 def cmd_transform(args):
+    """Export the diagonal-feeding rows the backtest fits under the split."""
     tensor = ds.load_cache(args.data)
-    sset = _transform(tensor, args.kind, ev.BacktestSplit(args.train_periods), args.output)
+    split = ev.BacktestSplit(args.train_periods)
+    sset = build_training_set(tensor, **ev.df_training_rows(tensor, args.kind, split))
+    save_supervised(sset, args.output)
     write_run_config(f"{args.output}.run.ini", "transform", {
         "data": args.data, "kind": args.kind, "leads": sset.H,
         "train_periods": args.train_periods, "output": args.output,
@@ -379,8 +374,8 @@ def cmd_report(args):
 # ---------------------------------------------------------------------------
 
 def run_pipeline(config_path) -> int:
-    """Ingest/synthesize, transform, backtest, select and report from one
-    recorded configuration; artifacts land in [run] out_dir."""
+    """Ingest/synthesize, backtest, select and report from one recorded
+    configuration; artifacts land in [run] out_dir."""
     parser = configparser.ConfigParser()
     if not parser.read(config_path):
         raise HierfcstError(f"cannot read pipeline config {config_path}")
@@ -410,8 +405,6 @@ def run_pipeline(config_path) -> int:
     bt = _section(parser, "backtest")
     split = ev.BacktestSplit(int(bt.get("train_periods", _SPLIT.train_periods)),
                              int(bt.get("test_periods", _SPLIT.test_periods)))
-    _transform(tensor, _section(parser, "preprocess").get("transform", _TRANSFORM_KIND),
-               split, os.path.join(out_dir, "supervised.npz"))
 
     specs = [spec_from_mapping(s.split(":", 1)[1], _section(parser, s))
              for s in parser.sections() if s.startswith("spec:")]
@@ -483,9 +476,9 @@ def build_parser():
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("transform", help="write a cached supervised dataset")
+    p = sub.add_parser("transform", help="export the backtest's diagonal-feeding training design")
     p.add_argument("--data", required=True)
-    p.add_argument("--kind", choices=TRANSFORM_KINDS, default=_TRANSFORM_KIND)
+    p.add_argument("--kind", choices=TRANSFORM_KINDS, default="identity")
     p.add_argument("--train-periods", type=int, default=_SPLIT.train_periods)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_transform)

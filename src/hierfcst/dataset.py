@@ -172,7 +172,8 @@ def _records(path):
     if b'"' in data or b"\0" in data:
         reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
         return next(reader, []), _reader_blocks(reader)
-    data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     cut = data.find(b"\n")
     if cut < 0:
         return data.decode("utf-8").split(","), iter(())

@@ -270,9 +270,28 @@ class TestPipeline:
         assert run_pipeline(str(cfg)) == 0
         board = (out_dir / "leaderboard.csv").read_text().strip().split("\n")
         assert len(board) == 3  # header + 2 spec rows
-        for artifact in ("tensor.npz", "supervised.npz", "selector.bin",
-                         "graph.json", "graph.dot", "run_config.ini"):
+        for artifact in ("tensor.npz", "selector.bin", "graph.json", "graph.dot",
+                         "run_config.ini"):
             assert (out_dir / artifact).exists()
+
+    def test_pipeline_builds_the_training_design_once(self, tmp_path, monkeypatch):
+        # The backtest builds the diagonal-feeding rows it fits; no stage
+        # builds them again to write a supervised cache.
+        import hierfcst.cli as cli_mod
+        import hierfcst.evaluate as ev_mod
+        calls = []
+        for module in (cli_mod, ev_mod):
+            def counted(*args, _build=module.build_training_set, _name=module.__name__,
+                        **kwargs):
+                calls.append(_name)
+                return _build(*args, **kwargs)
+            monkeypatch.setattr(module, "build_training_set", counted)
+        cfg = tmp_path / "pipe.ini"
+        out_dir = tmp_path / "run"
+        cfg.write_text(PIPELINE_INI.format(out_dir=out_dir))
+        assert run_pipeline(str(cfg)) == 0
+        assert calls == ["hierfcst.evaluate"]
+        assert not (out_dir / "supervised.npz").exists()
 
     def test_identical_config_byte_identical_leaderboard(self, tmp_path):
         cfg = tmp_path / "pipe.ini"
@@ -337,8 +356,7 @@ class TestPipeline:
                 "run_config.ini", "report_item0000.csv"} <= earlier
         cfg.write_text(FAILING_PIPELINE_INI.format(out_dir=out_dir))
         assert main(["pipeline", "--config", str(cfg)]) == STAGE_EXIT["pipeline"]
-        assert {p.name for p in out_dir.iterdir()} == {"tensor.npz", "supervised.npz",
-                                                        "INCOMPLETE"}
+        assert {p.name for p in out_dir.iterdir()} == {"tensor.npz", "INCOMPLETE"}
         assert ds.load_cache(out_dir / "tensor.npz").n_items == 5
 
     def test_success_removes_stale_incomplete_marker(self, tmp_path):
@@ -401,16 +419,6 @@ class TestArtifactsAndRecords:
                                      "model": [trees.RegressionTree()]}))
         with pytest.raises(HierfcstError, match="unsupported model store version in .*v2.pkl"):
             load_stored_model(v2)
-
-    def test_unknown_pipeline_transform_fails_stage(self, tmp_path):
-        cfg = tmp_path / "pipe.ini"
-        out_dir = tmp_path / "run"
-        cfg.write_text(PIPELINE_INI.format(out_dir=out_dir)
-                       + "\n[preprocess]\ntransform = bogus\n")
-        assert main(["pipeline", "--config", str(cfg)]) == STAGE_EXIT["pipeline"]
-        marker = (out_dir / "INCOMPLETE").read_text()
-        assert "unknown transform kind 'bogus'" in marker
-        assert not (out_dir / "supervised.npz").exists()
 
     def test_clip_negative_key_fails_stage(self, tmp_path):
         # Every forecast is clipped at zero: there is no key to turn it off.
@@ -525,12 +533,14 @@ class TestSharedStages:
         run_dir, sub_dir = tmp_path / "pipeline", tmp_path / "subcommands"
         sub_dir.mkdir()
         cfg = tmp_path / "pipe.ini"
-        # The frames' geometry follows from the tensor's leads alone: window
-        # and leads keys left in [preprocess] by older configs are ignored.
+        # The frames' geometry follows from the tensor's leads alone, and the
+        # pipeline writes no supervised cache: window, leads and transform
+        # keys left in [preprocess] by older configs are ignored.
         backtest = f"[backtest]\ntrain_periods = {train}\n\n" if train else ""
         cfg.write_text(f"[run]\nseed = 3\nout_dir = {run_dir}\n\n"
                        "[data]\nsource = synth\nseed = 5\nitems = 12\n"
-                       "regime = anticipatory\n\n[preprocess]\nwindow = 9\nleads = 3\n\n"
+                       "regime = anticipatory\n\n"
+                       "[preprocess]\nwindow = 9\nleads = 3\ntransform = bogus\n\n"
                        + backtest + SPECS_INI.replace("[", "[spec:"))
         assert main(["pipeline", "--config", str(cfg)]) == 0
 
@@ -550,8 +560,9 @@ class TestSharedStages:
                      ["report", "--data", tensor, "--specs", str(specs), *split,
                       "--item", "item0000", "--out", str(sub_dir / "report_item0000.csv")]):
             assert main(argv) == 0, argv
-        for name in ("tensor.npz", "supervised.npz", "leaderboard.csv", "selector.bin",
+        for name in ("tensor.npz", "leaderboard.csv", "selector.bin",
                      "graph.json", "graph.dot", "report_item0000.csv"):
             assert (run_dir / name).read_bytes() == (sub_dir / name).read_bytes(), name
-        assert load_supervised(run_dir / "supervised.npz").X.shape[0] == \
+        assert not (run_dir / "supervised.npz").exists()
+        assert load_supervised(sub_dir / "supervised.npz").X.shape[0] == \
             12 * ((train or BacktestSplit().train_periods) - 4)

@@ -3,9 +3,12 @@ the leaderboard CSV, the forecast bytes and the failures; for
 catalog-select one more over what its selection stage leaves: the Mapper
 graph JSON and the selector's series clusters, cluster labels and series
 labels, the board's best models being the labels; and one over its
-diagonal-feeding layer: the supervised cache `hierfcst transform` writes
-(the backtest's training design) and the model store `hierfcst train`
-writes for the workload's specs, both at the workload's split.
+diagonal-feeding layer, hashed by behaviour rather than by pickle bytes:
+the arrays of the supervised cache `hierfcst transform` writes (the
+backtest's training design) as `load_supervised` returns them, and the
+`predict_transformed` output of each model `hierfcst train` stores for the
+workload's specs on its item's rows of that cache scaled by 1.1 (every
+row for a `df_all_items` model), both at the workload's split.
 Four last lines digest backtests of the anticipatory catalog: `zoo-300`
 of lasso and Poisson `df_one_by_one` under every transform on
 synthesize(7, 300, 45, 4), more items than one stacked block holds;
@@ -39,9 +42,12 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
+import numpy as np  # noqa: E402
+
 import hierfcst  # noqa: E402
 from hierfcst import cli, dataset, evaluate, tda  # noqa: E402
 from hierfcst.models import ModelSpec  # noqa: E402
+from hierfcst.preprocess import load_supervised  # noqa: E402
 from workloads import PIPELINE_SPECS, SPLIT, WORKLOADS  # noqa: E402
 
 
@@ -69,25 +75,46 @@ def selection_digest(tensor, board, work_dir):
     return digest.hexdigest()
 
 
+def _update(digest, name, value):
+    """Feed a named value into the digest: an array by dtype, shape and
+    bytes, anything else by repr."""
+    digest.update(name.encode())
+    if isinstance(value, np.ndarray):
+        digest.update(repr((value.dtype, value.shape)).encode() + value.tobytes())
+    else:
+        digest.update(repr(value).encode())
+
+
 def feeding_digest(tensor, work_dir):
     """sha256 of the supervised cache `hierfcst transform` writes at the
-    pipeline's default transform and the workload's split, and of the model
-    files `hierfcst train` stores for the pipeline's specs, in file name
-    order."""
+    identity transform and the workload's split, and of the predictions of
+    the models `hierfcst train` stores for the pipeline's specs, in file
+    name order."""
     data, sup, store, specs = (os.path.join(work_dir, name) for name in
                                ("tensor.npz", "supervised.npz", "store", "specs.ini"))
     dataset.save_cache(tensor, data)
     Path(specs).write_text(PIPELINE_SPECS.replace("[spec:", "["), encoding="utf-8")
     split = [f"--train-periods={SPLIT.train_periods}", f"--test-periods={SPLIT.test_periods}"]
     with contextlib.redirect_stdout(io.StringIO()):
-        for argv in (["transform", "--data", data, "--kind", cli._TRANSFORM_KIND,
+        for argv in (["transform", "--data", data, "--kind", "identity",
                       split[0], "--output", sup],
                      ["train", "--spec", specs, "--data", data, "--out", store, *split]):
             if cli.main(argv) != 0:
                 sys.exit(f"board_digest: hierfcst {argv[0]} failed")
-    digest = hashlib.sha256(Path(sup).read_bytes())
+    sset = load_supervised(sup)
+    digest = hashlib.sha256()
+    tf = sset.item_transforms
+    for name, value in (("X", sset.X), ("Y", sset.Y), ("sample_items", sset.sample_items),
+                        ("sample_anchors", sset.sample_anchors), ("H", sset.H),
+                        ("tf_kind", tf.kind), ("tf_vmin", tf.vmin), ("tf_vmax", tf.vmax)):
+        _update(digest, name, value)
+    index = {item: i for i, item in enumerate(tensor.items)}
     for name in sorted(p for p in os.listdir(store) if p.endswith(".pkl")):
-        digest.update(name.encode() + Path(store, name).read_bytes())
+        stored = cli.load_stored_model(os.path.join(store, name))
+        rows = sset.X
+        if stored["spec"]["feeding"] != "df_all_items":
+            rows = rows[sset.sample_items == index[stored["item"]]]
+        _update(digest, name, stored["model"].predict_transformed(rows * 1.1))
     return digest.hexdigest()
 
 
