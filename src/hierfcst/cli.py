@@ -39,7 +39,7 @@ STAGE_EXIT = {"ingest": 10, "synth": 11, "transform": 12, "train": 13,
 
 _STAGE_IDS = {name: i for i, name in enumerate(sorted(STAGE_EXIT))}
 
-MODEL_STORE_VERSION = 3
+MODEL_STORE_VERSION = 4
 SELECTOR_VERSION = 1
 
 # What `hierfcst pipeline` writes to its out_dir besides the tensor cache,
@@ -238,9 +238,10 @@ def cmd_train(args):
     specs = load_specs(args.spec)
     split = ev.BacktestSplit(args.train_periods, args.test_periods)
     split.validate(tensor.n_periods)
-    os.makedirs(args.out, exist_ok=True)
+    os.makedirs(args.out_dir, exist_ok=True)
     designs = {}
     n_models = 0
+    failures = {}
     for spec in specs:
         key = ev._design_key(spec)
         if key is None or key[0] != "df":
@@ -252,25 +253,37 @@ def cmd_train(args):
             designs[key] = ev._build_design(tensor, key, split)
         tf, X, Y = designs[key][:3]
         if spec.feeding == "df_all_items":
-            _store_model(args.out, spec, "ALL", fit(spec, X.reshape(-1, X.shape[-1]),
-                                                    Y.reshape(-1, Y.shape[-1])))
+            fits = [("ALL", X.reshape(-1, X.shape[-1]), Y.reshape(-1, Y.shape[-1]), None)]
+        else:
+            fits = [(item, X[i], Y[i], tf[i]) for i, item in enumerate(tensor.items)]
+        # As in backtest, a fit that fails is recorded and the rest go on.
+        for item, Xi, Yi, tfi in fits:
+            try:
+                fitted = fit(spec, Xi, Yi, transform=tfi)
+            except ev.ITEM_ERRORS as exc:
+                message = ev._failure_message(exc)
+                print(f"train: {spec.name} {item}: {message}", file=sys.stderr)
+                failures[f"failure.{_store_stem(spec, item)}"] = message
+                continue
+            _store_model(args.out_dir, spec, item, fitted)
             n_models += 1
-            continue
-        for i, item in enumerate(tensor.items):
-            _store_model(args.out, spec, item, fit(spec, X[i], Y[i], transform=tf[i]))
-            n_models += 1
-    write_run_config(os.path.join(args.out, "run_config.ini"), "train", {
-        "data": args.data, "spec": args.spec, "out": args.out,
+    write_run_config(os.path.join(args.out_dir, "run_config.ini"), "train", {
+        "data": args.data, "spec": args.spec, "out": args.out_dir,
         "train_periods": args.train_periods, "test_periods": args.test_periods,
-        "n_models": n_models})
-    print(f"stored {n_models} fitted models in {args.out}")
+        "n_models": n_models, "n_failures": len(failures), **failures})
+    print(f"stored {n_models} fitted models in {args.out_dir}")
     return 0
 
 
+def _store_stem(spec, item) -> str:
+    """The file name, without .pkl, of a spec's stored model of an item."""
+    return f"{_safe_name(spec.name)}__{_safe_name(str(item))}"
+
+
 def _store_model(out_dir, spec, item, fitted):
-    path = os.path.join(out_dir, f"{_safe_name(spec.name)}__{_safe_name(str(item))}.pkl")
-    _write_versioned(path, MODEL_STORE_VERSION, item=item,
-                     spec=spec.resolved_config(), model=fitted)
+    _write_versioned(os.path.join(out_dir, f"{_store_stem(spec, item)}.pkl"),
+                     MODEL_STORE_VERSION, item=item, spec=spec.resolved_config(),
+                     model=fitted)
 
 
 def load_stored_model(path):
@@ -486,7 +499,8 @@ def build_parser():
     p = sub.add_parser("train", help="fit specs and store models per (item, spec)")
     p.add_argument("--spec", required=True, help="INI file, one section per spec")
     p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
+    # A directory: out_dir, where a failed stage leaves its INCOMPLETE marker.
+    p.add_argument("--out", dest="out_dir", metavar="DIR", required=True)
     _add_split_flags(p)
     p.set_defaults(func=cmd_train)
 

@@ -24,12 +24,13 @@ __all__ = [
 ]
 
 
-# Families whose fit takes a stack of items, X (items, n, k) and
+# Families whose fitter takes only a stack of items, X (items, n, k) and
 # Y (items, n, m), and fits one model per item in one call: ridge and
 # kernel ridge by one solve per item, Poisson by IRLS over every
 # (item, target) fit in lockstep, the tree families by growing every
 # item's trees together, one forest level or boosting round at a time.
-# Lasso fits one item per call, its target columns in lockstep.
+# ``fit`` makes a single fit of one of them a stack of one.  Lasso fits
+# one item per call, its target columns in lockstep.
 STACKED_FAMILIES = ("ridge", "poisson", "kernel") + TREE_FAMILIES
 
 
@@ -59,7 +60,9 @@ def fit(spec: ModelSpec, X, Y, transform: TargetTransform | None = None,
     one model per item at once, each with the bits of its fit alone; an
     item whose fit fails is listed in the payload's ``failures`` (item
     position -> error).  An error in a tree family's stack, or a negative
-    target in a Poisson stack, raises for the whole stack.
+    target in a Poisson stack, raises for the whole stack.  A single fit,
+    X (n, k), of such a family is fitted as a stack of one and raises its
+    item's failure.
     ``transform`` is the fitted per-series transform that produced the
     (already transformed) X/Y entries; it is stored so predictions can be
     mapped back to original quantity units.  ``targets`` fits only Y's
@@ -73,6 +76,9 @@ def fit(spec: ModelSpec, X, Y, transform: TargetTransform | None = None,
     if X.ndim == 3 and family not in STACKED_FAMILIES:
         raise HierfcstError(f"{family} fits one item at a time; "
                             f"stacks of items are for {STACKED_FAMILIES}")
+    single = X.ndim == 2 and family in STACKED_FAMILIES
+    if single:
+        X, Y = X[None], Y[None]
 
     if family == "ridge":
         payload = fit_ridge(X, Y, hp["lam"])
@@ -83,11 +89,10 @@ def fit(spec: ModelSpec, X, Y, transform: TargetTransform | None = None,
     elif family == "kernel":
         payload = fit_kernel_ridge(X, Y, hp["lam"], hp["bandwidth"])
     elif family in TREE_FAMILIES:
-        items = len(X) if X.ndim == 3 else 1
-        models = [tree_model(family, hp, c) for _ in range(items)
+        models = [tree_model(family, hp, c) for _ in range(len(X))
                   for c in range(Y.shape[-1])]
         type(models[0]).fit_batch(models, X, Y)
-        payload = PerTargetPayload(models, items if X.ndim == 3 else None)
+        payload = PerTargetPayload(models, len(X))
     elif family == "arx":
         raise HierfcstError("arx is fitted from a series; use fit_arx")
     elif family == "trmf":
@@ -95,8 +100,11 @@ def fit(spec: ModelSpec, X, Y, transform: TargetTransform | None = None,
     else:  # pragma: no cover - ModelSpec already validates
         raise HierfcstError(f"unhandled family {family!r}")
 
+    if single and payload.failures:
+        raise payload.failures[0]
     return FittedModel(spec=spec, payload=payload, n_features=X.shape[-1],
-                       n_targets=Y.shape[-1], transform=transform)
+                       n_targets=Y.shape[-1], transform=transform,
+                       n_items=len(X) if X.ndim == 3 else 1)
 
 
 def fit_arx(series, exog=None, p: int = 1, spec: ModelSpec | None = None,
@@ -106,12 +114,20 @@ def fit_arx(series, exog=None, p: int = 1, spec: ModelSpec | None = None,
     ``series`` (and ``exog`` rows, if any) are taken as already transformed
     when ``transform`` is given; predictions invert it.  A stack of series
     (items, T), with exog (items, T, k), fits one model per item at once;
-    an item whose fit fails is listed in the payload's ``failures``.
+    an item whose fit fails is listed in the payload's ``failures``.  One
+    series (T,), with exog (T, k), is fitted as a stack of one and raises
+    its failure.
     """
+    series = np.asarray(series, dtype=float)
+    single = series.ndim == 1
+    if single:
+        series, exog = series[None], None if exog is None else np.asarray(exog)[None]
     payload = fit_arx_payload(series, exog, p)
+    if single and payload.failures:
+        raise payload.failures[0]
     if spec is None:
         spec = ModelSpec(family="arx", hyperparams={"p": p})
     k = payload.beta.shape[-1]
     return FittedModel(spec=spec, payload=payload, n_features=p + k, n_targets=1,
-                       transform=transform)
+                       transform=transform, n_items=len(series))
 

@@ -19,27 +19,28 @@ _gelsd, _gelsd_lwork = get_lapack_funcs(("gelsd", "gelsd_lwork"), dtype=np.float
 
 
 class ArxPayload:
-    """intercept + phi (AR coefficients, lag 1 first) + beta (exog).
-
-    A stack of item fits has a leading item axis on all three, with NaN
-    coefficients for the items listed in ``failures``.
+    """intercept (items,) + phi (items, p: AR coefficients, lag 1 first) +
+    beta (items, k: exog), with NaN coefficients for the items listed in
+    ``failures`` (item position -> error).
     """
 
-    def __init__(self, intercept, phi, beta, failures=None):
-        self.intercept = np.asarray(intercept, dtype=float)
-        self.phi = np.asarray(phi, dtype=float)
-        self.beta = np.asarray(beta, dtype=float)
-        self.failures = failures or {}
+    def __init__(self, intercept, phi, beta, failures):
+        self.intercept = intercept
+        self.phi = phi
+        self.beta = beta
+        self.failures = failures
 
     @property
     def p(self):
         return self.phi.shape[-1]
 
     def predict_raw(self, X):
-        """Rows are [y_{t-1}, ..., y_{t-p}, exog_t...]; a stack of fits takes
-        one set of rows per item.  The AR terms are summed lag by lag and
-        the exog terms by one dot product per row, so every row gets the
-        same bits whether it is predicted alone or in a stack."""
+        """(items, rows, 1) predictions of rows [y_{t-1}, ..., y_{t-p},
+        exog_t...]: X (items, rows, p + k), one set of rows per item, or
+        for a stack of one X (..., rows, p + k).  The AR terms are summed
+        lag by lag and the exog terms by one dot product per row, so every
+        row gets the same bits whether it is predicted alone or in a
+        stack."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         ar = 0.0
         for j in range(self.p):
@@ -59,7 +60,7 @@ class ArxPayload:
             if exog_row is None:
                 raise HierfcstError("model was fitted with exogenous inputs")
             row = np.concatenate([row, np.asarray(exog_row, dtype=float)])
-        return float(self.predict_raw(row)[0, 0])
+        return self.predict_raw(row).item()
 
     def forecast(self, history, steps, exog_future=None):
         """Multi-step forecast feeding predictions back in as history."""
@@ -88,12 +89,10 @@ def lag_matrix(series, p, exog=None):
 
 
 def fit_arx_payload(series, exog=None, p: int = 1) -> ArxPayload:
-    """Fit one series (T,), with exog (T, k), or a stack of series
-    (items, T), with exog (items, T, k), from one gathered design solved by
-    one LAPACK least-squares call per item.  A single fit raises the
-    DomainError of non-finite data or the LinAlgError of a failed solve; a
-    stack records it in the payload's ``failures`` and fits the other
-    items."""
+    """Fit a stack of series (items, T), with exog (items, T, k), from one
+    gathered design solved by one LAPACK least-squares call per item.  An
+    item with non-finite data (DomainError) or a failed solve (LinAlgError)
+    is listed in the payload's ``failures``; the other items are fitted."""
     series = np.asarray(series, dtype=float)
     k = 0 if exog is None else np.shape(exog)[-1]
     if exog is not None and np.shape(exog)[-2] != series.shape[-1]:
@@ -104,9 +103,6 @@ def fit_arx_payload(series, exog=None, p: int = 1) -> ArxPayload:
             f"with {k} exogenous columns")
     X, y = lag_matrix(series, p, exog)
     Xb = np.concatenate([np.ones(X.shape[:-1] + (1,)), X], axis=-1)
-    stacked = series.ndim == 2
-    if not stacked:
-        Xb, y = Xb[None], y[None]
     # gelsd item by item: a stacked SVD gives the same minimum-norm answers
     # only to about 1e-14, which moves exact-fit SMAPE ties (a constant item
     # scores 0 or 2e-14) and so best models.  The calls take lstsq's rcond
@@ -130,8 +126,4 @@ def fit_arx_payload(series, exog=None, p: int = 1) -> ArxPayload:
             failures[i] = np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
             continue
         coef[i] = x[:n_cols, 0]
-    if stacked:
-        return ArxPayload(coef[:, 0], coef[:, 1:1 + p], coef[:, 1 + p:], failures)
-    if failures:
-        raise failures[0]
-    return ArxPayload(coef[0, 0], coef[0, 1:1 + p], coef[0, 1 + p:])
+    return ArxPayload(coef[:, 0], coef[:, 1:1 + p], coef[:, 1 + p:], failures)

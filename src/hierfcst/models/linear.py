@@ -3,7 +3,11 @@ through scipy).
 
 All fitters take X without a bias column and add one internally; the
 intercept is never penalized.  Multi-output targets are handled as
-independent per-column problems.
+independent per-column problems.  Ridge, Poisson and kernel ridge fit
+only stacks of items, X (items, n, k) and Y (items, n, m), one model per
+item (a single fit is a stack of one), and list a failed item in the
+payload's ``failures`` (item position -> error).  A stack of one
+predicts any X (..., rows, k), its coefficients broadcast.
 """
 
 from __future__ import annotations
@@ -25,13 +29,12 @@ def _with_bias(X):
 
 
 class RidgePayload:
-    """coef has shape (1 + n_features, n_targets), bias first; a stack of
-    item fits has a leading item axis, with NaN coefficients for the items
-    listed in ``failures`` (item position -> error)."""
+    """coef has shape (items, 1 + n_features, n_targets), bias first, with
+    NaN coefficients for the items listed in ``failures``."""
 
-    def __init__(self, coef, failures=None):
+    def __init__(self, coef, failures):
         self.coef = coef
-        self.failures = failures or {}
+        self.failures = failures
 
     def predict_raw(self, X):
         return _with_bias(X) @ self.coef
@@ -70,20 +73,14 @@ def _cho_solve(A, B):
 
 
 def fit_ridge(X, Y, lam: float) -> RidgePayload:
-    """Exact ridge solution of (X'X + lam*D) b = X'Y with unpenalized bias.
-
-    X (n, k) and Y (n, m) fit one model, which raises the DomainError or
-    IllConditionedError of non-finite (overflowing) or singular normal
-    equations.  A stack X (items, n, k), Y (items, n, m) fits one model per
-    item by one Cholesky solve per item, a pair of LAPACK calls; an item
-    that fails is recorded in the payload's ``failures`` and the other
-    items are fitted.
+    """Exact ridge solution of (X'X + lam*D) b = X'Y with unpenalized bias,
+    one per item of the stack X (items, n, k), Y (items, n, m), by one
+    Cholesky solve per item, a pair of LAPACK calls.  An item whose normal
+    equations are non-finite (overflowing) or singular is listed in
+    ``failures`` with a DomainError or IllConditionedError.
     """
     Xb = _with_bias(X)
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    stacked = Xb.ndim == 3
-    if not stacked:
-        Xb, Y = Xb[None], Y[None]
+    Y = np.asarray(Y, dtype=float)
     Xt = np.swapaxes(Xb, -1, -2)
     penalty = np.eye(Xb.shape[-1]) * lam
     penalty[0, 0] = 0.0
@@ -104,11 +101,7 @@ def fit_ridge(X, Y, lam: float) -> RidgePayload:
         failures[k] = DomainError("non-finite normal equations: the item's X'X "
                                   "overflows; rescale it or use the log1p transform")
     coef[list(failures)] = np.nan
-    if stacked:
-        return RidgePayload(coef, failures)
-    if failures:
-        raise failures[0]
-    return RidgePayload(coef[0])
+    return RidgePayload(coef, failures)
 
 
 class LassoPayload:
@@ -269,20 +262,19 @@ def fit_lasso(X, Y, lam: float, max_sweeps: int = 500, tol: float = 1e-8) -> Las
 
 
 class PoissonPayload:
-    """coef has shape (1 + n_features, n_targets), bias first; a stack of
-    item fits has a leading item axis, with NaN coefficients for the items
-    listed in ``failures`` (item position -> error).  ``ll_histories``,
+    """coef has shape (items, 1 + n_features, n_targets), bias first, with
+    NaN coefficients for the items listed in ``failures``.  ``ll_histories``,
     ``converged`` and ``lstsq_fallbacks`` hold one entry per fit,
     item-major: item i's target c at i * n_targets + c."""
 
-    def __init__(self, coef, ll_histories, converged, lstsq_fallbacks, failures=None):
+    def __init__(self, coef, ll_histories, converged, lstsq_fallbacks, failures):
         self.coef = coef
         self.ll_histories = ll_histories
         self.converged = converged      # per fit: stopped on tol before max_iter
         # Per fit: the iterations whose IRLS system was singular, solved by
         # least squares.
         self.lstsq_fallbacks = lstsq_fallbacks
-        self.failures = failures or {}
+        self.failures = failures
 
     def predict_raw(self, X):
         eta = _with_bias(X) @ self.coef
@@ -308,23 +300,20 @@ def fit_poisson(X, Y, lam: float = 0.0, max_iter: int = 200,
     log-likelihood non-decreasing; fractional y >= 0 is accepted (quasi
     deviance).
 
+    One model per item of the stack X (items, n, k), Y (items, n, m).
     Every (item, target) fit runs in lockstep: one batched Gram product and
     one stacked solve per iteration, the halving masked over the fits still
     halving.  Only when the stacked solve raises is each fit solved alone;
     a singular system is solved by least squares and counted in
-    ``lstsq_fallbacks``.  X (n, k), Y (n, m) fit one model and raise the
-    error of a failed fit; a stack X (items, n, k), Y (items, n, m) fits
-    one model per item and lists an item whose fit fails in ``failures``.
+    ``lstsq_fallbacks``, and an item whose least squares fails is listed in
+    ``failures``.  Negative targets raise for the whole stack.
     ``converged`` is False for a fit that ran all ``max_iter`` iterations
     without the log-likelihood settling within ``tol``.
     """
     Xb = _with_bias(X)
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    Y = np.asarray(Y, dtype=float)
     if np.any(Y < 0):
         raise DomainError("Poisson regression requires non-negative targets")
-    stacked = Xb.ndim == 3
-    if not stacked:
-        Xb, Y = Xb[None], Y[None]
     items, n, k = Xb.shape
     m = Y.shape[-1]
     item = np.repeat(np.arange(items), m)
@@ -394,30 +383,24 @@ def fit_poisson(X, Y, lam: float = 0.0, max_iter: int = 200,
         failures.setdefault(int(item[f]), errors[f])
     coef = B.reshape(items, m, k).transpose(0, 2, 1)
     coef[list(failures)] = np.nan
-    payload = PoissonPayload(coef if stacked else coef[0], histories,
-                             converged.tolist(), fallbacks.tolist(), failures)
-    if not stacked and failures:
-        raise failures[0]
-    return payload
+    return PoissonPayload(coef, histories, converged.tolist(), fallbacks.tolist(), failures)
 
 
 class KernelRidgePayload:
-    """alpha (n_train, n_targets) and a float bandwidth; a stack of item
-    fits has a leading item axis on X_train and alpha and one bandwidth
-    per item.  ``lstsq_fallbacks`` holds one entry per item: 1 when its
-    K + lam*I was not positive definite and was solved by least squares,
-    else 0.  A stack's fit raises as a whole, so its ``failures`` (item
-    position -> error) stay empty."""
+    """X_train (items, n_train, k), alpha (items, n_train, n_targets) and
+    the bandwidth: one per item (median) or one float for all.
+    ``lstsq_fallbacks`` holds one entry per item: 1 when its K + lam*I was
+    not positive definite and was solved by least squares, else 0.  A fit
+    raises as a whole, so its ``failures`` stay empty."""
 
     def __init__(self, X_train, alpha, bandwidth, lstsq_fallbacks):
         self.X_train = X_train
-        self.alpha = alpha          # (n_train, n_targets)
+        self.alpha = alpha
         self.bandwidth = bandwidth
         self.lstsq_fallbacks = lstsq_fallbacks
         self.failures = {}
 
     def predict_raw(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
         K = rbf_kernel(X, self.X_train, self.bandwidth)
         return K @ self.alpha
 
@@ -525,19 +508,17 @@ KERNEL_MAX_BYTES = 2 ** 30
 
 
 def fit_kernel_ridge(X, Y, lam: float, bandwidth="median") -> KernelRidgePayload:
-    """RBF kernel ridge: alpha = (K + lam*I)^-1 Y.
-
-    X (n, k), Y (n, m) fit one model; a stack X (items, n, k), Y (items, n,
-    m) fits one model per item, with a median bandwidth per item, and a fit
-    is a stack of one.  Each item's n x n buffer holds its squared
+    """RBF kernel ridge: alpha = (K + lam*I)^-1 Y, one per item of the stack
+    X (items, n, k), Y (items, n, m), with a median bandwidth per item.
+    Each item's n x n buffer holds its squared
     distances, which give the median bandwidth, then K + lam*I in place,
     then its Cholesky factor beside it (``_kernel_solve``).  An item whose
     K + lam*I is not positive definite, such as one whose rows are all
     equal at lam = 0, is solved by least squares and counted in the
     payload's ``lstsq_fallbacks``."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    n = X.shape[-2]
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    n = X.shape[1]
     if (nbytes := X[..., 0].size * n * X.itemsize) > KERNEL_MAX_BYTES:
         raise HierfcstError(
             f"kernel ridge on {n} rows needs {nbytes} bytes of kernel matrices, over "
@@ -546,18 +527,14 @@ def fit_kernel_ridge(X, Y, lam: float, bandwidth="median") -> KernelRidgePayload
         bw = float(bandwidth)
         if bw <= 0:
             raise HierfcstError(f"kernel bandwidth must be > 0, got {bw}")
-    stacked = X.ndim == 3
-    Xs, Ys = (X, Y) if stacked else (X[None], Y[None])
-    K = _self_sq_dists(Xs)
+    K = _self_sq_dists(X)
     if bandwidth == "median":
         bw = _median_distance(K)
-        if not stacked:
-            bw = float(bw[0])
     K = _rbf_in_place(K, bw)
     diag = np.arange(n)
     K[:, diag, diag] += lam
-    alpha = np.empty(Ys.shape)
+    alpha = np.empty(Y.shape)
     fallbacks = [0] * len(K)
     for k in range(len(K)):
-        alpha[k], fallbacks[k] = _kernel_solve(K[k], Ys[k])
-    return KernelRidgePayload(X, alpha if stacked else alpha[0], bw, fallbacks)
+        alpha[k], fallbacks[k] = _kernel_solve(K[k], Y[k])
+    return KernelRidgePayload(X, alpha, bw, fallbacks)

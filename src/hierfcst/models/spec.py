@@ -138,6 +138,9 @@ class ModelSpec:
             raise HierfcstError(f"unknown transform {self.transform!r}")
         if self.feeding not in FEEDING_MODES:
             raise HierfcstError(f"unknown feeding mode {self.feeding!r}")
+        if self.label is not None and any(c in self.label for c in ',"\r\n'):
+            raise HierfcstError(f"label {self.label!r} holds a comma, a double quote or a "
+                                f"line break, which would corrupt leaderboard.csv rows")
         if self.family in SERIES_FAMILIES and self.feeding != "none":
             raise HierfcstError(f"{self.family} reads the series, not diagonal-feeding "
                                 f"rows: feeding must be 'none', got {self.feeding!r}")
@@ -187,6 +190,7 @@ class FittedModel:
     n_features: int
     n_targets: int
     transform: TargetTransform | None = None
+    n_items: int = 1                     # a stack of item fits: one model per item
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Predict in original quantity units: the stored inverse transform
@@ -200,12 +204,14 @@ class FittedModel:
     def predict_transformed(self, X: np.ndarray) -> np.ndarray:
         """Raw model output in transformed space (no inverse, no clipping).
 
-        X (rows, k) gives (rows, targets); a stack (items, rows, k) gives
-        (items, rows, targets), from item k's model when the model is a
-        stack of item fits.
+        X (..., rows, k) gives (..., rows, targets).  A stack of n > 1 item
+        fits takes X (n, rows, k) only and predicts X[i] by item i's model.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[-1] != self.n_features:
             raise HierfcstError(
                 f"expected {self.n_features} features, got {X.shape[-1]}")
-        return self.payload.predict_raw(X)
+        if self.n_items > 1 and X.shape[:-2] != (self.n_items,):
+            raise HierfcstError(f"a stack of {self.n_items} item fits predicts X "
+                                f"(items, rows, k), got shape {X.shape}")
+        return self.payload.predict_raw(X).reshape(X.shape[:-1] + (self.n_targets,))

@@ -4,12 +4,13 @@ split criteria and combination rules stay inspectable.
 
 The trees of one fit grow together, level by level (``_grow``): every tree
 of a forest, every bag of a bagged boost and every target column of a
-multi-output fit is split by one vectorised scan per depth.  A fit may be a
-stack of item fits, X (items, n, k): the stack is viewed as (items·n, k)
-and each tree's rows are offset by its item, so one level grows every
-item's trees.  Boosting rounds stay sequential, each round one batch.  A
-fit keeps one node table of all its trees (``_Nodes``), each model the ids
-of its trees in it, and ``predict`` walks all rows and trees at once.
+multi-output fit is split by one vectorised scan per depth.  A fit is a
+stack of item fits, X (items, n, k), a single fit a stack of one: the
+stack is viewed as (items·n, k) and each tree's rows are offset by its
+item, so one level grows every item's trees.  Boosting rounds stay
+sequential, each round one batch.  A fit keeps one node table of all its
+trees (``_Nodes``), each model the ids of its trees in it, and
+``predict`` walks all rows and trees at once.
 """
 
 from __future__ import annotations
@@ -165,18 +166,9 @@ def _as_xy(X, Y):
 
 def _stacked(models, X, Y):
     """A stack of fits as one: ``models[i * m + c]`` fits column c of item
-    i's Y, for X (items, n, k) and Y (items, n, m); a single fit's X (n, k)
-    and Y (n,) or (n, m) are a stack of one item.  Returns (X viewed as
-    (items·n, k), Y as (items·n, m), each model's first row in them, each
-    model's target column, n)."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim < 3:
-        X, Y = (a[None] for a in _as_xy(X, Y))
-    else:
-        Y = np.asarray(Y, dtype=float)
-        Y = Y[..., None] if Y.ndim == 2 else Y
-        if X.shape[:2] != Y.shape[:2] or X.shape[1] == 0:
-            raise HierfcstError("X and Y must share a positive row count")
+    i's Y, for X (items, n, k) and Y (items, n, m) of a positive row count.
+    Returns (X viewed as (items·n, k), Y as (items·n, m), each model's first
+    row in them, each model's target column, n)."""
     items, n, m = Y.shape
     if len(models) != items * m:
         raise HierfcstError(f"{len(models)} models for {items} items x {m} targets")
@@ -490,16 +482,15 @@ class RandomForest(_Ensemble):
     trees = property(_Ensemble.all_trees)
 
     def fit(self, X, y):
-        return self.fit_batch([self], X, np.ravel(y))[0]
+        return self.fit_batch([self], *(a[None] for a in _as_xy(X, np.ravel(y))))[0]
 
     @staticmethod
     def fit_batch(forests, X, Y):
-        """Fit ``forests[c]`` to column c of Y, all their trees grown together;
-        for a stack X (items, n, k), Y (items, n, m), ``forests[i * m + c]``
-        to column c of item i.  Bootstrap rows come from ``_forest_draws``.
-        With ``max_features < 1`` each forest's trees draw their feature
-        subsets from copies of the generators in the state a fit of that
-        forest alone leaves them."""
+        """Fit ``forests[i * m + c]`` to column c of item i of a stack X
+        (items, n, k), Y (items, n, m), all their trees grown together.
+        Bootstrap rows come from ``_forest_draws``.  With ``max_features <
+        1`` each forest's trees draw their feature subsets from copies of the
+        generators in the state a fit of that forest alone leaves them."""
         X, Y, first, col, n = _stacked(forests, X, Y)
         rows, draws = [], []
         for forest, start in zip(forests, first.tolist()):
@@ -548,14 +539,14 @@ class AdaBoostR2(_Ensemble):
     trees = property(_Ensemble.all_trees)
 
     def fit(self, X, y):
-        return self.fit_batch([self], X, np.ravel(y))[0]
+        return self.fit_batch([self], *(a[None] for a in _as_xy(X, np.ravel(y))))[0]
 
     @staticmethod
     def fit_batch(boosts, X, Y):
-        """Fit ``boosts[c]`` to column c of Y; for a stack X (items, n, k),
-        Y (items, n, m), ``boosts[i * m + c]`` to column c of item i.  Each
-        round grows the trees of every booster still boosting together and
-        books them by array code over those boosters.
+        """Fit ``boosts[i * m + c]`` to column c of item i of a stack X
+        (items, n, k), Y (items, n, m).  Each round grows the trees of every
+        booster still boosting together and books them by array code over
+        those boosters.
 
         A round's tree with zero error everywhere decides alone (log weight
         log 1e12) and ends its boosting.  One whose weighted average linear
@@ -685,15 +676,14 @@ class BaggedGradientBoost(_Ensemble):
         self.members = []
 
     def fit(self, X, y):
-        return self.fit_batch([self], X, np.ravel(y))[0]
+        return self.fit_batch([self], *(a[None] for a in _as_xy(X, np.ravel(y))))[0]
 
     @staticmethod
     def fit_batch(ensembles, X, Y):
-        """Fit ``ensembles[c]`` to column c of Y, boosting every bag of every
-        target together; for a stack X (items, n, k), Y (items, n, m),
-        ``ensembles[i * m + c]`` to column c of item i.  Bag rows depend only
-        on an ensemble's seed, bag count and n, so they are drawn once per
-        stack."""
+        """Fit ``ensembles[i * m + c]`` to column c of item i of a stack X
+        (items, n, k), Y (items, n, m), boosting every bag of every target
+        together.  Bag rows depend only on an ensemble's seed, bag count and
+        n, so they are drawn once per stack."""
         X, Y, first, col, n = _stacked(ensembles, X, Y)
         draws = {}
         members, rows = [], []
@@ -726,34 +716,28 @@ class BaggedGradientBoost(_Ensemble):
 
 
 class PerTargetPayload:
-    """Wraps one single-output model per target column, all fitted by one
-    ``fit_batch``, so they share one node table.  A stack of ``items`` item
-    fits wraps items × targets models, item-major, and predicts X (items,
-    rows, k) with item i's models at X[i] only.  A stacked tree fit raises
-    as a whole, so its ``failures`` (item position -> error) stay empty."""
+    """Wraps one single-output model per target column of each of ``items``
+    item fits, items × targets models, item-major, all fitted by one
+    ``fit_batch``, so they share one node table.  A tree fit raises as a
+    whole, so its ``failures`` (item position -> error) stay empty."""
 
-    def __init__(self, models, items=None):
+    def __init__(self, models, items):
         self.models = models
         self.items = items
         self.failures = {}
 
     def predict_raw(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        """(items, r, targets) predictions of X's rows, viewed as (items, r,
+        k): item i's models predict X's i-th block of r rows."""
+        X = np.asarray(X, dtype=float)
+        X = X.reshape(-1, X.shape[-1])
         ids = [m.ids for m in self.models]
         sizes = np.array([i.size for i in ids])
-        rows = None
-        if self.items is not None:
-            if X.ndim != 3 or X.shape[0] != self.items:
-                raise HierfcstError(f"a stack of {self.items} item fits predicts X "
-                                    f"(items, rows, k), got shape {X.shape}")
-            item = np.repeat(np.arange(len(self.models)) // (len(self.models) // self.items),
-                             sizes)
-            rows = item[:, None] * X.shape[1] + np.arange(X.shape[1])
+        r = len(X) // self.items
+        item = np.repeat(np.arange(len(self.models)) // (len(self.models) // self.items), sizes)
+        rows = item[:, None] * r + np.arange(r)
         nodes = self.models[0].nodes
-        preds = _walk(nodes, nodes.offsets[np.concatenate(ids)], X.reshape(-1, X.shape[-1]),
-                      rows)
+        preds = _walk(nodes, nodes.offsets[np.concatenate(ids)], X, rows)
         out = np.column_stack([m.combine(p) for m, p in
                                zip(self.models, np.split(preds, np.cumsum(sizes)[:-1]))])
-        if self.items is None:
-            return out.reshape(X.shape[:-1] + (-1,))
-        return out.reshape(X.shape[1], self.items, -1).swapaxes(0, 1)
+        return out.reshape(r, self.items, -1).swapaxes(0, 1)

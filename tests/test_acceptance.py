@@ -255,14 +255,14 @@ def test_model_zoo_oracles():
         X = rng.normal(size=(30, 4))
         y = rng.normal(size=30)
         lam = 0.7
-        payload = fit_ridge(X, y[:, None], lam)
+        payload = fit_ridge(X[None], y[None, :, None], lam)   # a stack of one
         Xb = np.hstack([np.ones((30, 1)), X])
         D = np.eye(5) * lam
         D[0, 0] = 0.0
         ref = gradient_descent(
             lambda b: 0.5 * np.sum((Xb @ b - y) ** 2) + 0.5 * b @ D @ b,
             lambda b: Xb.T @ (Xb @ b - y) + D @ b, np.zeros(5))
-        np.testing.assert_allclose(payload.coef[:, 0], ref, atol=1e-6)
+        np.testing.assert_allclose(payload.coef[0, :, 0], ref, atol=1e-6)
 
         # lasso sweep monotonicity
         Xl = rng.normal(size=(25, 6))
@@ -273,8 +273,8 @@ def test_model_zoo_oracles():
 
         # Poisson noise-free recovery
         xp = np.arange(10.0)
-        beta = fit_poisson(xp[:, None], np.exp(1.0 + 2.0 * xp)[:, None],
-                           lam=0.0, max_iter=500, tol=1e-14).coef[:, 0]
+        beta = fit_poisson(xp[None, :, None], np.exp(1.0 + 2.0 * xp)[None, :, None],
+                           lam=0.0, max_iter=500, tol=1e-14).coef[0, :, 0]
         assert abs(beta[0] - 1.0) < 1e-4 and abs(beta[1] - 2.0) < 1e-4
 
         # single-tree / forest degenerate equivalence

@@ -11,7 +11,7 @@ from hierfcst.errors import HierfcstError
 from hierfcst.cli import (STAGE_EXIT, load_selector, load_specs,
                           load_stored_model, main, run_pipeline, stage_seed)
 from hierfcst.evaluate import BacktestSplit, _build_design, frame_leads
-from hierfcst.models import default_hyperparams, fit
+from hierfcst.models import ModelSpec, default_hyperparams, fit
 from hierfcst.preprocess import TargetTransform, load_supervised
 
 from oracles import training_rows
@@ -182,6 +182,38 @@ class TestStages:
         assert payload["spec"]["family"] == "ridge"
         assert payload["model"].n_targets == 10  # H=4 window: H*(H+1)/2 cells
 
+    def test_train_isolates_a_failing_item(self, tmp_path, capsys):
+        tensor = ds.synthesize(3, 6, 45, 4, "anticipatory")
+        tensor.values[3] = 5.0         # constant: singular normal equations at lam = 0
+        data = tmp_path / "tensor.npz"
+        ds.save_cache(tensor, data)
+        specs = tmp_path / "specs.ini"
+        specs.write_text("[r0]\nfamily = ridge\nlam = 0\nfeeding = df_one_by_one\n\n"
+                         "[pooled]\nfamily = ridge\nfeeding = df_all_items\n")
+        out = tmp_path / "models"
+        assert main(["train", "--spec", str(specs), "--data", str(data),
+                     "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.glob("*.pkl")) == (
+            ["pooled__ALL.pkl"] + [f"r0__item{i:04d}.pkl" for i in (0, 1, 2, 4, 5)])
+        message = ("IllConditionedError: singular normal equations; "
+                   "increase the ridge penalty lam above 0")
+        assert f"train: r0 item0003: {message}" in capsys.readouterr().err
+        record = configparser.ConfigParser()
+        record.read(out / "run_config.ini")
+        assert dict(record["train"], version="") == {
+            "version": "", "data": str(data), "spec": str(specs), "out": str(out),
+            "train_periods": "37", "test_periods": "8", "n_models": "6",
+            "n_failures": "1", "failure.r0__item0003": message}
+        assert not (out / "INCOMPLETE").exists()
+
+    def test_train_failure_marks_its_store_directory(self, tmp_path, specs_file):
+        out = tmp_path / "models"
+        code = main(["train", "--spec", specs_file, "--data", str(tmp_path / "missing.npz"),
+                     "--out", str(out)])
+        assert code == STAGE_EXIT["train"]
+        assert "stage=train" in (out / "INCOMPLETE").read_text()
+        assert not (tmp_path / "INCOMPLETE").exists()
+
     def test_backtest_writes_leaderboard(self, tmp_path, tensor_cache, specs_file):
         out = tmp_path / "board.csv"
         assert main(["backtest", "--specs", specs_file, "--data", tensor_cache,
@@ -254,6 +286,14 @@ class TestSpecParsing:
                      "--out", str(tmp_path / "x.csv")])
         assert code == STAGE_EXIT["backtest"]
         assert not (tmp_path / "x.csv").exists()  # no partial artifact
+
+    def test_label_that_breaks_a_leaderboard_row(self, tmp_path):
+        # A section name is the spec's label, a leaderboard row's first field.
+        bad = tmp_path / "bad.ini"
+        bad.write_text("[r0, pooled]\nfamily = ridge\nfeeding = df_all_items\n")
+        with pytest.raises(HierfcstError, match="spec 'r0, pooled': label 'r0, pooled' holds "
+                                                "a comma, a double quote or a line break"):
+            load_specs(str(bad))
 
     def test_missing_family_key(self, tmp_path):
         p = tmp_path / "nf.ini"
@@ -419,6 +459,14 @@ class TestArtifactsAndRecords:
                                      "model": [trees.RegressionTree()]}))
         with pytest.raises(HierfcstError, match="unsupported model store version in .*v2.pkl"):
             load_stored_model(v2)
+        # A single tree fit before every single fit was a stack of one.
+        model = fit(ModelSpec("rforest", {"n_trees": 2}), np.ones((4, 2)), np.ones((4, 1)))
+        model.payload.items = None
+        v3 = tmp_path / "v3.pkl"
+        v3.write_bytes(pickle.dumps({"format_version": 3, "item": "A", "spec": {},
+                                     "model": model}))
+        with pytest.raises(HierfcstError, match="unsupported model store version in .*v3.pkl"):
+            load_stored_model(v3)
 
     def test_clip_negative_key_fails_stage(self, tmp_path):
         # Every forecast is clipped at zero: there is no key to turn it off.

@@ -521,10 +521,10 @@ class TestKernelMemoryBudget:
 
     def test_default_budget_stops_the_paper_scale_pooled_design(self):
         # One matrix of 11,585 rows fits in 1 GiB; the pooled design of
-        # 2562 items x 33 anchors would take 57 GB.  Only X (84,546 x 10)
-        # is allocated here.
+        # 2562 items x 33 anchors would take 57 GB.  Only X, a stack of one
+        # (84,546 x 10) item, is allocated here.
         assert 11585 ** 2 * 8 <= linear.KERNEL_MAX_BYTES < 11586 ** 2 * 8
-        X = np.zeros((2562 * 33, 10))
+        X = np.zeros((1, 2562 * 33, 10))
         with pytest.raises(HierfcstError, match="84546 rows needs 57184208928 bytes"):
             linear.fit_kernel_ridge(X, X, 1e-4)
 

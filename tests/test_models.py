@@ -11,7 +11,7 @@ from hierfcst.errors import (DomainError, HierfcstError, IllConditionedError,
 from hierfcst.evaluate import smape
 from hierfcst.models import (AdaBoostR2, BaggedGradientBoost, GradientBoost,
                              ModelSpec, RandomForest, RegressionTree,
-                             default_hyperparams, fit, fit_arx)
+                             FEEDING_MODES, default_hyperparams, fit, fit_arx)
 from hierfcst.models.arx import fit_arx_payload, lag_matrix
 from hierfcst.models import linear
 from hierfcst.models.linear import (_cho_solve, _self_sq_dists, fit_kernel_ridge,
@@ -67,6 +67,23 @@ class TestOneGate:
             ModelSpec(family, feeding=feeding)
 
 
+    @pytest.mark.parametrize("label", ["r0, pooled", 'say "ridge"', "a\rb", "a\nb"])
+    def test_label_rejects_what_breaks_a_csv_row(self, label):
+        with pytest.raises(HierfcstError, match="holds a comma, a double quote or a line"):
+            ModelSpec("ridge", label=label)
+
+    def test_default_names_are_valid_labels(self):
+        for family in ("ridge", "lasso", "poisson", "kernel", "rforest", "adaboost",
+                       "ensemble"):
+            for feeding in FEEDING_MODES:
+                for kind in ("identity", "log1p", "minmax"):
+                    name = ModelSpec(family, transform=kind, feeding=feeding).name
+                    assert ModelSpec(family, label=name).name == name
+        for exog in ("none", "preorders"):
+            name = ModelSpec("arx", {"exog": exog}).name
+            assert ModelSpec("arx", label=name).name == name
+
+
 class TestModelSpec:
     def test_out_of_scope_families_rejected(self):
         for family in ("bsts", "bsts_classifier", "nn", "svr", "arima", "arimax"):
@@ -112,7 +129,7 @@ class TestRidge:
     def test_two_point_ols(self):
         model = fit(ModelSpec("ridge", {"lam": 0.0}),
                     np.array([[0.0], [1.0]]), np.array([[1.0], [3.0]]))
-        coef = model.payload.coef
+        coef = model.payload.coef[0]        # a single fit is a stack of one
         assert abs(coef[0, 0] - 1.0) < 1e-12  # intercept
         assert abs(coef[1, 0] - 2.0) < 1e-12  # slope
 
@@ -121,7 +138,7 @@ class TestRidge:
         for lam in (0.0, 0.3, 2.0):
             X = rng.normal(size=(40, 4))
             y = rng.normal(size=40)
-            payload = fit_ridge(X, y[:, None], lam)
+            payload = fit_ridge(X[None], y[None, :, None], lam)
             Xb = np.hstack([np.ones((40, 1)), X])
             D = np.eye(5) * lam
             D[0, 0] = 0.0
@@ -134,17 +151,18 @@ class TestRidge:
                 return Xb.T @ (Xb @ b - y) + D @ b
 
             ref = gradient_descent(f, g, np.zeros(5))
-            np.testing.assert_allclose(payload.coef[:, 0], ref, atol=1e-6)
+            np.testing.assert_allclose(payload.coef[0, :, 0], ref, atol=1e-6)
 
     def test_singular_unpenalized_raises(self):
         X = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])  # duplicate columns
         with pytest.raises(IllConditionedError) as err:
-            fit_ridge(X, np.array([[1.0], [2.0], [3.0]]), 0.0)
+            fit(ModelSpec("ridge", {"lam": 0.0}), X, np.array([[1.0], [2.0], [3.0]]))
         assert "lam" in str(err.value)
 
     def test_penalty_fixes_singularity(self):
         X = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
-        payload = fit_ridge(X, np.array([[1.0], [2.0], [3.0]]), 0.1)
+        payload = fit_ridge(X[None], np.array([[[1.0], [2.0], [3.0]]]), 0.1)
+        assert not payload.failures
         assert np.all(np.isfinite(payload.coef))
 
 
@@ -180,9 +198,9 @@ class TestPoisson:
     def test_noise_free_recovery(self):
         x = np.arange(10.0)
         y = np.exp(1.0 + 2.0 * x)
-        payload = fit_poisson(x[:, None], y[:, None], lam=0.0, max_iter=500,
+        payload = fit_poisson(x[None, :, None], y[None, :, None], lam=0.0, max_iter=500,
                               tol=1e-14)
-        beta = payload.coef[:, 0]
+        beta = payload.coef[0, :, 0]
         assert abs(beta[0] - 1.0) < 1e-4
         assert abs(beta[1] - 2.0) < 1e-4
         Xb = np.hstack([np.ones((10, 1)), x[:, None]])
@@ -193,7 +211,7 @@ class TestPoisson:
         rng = np.random.default_rng(4)
         X = rng.normal(size=(60, 3))
         y = rng.poisson(np.exp(0.3 + X @ np.array([0.5, -0.2, 0.1]))).astype(float)
-        payload = fit_poisson(X, y[:, None], lam=0.0)
+        payload = fit_poisson(X[None], y[None, :, None], lam=0.0)
         hist = np.array(payload.ll_histories[0])
         assert np.all(np.diff(hist) >= -1e-9 * (1 + np.abs(hist[:-1])))
 
@@ -201,12 +219,12 @@ class TestPoisson:
         rng = np.random.default_rng(5)
         X = rng.normal(size=(40, 2))
         y = rng.uniform(0.0, 1.0, size=(40, 1))  # min-max style targets
-        payload = fit_poisson(X, y, lam=1e-6)
+        payload = fit_poisson(X[None], y[None], lam=1e-6)
         assert np.all(np.isfinite(payload.coef))
 
     def test_negative_targets_rejected(self):
         with pytest.raises(DomainError):
-            fit_poisson(np.ones((3, 1)), np.array([[1.0], [-0.5], [2.0]]))
+            fit(ModelSpec("poisson"), np.ones((3, 1)), np.array([[1.0], [-0.5], [2.0]]))
 
 
 class TestKernelRidge:
@@ -226,7 +244,8 @@ class TestKernelRidge:
     def test_one_row_takes_the_unit_bandwidth(self):
         # One row has no pairwise distance to take the median of.
         spec = ModelSpec("kernel")
-        assert fit(spec, [[2.0, 3.0]], [[5.0]]).payload.bandwidth == 1.0
+        np.testing.assert_array_equal(fit(spec, [[2.0, 3.0]], [[5.0]]).payload.bandwidth,
+                                      [1.0])
         stacked = fit(spec, np.ones((3, 1, 2)), np.ones((3, 1, 1)))
         np.testing.assert_array_equal(stacked.payload.bandwidth, [1.0, 1.0, 1.0])
 
@@ -347,7 +366,7 @@ class TestArx:
             y[0], y[1] = rng.normal(size=2)
             for t in range(2, 1000):
                 y[t] = a1 * y[t - 1] + a2 * y[t - 2] + 0.1 * rng.standard_normal()
-            estimates.append(fit_arx(y, p=2).payload.phi)
+            estimates.append(fit_arx(y, p=2).payload.phi[0])
         mean_phi = np.mean(estimates, axis=0)
         assert abs(mean_phi[0] - a1) < 1e-2
         assert abs(mean_phi[1] - a2) < 1e-2
@@ -359,8 +378,8 @@ class TestArx:
         for t in range(1, 60):
             y[t] = 0.4 * y[t - 1] + 2.0 * ex[t, 0]
         model = fit_arx(y, exog=ex, p=1)
-        assert abs(model.payload.phi[0] - 0.4) < 1e-8
-        assert abs(model.payload.beta[0] - 2.0) < 1e-8
+        assert abs(model.payload.phi[0, 0] - 0.4) < 1e-8
+        assert abs(model.payload.beta[0, 0] - 2.0) < 1e-8
 
     def test_too_short_series(self):
         with pytest.raises(HierfcstError):
@@ -384,6 +403,37 @@ class TestFitPredictSurface:
         X[0, 0] = np.nan
         with pytest.raises(DomainError):
             fit(ModelSpec("ridge"), X, np.ones((4, 1)))
+
+    @pytest.mark.parametrize("family", ["ridge", "lasso", "poisson", "kernel", "rforest",
+                                        "adaboost", "ensemble"])
+    def test_single_fit_predicts_rows_of_any_leading_shape(self, family):
+        # A single fit is a stack of one: a stack of rows gets, item by
+        # item, the bits of that item's rows predicted alone.
+        rng = np.random.default_rng(18)
+        model = fit(ModelSpec(family), rng.gamma(2.0, size=(20, 3)),
+                    rng.gamma(2.0, size=(20, 2)))
+        x = rng.gamma(2.0, size=(4, 5, 3))
+        out = model.predict_transformed(x)
+        assert out.shape == (4, 5, 2)
+        for i in range(len(x)):
+            assert out[i].tobytes() == model.predict_transformed(x[i]).tobytes()
+        assert model.predict_transformed(x[0, 0]).shape == (1, 2)
+
+    @pytest.mark.parametrize("family", ["ridge", "poisson", "kernel", "rforest", "adaboost",
+                                        "ensemble", "arx"])
+    def test_stack_predicts_only_one_set_of_rows_per_item(self, family):
+        rng = np.random.default_rng(19)
+        if family == "arx":
+            model = fit_arx(rng.gamma(2.0, size=(3, 20)), p=2)
+            x = lag_matrix(rng.gamma(2.0, size=(3, 8)), 2)[0]
+        else:
+            model = fit(ModelSpec(family), rng.gamma(2.0, size=(3, 20, 2)),
+                        rng.gamma(2.0, size=(3, 20, 2)))
+            x = rng.gamma(2.0, size=(3, 6, 2))
+        assert model.predict_transformed(x).shape == x.shape[:-1] + (model.n_targets,)
+        for bad in (x[0], x[:2], x[:1], x[None], np.concatenate([x, x])):
+            with pytest.raises(HierfcstError, match="a stack of 3 item fits predicts X"):
+                model.predict_transformed(bad)
 
     def test_negative_predictions_clipped(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
@@ -463,7 +513,7 @@ class TestPoissonConverged:
 
     def test_capped_fit_is_not_converged(self):
         X, Y = self._problem()
-        payload = fit_poisson(X, Y, lam=0.0, max_iter=1)
+        payload = fit_poisson(X[None], Y[None], lam=0.0, max_iter=1)
         assert [len(h) - 1 for h in payload.ll_histories] == [1, 1]
         assert payload.converged == [False, False]
 
@@ -483,15 +533,15 @@ def assert_poisson_matches_one_fit_at_a_time(X, Y, lam, max_iter):
     """fit_poisson's lockstep fits of a stack X (items, n, k), Y (items, n, m)
     give each (item, target) fit alone, bit for bit: coefficients,
     log-likelihood histories, converged and lstsq fallbacks; so does the
-    fit of each item on its own."""
+    fit of each item on its own, a stack of one."""
     payload = fit_poisson(X, Y, lam, max_iter)
     m = Y.shape[-1]
     for i in range(len(X)):
         coef, histories, converged, fallbacks = poisson_fits(X[i], Y[i], lam, max_iter)
-        alone = fit_poisson(X[i], Y[i], lam, max_iter)
+        alone = fit_poisson(X[i:i + 1], Y[i:i + 1], lam, max_iter)
         fits = slice(i * m, (i + 1) * m)
         for coefs, lls in ((payload.coef[i], payload.ll_histories[fits]),
-                           (alone.coef, alone.ll_histories)):
+                           (alone.coef[0], alone.ll_histories)):
             assert _bits(coefs) == _bits(coef)
             assert [_bits(h) for h in lls] == [_bits(h) for h in histories]
         assert payload.converged[fits] == alone.converged == converged
@@ -562,9 +612,10 @@ class TestPoissonLockstep:
         assert str(payload.failures[1]) == "SVD did not converge in Linear Least Squares"
         assert np.isnan(payload.coef[1]).all()
         for i in (0, 2):
-            assert _bits(payload.coef[i]) == _bits(fit_poisson(X[i], Y[i], 0.0).coef)
+            alone = fit_poisson(X[i:i + 1], Y[i:i + 1], 0.0)
+            assert _bits(payload.coef[i]) == _bits(alone.coef[0])
         with pytest.raises(np.linalg.LinAlgError):
-            fit_poisson(X[1], Y[1], 0.0)
+            fit(ModelSpec("poisson", {"lam": 0.0}), X[1], Y[1])
 
     def test_negative_target_rejects_the_stack(self):
         X, Y, _, _ = _poisson_stack(5)
@@ -619,14 +670,15 @@ class TestLapackHandles:
                 assert np.isnan(payload.coef[k]).all()
                 cls = IllConditionedError if k in singular else DomainError
                 with pytest.raises(cls) as err:
-                    fit_ridge(X[k], Y[k], lam)
+                    fit(ModelSpec("ridge", {"lam": lam}), X[k], Y[k])
                 assert type(payload.failures[k]) is cls
                 assert str(payload.failures[k]) == str(err.value)
             else:
                 A, B = normal_equations(X[k], Y[k], lam)
                 want = cho_solve(cho_factor(A, check_finite=False), B, check_finite=False)
                 assert payload.coef[k].tobytes() == want.tobytes()
-                assert fit_ridge(X[k], Y[k], lam).coef.tobytes() == want.tobytes()
+                alone = fit(ModelSpec("ridge", {"lam": lam}), X[k], Y[k]).payload
+                assert alone.coef[0].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("with_exog", [False, True])
     def test_arx_matches_lstsq_item_by_item(self, with_exog, capfd):
@@ -650,7 +702,7 @@ class TestLapackHandles:
                 assert type(payload.failures[i]) is DomainError
                 assert np.isnan(coef).all()
                 with pytest.raises(DomainError, match=str(payload.failures[i])):
-                    fit_arx_payload(series[i], None if exog is None else exog[i], p)
+                    fit_arx(series[i], None if exog is None else exog[i], p)
             else:
                 assert coef.tobytes() == np.linalg.lstsq(Xb, y, rcond=None)[0].tobytes()
         # Non-finite items fail before LAPACK, whose error handler would
@@ -694,15 +746,14 @@ class TestKernelFitOneDistanceMatrix:
     @pytest.mark.parametrize("shape", [(6, 33, 10), (200, 10)])
     def test_stacked_and_pooled_fits_bit_for_bit(self, lam, shape):
         X, Y = kernel_case(shape)
+        # The pooled design is a single fit: a stack of one.
+        X, Y = (X, Y) if X.ndim == 3 else (X[None], Y[None])
         payload = fit_kernel_ridge(X, Y, lam)
-        items = zip(X, Y) if X.ndim == 3 else [(X, Y)]
-        bw, alpha = zip(*(kernel_fit(x, y, lam) for x, y in items))
-        if X.ndim == 2:
-            bw, alpha = bw[0], alpha[0]
-        assert np.asarray(payload.bandwidth).tobytes() == np.asarray(bw).tobytes()
+        bw, alpha = zip(*(kernel_fit(x, y, lam) for x, y in zip(X, Y)))
+        assert payload.bandwidth.tobytes() == np.asarray(bw).tobytes()
         assert payload.alpha.tobytes() == np.asarray(alpha).tobytes()
         np.testing.assert_array_equal(median_bandwidth(X), bw)
-        assert payload.lstsq_fallbacks == [0] * (len(X) if X.ndim == 3 else 1)
+        assert payload.lstsq_fallbacks == [0] * len(X)
 
     @pytest.mark.parametrize("shape", [(6, 33, 10), (990, 10)])
     def test_self_distances_exactly_symmetric(self, shape):
@@ -749,7 +800,7 @@ class TestKernelFitOneDistanceMatrix:
         monkeypatch.setattr(np.linalg, "solve", no_solve)
         X, Y = kernel_case((6, 33, 10))
         fit_kernel_ridge(X, Y, 1e-3)
-        fit_kernel_ridge(X[0], Y[0], 1e-3)
+        fit_kernel_ridge(X[:1], Y[:1], 1e-3)
         assert calls == [(33, 33)] * 7
 
     def test_not_positive_definite_item_falls_back_to_lstsq(self):
@@ -765,16 +816,16 @@ class TestKernelFitOneDistanceMatrix:
         K = np.exp(-_self_sq_dists(X[1][None])[0] / (2.0 * float(payload.bandwidth[1]) ** 2))
         want = np.linalg.lstsq(K, Y[1], rcond=None)[0]
         assert payload.alpha[1].tobytes() == want.tobytes()
-        alone = fit_kernel_ridge(X[1], Y[1], 0.0)
+        alone = fit_kernel_ridge(X[1:2], Y[1:2], 0.0)
         assert alone.lstsq_fallbacks == [1]
-        assert alone.alpha.tobytes() == want.tobytes()
+        assert alone.alpha[0].tobytes() == want.tobytes()
 
     def test_pooled_fit_peak_memory(self):
         # 990 rows: the pooled df_all_items design of 30 items.
         n = 990
         rng = np.random.default_rng(15)
-        X = rng.gamma(0.5, 20, size=(n, 10))
-        Y = rng.gamma(0.5, 20, size=(n, 10))
+        X = rng.gamma(0.5, 20, size=(1, n, 10))
+        Y = rng.gamma(0.5, 20, size=(1, n, 10))
         fit_kernel_ridge(X, Y, 1e-3)
         tracemalloc.start()
         try:
@@ -811,10 +862,9 @@ class TestKernelStackMatchesItemFits:
         X, Y, lam = case
         payload = fit_kernel_ridge(X, Y, lam)
         for k in range(len(X)):
-            alone = fit_kernel_ridge(X[k], Y[k], lam)
-            assert type(alone.bandwidth) is float
-            assert alone.bandwidth == payload.bandwidth[k]
-            assert alone.alpha.tobytes() == payload.alpha[k].tobytes()
+            alone = fit_kernel_ridge(X[k:k + 1], Y[k:k + 1], lam)
+            assert alone.bandwidth.tobytes() == payload.bandwidth[k:k + 1].tobytes()
+            assert alone.alpha.tobytes() == payload.alpha[k:k + 1].tobytes()
             assert alone.lstsq_fallbacks == [payload.lstsq_fallbacks[k]]
             bw, alpha = kernel_fit(X[k], Y[k], lam)
-            assert (bw, alpha.tobytes()) == (alone.bandwidth, alone.alpha.tobytes())
+            assert (bw, alpha.tobytes()) == (alone.bandwidth[0], alone.alpha[0].tobytes())

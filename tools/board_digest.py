@@ -20,7 +20,11 @@ and log1p transforms on synthesize(7, 60, 45, 4), whose pooled fit has
 1,980 rows; and `nodf-40` of ridge, kernel, lasso, Poisson and `rforest`
 without feeding under every transform on synthesize(7, 40, 45, 4): the
 no-feeding route, where lasso's identity forecasts go below zero and are
-clipped.
+clipped.  One more line, `train-40`, is the diagonal-feeding digest of
+the models `hierfcst train` stores for ridge, lasso, Poisson, kernel,
+`rforest`, `adaboost` and `ensemble` (small tree counts), each with
+`df_one_by_one` and `df_all_items`, on synthesize(7, 40, 45, 4): every
+family's single-fit route.
 
     python tools/board_digest.py [seed ...]        # seeds 1 2 3 by default
 
@@ -85,15 +89,15 @@ def _update(digest, name, value):
         digest.update(repr(value).encode())
 
 
-def feeding_digest(tensor, work_dir):
+def feeding_digest(tensor, work_dir, spec_ini):
     """sha256 of the supervised cache `hierfcst transform` writes at the
     identity transform and the workload's split, and of the predictions of
-    the models `hierfcst train` stores for the pipeline's specs, in file
-    name order."""
+    the models `hierfcst train` stores for the specs of the INI text
+    spec_ini, in file name order."""
     data, sup, store, specs = (os.path.join(work_dir, name) for name in
                                ("tensor.npz", "supervised.npz", "store", "specs.ini"))
     dataset.save_cache(tensor, data)
-    Path(specs).write_text(PIPELINE_SPECS.replace("[spec:", "["), encoding="utf-8")
+    Path(specs).write_text(spec_ini, encoding="utf-8")
     split = [f"--train-periods={SPLIT.train_periods}", f"--test-periods={SPLIT.test_periods}"]
     with contextlib.redirect_stdout(io.StringIO()):
         for argv in (["transform", "--data", data, "--kind", "identity",
@@ -128,7 +132,8 @@ for seed in [int(a) for a in sys.argv[1:]] or [1, 2, 3]:
             if name == "catalog-select":
                 print(f"{name}:select", seed,
                       selection_digest(workload.tensor, board, work_dir))
-                print(f"{name}:df", seed, feeding_digest(workload.tensor, work_dir))
+                print(f"{name}:df", seed, feeding_digest(
+                    workload.tensor, work_dir, PIPELINE_SPECS.replace("[spec:", "[")))
 
 zoo = [ModelSpec(family, transform=kind, feeding="df_one_by_one")
        for family in ("lasso", "poisson") for kind in ("identity", "log1p", "minmax")]
@@ -145,6 +150,17 @@ kernels = [ModelSpec("kernel", transform=kind, feeding=feeding)
            for feeding in ("df_all_items", "df_one_by_one") for kind in ("identity", "log1p")]
 print("kernel-60", board_digest(evaluate.backtest(
     hierfcst.synthesize(7, 60, 45, 4, "anticipatory"), kernels, SPLIT)))
+
+small_trees = {"rforest": "n_trees = 5", "adaboost": "rounds = 5",
+               "ensemble": "n_bags = 2\nboost_rounds = 5"}
+train_ini = "".join(f"[{family}_{feeding}]\nfamily = {family}\nfeeding = {feeding}\n"
+                    f"{small_trees.get(family, '')}\n"
+                    for family in ("ridge", "lasso", "poisson", "kernel", "rforest",
+                                   "adaboost", "ensemble")
+                    for feeding in ("df_one_by_one", "df_all_items"))
+with tempfile.TemporaryDirectory() as work_dir:
+    print("train-40", feeding_digest(hierfcst.synthesize(7, 40, 45, 4, "anticipatory"),
+                                     work_dir, train_ini))
 
 nodf = [ModelSpec(family, transform=kind)
         for family in ("ridge", "kernel", "lasso", "poisson", "rforest")
