@@ -2,12 +2,12 @@
 
 Subcommands: ingest, synth, transform, train, trmf, backtest, select,
 report, pipeline.  `pipeline` runs ingest or synth, backtest, select and
-report; `transform` exports the training design the backtest builds for
-itself.  Every run resolves its configuration (built-in defaults
-< config file < explicit flags), writes the resolved key/value table next
-to its outputs, and derives all stage randomness from one master seed, so
-re-running a recorded config reproduces outputs byte-for-byte.  The tool is
-fully offline.
+report from one config file.  Every run writes a record next to its outputs
+(configparser, no interpolation): a [<command>] section with the version,
+every flag under its argparse dest and what the run worked out, then one
+[spec:NAME] section per spec.  The pipeline records its resolved config,
+which re-runs to the same artifacts.  All stage randomness derives from
+one master seed.  The tool is fully offline.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import argparse
 import configparser
 import contextlib
 import glob
+import io
 import os
 import pickle
 import sys
@@ -51,6 +52,7 @@ PIPELINE_ARTIFACTS = ("leaderboard.csv", "graph.json", "graph.dot", "selector.bi
 _SPLIT = ev.BacktestSplit()
 _SYNTH_ITEMS, _SYNTH_PERIODS, _SYNTH_REGIME = 20, 45, "smooth"
 _MIN_CLUSTER_FRAC = 0.05
+_OUT_DIR = "runs/latest"
 
 
 def stage_seed(master_seed: int, stage: str) -> int:
@@ -96,16 +98,34 @@ def _mark_incomplete(out_dir, stage, message):
                       f"stage={stage}\nerror={message}\n")
 
 
-def write_run_config(path, stage: str, resolved: dict):
-    lines = [f"[{stage}]", f"version = {__version__}"]
-    lines += [f"{key} = {resolved[key]}" for key in sorted(resolved)]
-    _atomic_write(path, "\n".join(lines) + "\n")
+# Every INI file is read and written without interpolation, so a `%` in a
+# path or label reads back as written.
+def _read_ini(path, what: str) -> configparser.ConfigParser:
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        if parser.read(path):
+            return parser
+    except configparser.Error as exc:
+        raise HierfcstError(f"cannot read {what} {path}: {exc}") from exc
+    raise HierfcstError(f"cannot read {what} {path}")
 
 
-def _spec_records(specs) -> dict:
-    """The run-record entries spec.<name>.<key> of every spec."""
-    return {f"spec.{spec.name}.{k}": v
-            for spec in specs for k, v in spec.resolved_config().items()}
+def write_run_config(path, stage: str, record: dict, specs=(), tables=None):
+    """Write a run record: [stage] holds the version and record, then come
+    the sections of tables and one [spec:NAME] section per spec."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_dict({stage: {"version": __version__, **record}, **(tables or {}),
+                      **{f"spec:{spec.name}": spec.section() for spec in specs}})
+    with io.StringIO() as text:
+        parser.write(text)
+        _atomic_write(path, text.getvalue())
+
+
+def _record(args, path, specs=(), **worked_out):
+    """Write a subcommand's run record: its flags by dest, overridden by
+    what the run worked out."""
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
+    write_run_config(path, args.command, {**flags, **worked_out}, specs)
 
 
 # ---------------------------------------------------------------------------
@@ -113,11 +133,6 @@ def _spec_records(specs) -> dict:
 # ---------------------------------------------------------------------------
 
 _SPEC_META_KEYS = ("family", "feeding", "transform", "label")
-
-
-def _section(parser, name) -> dict:
-    """The keys of an INI section; an absent section has none."""
-    return dict(parser.items(name)) if parser.has_section(name) else {}
 
 
 def spec_from_mapping(name: str, mapping: dict) -> ModelSpec:
@@ -137,10 +152,8 @@ def spec_from_mapping(name: str, mapping: dict) -> ModelSpec:
 
 def load_specs(path) -> list:
     """Parse one ModelSpec per section of an INI file."""
-    parser = configparser.ConfigParser()
-    if not parser.read(path):
-        raise HierfcstError(f"cannot read spec config {path}")
-    specs = [spec_from_mapping(s, _section(parser, s)) for s in parser.sections()]
+    parser = _read_ini(path, "spec config")
+    specs = [spec_from_mapping(s, dict(parser[s])) for s in parser.sections()]
     if not specs:
         raise HierfcstError(f"no spec sections in {path}")
     return specs
@@ -198,11 +211,8 @@ def _safe_name(name: str) -> str:
 
 def cmd_ingest(args):
     tensor = _ingest(args.input, args.output, args.strict, args.max_lead)
-    write_run_config(f"{args.output}.run.ini", "ingest", {
-        "input": args.input, "output": args.output,
-        "strict": args.strict, "max_lead": args.max_lead,
-        "n_items": tensor.n_items, "n_periods": tensor.n_periods,
-        "n_leads": tensor.n_leads})
+    _record(args, f"{args.output}.run.ini", n_items=tensor.n_items,
+            n_periods=tensor.n_periods, n_leads=tensor.n_leads)
     print(f"ingested {tensor.n_items} items x {tensor.n_periods} periods "
           f"x {tensor.n_leads} leads -> {args.output}")
     return 0
@@ -211,9 +221,7 @@ def cmd_ingest(args):
 def cmd_synth(args):
     seed = args.seed if args.seed is not None else stage_seed(args.master_seed, "synth")
     _synth(args.output, seed, args.items, args.periods, args.leads, args.regime)
-    write_run_config(f"{args.output}.run.ini", "synth", {
-        "seed": seed, "items": args.items, "periods": args.periods,
-        "leads": args.leads, "regime": args.regime, "output": args.output})
+    _record(args, f"{args.output}.run.ini", seed=seed)
     print(f"synthesized {args.regime} tensor ({args.items} items, "
           f"T={args.periods}, H={args.leads}) -> {args.output}")
     return 0
@@ -225,10 +233,7 @@ def cmd_transform(args):
     split = ev.BacktestSplit(args.train_periods)
     sset = build_training_set(tensor, **ev.df_training_rows(tensor, args.kind, split))
     save_supervised(sset, args.output)
-    write_run_config(f"{args.output}.run.ini", "transform", {
-        "data": args.data, "kind": args.kind, "leads": sset.H,
-        "train_periods": args.train_periods, "output": args.output,
-        "n_rows": sset.X.shape[0]})
+    _record(args, f"{args.output}.run.ini", leads=sset.H, n_rows=sset.X.shape[0])
     print(f"wrote supervised cache with {sset.X.shape[0]} rows -> {args.output}")
     return 0
 
@@ -267,10 +272,8 @@ def cmd_train(args):
                 continue
             _store_model(args.out_dir, spec, item, fitted)
             n_models += 1
-    write_run_config(os.path.join(args.out_dir, "run_config.ini"), "train", {
-        "data": args.data, "spec": args.spec, "out": args.out_dir,
-        "train_periods": args.train_periods, "test_periods": args.test_periods,
-        "n_models": n_models, "n_failures": len(failures), **failures})
+    _record(args, os.path.join(args.out_dir, "run_config.ini"), n_models=n_models,
+            n_failures=len(failures), **failures)
     print(f"stored {n_models} fitted models in {args.out_dir}")
     return 0
 
@@ -282,7 +285,7 @@ def _store_stem(spec, item) -> str:
 
 def _store_model(out_dir, spec, item, fitted):
     _write_versioned(os.path.join(out_dir, f"{_store_stem(spec, item)}.pkl"),
-                     MODEL_STORE_VERSION, item=item, spec=spec.resolved_config(),
+                     MODEL_STORE_VERSION, item=item, spec=spec.section(),
                      model=fitted)
 
 
@@ -311,14 +314,10 @@ def cmd_trmf(args):
         rows = [",".join(f"{v:.12g}" for v in row) for row in np.atleast_2d(M)]
         _atomic_write(os.path.join(args.out_dir, f"{name}.csv"),
                       "\n".join([",".join(header)] + rows) + "\n")
-    write_run_config(os.path.join(args.out_dir, "run_config.ini"), "trmf", {
-        "data": args.data, "rank": args.rank, "ar_order": args.ar_order,
-        "lambda_f": args.lambda_f, "lambda_z": args.lambda_z,
-        "lambda_ar": args.lambda_ar, "sweeps": args.sweeps, "tol": args.tol,
-        "seed": args.seed, "horizon": args.horizon,
-        "final_objective": f"{model.objective_history[-1]:.12g}",
-        "n_sweeps": len(model.objective_history) - 1, "converged": model.converged,
-        "unobserved_periods": model.unobserved_periods})
+    _record(args, os.path.join(args.out_dir, "run_config.ini"),
+            final_objective=f"{model.objective_history[-1]:.12g}",
+            n_sweeps=len(model.objective_history) - 1, converged=model.converged,
+            unobserved_periods=model.unobserved_periods)
     print(f"factorized rank={args.rank} p={args.ar_order}; final objective "
           f"{model.objective_history[-1]:.6g}; forecasts -> {args.out_dir}")
     return 0
@@ -330,10 +329,7 @@ def cmd_backtest(args):
     split = ev.BacktestSplit(args.train_periods, args.test_periods)
     board = ev.backtest(tensor, specs, split)
     _atomic_write(args.out, board.to_csv())
-    write_run_config(f"{args.out}.run.ini", "backtest", {
-        "data": args.data, "specs": args.specs, "train_periods": args.train_periods,
-        "test_periods": args.test_periods, "out": args.out,
-        "n_failures": len(board.failures), **_spec_records(specs)})
+    _record(args, f"{args.out}.run.ini", specs, n_failures=len(board.failures))
     print(board.to_csv(), end="")
     if board.failures:
         print(f"{len(board.failures)} per-cell failures (excluded from argmin)",
@@ -351,11 +347,8 @@ def cmd_select(args):
     board = ev.backtest(sub, specs, split)
     selector = _select(sub, board, split.train_periods, args.intervals, args.overlap,
                        args.k, args.min_cluster_frac, args.out, args.graph)
-    write_run_config(f"{args.out}.run.ini", "select", {
-        "data": args.data, "models": args.models, "subset": subset,
-        "intervals": args.intervals, "overlap": args.overlap, "k": args.k,
-        "min_cluster_frac": args.min_cluster_frac, "out": args.out,
-        "graph": args.graph, "clusters": len(selector.cluster_labels)})
+    _record(args, f"{args.out}.run.ini", specs, subset=subset,
+            clusters=len(selector.cluster_labels))
     print(f"selector with {len(selector.cluster_labels)} clusters -> {args.out}")
     for key, pct in selector.cluster_shares().items():
         print(f"  {key}: {pct:.1f}%")
@@ -372,11 +365,8 @@ def cmd_report(args):
     split = ev.BacktestSplit(args.train_periods, args.test_periods)
     board = ev.backtest(tensor, specs, split)
     report, out = _report(board, args.item, args.out)
-    write_run_config(f"{out}.run.ini", "report", {
-        "data": args.data, "specs": args.specs, "item": args.item,
-        "train_periods": args.train_periods, "test_periods": args.test_periods,
-        "best_spec": report.spec_name, "smape": f"{report.smape:.12g}",
-        "mimicry_flag": report.mimicry_flag, "out": out})
+    _record(args, f"{out}.run.ini", specs, out=out, best_spec=report.spec_name,
+            smape=f"{report.smape:.12g}", mimicry_flag=report.mimicry_flag)
     print(f"item {args.item}: best={report.spec_name} "
           f"smape={report.smape:.4g} mimicry={report.mimicry_flag} -> {out}")
     return 0
@@ -386,73 +376,91 @@ def cmd_report(args):
 # Whole pipeline from one config file
 # ---------------------------------------------------------------------------
 
-def run_pipeline(config_path) -> int:
-    """Ingest/synthesize, backtest, select and report from one recorded
-    configuration; artifacts land in [run] out_dir."""
-    parser = configparser.ConfigParser()
-    if not parser.read(config_path):
-        raise HierfcstError(f"cannot read pipeline config {config_path}")
+_GETTERS = {bool: "getboolean", int: "getint", float: "getfloat", str: "get"}
 
-    run = _section(parser, "run")
-    out_dir = run.get("out_dir", "runs/latest")
-    master_seed = int(run.get("seed", 0))
+
+def _read_keys(parser, section: str, defaults: dict) -> dict:
+    """Each key of defaults read from the section by its default's type (a
+    bool takes configparser's boolean words), or its default if absent."""
+    table = {}
+    for key, default in defaults.items():
+        try:
+            table[key] = getattr(parser, _GETTERS[type(default)])(section, key,
+                                                                  fallback=default)
+        except ValueError as exc:
+            raise HierfcstError(f"[{section}] {key}: {exc}") from exc
+    return table
+
+
+def _resolve_pipeline(parser, out_dir: str) -> dict:
+    """The [run], [data], [backtest], [select] and [report] tables, each key
+    from the config or its default; [data] holds csv_path or the synth keys
+    by its source, and the run fills in the default report item."""
+    run = {"out_dir": out_dir, **_read_keys(parser, "run", {"seed": 0})}
+    data = _read_keys(parser, "data", {"source": "synth"})
+    data.update(_read_keys(parser, "data", {"csv_path": ""} if data["source"] == "csv" else {
+        "seed": stage_seed(run["seed"], "synth"), "items": _SYNTH_ITEMS,
+        "periods": _SYNTH_PERIODS, "leads": ds.DEFAULT_MAX_LEAD, "regime": _SYNTH_REGIME}))
+    return {
+        "run": run, "data": data,
+        "backtest": _read_keys(parser, "backtest", {
+            "train_periods": _SPLIT.train_periods, "test_periods": _SPLIT.test_periods}),
+        "select": _read_keys(parser, "select", {
+            "enabled": True, "intervals": tda.DEFAULT_INTERVALS, "overlap": tda.DEFAULT_OVERLAP,
+            "k": tda.DEFAULT_KNN, "min_cluster_frac": _MIN_CLUSTER_FRAC}),
+        "report": _read_keys(parser, "report", {"items": ""})}
+
+
+def run_pipeline(config_path) -> int:
+    """Ingest/synthesize, backtest, select and report from one config
+    file; artifacts land in [run] out_dir, and run_config.ini records the
+    resolved tables, which re-run to the same artifacts."""
+    parser = _read_ini(config_path, "pipeline config")
+    out_dir = parser.get("run", "out_dir", fallback=_OUT_DIR)
     os.makedirs(out_dir, exist_ok=True)
     # An earlier run's artifacts go before this run writes anything, so a
     # failed run leaves only its own files next to its INCOMPLETE marker.
     for name in PIPELINE_ARTIFACTS + tuple(glob.glob("report_*.csv", root_dir=out_dir)):
         with contextlib.suppress(FileNotFoundError):
             os.remove(os.path.join(out_dir, name))
+    tables = _resolve_pipeline(parser, out_dir)
+    data, sel = tables["data"], tables["select"]
 
-    data = _section(parser, "data")
     tensor_path = os.path.join(out_dir, "tensor.npz")
-    if data.get("source", "synth") == "csv":
+    if data["source"] == "csv":
+        if not data["csv_path"]:
+            raise HierfcstError("[data] csv_path is required with source = csv")
         tensor = _ingest(data["csv_path"], tensor_path)
     else:
-        tensor = _synth(tensor_path,
-                        int(data.get("seed", stage_seed(master_seed, "synth"))),
-                        int(data.get("items", _SYNTH_ITEMS)),
-                        int(data.get("periods", _SYNTH_PERIODS)),
-                        int(data.get("leads", ds.DEFAULT_MAX_LEAD)),
-                        data.get("regime", _SYNTH_REGIME))
+        tensor = _synth(tensor_path, data["seed"], data["items"], data["periods"],
+                        data["leads"], data["regime"])
+    split = ev.BacktestSplit(**tables["backtest"])
 
-    bt = _section(parser, "backtest")
-    split = ev.BacktestSplit(int(bt.get("train_periods", _SPLIT.train_periods)),
-                             int(bt.get("test_periods", _SPLIT.test_periods)))
-
-    specs = [spec_from_mapping(s.split(":", 1)[1], _section(parser, s))
+    specs = [spec_from_mapping(s.split(":", 1)[1], dict(parser[s]))
              for s in parser.sections() if s.startswith("spec:")]
     if not specs:
         raise HierfcstError("pipeline config defines no [spec:*] sections")
 
     board = ev.backtest(tensor, specs, split)
 
-    sel = _section(parser, "select")
-    if str(sel.get("enabled", "true")).lower() != "false" and tensor.n_items >= 4:
-        _select(tensor, board, split.train_periods,
-                int(sel.get("intervals", tda.DEFAULT_INTERVALS)),
-                float(sel.get("overlap", tda.DEFAULT_OVERLAP)),
-                int(sel.get("k", tda.DEFAULT_KNN)),
-                float(sel.get("min_cluster_frac", _MIN_CLUSTER_FRAC)),
-                os.path.join(out_dir, "selector.bin"),
+    if sel["enabled"] and tensor.n_items >= 4:
+        _select(tensor, board, split.train_periods, sel["intervals"], sel["overlap"],
+                sel["k"], sel["min_cluster_frac"], os.path.join(out_dir, "selector.bin"),
                 os.path.join(out_dir, "graph.json"))
 
-    for item in _section(parser, "report").get("items", "").split() or [tensor.items[0]]:
+    items = tables["report"]["items"].split() or [tensor.items[0]]
+    tables["report"]["items"] = " ".join(items)
+    for item in items:
         _report(board, item, out_dir=out_dir)
     # Written once every stage has passed: a failed run leaves no leaderboard.
     _atomic_write(os.path.join(out_dir, "leaderboard.csv"), board.to_csv())
 
-    write_run_config(os.path.join(out_dir, "run_config.ini"), "pipeline", {
-        "config": str(config_path), "out_dir": out_dir, "seed": master_seed,
-        "n_specs": len(specs), "train_periods": split.train_periods,
-        "test_periods": split.test_periods, **_spec_records(specs)})
+    write_run_config(os.path.join(out_dir, "run_config.ini"), "pipeline",
+                     {"config": str(config_path)}, specs, tables)
     with contextlib.suppress(FileNotFoundError):
         os.remove(os.path.join(out_dir, "INCOMPLETE"))  # left by a failed run
     print(f"pipeline complete; artifacts in {out_dir}")
     return 0
-
-
-def cmd_pipeline(args):
-    return run_pipeline(args.config)
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +558,7 @@ def build_parser():
 
     p = sub.add_parser("pipeline", help="run every stage from one config file")
     p.add_argument("--config", required=True)
-    p.set_defaults(func=cmd_pipeline)
+    p.set_defaults(func=lambda args: run_pipeline(args.config))
 
     return parser
 
@@ -564,10 +572,9 @@ def _failure_dir(args) -> str:
         if target:
             return os.path.dirname(target) or "."
     if getattr(args, "config", None):
-        parser = configparser.ConfigParser()
-        with contextlib.suppress(configparser.Error):
-            parser.read(args.config)
-            return parser.get("run", "out_dir", fallback=None) or "."
+        with contextlib.suppress(HierfcstError):
+            return _read_ini(args.config, "pipeline config").get(
+                "run", "out_dir", fallback=_OUT_DIR)
     return "."
 
 

@@ -523,13 +523,8 @@ def fit_kernel_ridge(X, Y, lam: float, bandwidth="median") -> KernelRidgePayload
         raise HierfcstError(
             f"kernel ridge on {n} rows needs {nbytes} bytes of kernel matrices, over "
             f"the budget of {KERNEL_MAX_BYTES}; fit it per item (df_one_by_one)")
-    if bandwidth != "median":
-        bw = float(bandwidth)
-        if bw <= 0:
-            raise HierfcstError(f"kernel bandwidth must be > 0, got {bw}")
     K = _self_sq_dists(X)
-    if bandwidth == "median":
-        bw = _median_distance(K)
+    bw = _median_distance(K) if bandwidth == "median" else float(bandwidth)
     K = _rbf_in_place(K, bw)
     diag = np.arange(n)
     K[:, diag, diag] += lam

@@ -172,13 +172,11 @@ class ModelSpec:
             parts.append("MM")
         return " ".join(parts)
 
-    def resolved_config(self) -> dict:
-        """Flat key->value view for run records."""
-        out = {"family": self.family, "transform": self.transform,
-               "feeding": self.feeding, "name": self.name}
-        for k, v in sorted(self.hyperparams.items()):
-            out[f"hp.{k}"] = v
-        return out
+    def section(self) -> dict:
+        """The keys of the spec's INI section, merged hyperparameters
+        included; the section named after the spec reads back as this spec."""
+        return {"family": self.family, "feeding": self.feeding,
+                "transform": self.transform, **self.hyperparams}
 
 
 @dataclass

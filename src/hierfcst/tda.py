@@ -332,7 +332,6 @@ class ModelSelector:
     series_cluster: np.ndarray
     cluster_labels: dict
     k: int = DEFAULT_KNN
-    graph: MapperGraph | None = None
 
     def route_features(self, feats) -> str:
         feats = np.asarray(feats, dtype=float).ravel()
@@ -399,4 +398,4 @@ def label_and_route(graph: MapperGraph, features, best_labels,
     series_labels = [cluster_labels[cid] for cid in series_cluster.tolist()]
     return ModelSelector(train_features=features, series_labels=series_labels,
                          series_cluster=series_cluster,
-                         cluster_labels=cluster_labels, k=k, graph=graph)
+                         cluster_labels=cluster_labels, k=k)

@@ -1,3 +1,4 @@
+import argparse
 import configparser
 import json
 import os
@@ -8,8 +9,10 @@ import pytest
 
 from hierfcst import dataset as ds
 from hierfcst.errors import HierfcstError
-from hierfcst.cli import (STAGE_EXIT, load_selector, load_specs,
-                          load_stored_model, main, run_pipeline, stage_seed)
+from hierfcst import tda
+from hierfcst.cli import (STAGE_EXIT, build_parser, load_selector, load_specs,
+                          load_stored_model, main, run_pipeline, spec_from_mapping,
+                          stage_seed)
 from hierfcst.evaluate import BacktestSplit, _build_design, frame_leads
 from hierfcst.models import ModelSpec, default_hyperparams, fit
 from hierfcst.preprocess import TargetTransform, load_supervised
@@ -201,8 +204,8 @@ class TestStages:
         record = configparser.ConfigParser()
         record.read(out / "run_config.ini")
         assert dict(record["train"], version="") == {
-            "version": "", "data": str(data), "spec": str(specs), "out": str(out),
-            "train_periods": "37", "test_periods": "8", "n_models": "6",
+            "version": "", "master_seed": "0", "data": str(data), "spec": str(specs),
+            "out_dir": str(out), "train_periods": "37", "test_periods": "8", "n_models": "6",
             "n_failures": "1", "failure.r0__item0003": message}
         assert not (out / "INCOMPLETE").exists()
 
@@ -614,3 +617,227 @@ class TestSharedStages:
         assert not (run_dir / "supervised.npz").exists()
         assert load_supervised(sub_dir / "supervised.npz").X.shape[0] == \
             12 * ((train or BacktestSplit().train_periods) - 4)
+
+
+# Default spec names hold ':' and spaces; a record keys its spec sections by name.
+NAMED_SPECS_INI = """
+[ridge 1:1 DF]
+family = ridge
+feeding = df_one_by_one
+lam = 1e-4
+
+[kernel AI DF LT]
+family = kernel
+feeding = df_all_items
+transform = log1p
+
+[arx]
+family = arx
+p = 2
+"""
+NAMED_PIPELINE_SPECS = NAMED_SPECS_INI.replace("\n[", "\n[spec:")
+
+
+def _read_record(path):
+    record = configparser.ConfigParser(interpolation=None)
+    assert record.read(path) == [str(path)]
+    return record
+
+
+def _record_specs(record):
+    return [spec_from_mapping(name.split(":", 1)[1], dict(record[name]))
+            for name in record.sections() if name.startswith("spec:")]
+
+
+def _flag_dests(command):
+    """The dests of a subcommand's flags, the global --master-seed included."""
+    parser = build_parser()
+    sub, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return ["master_seed"] + [a.dest for a in sub.choices[command]._actions
+                              if a.dest != "help"]
+
+
+class TestRunRecords:
+    COMMANDS = ("ingest", "synth", "transform", "train", "trmf", "backtest", "select",
+                "report", "pipeline")
+
+    @pytest.fixture
+    def runs(self, tmp_path, tensor_cache, monkeypatch):
+        """argv and record path of one run of every subcommand."""
+        monkeypatch.chdir(tmp_path)
+        specs = tmp_path / "specs.ini"
+        specs.write_text(NAMED_SPECS_INI)
+        csv_path = tmp_path / "raw.csv"
+        ds.save_csv(ds.synthesize(1, 3, 12, 3, "smooth"), csv_path)
+        cfg = tmp_path / "pipe.ini"
+        cfg.write_text(PIPELINE_INI.split("[spec:")[0].format(out_dir=tmp_path / "run")
+                       + NAMED_PIPELINE_SPECS)
+        data = ["--data", tensor_cache]
+        return {
+            "ingest": (["ingest", "--input", str(csv_path), "--output", "in.npz"],
+                       "in.npz.run.ini"),
+            "synth": (["synth", "--items", "4", "--periods", "20", "--output", "s.npz"],
+                      "s.npz.run.ini"),
+            "transform": (["transform", *data, "--output", "sup.npz"], "sup.npz.run.ini"),
+            "train": (["train", "--spec", str(specs), *data, "--out", "store"],
+                      "store/run_config.ini"),
+            "trmf": (["trmf", *data, "--sweeps", "2", "--horizon", "2", "--out-dir", "mf"],
+                     "mf/run_config.ini"),
+            "backtest": (["backtest", "--specs", str(specs), *data], "leaderboard.csv.run.ini"),
+            "select": (["select", *data, "--models", str(specs), "--min-cluster-frac", "0.25"],
+                       "selector.bin.run.ini"),
+            "report": (["report", *data, "--specs", str(specs), "--item", "item0002"],
+                       "report_item0002.csv.run.ini"),
+            "pipeline": (["pipeline", "--config", str(cfg)], "run/run_config.ini"),
+        }
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_record_holds_every_flag_under_its_dest(self, runs, command):
+        argv, path = runs[command]
+        assert main(argv) == 0
+        record = _read_record(path)
+        assert record.sections()[0] == command
+        if command == "pipeline":
+            # The pipeline's master seed is [run] seed; its tables follow.
+            assert dict(record["pipeline"]) == {"version": record["pipeline"]["version"],
+                                                "config": argv[-1]}
+            assert record.sections()[1:6] == ["run", "data", "backtest", "select", "report"]
+            assert record["run"]["seed"] == "7"
+            return
+        args = vars(build_parser().parse_args(argv))
+        # What the run worked out stands for its flag: the synth seed derived
+        # from the master seed, the subset cut to the 8 items, the report path.
+        args.update({"synth": {"seed": stage_seed(0, "synth")}, "select": {"subset": 8},
+                     "report": {"out": "report_item0002.csv"}}.get(command, {}))
+        for dest in _flag_dests(command):
+            assert record[command][dest] == str(args[dest]), dest
+
+    @pytest.mark.parametrize("command", ["backtest", "select", "report", "pipeline"])
+    def test_spec_sections_rebuild_the_run_specs(self, runs, tmp_path, command):
+        argv, path = runs[command]
+        assert main(argv) == 0
+        rebuilt = _record_specs(_read_record(path))
+        specs = load_specs(str(tmp_path / "specs.ini"))
+        assert [s.name for s in rebuilt] == ["ridge 1:1 DF", "kernel AI DF LT", "arx"]
+        for old, new in zip(specs, rebuilt):
+            assert (new.name, new.family, new.feeding, new.transform, new.hyperparams) == \
+                (old.name, old.family, old.feeding, old.transform, old.hyperparams)
+
+    def test_stored_model_spec_is_its_section(self, runs, tmp_path):
+        assert main(runs["train"][0]) == 0
+        stored = load_stored_model(tmp_path / "store" / "ridge_1_1_DF__item0000.pkl")
+        spec = load_specs(str(tmp_path / "specs.ini"))[0]
+        assert stored["spec"] == spec.section()
+        assert spec_from_mapping(spec.name, stored["spec"]) == spec
+
+    def test_selector_pickled_with_its_graph_routes_alike(self, runs, tmp_path):
+        # Selectors once held their Mapper graph; such a selector.bin loads
+        # and routes as the graph-free selector does.
+        assert main(runs["select"][0]) == 0
+        selector = load_selector("selector.bin")
+        payload = pickle.loads((tmp_path / "selector.bin").read_bytes())
+        payload["selector"].graph = tda.MapperGraph(nodes=[], edges=[], n_series=8)
+        (tmp_path / "old.bin").write_bytes(pickle.dumps(payload))
+        old = load_selector("old.bin")
+        rng = np.random.default_rng(0)
+        for series in np.abs(rng.normal(50, 5, size=(20, 37))):
+            assert old.route_series(series) == selector.route_series(series)
+        assert old.cluster_shares() == selector.cluster_shares()
+
+    @staticmethod
+    def rerun_from_record(tmp_path, cfg, first):
+        """Run cfg, re-run its record into another out_dir with the config
+        gone, and check both runs wrote the same bytes."""
+        assert main(["pipeline", "--config", str(cfg)]) == 0
+        cfg.unlink()
+        record = configparser.ConfigParser(interpolation=None)
+        record.read(first / "run_config.ini")
+        second = tmp_path / "again%"
+        record["run"]["out_dir"] = str(second)
+        rerun = tmp_path / "rerun.ini"
+        with open(rerun, "w") as fh:
+            record.write(fh)
+        assert main(["pipeline", "--config", str(rerun)]) == 0
+        names = sorted(os.listdir(first))
+        assert names == sorted(os.listdir(second))
+        for name in names:
+            if name != "run_config.ini":
+                assert (first / name).read_bytes() == (second / name).read_bytes(), name
+        a, b = (_read_record(d / "run_config.ini") for d in (first, second))
+        assert a.sections() == b.sections()
+        for section in a.sections():
+            differ = {k for k in a[section] if a[section][k] != b[section][k]}
+            assert differ == {"pipeline": {"config"}, "run": {"out_dir"}}.get(section, set())
+        return a, names
+
+    def test_synth_pipeline_record_reruns_to_the_same_artifacts(self, tmp_path):
+        cfg = tmp_path / "pipe.ini"
+        first = tmp_path / "run%1"
+        cfg.write_text(PIPELINE_INI.split("[spec:")[0].format(out_dir=first)
+                       + NAMED_PIPELINE_SPECS)
+        record, names = self.rerun_from_record(tmp_path, cfg, first)
+        assert dict(record["data"]) == {"source": "synth", "seed": str(stage_seed(7, "synth")),
+                                        "items": "10", "periods": "45", "leads": "4",
+                                        "regime": "anticipatory"}
+        assert dict(record["select"]) == {"enabled": "True", "intervals": "10",
+                                          "overlap": "0.3", "k": "5",
+                                          "min_cluster_frac": "0.2"}
+        assert dict(record["report"]) == {"items": "item0000"}
+        assert "selector.bin" in names and "report_item0000.csv" in names
+
+    def test_csv_pipeline_record_reruns_to_the_same_artifacts(self, tmp_path):
+        csv_path = tmp_path / "data%" / "preorders.csv"
+        csv_path.parent.mkdir()
+        ds.save_csv(ds.synthesize(4, 9, 30, 3, "anticipatory"), csv_path)
+        cfg = tmp_path / "pipe.ini"
+        first = tmp_path / "run"
+        cfg.write_text(f"[run]\nout_dir = {first}\n\n[data]\nsource = csv\n"
+                       f"csv_path = {csv_path}\n\n[backtest]\ntrain_periods = 24\n"
+                       "test_periods = 6\n\n[select]\nenabled = yes\nk = 3\n\n"
+                       "[report]\nitems = item0003 item0001\n"
+                       + NAMED_PIPELINE_SPECS)
+        record, names = self.rerun_from_record(tmp_path, cfg, first)
+        assert dict(record["data"]) == {"source": "csv", "csv_path": str(csv_path)}
+        assert dict(record["report"]) == {"items": "item0003 item0001"}
+        assert {"selector.bin", "report_item0001.csv", "report_item0003.csv"} <= set(names)
+
+
+class TestPipelineKeys:
+    @pytest.mark.parametrize("section, key, value", [
+        ("data", "items", "ten"), ("run", "seed", "7.5"), ("select", "overlap", "wide"),
+        ("select", "enabled", "maybe")])
+    def test_a_value_that_does_not_convert_fails_the_stage(self, tmp_path, capsys,
+                                                           section, key, value):
+        out_dir = tmp_path / "run"
+        config = configparser.ConfigParser(interpolation=None)
+        config.read_string(PIPELINE_INI.format(out_dir=out_dir))
+        config[section][key] = value
+        cfg = tmp_path / "pipe.ini"
+        with open(cfg, "w") as fh:
+            config.write(fh)
+        assert main(["pipeline", "--config", str(cfg)]) == STAGE_EXIT["pipeline"]
+        message = f"[{section}] {key}: "
+        err = capsys.readouterr().err
+        assert message in err and value in err.split(message)[1]
+        assert message in (out_dir / "INCOMPLETE").read_text()
+        assert not (out_dir / "leaderboard.csv").exists()
+
+    @pytest.mark.parametrize("value, enabled", [
+        ("true", True), ("yes", True), ("on", True), ("1", True), ("TRUE", True),
+        ("false", False), ("no", False), ("off", False), ("0", False), ("No", False)])
+    def test_select_enabled_takes_the_boolean_words(self, tmp_path, value, enabled):
+        out_dir = tmp_path / "run"
+        cfg = tmp_path / "pipe.ini"
+        cfg.write_text(PIPELINE_INI.format(out_dir=out_dir).replace(
+            "[select]\n", f"[select]\nenabled = {value}\n"))
+        assert run_pipeline(str(cfg)) == 0
+        assert (out_dir / "selector.bin").exists() == enabled
+        assert (out_dir / "graph.json").exists() == enabled
+        assert _read_record(out_dir / "run_config.ini")["select"]["enabled"] == str(enabled)
+
+    def test_csv_source_needs_its_path(self, tmp_path, capsys):
+        cfg = tmp_path / "pipe.ini"
+        cfg.write_text(f"[run]\nout_dir = {tmp_path / 'run'}\n\n[data]\nsource = csv\n"
+                       "\n[spec:arx]\nfamily = arx\n")
+        assert main(["pipeline", "--config", str(cfg)]) == STAGE_EXIT["pipeline"]
+        assert "[data] csv_path is required with source = csv" in capsys.readouterr().err

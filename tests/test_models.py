@@ -117,8 +117,8 @@ class TestModelSpec:
         spec = ModelSpec("lasso", {"lam": 0.5})
         assert spec.hyperparams["lam"] == 0.5
         assert spec.hyperparams["max_sweeps"] == default_hyperparams("lasso")["max_sweeps"]
-        cfg = spec.resolved_config()
-        assert cfg["hp.lam"] == 0.5 and cfg["family"] == "lasso"
+        cfg = spec.section()
+        assert cfg["lam"] == 0.5 and cfg["family"] == "lasso"
 
     def test_arx_surrogate_label(self):
         spec = ModelSpec("arx", {"exog": "preorders"})
