@@ -392,12 +392,15 @@ def _read_keys(parser, section: str, defaults: dict) -> dict:
     return table
 
 
-def _resolve_pipeline(parser, out_dir: str) -> dict:
+def _resolve_pipeline(parser, out_dir: str, master_seed: int) -> dict:
     """The [run], [data], [backtest], [select] and [report] tables, each key
-    from the config or its default; [data] holds csv_path or the synth keys
-    by its source, and the run fills in the default report item."""
-    run = {"out_dir": out_dir, **_read_keys(parser, "run", {"seed": 0})}
+    from the config or its default ([run] seed's is master_seed); [data]
+    holds csv_path or the synth keys by its source, and the run fills in
+    the default report item."""
+    run = {"out_dir": out_dir, **_read_keys(parser, "run", {"seed": master_seed})}
     data = _read_keys(parser, "data", {"source": "synth"})
+    if data["source"] not in ("csv", "synth"):
+        raise HierfcstError(f"[data] source: expected csv or synth, got {data['source']!r}")
     data.update(_read_keys(parser, "data", {"csv_path": ""} if data["source"] == "csv" else {
         "seed": stage_seed(run["seed"], "synth"), "items": _SYNTH_ITEMS,
         "periods": _SYNTH_PERIODS, "leads": ds.DEFAULT_MAX_LEAD, "regime": _SYNTH_REGIME}))
@@ -411,10 +414,11 @@ def _resolve_pipeline(parser, out_dir: str) -> dict:
         "report": _read_keys(parser, "report", {"items": ""})}
 
 
-def run_pipeline(config_path) -> int:
+def run_pipeline(config_path, master_seed: int = 0) -> int:
     """Ingest/synthesize, backtest, select and report from one config
-    file; artifacts land in [run] out_dir, and run_config.ini records the
-    resolved tables, which re-run to the same artifacts."""
+    file, with master_seed (the global --master-seed) as [run] seed's
+    default; artifacts land in [run] out_dir, and run_config.ini records
+    the resolved tables, which re-run to the same artifacts."""
     parser = _read_ini(config_path, "pipeline config")
     out_dir = parser.get("run", "out_dir", fallback=_OUT_DIR)
     os.makedirs(out_dir, exist_ok=True)
@@ -423,7 +427,7 @@ def run_pipeline(config_path) -> int:
     for name in PIPELINE_ARTIFACTS + tuple(glob.glob("report_*.csv", root_dir=out_dir)):
         with contextlib.suppress(FileNotFoundError):
             os.remove(os.path.join(out_dir, name))
-    tables = _resolve_pipeline(parser, out_dir)
+    tables = _resolve_pipeline(parser, out_dir, master_seed)
     data, sel = tables["data"], tables["select"]
 
     tensor_path = os.path.join(out_dir, "tensor.npz")
@@ -558,13 +562,14 @@ def build_parser():
 
     p = sub.add_parser("pipeline", help="run every stage from one config file")
     p.add_argument("--config", required=True)
-    p.set_defaults(func=lambda args: run_pipeline(args.config))
+    p.set_defaults(func=lambda args: run_pipeline(args.config, args.master_seed))
 
     return parser
 
 
-def _failure_dir(args) -> str:
-    """Directory of the stage's intended output, for the INCOMPLETE marker."""
+def _failure_dir(args) -> str | None:
+    """Directory of the stage's intended output, for the INCOMPLETE marker;
+    None for a pipeline whose config cannot be read."""
     if getattr(args, "out_dir", None):
         return args.out_dir
     for attr in ("out", "output"):
@@ -575,7 +580,8 @@ def _failure_dir(args) -> str:
         with contextlib.suppress(HierfcstError):
             return _read_ini(args.config, "pipeline config").get(
                 "run", "out_dir", fallback=_OUT_DIR)
-    return "."
+        return None
+    return "."          # report without --out writes to the working directory
 
 
 def main(argv=None) -> int:
@@ -585,7 +591,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (OutOfScopeError, HierfcstError, OSError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
-        _mark_incomplete(_failure_dir(args), args.command, str(exc))
+        out_dir = _failure_dir(args)
+        if out_dir is not None:
+            _mark_incomplete(out_dir, args.command, str(exc))
         return STAGE_EXIT.get(args.command, 1)
 
 

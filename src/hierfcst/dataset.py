@@ -14,7 +14,7 @@ import os
 import zipfile
 import zlib
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
@@ -28,9 +28,9 @@ DEFAULT_MAX_LEAD = 4
 
 CACHE_VERSION = 1
 
-# Records that load_csv splits, converts and checks at a time: a block's
-# arrays are the parse's only per-record temporaries.
-_BLOCK_LINES = 32768
+# Bytes of records that load_csv splits, converts and checks at a time: a
+# block's arrays are the parse's only per-record temporaries.
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass
@@ -93,29 +93,19 @@ def is_known_at(tensor: PreorderTensor, item: int, t: int, h: int, now: int) -> 
     return t - h <= now
 
 
-def _block_ends(raw, start):
-    """Offsets in raw just past its _BLOCK_LINES-th, (2 * _BLOCK_LINES)-th,
-    ... b"\\n" from start on.  raw is scanned _BLOCK_LINES bytes at a time,
-    so the search holds no array of the whole file, and a window holds at
-    most one block end (every line takes at least one byte)."""
-    step = need = _BLOCK_LINES      # need: line ends left to the next block end
-    for a in range(start, raw.size, step):
-        ends = np.flatnonzero(raw[a:a + step] == ord("\n"))
-        if ends.size >= need:
-            yield a + 1 + int(ends[need - 1])
-        need = (need - ends.size - 1) % step + 1
-
-
 def _line_blocks(data, start):
     """The records of data[start:], text with one record per line ended by
-    b"\\n", in blocks of _BLOCK_LINES lines: (line numbers, field counts,
-    the block's bytes, and the start and end offsets of its fields in
-    them) per block.  data[start:] starts at line 2."""
+    b"\\n", in blocks of whole lines of at least _BLOCK_BYTES bytes (the
+    last may hold fewer): (line numbers, field counts, the block's bytes,
+    and the start and end offsets of its fields in them) per block.
+    data[start:] starts at line 2, after at least _WIDTH bytes of header; a
+    block's bytes are a read-only view of data from _WIDTH bytes before its
+    first record on."""
     raw = np.frombuffer(data, dtype=np.uint8)
     line = 2
-    for stop in chain(_block_ends(raw, start), [len(data)]):
-        if stop == start:               # the file ends with the last block
-            break
+    while start < len(data):
+        # Past the first line end from _BLOCK_BYTES - 1 bytes on, if any.
+        stop = data.find(b"\n", start + _BLOCK_BYTES - 1) + 1 or len(data)
         buf = raw[start:stop]
         # ',' and '\n' are single bytes in UTF-8, so bytes find them.
         ends = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
@@ -124,34 +114,40 @@ def _line_blocks(data, start):
         if buf[-1] != ord("\n"):       # the last line has no terminator
             counts = np.append(counts, ends.size - (line_ends[-1] if line_ends.size else -1))
             ends = np.append(ends, buf.size)
-        starts = np.concatenate(([0], ends[:-1] + 1))
-        yield np.arange(line, line + counts.size), counts, buf, starts, ends
+        ends += _WIDTH
+        starts = np.concatenate(([_WIDTH], ends[:-1] + 1))
+        yield np.arange(line, line + counts.size), counts, raw[start - _WIDTH:stop], starts, ends
         line += counts.size
         start = stop
 
 
 def _reader_blocks(reader):
-    """The records csv.reader yields, in blocks of _BLOCK_LINES as
-    _line_blocks gives them, with the fields UTF-8 encoded one after the
-    other.  A reader error is raised after the block of the records
-    before it."""
+    """The records csv.reader yields, in blocks closed once their fields
+    hold _BLOCK_BYTES characters, as _line_blocks gives them: the fields
+    UTF-8 encoded one after the other, after _WIDTH zero bytes and before
+    one more (so that even an empty last field has a first byte).  A
+    reader error is raised after the block of the records before it."""
     while True:
-        rows, line_no, error = [], [], None
+        rows, line_no, size, error = [], [], 0, None
         try:
-            for row in islice(reader, _BLOCK_LINES):
+            for row in reader:
                 rows.append(row)
                 line_no.append(reader.line_num)
+                size += sum(map(len, row))
+                if size >= _BLOCK_BYTES:
+                    break
         except csv.Error as exc:
             error = exc
         if rows:
             fields = [field.encode() for field in chain.from_iterable(rows)]
             lengths = np.fromiter(map(len, fields), int, len(fields))
-            ends = np.cumsum(lengths)
+            ends = _WIDTH + np.cumsum(lengths)
             yield (np.array(line_no), np.array([len(row) for row in rows], dtype=int),
-                   np.frombuffer(b"".join(fields), dtype=np.uint8), ends - lengths, ends)
+                   np.frombuffer(b"".join([bytes(_WIDTH), *fields, b"\0"]), dtype=np.uint8),
+                   ends - lengths, ends)
         if error is not None:
             raise error
-        if len(rows) < _BLOCK_LINES:
+        if size < _BLOCK_BYTES:
             return
 
 
@@ -181,8 +177,8 @@ def _records(path):
 
 
 # A field is read from the _WIDTH bytes up to its end, as three
-# little-endian words: a block's bytes are padded with _WIDTH zeros in front
-# (and one behind, so that even an empty last field has a first byte).
+# little-endian words: a block's bytes hold at least _WIDTH bytes before
+# its first field.
 _WIDTH = 24
 _BYTES = 0x0101010101010101         # a byte value times this is in every byte
 # _MASKS[n] keeps the last n bytes of a window.
@@ -194,12 +190,6 @@ _TENS = np.uint64(10) ** np.arange(20, dtype=np.uint64)
 # long double (105) is not, nor is one that is float64.
 _LONG_QUOTIENT = np.finfo(np.longdouble).nmant in (63, 112)
 _POWERS = _TENS[:19].astype(np.longdouble)
-
-
-def _padded(buf):
-    out = np.zeros(_WIDTH + buf.size + 1, dtype=np.uint8)
-    out[_WIDTH:-1] = buf
-    return out
 
 
 def _text(buf, start, end):
@@ -275,8 +265,9 @@ def _column(buf, starts, ends, convert):
     """The fields buf[starts[k]:ends[k]] converted by convert (int or float)
     to an int64 or float64 array, and {position: message} of the fields
     that convert rejects or that overflow int64 (those are 0 in the
-    array).  buf is padded as _padded pads it.  The fields of plain digits
-    are converted as arrays; the others go through convert one by one."""
+    array).  buf holds at least _WIDTH bytes before the first field.  The
+    fields of plain digits are converted as arrays; the others go through
+    convert one by one."""
     values, exact = (_integers if convert is int else _quantities)(buf, starts, ends)
     values[~exact] = 0
     bad = {}
@@ -307,8 +298,6 @@ def _check_block(line_no, counts, buf, starts, ends, index, max_lead):
     records as arrays (item codes, t, h, q, line numbers), and (line, error)
     of the first record that fails each check.  Names of kept items that
     index lacks get the next codes in it."""
-    buf = _padded(buf)
-    starts, ends = starts + _WIDTH, ends + _WIDTH
     blank = counts == 0
     single = np.flatnonzero(counts == 1)
     first = np.cumsum(counts) - counts
@@ -385,8 +374,9 @@ def load_csv(path, missing_as_zero: bool = True,
     combination inside the grid is an error, which is useful as a
     completeness check on export pipelines.
 
-    The records are parsed block by block, _BLOCK_LINES at a time: each
-    block's fields are bounds in its bytes, converted column by column as
+    The records are parsed block by block, each about _BLOCK_BYTES of text
+    ending at a line end: each block's fields are bounds in its bytes (the
+    file's own bytes when no field is quoted), converted column by column as
     arrays (only fields that are not plain digits, or items that need a
     strip, go through int(), float() or str.strip() one by one) and
     checked, and only its kept records' item codes, periods, leads,

@@ -602,36 +602,38 @@ def weighted_median_reference(values, weights):
     return np.array(out)
 
 
+def boost_reference(X, y, rounds, learning_rate, max_depth):
+    """Predict function of squared-loss gradient boosting on every row of
+    X, y."""
+    init = float(np.mean(y))
+    pred = np.full_like(y, init)
+    trees = []
+    for _ in range(rounds):
+        resid = y - pred
+        if np.max(np.abs(resid)) < 1e-15:
+            break
+        tree = RecursiveTree(max_depth=max_depth).fit(X, resid)
+        pred = pred + learning_rate * tree.predict(X)
+        trees.append(tree)
+
+    def predict(Xq):
+        out = np.full(np.atleast_2d(Xq).shape[0], init)
+        for tree in trees:
+            out = out + learning_rate * tree.predict(Xq)
+        return out
+    return predict
+
+
 def bagged_boost_reference(X, y, n_bags, rounds, learning_rate, max_depth, seed):
     """Predict function of bagged squared-loss gradient boosting, each bag
     boosted on its own."""
     rng = np.random.default_rng(seed)
     n = X.shape[0]
-    members = []
+    bags = []
     for _ in range(n_bags):
         idx = rng.integers(0, n, size=n)
-        Xb, yb = X[idx], y[idx]
-        init = float(np.mean(yb))
-        pred = np.full_like(yb, init)
-        trees = []
-        for _ in range(rounds):
-            resid = yb - pred
-            if np.max(np.abs(resid)) < 1e-15:
-                break
-            tree = RecursiveTree(max_depth=max_depth).fit(Xb, resid)
-            pred = pred + learning_rate * tree.predict(Xb)
-            trees.append(tree)
-        members.append((init, trees))
-
-    def predict(Xq):
-        outs = []
-        for init, trees in members:
-            out = np.full(np.atleast_2d(Xq).shape[0], init)
-            for tree in trees:
-                out = out + learning_rate * tree.predict(Xq)
-            outs.append(out)
-        return np.mean(outs, axis=0)
-    return predict
+        bags.append(boost_reference(X[idx], y[idx], rounds, learning_rate, max_depth))
+    return lambda Xq: np.mean([bag(Xq) for bag in bags], axis=0)
 
 
 # ---------------------------------------------------------------------------

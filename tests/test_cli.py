@@ -805,7 +805,7 @@ class TestRunRecords:
 class TestPipelineKeys:
     @pytest.mark.parametrize("section, key, value", [
         ("data", "items", "ten"), ("run", "seed", "7.5"), ("select", "overlap", "wide"),
-        ("select", "enabled", "maybe")])
+        ("select", "enabled", "maybe"), ("data", "source", "CSV")])
     def test_a_value_that_does_not_convert_fails_the_stage(self, tmp_path, capsys,
                                                            section, key, value):
         out_dir = tmp_path / "run"
@@ -841,3 +841,28 @@ class TestPipelineKeys:
                        "\n[spec:arx]\nfamily = arx\n")
         assert main(["pipeline", "--config", str(cfg)]) == STAGE_EXIT["pipeline"]
         assert "[data] csv_path is required with source = csv" in capsys.readouterr().err
+
+    def test_master_seed_flag_is_the_default_run_seed(self, tmp_path):
+        def run(name, seed_line, *flags):
+            out_dir = tmp_path / name
+            cfg = tmp_path / f"{name}.ini"
+            cfg.write_text(PIPELINE_INI.format(out_dir=out_dir).replace("seed = 7\n", seed_line)
+                           .replace("[select]\n", "[select]\nenabled = no\n"))
+            assert main([*flags, "pipeline", "--config", str(cfg)]) == 0
+            seed = _read_record(out_dir / "run_config.ini")["run"]["seed"]
+            return (out_dir / "tensor.npz").read_bytes(), seed
+
+        flag = run("flag", "", "--master-seed", "5")
+        assert flag == run("key", "seed = 5\n")
+        assert flag[1] == "5" and flag[0] != run("none", "")[0]
+        assert run("both", "seed = 7\n", "--master-seed", "5")[1] == "7"
+
+    @pytest.mark.parametrize("text", [None, "[run]\nseed = 1\nseed = 2\n"],
+                             ids=["missing", "duplicate_key"])
+    def test_unreadable_config_leaves_no_marker(self, tmp_path, monkeypatch, capsys, text):
+        monkeypatch.chdir(tmp_path)
+        if text is not None:
+            (tmp_path / "pipe.ini").write_text(text)
+        assert main(["pipeline", "--config", "pipe.ini"]) == STAGE_EXIT["pipeline"]
+        assert "cannot read pipeline config pipe.ini" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ([] if text is None else ["pipe.ini"])

@@ -364,16 +364,31 @@ class TestLoadCsvMatchesRowReader:
         assert _outcome(ds.load_csv, str(path), {}) == \
             _outcome(load_csv_rows, str(path), {})
 
+    @pytest.mark.parametrize("end", ["", "\n", "\n\n", "\r\n\r\n"])
+    def test_header_only(self, tmp_path, end):
+        path = tmp_path / "header.csv"
+        path.write_bytes(f"{','.join(ds.CSV_HEADER)}{end}".encode())
+        got = _outcome(ds.load_csv, str(path), {})
+        assert got == _outcome(load_csv_rows, str(path), {})
+        assert got == (ParseError, "line 1: no data rows", 1)
+
+    def test_quoted_file_ending_in_empty_fields(self, tmp_path):
+        # The last record's four fields are empty: its item starts where
+        # the block's field bytes end.
+        path = tmp_path / "end.csv"
+        path.write_text(f'{",".join(ds.CSV_HEADER)}\n"a",1,0,2\n"",,,\n')
+        assert _outcome(ds.load_csv, str(path), {}) == \
+            _outcome(load_csv_rows, str(path), {})
+
 
 class TestLoadCsvInSmallBlocks(TestLoadCsvMatchesRowReader):
-    """The same comparisons with load_csv's blocks (and its line-end search
-    windows) of 1, 2 and 7 lines, so that blank lines, CRLF ends, quoted
-    fields with newlines, bad records and repeated keys straddle block
-    ends."""
+    """The same comparisons with load_csv's blocks cut at budgets of 1, 2
+    and 7 bytes, so that blank lines, CRLF ends, quoted fields with
+    newlines, bad records and repeated keys straddle block ends."""
 
     @pytest.fixture(autouse=True, scope="class", params=[1, 2, 7])
-    def block_lines(self, request):
-        with mock.patch.object(ds, "_BLOCK_LINES", request.param):
+    def block_bytes(self, request):
+        with mock.patch.object(ds, "_BLOCK_BYTES", request.param):
             yield request.param
 
 
@@ -383,7 +398,7 @@ def test_load_csv_memory_is_bounded_by_blocks(tmp_path):
     file's fields at once takes about 11 times)."""
     path = str(tmp_path / "catalog.csv")
     ds.save_csv(ds.synthesize(0, 280, 45, 4, "anticipatory"), path)  # 50400 records
-    with mock.patch.object(ds, "_BLOCK_LINES", 1024):
+    with mock.patch.object(ds, "_BLOCK_BYTES", 32768):
         tracemalloc.start()
         try:
             ds.load_csv(path)
@@ -393,14 +408,14 @@ def test_load_csv_memory_is_bounded_by_blocks(tmp_path):
     assert peak < 6 * os.path.getsize(path)
 
 
-@pytest.mark.parametrize("block_lines", [ds._BLOCK_LINES, 1024])
+@pytest.mark.parametrize("block_bytes", [ds._BLOCK_BYTES, 32768])
 @pytest.mark.parametrize("long_quotient", [True, False])
-def test_catalog_loads_bit_identically(tmp_path, block_lines, long_quotient):
+def test_catalog_loads_bit_identically(tmp_path, block_bytes, long_quotient):
     """A realistic catalog (repr quantities, sorted items) loads as the row
     reader loads it, bit for bit, with and without the long double route."""
     path = str(tmp_path / "catalog.csv")
     ds.save_csv(ds.synthesize(0, 280, 45, 4, "anticipatory"), path)
-    with mock.patch.object(ds, "_BLOCK_LINES", block_lines), \
+    with mock.patch.object(ds, "_BLOCK_BYTES", block_bytes), \
             mock.patch.object(ds, "_LONG_QUOTIENT", long_quotient):
         got = ds.load_csv(path)
     want = load_csv_rows(path)
@@ -410,11 +425,14 @@ def test_catalog_loads_bit_identically(tmp_path, block_lines, long_quotient):
 
 
 def _fields(texts):
-    """texts as a padded block of UTF-8 bytes with the bounds of each."""
+    """texts as a block of UTF-8 bytes with the bounds of each, after
+    _WIDTH bytes of digits and points that a field's conversion must not
+    read."""
     parts = [text.encode() for text in texts]
     lengths = np.array([len(part) for part in parts], dtype=int)
     ends = np.cumsum(lengths) + ds._WIDTH
-    return ds._padded(np.frombuffer(b"".join(parts), dtype=np.uint8)), ends - lengths, ends
+    lead = b"7." * (ds._WIDTH // 2)
+    return np.frombuffer(b"".join([lead, *parts]), dtype=np.uint8), ends - lengths, ends
 
 
 def _per_field(texts, convert, dtype):

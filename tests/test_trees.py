@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hierfcst.errors import HierfcstError
-from hierfcst.models import AdaBoostR2, ModelSpec, RegressionTree, fit
+from hierfcst.models import (AdaBoostR2, BaggedGradientBoost, GradientBoost, ModelSpec,
+                             RegressionTree, fit)
 from hierfcst.models.trees import _forest_draws, _pairwise_sum, _pick, _weighted_median
 
 from oracles import (RecursiveTree, adaboost_reference, bagged_boost_reference,
-                     forest_reference, sequential_pick, weighted_median_reference)
+                     boost_reference, forest_reference, sequential_pick,
+                     weighted_median_reference)
 
 
 def _bfs(root):
@@ -88,6 +90,23 @@ class TestFlatEngineMatchesRecursiveReference:
             ref = bagged_boost_reference(X, Y[:, c], 3, 4, 0.1, 2, seed=9 + c)
             np.testing.assert_allclose(bagged.payload.models[c].predict(Xq), ref(Xq),
                                        rtol=1e-12, atol=1e-300)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40), st.booleans())
+    def test_boosting_fits_match_the_boosting_loop(self, seed, n, constant):
+        """GradientBoost.fit, on every row, and BaggedGradientBoost.fit
+        predict as the reference boosting loop does, bit for bit; a
+        constant target stops the loop before its first tree."""
+        rng = np.random.default_rng(seed)
+        X = rng.integers(0, 4, size=(n, 3)).astype(float)
+        y = np.full(n, 2.5) if constant else rng.normal(size=n)
+        Xq = rng.normal(size=(7, 3)) * 2
+        boost = GradientBoost(rounds=6, learning_rate=0.3, max_depth=2).fit(X, y)
+        assert bits(boost.predict(Xq)) == bits(boost_reference(X, y, 6, 0.3, 2)(Xq))
+        bagged = BaggedGradientBoost(n_bags=3, boost_rounds=4, learning_rate=0.1,
+                                     max_depth=2, seed=seed % 97).fit(X, y)
+        want = bagged_boost_reference(X, y, 3, 4, 0.1, 2, seed=seed % 97)
+        assert bits(bagged.predict(Xq)) == bits(want(Xq))
 
 
 def bits(a):
