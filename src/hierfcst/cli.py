@@ -28,7 +28,7 @@ from . import dataset as ds
 from . import evaluate as ev
 from . import tda
 from . import trmf as trmf_mod
-from .errors import HierfcstError, OutOfScopeError
+from .errors import HierfcstError, OutOfScopeError, require_at_least
 from .features import extract_feature_matrix
 from .models import ModelSpec, fit
 from .models.spec import _coerce
@@ -180,6 +180,8 @@ def _select(tensor, board, train_periods, intervals, overlap, k, min_cluster_fra
     """Fit the TDA selector on the tensor's items labelled by their best
     specs; write it to out and the Mapper graph to graph_path and its .dot.
     An item that no spec scored has no label: it stops the stage."""
+    if not 0.0 < min_cluster_frac <= 1.0:
+        raise HierfcstError(f"min_cluster_frac must be in (0, 1], got {min_cluster_frac}")
     missing = [item for item in tensor.items if item not in board.best_model]
     if missing:
         raise HierfcstError(f"no spec scored items {missing}")
@@ -338,6 +340,7 @@ def cmd_backtest(args):
 
 
 def cmd_select(args):
+    require_at_least("--subset", args.subset, 1)
     tensor = ds.load_cache(args.data)
     specs = load_specs(args.models)
     split = ev.BacktestSplit(args.train_periods, args.test_periods)

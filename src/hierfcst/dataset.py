@@ -18,7 +18,8 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import DomainError, DuplicateKeyError, HierfcstError, ParseError
+from .errors import (DomainError, DuplicateKeyError, HierfcstError, ParseError,
+                     require_at_least)
 
 CSV_HEADER = ("item_id", "delivery_period", "lead_time", "quantity")
 
@@ -388,6 +389,7 @@ def load_csv(path, missing_as_zero: bool = True,
     order raises its ParseError, DomainError or DuplicateKeyError with its
     line number; a period or lead beyond int64 is a ParseError.
     """
+    require_at_least("max_lead", max_lead, 1)
     header, blocks = _records(path)
     if [c.strip() for c in header] != list(CSV_HEADER):
         raise ParseError(

@@ -40,24 +40,28 @@ class RidgePayload:
         return _with_bias(X) @ self.coef
 
 
-def solve_items(solve, out, *stacks):
-    """out[k] = solve(*(s[k] for s in stacks)) for every item k of a stack,
-    by one stacked call.  Only when that call raises LinAlgError is each
-    item solved alone, so the error lands on its own item; a failed item
-    keeps its entries of ``out``.  Returns {item position: LinAlgError}.
-    """
+def solve_stack(A, b):
+    """x[k] with A[k] x[k] = b[k] for every system k of a stack A (s, n, n),
+    b (s, n), by one stacked solve.  Only when that raises is each system
+    solved alone, and a singular one takes lstsq's minimum-norm answer.
+    Returns (x, {k: None, or lstsq's LinAlgError, for each system k that
+    went to lstsq}); a system whose lstsq fails has a NaN answer."""
     try:
-        out[...] = solve(*stacks)
-        return {}
+        return np.linalg.solve(A, b[..., None])[..., 0], {}
     except np.linalg.LinAlgError:
         pass
-    failures = {}
-    for k in range(len(out)):
+    x = np.full(b.shape, np.nan)
+    singular = {}
+    for k in range(len(A)):
         try:
-            out[k] = solve(*(s[k] for s in stacks))
-        except np.linalg.LinAlgError as exc:
-            failures[k] = exc
-    return failures
+            x[k] = np.linalg.solve(A[k], b[k, :, None])[:, 0]
+        except np.linalg.LinAlgError:
+            singular[k] = None
+            try:
+                x[k] = np.linalg.lstsq(A[k], b[k], rcond=None)[0]
+            except np.linalg.LinAlgError as exc:
+                singular[k] = exc
+    return x, singular
 
 
 def _cho_solve(A, B):
@@ -289,10 +293,6 @@ def _poisson_lls(Xb, y, B, lam):
     return ll - _dots(0.5 * lam * B[:, 1:], B[:, 1:])
 
 
-def _solve_system(A, b):
-    return np.linalg.solve(A, b[..., None])[..., 0]
-
-
 def fit_poisson(X, Y, lam: float = 0.0, max_iter: int = 200,
                 tol: float = 1e-10) -> PoissonPayload:
     """Log-link Poisson regression by iteratively reweighted least squares
@@ -349,13 +349,11 @@ def fit_poisson(X, Y, lam: float = 0.0, max_iter: int = 200,
         Xt = np.swapaxes(Xl, 1, 2)
         A = Xt @ (mu[:, :, None] * Xl) + penalty
         b = _gemv(Xt, mu * z)
-        proposal = np.empty_like(beta)
+        proposal, singular = solve_stack(A, b)
         solved = np.ones(len(live), dtype=bool)
-        for r in solve_items(_solve_system, proposal, A, b):
+        for r, exc in singular.items():
             fallbacks[live[r]] += 1
-            try:
-                proposal[r] = np.linalg.lstsq(A[r], b[r], rcond=None)[0]
-            except np.linalg.LinAlgError as exc:
+            if exc is not None:
                 errors[live[r]] = exc
                 solved[r] = False
         live, beta, proposal = live[solved], beta[solved], proposal[solved]

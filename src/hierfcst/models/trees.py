@@ -16,7 +16,6 @@ trees (``_Nodes``), each model the ids of its trees in it, and
 from __future__ import annotations
 
 import collections
-import functools
 import numbers
 
 import numpy as np
@@ -436,22 +435,17 @@ class _Ensemble:
         return self.combine(_walk(self.nodes, self.nodes.offsets[self.ids], X))
 
 
-@functools.lru_cache(maxsize=64)
 def _forest_draws(seed, n_trees, bootstrap, n):
     """(generators, rows (n_trees, n)) of the trees of a forest fitted on n
     rows: each tree's generator, as its bootstrap draw leaves it, and its
-    rows, read-only.  They depend only on the arguments, so they are drawn
-    once per process and shared: callers draw from ``_copy`` of a
-    generator, never from the generator itself."""
+    rows."""
     rng = np.random.default_rng(seed)
     rngs, rows = [], []
     for _ in range(n_trees):
         tree_rng = np.random.default_rng(rng.integers(0, 2 ** 63))
         rows.append(tree_rng.integers(0, n, size=n) if bootstrap else np.arange(n))
         rngs.append(tree_rng)
-    rows = np.array(rows)
-    rows.flags.writeable = False
-    return tuple(rngs), rows
+    return rngs, np.array(rows)
 
 
 def _copy(rng):
@@ -488,13 +482,19 @@ class RandomForest(_Ensemble):
     def fit_batch(forests, X, Y):
         """Fit ``forests[i * m + c]`` to column c of item i of a stack X
         (items, n, k), Y (items, n, m), all their trees grown together.
-        Bootstrap rows come from ``_forest_draws``.  With ``max_features <
-        1`` each forest's trees draw their feature subsets from copies of the
-        generators in the state a fit of that forest alone leaves them."""
+        Bootstrap rows depend only on a forest's seed, tree count, bootstrap
+        flag and n, so they are drawn once per stack (``_forest_draws``).
+        With ``max_features < 1`` each forest's trees draw their feature
+        subsets from copies of the generators in the state a fit of that
+        forest alone leaves them."""
         X, Y, first, col, n = _stacked(forests, X, Y)
+        bootstraps = {}
         rows, draws = [], []
         for forest, start in zip(forests, first.tolist()):
-            rngs, draw = _forest_draws(forest.seed, forest.n_trees, forest.bootstrap, n)
+            key = (forest.seed, forest.n_trees, forest.bootstrap)
+            if key not in bootstraps:
+                bootstraps[key] = _forest_draws(*key, n)
+            rngs, draw = bootstraps[key]
             rows.append(draw + start)
             mf = forest.max_features
             draws += [None if mf is None or mf >= 1.0 else (mf, _copy(rng)) for rng in rngs]

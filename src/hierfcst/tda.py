@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HierfcstError
+from .errors import HierfcstError, require_at_least
 from .features import extract_features
 
 DEFAULT_INTERVALS = 10
@@ -36,10 +36,7 @@ def canberra(u, v) -> float:
     v = np.asarray(v, dtype=float).ravel()
     if u.shape != v.shape:
         raise HierfcstError(f"length mismatch: {u.shape[0]} vs {v.shape[0]}")
-    num = np.abs(u - v)
-    den = np.abs(u) + np.abs(v)
-    live = den > 0
-    return float(np.sum(num[live] / den[live]))
+    return float(canberra_matrix(u, v)[0, 0])
 
 
 def canberra_matrix(A, B=None) -> np.ndarray:
@@ -360,6 +357,7 @@ def label_and_route(graph: MapperGraph, features, best_labels,
     best_labels maps every training series index to its SMAPE-best model
     name.  Ties inside a cluster or a neighbourhood break lexicographically.
     """
+    require_at_least("k", k, 1)
     features = np.atleast_2d(np.asarray(features, dtype=float))
     n = graph.n_series
     best_labels = list(best_labels)

@@ -26,6 +26,7 @@ from scipy.linalg import get_lapack_funcs
 
 from .errors import (DensityError, DomainError, HierfcstError, IllConditionedError,
                      require_at_least)
+from .models.linear import solve_stack
 from .models.spec import default_hyperparams
 
 # Least observed share of entries factorize accepts without allow_low_density.
@@ -159,16 +160,6 @@ def _band_map(T, d, p) -> _Band:
                  ar_at.ravel(), ar_l.ravel(), (ar_l - k).ravel())
 
 
-def _solve_min_norm(A, b):
-    """Solve the stack A x = b of square systems; when one is singular, the
-    whole stack takes the minimum-norm answer with lstsq's default cutoff."""
-    try:
-        return np.linalg.solve(A, b[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        rcond = A.shape[-1] * np.finfo(float).eps
-        return (np.linalg.pinv(A, rcond=rcond) @ b[..., None])[..., 0]
-
-
 def _objective(data, Z, F, phi, lam_f, lam_z, lam_ar) -> float:
     resid = data.Y_obs - np.take(Z @ F, data.obs)
     value = 0.5 * float(resid @ resid) / data.m
@@ -191,12 +182,16 @@ def _f_block(data, Z, lam_f):
 
     An item with no observed rows has b = 0 and so F = 0.  When an item
     system is singular (lam_f = 0 with fewer observed rows than the rank,
-    or none) the stack falls back to minimum-norm least squares.
+    or none) each item is solved alone and the singular ones take
+    minimum-norm least squares (``solve_stack``).
     """
     T, d = Z.shape
     G = (data.Wm.T @ (Z[:, :, None] * Z[:, None, :]).reshape(T, d * d)).reshape(-1, d, d)
     G += lam_f * np.eye(d)
-    return _solve_min_norm(G, data.WYm.T @ Z).T
+    F, singular = solve_stack(G, data.WYm.T @ Z)
+    for exc in filter(None, singular.values()):
+        raise exc
+    return F.T
 
 
 def _z_block(data, band, F, phi, lam_z, lam_ar):
@@ -238,11 +233,14 @@ def _phi_step(Z, p):
     holds Z_s .. Z_{s+p}; one product of it gives every factor's Gram matrix
     of its windows [Z_{t-p} .. Z_{t-1}, Z_t], and one stacked p x p solve
     answers their normal equations.  A singular factor system (a factor
-    that is zero) gives the stack lstsq's minimum-norm answer."""
+    that is zero) takes lstsq's minimum-norm answer (``solve_stack``)."""
     T, d = Z.shape
     lags = Z.ravel()[d * np.arange(T - p)[:, None] + np.arange((p + 1) * d)]
     G = (lags.T @ lags).reshape(p + 1, d, p + 1, d).diagonal(axis1=1, axis2=3)
-    return _solve_min_norm(G[:p, :p].transpose(2, 0, 1), G[:p, p].T)[:, ::-1]
+    phi, singular = solve_stack(G[:p, :p].transpose(2, 0, 1), G[:p, p].T)
+    for exc in filter(None, singular.values()):
+        raise exc
+    return phi[:, ::-1]
 
 
 def factorize(Y, mask=None, cfg: TrmfConfig | None = None, init=None) -> FactorModel:

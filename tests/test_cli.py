@@ -866,3 +866,51 @@ class TestPipelineKeys:
         assert main(["pipeline", "--config", "pipe.ini"]) == STAGE_EXIT["pipeline"]
         assert "cannot read pipeline config pipe.ini" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ([] if text is None else ["pipe.ini"])
+
+
+class TestSelectAndIngestBounds:
+    """Selection and ingest values out of range fail their stage naming
+    the value, before they can select over a sliced catalog or drop every
+    record."""
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--k", "0"], "k must be >= 1, got 0"),
+        (["--k", "-2"], "k must be >= 1, got -2"),
+        (["--subset", "-3"], "--subset must be >= 1, got -3"),
+        (["--subset", "0"], "--subset must be >= 1, got 0"),
+        (["--min-cluster-frac", "0"], "min_cluster_frac must be in (0, 1], got 0.0"),
+        (["--min-cluster-frac", "1.5"], "min_cluster_frac must be in (0, 1], got 1.5")])
+    def test_select_flag_out_of_range_fails_the_stage(self, tmp_path, capsys, tensor_cache,
+                                                      specs_file, flags, message):
+        code = main(["select", "--data", tensor_cache, "--models", specs_file, *flags,
+                     "--out", str(tmp_path / "selector.bin"),
+                     "--graph", str(tmp_path / "graph.json")])
+        assert code == STAGE_EXIT["select"]
+        assert f"select: {message}" in capsys.readouterr().err
+        assert message in (tmp_path / "INCOMPLETE").read_text()
+        assert not (tmp_path / "selector.bin").exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("k", "0", "k must be >= 1, got 0"),
+        ("k", "-2", "k must be >= 1, got -2"),
+        ("min_cluster_frac", "0", "min_cluster_frac must be in (0, 1], got 0.0"),
+        ("min_cluster_frac", "-0.5", "min_cluster_frac must be in (0, 1], got -0.5")])
+    def test_select_key_out_of_range_fails_the_pipeline(self, tmp_path, capsys, key, value,
+                                                        message):
+        out_dir = tmp_path / "run"
+        cfg = tmp_path / "pipe.ini"
+        cfg.write_text(PIPELINE_INI.format(out_dir=out_dir).replace(
+            "min_cluster_frac = 0.2\n", f"{key} = {value}\n"))
+        assert main(["pipeline", "--config", str(cfg)]) == STAGE_EXIT["pipeline"]
+        assert f"pipeline: {message}" in capsys.readouterr().err
+        assert message in (out_dir / "INCOMPLETE").read_text()
+        assert not (out_dir / "selector.bin").exists()
+
+    def test_ingest_max_lead_below_one_fails_the_stage(self, tmp_path, capsys):
+        csv_path = tmp_path / "raw.csv"
+        ds.save_csv(ds.synthesize(1, 3, 12, 3, "smooth"), csv_path)
+        code = main(["ingest", "--input", str(csv_path), "--output", str(tmp_path / "out.npz"),
+                     "--max-lead", "0"])
+        assert code == STAGE_EXIT["ingest"]
+        assert "ingest: max_lead must be >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "out.npz").exists()

@@ -71,6 +71,12 @@ class TestLoadCsv:
         t2 = ds.load_csv(p, max_lead=10)
         assert t2.n_leads == 10
 
+    @pytest.mark.parametrize("max_lead", [0, -1])
+    def test_max_lead_below_one_rejected(self, tmp_path, max_lead):
+        p = write_csv(tmp_path / "cap.csv", ["A,1,0,5"])
+        with pytest.raises(HierfcstError, match=f"max_lead must be >= 1, got {max_lead}"):
+            ds.load_csv(p, max_lead=max_lead)
+
     def test_strict_mode_requires_full_grid(self, tmp_path):
         p = write_csv(tmp_path / "sparse.csv", ["A,0,0,1", "A,1,1,2"])
         with pytest.raises(HierfcstError):

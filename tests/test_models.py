@@ -16,7 +16,7 @@ from hierfcst.models.arx import fit_arx_payload, lag_matrix
 from hierfcst.models import linear
 from hierfcst.models.linear import (_cho_solve, _self_sq_dists, fit_kernel_ridge,
                                     fit_lasso, fit_poisson, fit_ridge, median_bandwidth,
-                                    pairwise_sq_dists, rbf_kernel)
+                                    pairwise_sq_dists, rbf_kernel, solve_stack)
 from hierfcst.preprocess import TargetTransform
 from hierfcst.trmf import TrmfConfig
 
@@ -622,6 +622,35 @@ class TestPoissonLockstep:
         Y[2, 3, 0] = -0.5
         with pytest.raises(DomainError):
             fit_poisson(X, Y)
+
+
+class TestSolveStack:
+    def test_singular_system_alone_takes_lstsq(self):
+        # A zero column makes system 2 singular: the stacked solve raises,
+        # every other system keeps the bits of its lone solve, and only
+        # system 2 is named, with lstsq's minimum-norm answer.
+        rng = np.random.default_rng(14)
+        A, b = rng.normal(size=(5, 4, 4)), rng.normal(size=(5, 4))
+        A[2, :, 3] = 0.0
+        x, singular = solve_stack(A, b)
+        assert singular == {2: None}
+        for k in (0, 1, 3, 4):
+            assert _bits(x[k]) == _bits(np.linalg.solve(A[k], b[k]))
+        assert _bits(x[2]) == _bits(np.linalg.lstsq(A[2], b[2], rcond=None)[0])
+
+    def test_failed_lstsq_is_named_with_a_nan_answer(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        A, b = rng.normal(size=(3, 4, 4)), rng.normal(size=(3, 4))
+        A[1, :, 0] = 0.0
+        error = np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+        def lstsq(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+        x, singular = solve_stack(A, b)
+        assert singular == {1: error}
+        assert np.isnan(x[1]).all() and np.isfinite(x[[0, 2]]).all()
 
 
 def normal_equations(X, Y, lam):

@@ -546,6 +546,14 @@ class TestLabelAndRoute:
         with pytest.raises(HierfcstError):
             label_and_route(g, X, ["A"] * 50)
 
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_k_below_one_rejected(self, k):
+        X = two_blob_features(seed=12)
+        g = mapper(X, n_intervals=6, overlap=0.3)
+        fiedler_partition(g, min_cluster_size=3)
+        with pytest.raises(HierfcstError, match=f"k must be >= 1, got {k}"):
+            label_and_route(g, X, ["A"] * 50, k=k)
+
     def test_purity_and_shares(self):
         labels = ["A"] * 25 + ["B"] * 25
         X, g, sel = self._fitted(labels, seed=13)

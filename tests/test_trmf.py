@@ -249,6 +249,21 @@ class TestStackedBlocks:
         np.testing.assert_allclose(F, f_step_columns(Y, mask, Z, 0.0, m),
                                    rtol=1e-10, atol=1e-12)
 
+    def test_f_step_unobserved_item_leaves_the_others_bits(self):
+        # At lam_f = 0 item 2, never observed, has a singular system: it
+        # takes lstsq's answer, 0, and every other item keeps the bits it
+        # has in the stack without item 2.
+        rng = np.random.default_rng(22)
+        Y, Z = rng.normal(size=(10, 5)), rng.normal(size=(10, 3))
+        mask = np.ones((10, 5), bool)
+        mask[:, 2] = False
+        m = int(mask.sum())
+        F = _f_block(_data_terms(Y, mask, m), Z, 0.0)
+        keep = [0, 1, 3, 4]
+        without = _f_block(_data_terms(Y[:, keep], mask[:, keep], m), Z, 0.0)
+        assert F[:, keep].tobytes() == without.tobytes()
+        np.testing.assert_array_equal(F[:, 2], 0.0)
+
     def test_z_step_matches_dense_normal_equations(self):
         rng = np.random.default_rng(22)
         for _ in range(30):
