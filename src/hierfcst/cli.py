@@ -175,13 +175,20 @@ def _synth(output, seed, items, periods, leads, regime):
     return tensor
 
 
+def _check_select(intervals, overlap, k, min_cluster_frac):
+    """The checks of the selection values, made before the backtest whose
+    board they would select over."""
+    tda.check_cover(intervals, overlap)
+    require_at_least("k", k, 1)
+    if not 0.0 < min_cluster_frac <= 1.0:
+        raise HierfcstError(f"min_cluster_frac must be in (0, 1], got {min_cluster_frac}")
+
+
 def _select(tensor, board, train_periods, intervals, overlap, k, min_cluster_frac,
             out, graph_path):
     """Fit the TDA selector on the tensor's items labelled by their best
     specs; write it to out and the Mapper graph to graph_path and its .dot.
     An item that no spec scored has no label: it stops the stage."""
-    if not 0.0 < min_cluster_frac <= 1.0:
-        raise HierfcstError(f"min_cluster_frac must be in (0, 1], got {min_cluster_frac}")
     missing = [item for item in tensor.items if item not in board.best_model]
     if missing:
         raise HierfcstError(f"no spec scored items {missing}")
@@ -209,6 +216,18 @@ def _report(board, item, out=None, out_dir=""):
 
 def _safe_name(name: str) -> str:
     return "".join(c if c.isalnum() or c in "-_" else "_" for c in name)
+
+
+def _first_clash(names):
+    """Positions (i, j), i < j, of the first two of ``names`` that are equal
+    ignoring case, or None: one file on a case-insensitive file system, and
+    one key of a run record, whose keys configparser lower-cases."""
+    seen = {}
+    for j, name in enumerate(names):
+        i = seen.setdefault(name.lower(), j)
+        if i != j:
+            return i, j
+    return None
 
 
 def cmd_ingest(args):
@@ -242,19 +261,25 @@ def cmd_transform(args):
 
 def cmd_train(args):
     tensor = ds.load_cache(args.data)
-    specs = load_specs(args.spec)
+    # The series/matrix-route and no-feeding models are fitted inside
+    # backtest; the store holds the diagonal-feeding ones.
+    specs = [spec for spec in load_specs(args.spec) if spec.feeding in ev.DF_FEEDINGS]
     split = ev.BacktestSplit(args.train_periods, args.test_periods)
     split.validate(tensor.n_periods)
+    stored = [(spec, item) for spec in specs for item in
+              (["ALL"] if spec.feeding == "df_all_items" else tensor.items)]
+    clash = _first_clash([_store_stem(*pair) for pair in stored])
+    if clash:
+        (a, i), (b, j) = (stored[c] for c in clash)
+        raise HierfcstError(f"spec {a.name!r} item {i!r} and spec {b.name!r} item {j!r} "
+                            f"would share the stored model {_store_stem(a, i)}.pkl "
+                            "(names are compared ignoring case)")
     os.makedirs(args.out_dir, exist_ok=True)
     designs = {}
     n_models = 0
     failures = {}
     for spec in specs:
         key = ev._design_key(spec)
-        if key is None or key[0] != "df":
-            # The series/matrix-route and no-feeding models are fitted
-            # inside backtest; the store holds the diagonal-feeding ones.
-            continue
         # The backtest's training rows: X[i], Y[i] are item i's frames.
         if key not in designs:
             designs[key] = ev._build_design(tensor, key, split)
@@ -341,6 +366,7 @@ def cmd_backtest(args):
 
 def cmd_select(args):
     require_at_least("--subset", args.subset, 1)
+    _check_select(args.intervals, args.overlap, args.k, args.min_cluster_frac)
     tensor = ds.load_cache(args.data)
     specs = load_specs(args.models)
     split = ev.BacktestSplit(args.train_periods, args.test_periods)
@@ -399,7 +425,8 @@ def _resolve_pipeline(parser, out_dir: str, master_seed: int) -> dict:
     """The [run], [data], [backtest], [select] and [report] tables, each key
     from the config or its default ([run] seed's is master_seed); [data]
     holds csv_path or the synth keys by its source, and the run fills in
-    the default report item."""
+    the default report item.  The [select] values are checked here, before
+    any stage runs."""
     run = {"out_dir": out_dir, **_read_keys(parser, "run", {"seed": master_seed})}
     data = _read_keys(parser, "data", {"source": "synth"})
     if data["source"] not in ("csv", "synth"):
@@ -407,14 +434,33 @@ def _resolve_pipeline(parser, out_dir: str, master_seed: int) -> dict:
     data.update(_read_keys(parser, "data", {"csv_path": ""} if data["source"] == "csv" else {
         "seed": stage_seed(run["seed"], "synth"), "items": _SYNTH_ITEMS,
         "periods": _SYNTH_PERIODS, "leads": ds.DEFAULT_MAX_LEAD, "regime": _SYNTH_REGIME}))
+    select = _read_keys(parser, "select", {
+        "enabled": True, "intervals": tda.DEFAULT_INTERVALS, "overlap": tda.DEFAULT_OVERLAP,
+        "k": tda.DEFAULT_KNN, "min_cluster_frac": _MIN_CLUSTER_FRAC})
+    _check_select(select["intervals"], select["overlap"], select["k"],
+                  select["min_cluster_frac"])
     return {
         "run": run, "data": data,
         "backtest": _read_keys(parser, "backtest", {
             "train_periods": _SPLIT.train_periods, "test_periods": _SPLIT.test_periods}),
-        "select": _read_keys(parser, "select", {
-            "enabled": True, "intervals": tda.DEFAULT_INTERVALS, "overlap": tda.DEFAULT_OVERLAP,
-            "k": tda.DEFAULT_KNN, "min_cluster_frac": _MIN_CLUSTER_FRAC}),
+        "select": select,
         "report": _read_keys(parser, "report", {"items": ""})}
+
+
+def _check_report_items(items, catalog):
+    """Each [report] item is the catalog's, and no two share a report file
+    name ignoring case."""
+    catalog = set(catalog)
+    missing = [item for item in items if item not in catalog]
+    if missing:
+        raise HierfcstError(f"[report] items: {missing[0]!r} is not in the catalog")
+    items = list(dict.fromkeys(items))
+    clash = _first_clash([_safe_name(item) for item in items])
+    if clash:
+        a, b = (items[c] for c in clash)
+        raise HierfcstError(f"[report] items: {a!r} and {b!r} would share the report "
+                            f"file report_{_safe_name(a)}.csv (names are compared "
+                            "ignoring case)")
 
 
 def run_pipeline(config_path, master_seed: int = 0) -> int:
@@ -441,6 +487,8 @@ def run_pipeline(config_path, master_seed: int = 0) -> int:
     else:
         tensor = _synth(tensor_path, data["seed"], data["items"], data["periods"],
                         data["leads"], data["regime"])
+    items = tables["report"]["items"].split() or [tensor.items[0]]
+    _check_report_items(items, tensor.items)
     split = ev.BacktestSplit(**tables["backtest"])
 
     specs = [spec_from_mapping(s.split(":", 1)[1], dict(parser[s]))
@@ -455,7 +503,6 @@ def run_pipeline(config_path, master_seed: int = 0) -> int:
                 sel["k"], sel["min_cluster_frac"], os.path.join(out_dir, "selector.bin"),
                 os.path.join(out_dir, "graph.json"))
 
-    items = tables["report"]["items"].split() or [tensor.items[0]]
     tables["report"]["items"] = " ".join(items)
     for item in items:
         _report(board, item, out_dir=out_dir)

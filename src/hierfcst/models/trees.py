@@ -145,9 +145,9 @@ class RegressionTree:
         if np.any(w < 0) or w.sum() <= 0:
             raise HierfcstError("sample weights must be non-negative with positive sum")
         mf = self.max_features
-        draws = None if mf is None or mf >= 1.0 else [(mf, self.rng)]
+        rngs = None if mf is None or mf >= 1.0 else [self.rng]
         nodes = _grow(self.max_depth, X, np.arange(X.shape[0])[None], Y.T, w[None],
-                      min_leaf=self.min_leaf, draws=draws)[1]
+                      min_leaf=self.min_leaf, max_features=mf, rngs=rngs)[1]
         return self._slice(nodes, 0)
 
     def predict(self, X):
@@ -291,7 +291,7 @@ def _scan(nodes, starts, counts, tree_of, sse, w_tot, min_leaf, drawn,
             wl = cw[..., :-1]
             wr = w_tot[nd][:, None] - wl
             i = np.arange(m - 1)
-            ok = ((i >= min_leaf[nd][:, None] - 1) & (i < (cnt - min_leaf[nd])[:, None])
+            ok = ((i >= min_leaf - 1) & (i < (cnt - min_leaf)[:, None])
                   & (rank[..., :-1] != rank[..., 1:]) & (wl > 0) & (wr > 0))
             if drawn is not None:
                 ok &= drawn[np.searchsorted(nodes, nd)].T[..., None]
@@ -310,13 +310,15 @@ def _scan(nodes, starts, counts, tree_of, sse, w_tot, min_leaf, drawn,
     return feat, thr
 
 
-def _grow(max_depth, X, rows, Y, W=None, ranks=None, min_leaf=2, draws=None):
-    """Grow tree b (to ``max_depth[b]``, ``min_leaf[b]``: (B,) or scalars)
-    on targets ``Y[b]`` with weights ``W[b]`` (unit weights when W is None)
-    at the rows ``X[rows[b]]`` (each (B, n)), one depth at a time, the trees
+def _grow(max_depth, X, rows, Y, W=None, ranks=None, min_leaf=2, max_features=None,
+          rngs=None):
+    """Grow tree b, every tree to ``max_depth`` with ``min_leaf``, on
+    targets ``Y[b]`` with weights ``W[b]`` (unit weights when W is None) at
+    the rows ``X[rows[b]]`` (each (B, n)), one depth at a time, the trees
     together in groups of at most _BLOCK slots.  ``ranks`` are X's column
-    ranks, given by a caller that grows on one X again and again.  A tree's
-    ``draws[b]``, if not None, is (max_features, generator).
+    ranks, given by a caller that grows on one X again and again.  Given
+    ``rngs``, tree b draws subsets of ``max_features`` of the features from
+    ``rngs[b]``.
 
     Slot s of tree b is sample ``rows[b, s]``; a bootstrap draw keeps its
     duplicates as separate slots.  Every node keeps its slots in slot order
@@ -330,18 +332,16 @@ def _grow(max_depth, X, rows, Y, W=None, ranks=None, min_leaf=2, draws=None):
     """
     if ranks is None:
         ranks = _column_ranks(X)
-    B = rows.shape[0]
-    max_depth, min_leaf = np.broadcast_to(max_depth, B), np.broadcast_to(min_leaf, B)
     step = max(1, _BLOCK // rows.shape[1])
     leaves, tables = zip(*(
-        _grow_group(max_depth[g:g + step], min_leaf[g:g + step], X, ranks,
-                    rows[g:g + step], Y[g:g + step], None if W is None else W[g:g + step],
-                    None if draws is None else draws[g:g + step])
-        for g in range(0, B, step)))
+        _grow_group(max_depth, min_leaf, max_features, X, ranks, rows[g:g + step],
+                    Y[g:g + step], None if W is None else W[g:g + step],
+                    None if rngs is None else rngs[g:g + step])
+        for g in range(0, rows.shape[0], step)))
     return np.concatenate(leaves), _concat(tables)
 
 
-def _grow_group(max_depth, min_leaf, X, ranks, rows, Y, W, draws):
+def _grow_group(max_depth, min_leaf, max_features, X, ranks, rows, Y, W, rngs):
     B, n = rows.shape
     p = X.shape[1]
     R, Yf = rows.ravel(), np.ravel(Y)
@@ -364,7 +364,7 @@ def _grow_group(max_depth, min_leaf, X, ranks, rows, Y, W, draws):
         if np.any(w_tot == 0.0):
             raise HierfcstError("a tree node has zero total weight")
         mean = wy / w_tot
-        open_ = ((depth < max_depth[tree_of]) & (counts >= 2 * min_leaf[tree_of])
+        open_ = ((depth < max_depth) & (counts >= 2 * min_leaf)
                  & (np.maximum.reduceat(y, starts) != np.minimum.reduceat(y, starts)))
         nodes = np.flatnonzero(open_)
         feat = np.full(L, -1)
@@ -374,17 +374,13 @@ def _grow_group(max_depth, min_leaf, X, ranks, rows, Y, W, draws):
             sse[nodes] = _pairwise_sum(w * (y - np.repeat(mean, counts)) ** 2,
                                        starts[nodes], counts[nodes])
             drawn = None
-            if draws is not None:
-                drawn = np.ones((nodes.size, p), bool)
+            if rngs is not None:
+                drawn = np.zeros((nodes.size, p), bool)
+                size = max(1, int(round(max_features * p)))
                 for r, t in enumerate(tree_of[nodes].tolist()):
-                    if draws[t] is not None:
-                        mf, rng = draws[t]
-                        drawn[r] = False
-                        drawn[r, rng.choice(p, size=max(1, int(round(mf * p))),
-                                            replace=False)] = True
+                    drawn[r, rngs[t].choice(p, size=size, replace=False)] = True
             feat[nodes], thr[nodes] = _scan(nodes, starts, counts, tree_of, sse, w_tot,
-                                            min_leaf[tree_of], drawn, order, X, ranks,
-                                            R, Yf, Wf, n)
+                                            min_leaf, drawn, order, X, ranks, R, Yf, Wf, n)
         split = feat >= 0
         own = done + np.arange(L)
         kids = done + L + 2 * (np.cumsum(split) - 1)
@@ -425,6 +421,9 @@ class _Ensemble:
     """A model predicting from one walk of its trees, ``ids`` in the node
     table ``nodes`` its fit sets: ``combine`` maps their stacked
     predictions to the model's own."""
+
+    def fit(self, X, y):
+        return self.fit_batch([self], *(a[None] for a in _as_xy(X, np.ravel(y))))[0]
 
     def all_trees(self):
         """The model's trees as RegressionTree views of its node table."""
@@ -475,35 +474,35 @@ class RandomForest(_Ensemble):
 
     trees = property(_Ensemble.all_trees)
 
-    def fit(self, X, y):
-        return self.fit_batch([self], *(a[None] for a in _as_xy(X, np.ravel(y))))[0]
-
     @staticmethod
     def fit_batch(forests, X, Y):
         """Fit ``forests[i * m + c]`` to column c of item i of a stack X
-        (items, n, k), Y (items, n, m), all their trees grown together.
-        Bootstrap rows depend only on a forest's seed, tree count, bootstrap
-        flag and n, so they are drawn once per stack (``_forest_draws``).
-        With ``max_features < 1`` each forest's trees draw their feature
-        subsets from copies of the generators in the state a fit of that
-        forest alone leaves them."""
+        (items, n, k), Y (items, n, m), all their trees grown together.  A
+        batch is one spec's forests: equal hyperparameters, seeds aside, so
+        they are read from the first.  Bootstrap rows depend only on a
+        forest's seed (and n), so they are drawn once per seed of the
+        stack (``_forest_draws``).  With ``max_features < 1`` each forest's
+        trees draw their feature subsets from copies of the generators in
+        the state a fit of that forest alone leaves them."""
         X, Y, first, col, n = _stacked(forests, X, Y)
+        spec = forests[0]
+        mf = spec.max_features
+        subsets = mf is not None and mf < 1.0
         bootstraps = {}
-        rows, draws = [], []
+        rows, rngs = [], []
         for forest, start in zip(forests, first.tolist()):
-            key = (forest.seed, forest.n_trees, forest.bootstrap)
-            if key not in bootstraps:
-                bootstraps[key] = _forest_draws(*key, n)
-            rngs, draw = bootstraps[key]
+            if forest.seed not in bootstraps:
+                bootstraps[forest.seed] = _forest_draws(forest.seed, spec.n_trees,
+                                                        spec.bootstrap, n)
+            tree_rngs, draw = bootstraps[forest.seed]
             rows.append(draw + start)
-            mf = forest.max_features
-            draws += [None if mf is None or mf >= 1.0 else (mf, _copy(rng)) for rng in rngs]
+            if subsets:
+                rngs += [_copy(rng) for rng in tree_rngs]
         rows = np.concatenate(rows)
-        owner = np.repeat(np.arange(len(forests)), [forest.n_trees for forest in forests])
-        depth, min_leaf = (np.array([getattr(forest, a) for forest in forests])[owner]
-                           for a in ("max_depth", "min_leaf"))
-        nodes = _grow(depth, X, rows, Y[rows, col[owner, None]], min_leaf=min_leaf,
-                      draws=draws if any(draws) else None)[1]
+        owner = np.repeat(np.arange(len(forests)), spec.n_trees)
+        nodes = _grow(spec.max_depth, X, rows, Y[rows, col[owner, None]],
+                      min_leaf=spec.min_leaf, max_features=mf,
+                      rngs=rngs if subsets else None)[1]
         for forest, ids in zip(forests, _trees_of(owner, len(forests))):
             forest.nodes, forest.ids = nodes, ids
         return forests
@@ -538,15 +537,13 @@ class AdaBoostR2(_Ensemble):
 
     trees = property(_Ensemble.all_trees)
 
-    def fit(self, X, y):
-        return self.fit_batch([self], *(a[None] for a in _as_xy(X, np.ravel(y))))[0]
-
     @staticmethod
     def fit_batch(boosts, X, Y):
         """Fit ``boosts[i * m + c]`` to column c of item i of a stack X
-        (items, n, k), Y (items, n, m).  Each round grows the trees of every
-        booster still boosting together and books them by array code over
-        those boosters.
+        (items, n, k), Y (items, n, m).  A batch is one spec's boosters, so
+        the round count and depth are read from the first.  Each round grows
+        the trees of every booster still boosting together and books them by
+        array code over those boosters.
 
         A round's tree with zero error everywhere decides alone (log weight
         log 1e12) and ends its boosting.  One whose weighted average linear
@@ -560,17 +557,14 @@ class AdaBoostR2(_Ensemble):
         rows = first[:, None] + np.arange(n)
         y = Y[rows, col[:, None]]
         ranks = _column_ranks(X)
-        rounds = np.array([boost.rounds for boost in boosts])
-        depth = np.array([boost.base_depth for boost in boosts])
         # Unit weights keep round one bit-identical to a plain tree.
         W = np.ones(y.shape)
         tables, owner, log_weights = [], [], []
         live = np.arange(len(boosts))
-        for r in range(rounds.max()):
-            live = live[r < rounds[live]]
+        for r in range(boosts[0].rounds):
             if not live.size:
                 break
-            leaf, nodes = _grow(depth[live], X, rows[live], y[live], W[live], ranks)
+            leaf, nodes = _grow(boosts[0].base_depth, X, rows[live], y[live], W[live], ranks)
             err = np.abs(leaf - y[live])
             w = W[live]
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -631,23 +625,22 @@ class GradientBoost(_Ensemble):
 def _boost(members, X, rows, Y):
     """Gradient-boost ``members[b]`` on targets ``Y[b]`` at the rows
     ``X[rows[b]]``; each round grows one tree per member still boosting.
-    The members share the rounds' node table."""
+    The members are one spec's, so its rounds, depth and rate are read from
+    the first.  The members share the rounds' node table."""
     init = Y.mean(axis=1)
     pred = np.repeat(init[:, None], Y.shape[1], axis=1)
     ranks = _column_ranks(X)
-    rounds, depth, rate = (np.array([getattr(m, a) for m in members])
-                           for a in ("rounds", "max_depth", "learning_rate"))
+    spec = members[0]
     tables, owner = [], [np.zeros(0, np.int64)]
     live = np.arange(len(members))
-    for r in range(rounds.max()):
-        live = live[r < rounds[live]]
+    for _ in range(spec.rounds):
         resid = Y[live] - pred[live]
         going = np.max(np.abs(resid), axis=1) >= 1e-15
         live, resid = live[going], resid[going]
         if not live.size:
             break
-        step, nodes = _grow(depth[live], X, rows[live], resid, ranks=ranks)
-        pred[live] = pred[live] + rate[live, None] * step
+        step, nodes = _grow(spec.max_depth, X, rows[live], resid, ranks=ranks)
+        pred[live] = pred[live] + spec.learning_rate * step
         tables.append(nodes)
         owner.append(live)
     nodes = _concat(tables)
@@ -675,29 +668,29 @@ class BaggedGradientBoost(_Ensemble):
         self.seed = seed
         self.members = []
 
-    def fit(self, X, y):
-        return self.fit_batch([self], *(a[None] for a in _as_xy(X, np.ravel(y))))[0]
-
     @staticmethod
     def fit_batch(ensembles, X, Y):
         """Fit ``ensembles[i * m + c]`` to column c of item i of a stack X
         (items, n, k), Y (items, n, m), boosting every bag of every target
-        together.  Bag rows depend only on an ensemble's seed, bag count and
-        n, so they are drawn once per stack."""
+        together.  A batch is one spec's ensembles: equal hyperparameters,
+        seeds aside, so they are read from the first.  Bag rows depend only
+        on an ensemble's seed (and n), so they are drawn once per seed of
+        the stack."""
         X, Y, first, col, n = _stacked(ensembles, X, Y)
+        spec = ensembles[0]
         draws = {}
         members, rows = [], []
         for ens, start in zip(ensembles, first.tolist()):
-            key = (ens.seed, ens.n_bags)
-            if key not in draws:
+            if ens.seed not in draws:
                 rng = np.random.default_rng(ens.seed)
-                draws[key] = np.array([rng.integers(0, n, size=n) for _ in range(ens.n_bags)])
-            ens.members = [GradientBoost(ens.boost_rounds, ens.learning_rate, ens.max_depth)
-                           for _ in range(ens.n_bags)]
+                draws[ens.seed] = np.array([rng.integers(0, n, size=n)
+                                            for _ in range(spec.n_bags)])
+            ens.members = [GradientBoost(spec.boost_rounds, spec.learning_rate,
+                                         spec.max_depth) for _ in range(spec.n_bags)]
             members += ens.members
-            rows.append(draws[key] + start)
+            rows.append(draws[ens.seed] + start)
         rows = np.concatenate(rows)
-        cols = np.repeat(col, [ens.n_bags for ens in ensembles])
+        cols = np.repeat(col, spec.n_bags)
         _boost(members, X, rows, Y[rows, cols[:, None]])
         return ensembles
 

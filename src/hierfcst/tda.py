@@ -196,6 +196,15 @@ def _cluster_preimage(D, bins: int = HISTOGRAM_BINS) -> np.ndarray:
     return np.argsort(np.argsort(first))[inverse]
 
 
+def check_cover(n_intervals, overlap):
+    """Raise HierfcstError unless Mapper can cover a lens with n_intervals
+    intervals overlapping by the share overlap."""
+    if n_intervals < 1:
+        raise HierfcstError("n_intervals must be >= 1")
+    if not 0.0 < overlap <= 0.5:
+        raise HierfcstError(f"overlap must be in (0, 0.5], got {overlap}")
+
+
 def mapper(features, lens=None, n_intervals: int = DEFAULT_INTERVALS,
            overlap: float = DEFAULT_OVERLAP) -> MapperGraph:
     """Mapper graph: overlapping lens intervals, Canberra single-linkage
@@ -210,10 +219,7 @@ def mapper(features, lens=None, n_intervals: int = DEFAULT_INTERVALS,
     n = X.shape[0]
     if n == 0:
         raise HierfcstError("empty feature matrix")
-    if n_intervals < 1:
-        raise HierfcstError("n_intervals must be >= 1")
-    if not 0.0 < overlap <= 0.5:
-        raise HierfcstError(f"overlap must be in (0, 0.5], got {overlap}")
+    check_cover(n_intervals, overlap)
     lens = pca_lens(X) if lens is None else np.asarray(lens, dtype=float).ravel()
     if lens.shape[0] != n:
         raise HierfcstError("lens length must match feature rows")

@@ -225,6 +225,17 @@ class TestStages:
         assert lines[0] == "spec,mean_smape,median_smape,n_items,best_count"
         assert len(lines) == 3
 
+    def test_backtest_prints_its_failure_count(self, tmp_path, capsys):
+        tensor = ds.synthesize(3, 6, 45, 4, "anticipatory")
+        tensor.values[3] = 5.0         # constant: singular normal equations at lam = 0
+        data = tmp_path / "tensor.npz"
+        ds.save_cache(tensor, data)
+        specs = tmp_path / "specs.ini"
+        specs.write_text("[r0]\nfamily = ridge\nlam = 0\nfeeding = df_one_by_one\n")
+        assert main(["backtest", "--specs", str(specs), "--data", str(data),
+                     "--out", str(tmp_path / "board.csv")]) == 0
+        assert capsys.readouterr().err == "1 per-cell failures (excluded from argmin)\n"
+
     def test_trmf_emits_csv_artifacts(self, tmp_path, tensor_cache):
         out = tmp_path / "mf"
         assert main(["trmf", "--data", tensor_cache, "--rank", "2",
@@ -281,6 +292,13 @@ class TestSpecParsing:
         assert [s.name for s in specs] == ["ridge_df", "arx"]
         assert specs[0].feeding == "df_one_by_one"
         assert specs[0].hyperparams["lam"] == 1e-4
+
+    @pytest.mark.parametrize("text", ["", "# no sections\n"])
+    def test_file_without_sections_rejected(self, tmp_path, text):
+        empty = tmp_path / "empty.ini"
+        empty.write_text(text)
+        with pytest.raises(HierfcstError, match="no spec sections in"):
+            load_specs(str(empty))
 
     def test_out_of_scope_family_fails_with_stage_code(self, tmp_path, tensor_cache):
         bad = tmp_path / "bad.ini"
@@ -411,6 +429,15 @@ class TestPipeline:
         cfg.write_text(PIPELINE_INI.format(out_dir=out_dir))
         assert main(["pipeline", "--config", str(cfg)]) == 0
         assert not (out_dir / "INCOMPLETE").exists()
+
+    def test_config_without_spec_sections_fails(self, tmp_path, capsys):
+        cfg = tmp_path / "pipe.ini"
+        out_dir = tmp_path / "run"
+        cfg.write_text(PIPELINE_INI.split("[spec:")[0].format(out_dir=out_dir))
+        assert main(["pipeline", "--config", str(cfg)]) == STAGE_EXIT["pipeline"]
+        assert "pipeline config defines no [spec:*] sections" in capsys.readouterr().err
+        assert "stage=pipeline" in (out_dir / "INCOMPLETE").read_text()
+        assert not (out_dir / "leaderboard.csv").exists()
 
     def test_stage_seed_deterministic_and_distinct(self):
         assert stage_seed(0, "synth") == stage_seed(0, "synth")
@@ -914,3 +941,95 @@ class TestSelectAndIngestBounds:
         assert code == STAGE_EXIT["ingest"]
         assert "ingest: max_lead must be >= 1, got 0" in capsys.readouterr().err
         assert not (tmp_path / "out.npz").exists()
+
+
+def _named_catalog(items, constant=()):
+    """synthesize(3, len(items), 45, 4) under the names ``items``, the items
+    at positions ``constant`` constant."""
+    tensor = ds.synthesize(3, len(items), 45, 4, "anticipatory")
+    tensor.values[list(constant)] = 5.0
+    return ds.PreorderTensor(items=items, values=tensor.values,
+                             observed_mask=tensor.observed_mask)
+
+
+class TestStoreNameClashes:
+    """Two (spec, item) pairs whose stored model names are equal ignoring
+    case fail `hierfcst train` before its first fit, naming both pairs:
+    they would share one file, or one failure key of the run record."""
+
+    @pytest.mark.parametrize("items, constant, spec_ini, pairs", [
+        (["a.b", "a_b", "c"], (), SPECS_INI,
+         "spec 'ridge_df' item 'a.b' and spec 'ridge_df' item 'a_b'"),
+        (["A", "a", "c"], (0, 1), "[r0]\nfamily = ridge\nlam = 0\nfeeding = df_one_by_one\n",
+         "spec 'r0' item 'A' and spec 'r0' item 'a'"),
+        (["c0", "c1"], (), "[x y]\nfamily = ridge\nfeeding = df_all_items\n\n"
+         "[x_y]\nfamily = ridge\nfeeding = df_all_items\n",
+         "spec 'x y' item 'ALL' and spec 'x_y' item 'ALL'")],
+        ids=["punctuation", "case_of_failing_items", "spec_labels"])
+    def test_clash_fails_the_stage(self, tmp_path, capsys, items, constant, spec_ini, pairs):
+        data = tmp_path / "tensor.npz"
+        ds.save_cache(_named_catalog(items, constant), data)
+        specs = tmp_path / "specs.ini"
+        specs.write_text(spec_ini)
+        out = tmp_path / "store"
+        assert main(["train", "--spec", str(specs), "--data", str(data),
+                     "--out", str(out)]) == STAGE_EXIT["train"]
+        assert pairs in capsys.readouterr().err
+        assert pairs in (out / "INCOMPLETE").read_text()
+        assert os.listdir(out) == ["INCOMPLETE"]
+
+
+class TestPipelineChecksBeforeWork:
+    """[select] values are checked before ingest and [report] items right
+    after it, so a bad value wastes no backtest and leaves no artifact of
+    a later stage."""
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("k", "0", "k must be >= 1, got 0"),
+        ("intervals", "0", "n_intervals must be >= 1"),
+        ("overlap", "0.7", "overlap must be in (0, 0.5], got 0.7"),
+        ("min_cluster_frac", "1.5", "min_cluster_frac must be in (0, 1], got 1.5")])
+    def test_select_value_fails_before_ingest(self, tmp_path, capsys, key, value, message):
+        out_dir = tmp_path / "run"
+        cfg = tmp_path / "pipe.ini"
+        cfg.write_text(PIPELINE_INI.format(out_dir=out_dir).replace(
+            "min_cluster_frac = 0.2\n", f"{key} = {value}\n"))
+        assert main(["pipeline", "--config", str(cfg)]) == STAGE_EXIT["pipeline"]
+        assert f"pipeline: {message}" in capsys.readouterr().err
+        assert os.listdir(out_dir) == ["INCOMPLETE"]
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--intervals", "0"], "n_intervals must be >= 1"),
+        (["--overlap", "0.9"], "overlap must be in (0, 0.5], got 0.9")])
+    def test_select_flag_fails_before_the_backtest(self, tmp_path, capsys, monkeypatch,
+                                                   tensor_cache, specs_file, flags, message):
+        import hierfcst.cli as cli_mod
+
+        def backtest(*args, **kwargs):
+            raise AssertionError("the backtest ran")
+
+        monkeypatch.setattr(cli_mod.ev, "backtest", backtest)
+        code = main(["select", "--data", tensor_cache, "--models", specs_file, *flags,
+                     "--out", str(tmp_path / "selector.bin"),
+                     "--graph", str(tmp_path / "graph.json")])
+        assert code == STAGE_EXIT["select"]
+        assert f"select: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("items, message", [
+        ("c nosuch", "[report] items: 'nosuch' is not in the catalog"),
+        ("a.b a_b", "[report] items: 'a.b' and 'a_b' would share the report file "
+                    "report_a_b.csv"),
+        ("A c a", "[report] items: 'A' and 'a' would share the report file report_A.csv")],
+        ids=["unknown", "punctuation", "case"])
+    def test_report_items_fail_after_ingest(self, tmp_path, capsys, items, message):
+        csv_path = tmp_path / "preorders.csv"
+        ds.save_csv(_named_catalog(["A", "a", "a.b", "a_b", "c"]), csv_path)
+        out_dir = tmp_path / "run"
+        specs = PIPELINE_INI[PIPELINE_INI.index("[spec:"):]
+        cfg = tmp_path / "pipe.ini"
+        cfg.write_text(f"[run]\nout_dir = {out_dir}\n\n[data]\nsource = csv\n"
+                       f"csv_path = {csv_path}\n\n[select]\nmin_cluster_frac = 0.2\n\n"
+                       f"[report]\nitems = {items}\n\n{specs}")
+        assert main(["pipeline", "--config", str(cfg)]) == STAGE_EXIT["pipeline"]
+        assert f"pipeline: {message}" in capsys.readouterr().err
+        assert sorted(os.listdir(out_dir)) == ["INCOMPLETE", "tensor.npz"]

@@ -1,6 +1,7 @@
 import csv
 import io
 import os
+import re
 import tracemalloc
 import zipfile
 from types import SimpleNamespace
@@ -183,6 +184,20 @@ class TestCacheFiles:
             path.write_bytes(content)
         with pytest.raises(HierfcstError, match="bad.npz"):
             ds.load_cache(path)
+
+
+class TestPreorderTensor:
+    @pytest.mark.parametrize("values, mask, error, message", [
+        (np.zeros((2, 3, 2)), np.zeros((2, 3, 3)), HierfcstError,
+         "values and observed_mask shapes differ"),
+        (np.zeros((2, 3)), np.zeros((2, 3)), HierfcstError, "expected (n_items, T, H) cube"),
+        (np.full((2, 3, 2), -1.0), np.ones((2, 3, 2)), DomainError, "finite and >= 0"),
+        (np.full((2, 3, 2), np.inf), np.ones((2, 3, 2)), DomainError, "finite and >= 0"),
+        (np.full((2, 3, 2), np.nan), np.ones((2, 3, 2)), DomainError, "finite and >= 0")],
+        ids=["mask_shape", "not_3d", "negative", "infinite", "nan"])
+    def test_tensor_rejects_a_bad_cube(self, values, mask, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            ds.PreorderTensor(items=["a", "b"], values=values, observed_mask=mask)
 
 
 class TestIsKnownAt:

@@ -161,6 +161,25 @@ class TestBacktest:
         assert np.isfinite(board.row("r0").mean_smape)
         assert set(board.best_model) == set(tensor.items) - {item}
 
+    def test_arx_item_whose_fit_fails_fails_alone(self, monkeypatch):
+        # Item 1's least-squares SVD does not converge (LAPACK info > 0):
+        # its ARX fit fails, and the other items' fits are scored.
+        from hierfcst.models import arx
+        calls = []
+
+        def gelsd(*args, _real=arx._gelsd):
+            calls.append(None)
+            x, s, rank, info = _real(*args)
+            return x, s, rank, 1 if len(calls) == 2 else info
+
+        monkeypatch.setattr(arx, "_gelsd", gelsd)
+        tensor = ds.synthesize(26, 4, 45, 4, "anticipatory")
+        board = backtest(tensor, [ModelSpec("arx", label="a")])
+        assert board.failures == [("a", tensor.items[1], "LinAlgError: SVD did not "
+                                   "converge in Linear Least Squares")]
+        assert sorted(board.scores["a"]) == [tensor.items[i] for i in (0, 2, 3)]
+        assert board.row("a").n_items == 3
+
     def test_failed_spec_sorts_after_scored_specs(self):
         tensor = ds.synthesize(24, 3, 14, 4, "smooth")
         bad = ModelSpec("arx", {"p": 5, "exog": "preorders"}, label="a_bad")

@@ -489,6 +489,10 @@ class TestFitPredictSurface:
                                        b.predict_transformed(grid),
                                        atol=1e-12, err_msg=spec.family)
 
+    def test_lasso_rejects_a_stack(self):
+        with pytest.raises(HierfcstError, match="lasso fits one item at a time"):
+            fit(ModelSpec("lasso"), np.ones((2, 5, 3)), np.ones((2, 5, 1)))
+
     def test_series_families_reject_matrix_fit(self):
         with pytest.raises(HierfcstError):
             fit(ModelSpec("arx"), np.ones((5, 2)), np.ones((5, 1)))

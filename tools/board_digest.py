@@ -24,7 +24,12 @@ clipped.  One more line, `train-40`, is the diagonal-feeding digest of
 the models `hierfcst train` stores for ridge, lasso, Poisson, kernel,
 `rforest`, `adaboost` and `ensemble` (small tree counts), each with
 `df_one_by_one` and `df_all_items`, on synthesize(7, 40, 45, 4): every
-family's single-fit route.
+family's single-fit route.  The last line, `trees-hp-40`, digests a
+backtest of the tree families, each with `df_one_by_one` and
+`df_all_items`, on synthesize(7, 40, 45, 4), every hyperparameter away
+from its default: feature subsets (`max_features = 0.5`) without
+bootstrap for `rforest`, shallower and fewer rounds for `adaboost`, and
+fewer bags and rounds at another learning rate for `ensemble`.
 
     python tools/board_digest.py [seed ...]        # seeds 1 2 3 by default
 
@@ -167,3 +172,11 @@ nodf = [ModelSpec(family, transform=kind)
         for kind in ("identity", "log1p", "minmax")]
 print("nodf-40", board_digest(evaluate.backtest(
     hierfcst.synthesize(7, 40, 45, 4, "anticipatory"), nodf, SPLIT)))
+
+tree_hp = {"rforest": {"max_features": 0.5, "bootstrap": False, "min_leaf": 1, "max_depth": 2},
+           "adaboost": {"rounds": 7, "base_depth": 2},
+           "ensemble": {"n_bags": 3, "boost_rounds": 6, "learning_rate": 0.3, "max_depth": 2}}
+trees_hp = [ModelSpec(family, hp, feeding=feeding) for family, hp in tree_hp.items()
+            for feeding in ("df_one_by_one", "df_all_items")]
+print("trees-hp-40", board_digest(evaluate.backtest(
+    hierfcst.synthesize(7, 40, 45, 4, "anticipatory"), trees_hp, SPLIT)))
